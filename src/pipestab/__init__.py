@@ -13,10 +13,9 @@ from .config import ConfigError, ScenarioConfig
 from .disturbance import DisturbanceSpec, sample_b, verify_noise_bound
 from .dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
                        Trajectory, bump_profile, f_tilde, lower_order_F,
-                       lower_order_F_expanded, riemann_invariants, simulate,
-                       step)
-from .lyapunov import (check_equivalence, energy_E, energy_E1, energy_H,
-                       energy_classic, fit_decay_rate)
+                       simulate, step)
+from .lyapunov import (check_equivalence, energy_E1, energy_classic,
+                       fit_decay_rate, windowed_series)
 from .stationary import (PipeParams, StationaryProfile, build_stationary,
                          critical_length, lambert_w_minus1,
                          verify_stationary_ode)

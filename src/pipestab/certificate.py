@@ -19,6 +19,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .dynamics import f_bound_constant
 from .stationary import PipeParams
 
 
@@ -58,7 +59,7 @@ def compute_constants(params: PipeParams, lam: float, nu: float, C_nu: float) ->
     K1 = (1.0 + 2.0 * L ** 2) / M1 if M1 > 0 else math.inf
     K2 = max(k * a ** 2 + a + 1.0, k + 1.0)
     mu = 1.0 / (4.0 * e * L * k)
-    C0 = 12.0 * k + 4.0 * (k + 1.0) * (18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2) + 10.0
+    C0 = 12.0 * k + 4.0 * (k + 1.0) * f_bound_constant(a, theta) + 10.0
     Cg = ((4.0 / 3.0) * e * a ** 2 * k ** 2 + 1.0 / (2.0 * e * K1 * k)) * C_nu
     delta = nu - mu
     mu0 = (a / L) * math.log1p(2.0 / (a * k - 1.0)) if a * k > 1.0 else math.nan
@@ -180,9 +181,10 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
          H(T) <= K1 exp(-mu (T - T_period)) [E(T_period) + Cg/delta]
 
     times must start at (or before) T_period; E_series and H_series are
-    the windowed energies sampled on those times.  Margins are bound
-    minus value; a nonnegative worst margin (up to a tiny relative
-    slack) passes.
+    the windowed energies sampled on those times.  E(T_period) is
+    interpolated, so T_period need not be a sample time; the bounds are
+    checked at the samples t >= T_period.  Margins are bound minus value;
+    a nonnegative worst margin (up to a tiny relative slack) passes.
     """
     if constants.delta <= 0:
         raise ValueError(
@@ -192,10 +194,10 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
     H_series = np.asarray(H_series, dtype=float)
     if times[0] > T_period + 1e-9:
         raise ValueError(f"trace must start at T_period = {T_period}, starts at {times[0]}")
+    E_Tp = float(np.interp(T_period, times, E_series))
     sel = times >= T_period - 1e-12
     times, E_series, H_series = times[sel], E_series[sel], H_series[sel]
 
-    E_Tp = float(np.interp(T_period, times, E_series))
     bracket = E_Tp + constants.Cg / constants.delta
     decay = np.exp(-constants.mu * (times - T_period))
 
@@ -250,7 +252,9 @@ class CertificateReport:
                 "T_half": self.T_half}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, default=float)
+        """Strict RFC 8259 JSON: undefined (non-finite) values are written as null."""
+        return json.dumps(_finite_or_null(self.as_dict()), indent=2, default=float,
+                          allow_nan=False)
 
     def to_text(self) -> str:
         c = self.constants
@@ -274,6 +278,14 @@ class CertificateReport:
         lines.append("")
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k2: _finite_or_null(v) for k2, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def assemble_report(constants: TheoremConstants, hypotheses: HypothesisFlags,

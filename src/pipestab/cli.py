@@ -22,12 +22,15 @@ import numpy as np
 
 from . import certificate as cert
 from . import lyapunov
-from .config import SCHEMA, ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, _parse_value
 from .disturbance import verify_noise_bound
 from .dynamics import BlowUpError, CFLError, simulate
 from .stationary import build_stationary
 
 CSV_HEADER = "t,E1,E,H,E_classic,grad_norm,max_u,u_0,ut_0,ux_0,u_L,b,b_t,hyp_ok"
+
+# what ends one scenario with exit code 1 (run) or an error row (sweep)
+RUN_ERRORS = (ConfigError, ValueError, OSError, BlowUpError, CFLError)
 
 
 def _fmt(x) -> str:
@@ -59,22 +62,22 @@ def execute_run(cfg: ScenarioConfig):
                                        spec.nu, spec.C_nu)
     hyp = cert.check_hypotheses(traj, profile, params, constants, noise["pass"])
 
-    t_E, E_series = lyapunov.windowed_series(traj.series["E1"], times, T_period)
-    _, H_series = lyapunov.windowed_series(traj.series["h1"], times, T_period)
+    E_series = lyapunov.windowed_series(traj.series["E1"], times, T_period)
+    H_series = lyapunov.windowed_series(traj.series["h1"], times, T_period)
     b_final_zero = bool(np.all(np.asarray(traj.boundary["b"])[times >= times[-1] - T_period] == 0.0))
-    bounds = cert.verify_decay_bounds(t_E, E_series, H_series, constants,
+    bounds = cert.verify_decay_bounds(times, E_series, H_series, constants,
                                       T_period, params.L, b_final_zero=b_final_zero)
     report = cert.assemble_report(constants, hyp, bounds, noise, T_period=T_period)
 
     # decay-rate fit on E, transients (window ramp) excluded
     fit_start = T_period + 0.5 * T_period
     try:
-        fit = lyapunov.fit_decay_rate(E_series, t_E, window=(fit_start, times[-1]))
+        fit = lyapunov.fit_decay_rate(E_series, times, window=(fit_start, times[-1]))
     except ValueError:
         fit = {"rate": float("nan"), "intercept": float("nan"),
                "r_squared": float("nan"), "n_excluded": len(E_series)}
 
-    _write_csv(cfg, traj, T_period, hyp)
+    _write_csv(cfg, traj, E_series, H_series, hyp)
     _write_reports(cfg, report)
     summary = {"fitted_rate": fit["rate"], "r_squared": fit["r_squared"],
                "mu": constants.mu, "verdict": report.verdict,
@@ -82,29 +85,18 @@ def execute_run(cfg: ScenarioConfig):
     return report, summary
 
 
-def _write_csv(cfg, traj, T_period, hyp):
+def _write_csv(cfg, traj, E_series, H_series, hyp):
+    """One row per snapshot; E and H are the trailing-window energies."""
     times = traj.times
     snap_times = np.array([s.t for s in traj.states])
     idx = np.searchsorted(times, snap_times - 1e-12)
-    # windowed energies; for t < T_period the window is truncated at t = 0
-    cumE = np.concatenate([[0.0], np.cumsum(
-        0.5 * (traj.series["E1"][1:] + traj.series["E1"][:-1]) * np.diff(times))])
-    cumH = np.concatenate([[0.0], np.cumsum(
-        0.5 * (traj.series["h1"][1:] + traj.series["h1"][:-1]) * np.diff(times))])
-
-    def windowed(cum, t):
-        hi = np.interp(t, times, cum)
-        lo = np.interp(max(t - T_period, 0.0), times, cum)
-        return hi - lo
-
     rows = [CSV_HEADER]
-    for j, st in zip(idx, traj.states):
-        t = times[j]
+    for j in idx:
         rows.append(",".join([
-            _fmt(t),
+            _fmt(times[j]),
             _fmt(traj.series["E1"][j]),
-            _fmt(windowed(cumE, t)),
-            _fmt(windowed(cumH, t)),
+            _fmt(E_series[j]),
+            _fmt(H_series[j]),
             _fmt(traj.series["E_classic"][j]),
             _fmt(traj.series["grad"][j]),
             _fmt(traj.series["max_u"][j]),
@@ -129,8 +121,7 @@ def cmd_run(args) -> int:
     try:
         cfg = ScenarioConfig.from_file(args.config)
         report, _ = execute_run(cfg)
-    except (ConfigError, ValueError, NotImplementedError, OSError,
-            BlowUpError, CFLError) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"verdict: {report.verdict}")
@@ -144,19 +135,7 @@ def _parse_sets(set_args):
             raise ConfigError(f"--set expects key=v1,v2,..., got {item!r}")
         key, _, vals = item.partition("=")
         key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key `{key}` in --set")
-        typ = SCHEMA[key][0]
-        parsed = []
-        for v in vals.split(","):
-            v = v.strip()
-            try:
-                parsed.append(typ(v) if typ is not str else v)
-            except ValueError:
-                raise ConfigError(f"value {v!r} for `{key}` is not a valid {typ.__name__}")
-        if not parsed:
-            raise ConfigError(f"empty value list for `{key}` in --set")
-        grid[key] = parsed
+        grid[key] = [_parse_value(key, v.strip()) for v in vals.split(",")]
     return grid
 
 
@@ -186,8 +165,7 @@ def cmd_sweep(args) -> int:
             _, summary = execute_run(cfg)
             fitted, verdict = summary["fitted_rate"], summary["verdict"]
             mu = summary["mu"]
-        except (ConfigError, ValueError, NotImplementedError, OSError,
-                BlowUpError, CFLError) as exc:
+        except RUN_ERRORS as exc:
             fitted, mu, verdict = float("nan"), float("nan"), f"error: {exc}"
         cells = [str(run_id)] + [
             _fmt(v) if isinstance(v, float) else str(v) for v in combo]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disturbance import DisturbanceSpec
+from .disturbance import FAMILIES, DisturbanceSpec
 from .dynamics import SolverConfig, bump_profile
 from .stationary import PipeParams
 
@@ -23,38 +23,58 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type, default, constraint description or None)
-SCHEMA: dict[str, tuple[type, object, str | None]] = {
-    "pipe.L": (float, 1.0, "pipe.L > 0"),
-    "pipe.a": (float, 1.0, "pipe.a > 0"),
-    "pipe.theta": (float, 0.0, "pipe.theta >= 0"),
-    "feedback.k": (float, 2.0, "feedback.k > 0"),
-    "stationary.u0": (float, 0.25, "0 < stationary.u0 < pipe.a"),
-    "disturbance.family": (str, "zero", "disturbance.family in {zero, decaying_burst, compact_burst}"),
-    "disturbance.A": (float, 0.0, None),
-    "disturbance.f": (float, 1.0, None),
-    "disturbance.gamma": (float, 1.0, "disturbance.gamma >= 0"),
-    "disturbance.nu": (float, 1.0, "disturbance.nu > 0"),
-    "disturbance.C_nu": (float, 1.0, "disturbance.C_nu > 0"),
-    "disturbance.T_period": (float, 1.0, "disturbance.T_period > 0"),
-    "disturbance.seed": (int, 0, None),
-    "initial.family": (str, "zero", "initial.family in {zero, bump}"),
-    "initial.amplitude": (float, 0.0, None),
-    "initial.center": (float, 0.5, None),
-    "initial.width": (float, 0.2, "initial.width > 0"),
-    "solver.nx": (int, 200, "solver.nx >= 16"),
-    "solver.cfl": (float, 0.45, "0 < solver.cfl < 1"),
-    "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period"),
-    "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0"),
-    "certificate.lambda": (float, 0.75, "1/2 < certificate.lambda < 1"),
-    "output.csv_path": (str, "run.csv", None),
-    "output.report_path": (str, "report.txt", None),
+# key -> (type, default, constraint text, predicate on the merged values);
+# the last two are None for unconstrained keys.  Every float must also be finite.
+SCHEMA: dict[str, tuple] = {
+    "pipe.L": (float, 1.0, "pipe.L > 0", lambda v: v["pipe.L"] > 0),
+    "pipe.a": (float, 1.0, "pipe.a > 0", lambda v: v["pipe.a"] > 0),
+    "pipe.theta": (float, 0.0, "pipe.theta >= 0", lambda v: v["pipe.theta"] >= 0),
+    "feedback.k": (float, 2.0, "feedback.k > 0", lambda v: v["feedback.k"] > 0),
+    "stationary.u0": (float, 0.25, "0 < stationary.u0 < pipe.a",
+                      lambda v: 0 < v["stationary.u0"] < v["pipe.a"]),
+    "disturbance.family": (str, "zero", f"disturbance.family in {{{', '.join(FAMILIES)}}}",
+                           lambda v: v["disturbance.family"] in FAMILIES),
+    "disturbance.A": (float, 0.0, None, None),
+    "disturbance.f": (float, 1.0, None, None),
+    "disturbance.gamma": (float, 1.0, "disturbance.gamma >= 0",
+                          lambda v: v["disturbance.gamma"] >= 0),
+    "disturbance.nu": (float, 1.0, "disturbance.nu > 0", lambda v: v["disturbance.nu"] > 0),
+    "disturbance.C_nu": (float, 1.0, "disturbance.C_nu > 0", lambda v: v["disturbance.C_nu"] > 0),
+    "disturbance.T_period": (float, 1.0, "disturbance.T_period > 0",
+                             lambda v: v["disturbance.T_period"] > 0),
+    "disturbance.seed": (int, 0, "disturbance.seed >= 0", lambda v: v["disturbance.seed"] >= 0),
+    "initial.family": (str, "zero", "initial.family in {zero, bump}",
+                       lambda v: v["initial.family"] in ("zero", "bump")),
+    "initial.amplitude": (float, 0.0, None, None),
+    "initial.center": (float, 0.5, None, None),
+    "initial.width": (float, 0.2, "initial.width > 0, and for initial.family = bump the bump "
+                      "support initial.center ± initial.width lies strictly inside (0, pipe.L)",
+                      lambda v: v["initial.width"] > 0 and (
+                          v["initial.family"] != "bump"
+                          or 0 < v["initial.center"] - v["initial.width"]
+                          and v["initial.center"] + v["initial.width"] < v["pipe.L"])),
+    "solver.nx": (int, 200, "solver.nx >= 16", lambda v: v["solver.nx"] >= 16),
+    "solver.cfl": (float, 0.45, "0 < solver.cfl < 1", lambda v: 0 < v["solver.cfl"] < 1),
+    "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period",
+                     lambda v: v["solver.t_end"] > v["disturbance.T_period"]),
+    "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0",
+                           lambda v: v["solver.snapshot_dt"] > 0),
+    "certificate.lambda": (float, 0.75, "1/2 < certificate.lambda < 1",
+                           lambda v: 0.5 < v["certificate.lambda"] < 1),
+    "output.csv_path": (str, "run.csv", None, None),
+    "output.report_path": (str, "report.txt", None, None),
 }
 
 
-def _fail(key: str):
-    constraint = SCHEMA[key][2] or key
-    raise ConfigError(f"invalid value for `{key}`: constraint `{constraint}` violated")
+def _parse_value(key: str, text: str):
+    """Typed value of `key` from its text form."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown configuration key `{key}`")
+    typ = SCHEMA[key][0]
+    try:
+        return typ(text) if typ is not str else text
+    except ValueError:
+        raise ConfigError(f"value {text!r} for `{key}` is not a valid {typ.__name__}") from None
 
 
 @dataclass
@@ -64,7 +84,7 @@ class ScenarioConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {k: v for k, (_, v, _) in ((k, SCHEMA[k]) for k in SCHEMA)}
+        merged = {k: spec[1] for k, spec in SCHEMA.items()}
         for k, v in self.values.items():
             if k not in SCHEMA:
                 raise ConfigError(f"unknown configuration key `{k}`")
@@ -77,30 +97,11 @@ class ScenarioConfig:
 
     def validate(self):
         v = self.values
-        if not v["pipe.L"] > 0: _fail("pipe.L")
-        if not v["pipe.a"] > 0: _fail("pipe.a")
-        if not v["pipe.theta"] >= 0: _fail("pipe.theta")
-        if not v["feedback.k"] > 0: _fail("feedback.k")
-        if not 0 < v["stationary.u0"] < v["pipe.a"]: _fail("stationary.u0")
-        if v["disturbance.family"] not in ("zero", "decaying_burst", "compact_burst"):
-            _fail("disturbance.family")
-        if not v["disturbance.gamma"] >= 0: _fail("disturbance.gamma")
-        if not v["disturbance.nu"] > 0: _fail("disturbance.nu")
-        if not v["disturbance.C_nu"] > 0: _fail("disturbance.C_nu")
-        if not v["disturbance.T_period"] > 0: _fail("disturbance.T_period")
-        if v["initial.family"] not in ("zero", "bump"): _fail("initial.family")
-        if not v["initial.width"] > 0: _fail("initial.width")
-        if not v["solver.nx"] >= 16: _fail("solver.nx")
-        if not 0 < v["solver.cfl"] < 1: _fail("solver.cfl")
-        if not v["solver.t_end"] > v["disturbance.T_period"]: _fail("solver.t_end")
-        if not v["solver.snapshot_dt"] > 0: _fail("solver.snapshot_dt")
-        if not 0.5 < v["certificate.lambda"] < 1: _fail("certificate.lambda")
-        if v["initial.family"] == "bump":
-            c, wd, L = v["initial.center"], v["initial.width"], v["pipe.L"]
-            if c - wd <= 0 or c + wd >= L:
-                raise ConfigError(
-                    "invalid value for `initial.center`/`initial.width`: the bump support "
-                    "must lie strictly inside (0, pipe.L) for boundary compatibility")
+        for key, (typ, _, rule, ok) in SCHEMA.items():
+            if typ is float and not math.isfinite(v[key]):
+                raise ConfigError(f"invalid value for `{key}`: {v[key]!r} is not finite")
+            if ok is not None and not ok(v):
+                raise ConfigError(f"invalid value for `{key}`: constraint `{rule}` violated")
 
     # -- parsing / serialization ------------------------------------------
 
@@ -114,15 +115,10 @@ class ScenarioConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown configuration key `{key}`")
-            typ = SCHEMA[key][0]
             try:
-                values[key] = typ(val) if typ is not str else val
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: value {val!r} for `{key}` is not a valid {typ.__name__}")
+                values[key.strip()] = _parse_value(key.strip(), val.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         return cls(values)
 
     @classmethod

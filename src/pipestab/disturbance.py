@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .lyapunov import windowed_series
 
 FAMILIES = ("zero", "decaying_burst", "compact_burst")
 
@@ -44,8 +47,11 @@ class DisturbanceSpec:
         if self.T_period <= 0:
             raise ValueError("T_period must be > 0")
 
-    @property
+    @cached_property
     def phase(self) -> float:
+        """Carrier phase: 0 for seed 0, else a uniform draw seeded by `seed`."""
+        if self.seed == 0:
+            return 0.0
         return float(np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi))
 
 
@@ -79,7 +85,7 @@ def sample_b(spec: DisturbanceSpec, t: float) -> tuple[float, float, float]:
 
     g_amp = spec.gamma
     om = 2.0 * math.pi * spec.frequency
-    ph = spec.phase if spec.seed != 0 else 0.0
+    ph = spec.phase
     e = math.exp(-g_amp * t)
     sn = math.sin(om * t + ph)
     cs = math.cos(om * t + ph)
@@ -106,22 +112,6 @@ def sample_b(spec: DisturbanceSpec, t: float) -> tuple[float, float, float]:
     return b, bt, btt
 
 
-def sliding_window_integral(times, values, T_period):
-    """Trapezoid integral of `values` over the trailing window of length T_period.
-
-    Returns the integral at every sample time t with t - T_period >= times[0],
-    together with those times.  The window start is handled by linear
-    interpolation of the cumulative integral.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))])
-    mask = times - T_period >= times[0] - 1e-12
-    t_out = times[mask]
-    start = np.interp(t_out - T_period, times, cum)
-    return t_out, cum[mask] - start
-
-
 def verify_noise_bound(times, b, b_t, T_period, nu, C_nu, rel_slack=1e-6):
     """Check the windowed-H1 decay claim on a sampled disturbance trace.
 
@@ -135,7 +125,8 @@ def verify_noise_bound(times, b, b_t, T_period, nu, C_nu, rel_slack=1e-6):
     if C_nu <= 0:
         raise ValueError("C_nu must be > 0")
     integrand = np.asarray(b, dtype=float) ** 2 + np.asarray(b_t, dtype=float) ** 2
-    t_w, w = sliding_window_integral(times, integrand, T_period)
+    sel = times - T_period >= times[0] - 1e-12
+    t_w, w = times[sel], windowed_series(integrand, times, T_period)[sel]
     envelope = C_nu * np.exp(-nu * t_w)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(envelope > 0, w / envelope, np.inf)

@@ -69,8 +69,8 @@ class Trajectory:
 
     states: list
     times: np.ndarray
-    series: dict      # per-step: E1, E_classic, grad, h1, max_u, max_ux, max_ut, t_li
-    boundary: dict    # per-step: u0, v0, w0, uL, wL, b, b_t
+    series: dict      # per-step: E1, E_classic, grad, h1, max_u, max_ux, max_ut
+    boundary: dict    # per-step: u0, v0, w0, uL, b, b_t
 
 
 def f_tilde(u_val, ux_val, ut_val, theta):
@@ -95,45 +95,9 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta):
     return f_tilde(m, ux + ubar_x, ut, theta) - ratio * f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F_expanded(u, ux, ut, ubar, ubar_x, a, theta):
-    """Expanded polynomial form of F, valid for ubar > 0 and ubar + u >= 0."""
-    d_bar = a ** 2 - np.asarray(ubar, dtype=float) ** 2
-    if np.any(d_bar <= 0):
-        raise ValueError("stationary state must be subsonic: a^2 - ubar^2 > 0")
-    sx = ux + ubar_x
-    return (-2.0 * ut * sx
-            - theta * (u + ubar) * ut
-            - 2.0 * u * sx ** 2
-            - 4.0 * ubar * ubar_x * ux
-            - 2.0 * ubar * ux ** 2
-            - 1.5 * theta * u * (u + 2.0 * ubar) * sx
-            - 1.5 * theta * ubar ** 2 * ux
-            - (2.0 * u * ubar + u ** 2) / d_bar
-            * (2.0 * ubar * ubar_x ** 2 + 1.5 * theta * ubar ** 2 * ubar_x))
-
-
 def f_bound_constant(a, theta):
     """Coefficient of the Lipschitz-type upper bound on |F|."""
     return 18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2
-
-
-def riemann_invariants(rho, q, a):
-    """Characteristic variables of the underlying density/flux system.
-
-    Returns (R_plus, R_minus, u_tilde) with R+- = -q/rho -+ a ln(rho) and
-    the velocity u_tilde = q/rho = -(R_+ + R_-)/2.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be > 0")
-    u_tilde = np.asarray(q, dtype=float) / rho
-    r_plus = -u_tilde - a * np.log(rho)
-    r_minus = -u_tilde + a * np.log(rho)
-    return r_plus, r_minus, u_tilde
-
-
-def _F_at(u, w, v, ubar, ubar_x, a, theta):
-    return lower_order_F(u, w, v, ubar, ubar_x, a, theta)
 
 
 def step(state: FieldState, profile: StationaryProfile, params: PipeParams,
@@ -162,7 +126,7 @@ def step(state: FieldState, profile: StationaryProfile, params: PipeParams,
     ubarx_m = 0.5 * (ubar_x[:-1] + ubar_x[1:])
     mm = ubar_m + um
     dm = a2 - mm ** 2
-    Fm = _F_at(um, wm, vm, ubar_m, ubarx_m, a, theta)
+    Fm = lower_order_F(um, wm, vm, ubar_m, ubarx_m, a, theta)
     dv = v[1:] - v[:-1]
     dw = w[1:] - w[:-1]
     r = dt / (2.0 * dx)
@@ -176,7 +140,7 @@ def step(state: FieldState, profile: StationaryProfile, params: PipeParams,
     w_star = 0.5 * (w_h[:-1] + w_h[1:])
     m_star = ubar[1:-1] + u_star
     d_star = a2 - m_star ** 2
-    F_star = _F_at(u_star, w_star, v_star, ubar[1:-1], ubar_x[1:-1], a, theta)
+    F_star = lower_order_F(u_star, w_star, v_star, ubar[1:-1], ubar_x[1:-1], a, theta)
     dv_h = v_h[1:] - v_h[:-1]
     dw_h = w_h[1:] - w_h[:-1]
     v_new = np.empty_like(v)
@@ -206,9 +170,10 @@ def step(state: FieldState, profile: StationaryProfile, params: PipeParams,
     u_new = u + 0.5 * dt * (v + v_new)
 
     guard = blowup_guard if blowup_guard is not None else a
-    if np.max(np.abs(u_new)) > guard:
+    peak = np.max(np.abs(u_new))
+    if not peak <= guard:   # written so that NaN fails too
         raise BlowUpError(
-            f"|u| exceeded the guard {guard:.4g} at t={state.t + dt:.6g}; "
+            f"max|u| = {peak:.4g} left the guard {guard:.4g} at t={state.t + dt:.6g}; "
             "the run left the regime of validity")
     return FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
 
@@ -254,15 +219,10 @@ def _record(series, boundary, state, profile, params, b_val, bt_val):
     series["max_u"].append(float(np.max(np.abs(state.u))))
     series["max_ux"].append(float(np.max(np.abs(state.w))))
     series["max_ut"].append(float(np.max(np.abs(state.v))))
-    series["t_li"].append(max(series["max_u"][-1], series["max_ux"][-1],
-                              series["max_ut"][-1],
-                              float(np.max(np.abs(profile.ubar))),
-                              float(np.max(np.abs(profile.ubar_x)))))
     boundary["u0"].append(float(state.u[0]))
     boundary["v0"].append(float(state.v[0]))
     boundary["w0"].append(float(state.w[0]))
     boundary["uL"].append(float(state.u[-1]))
-    boundary["wL"].append(float(state.w[-1]))
     boundary["b"].append(b_val)
     boundary["b_t"].append(bt_val)
 
@@ -288,8 +248,8 @@ def simulate(params: PipeParams, profile: StationaryProfile,
 
     dx = xs[1] - xs[0]
     series = {name: [] for name in ("E1", "E_classic", "grad", "h1",
-                                    "max_u", "max_ux", "max_ut", "t_li")}
-    boundary = {name: [] for name in ("u0", "v0", "w0", "uL", "wL", "b", "b_t")}
+                                    "max_u", "max_ux", "max_ut")}
+    boundary = {name: [] for name in ("u0", "v0", "w0", "uL", "b", "b_t")}
     times = [0.0]
     b0, bt0, _ = sample_b(disturbance, 0.0)
     _record(series, boundary, state, profile, params, b0, bt0)

@@ -7,12 +7,9 @@ trapezoid, so the window sees full time resolution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .disturbance import sliding_window_integral
 
 
 def _trapz(y, x):
@@ -51,33 +48,18 @@ def h1_integrand(state) -> float:
     return _trapz(state.u ** 2 + state.v ** 2 + state.w ** 2, state.xs)
 
 
-def windowed_integral(series, times, T_period, t) -> float:
-    """Trapezoid integral of a per-step series over [t - T_period, t]."""
+def windowed_series(series, times, T_period):
+    """Trapezoid integral of a per-step series over the trailing window.
+
+    Returns the integral over [t - T_period, t] at every sample time t.
+    The window start is placed by linear interpolation of the cumulative
+    integral, which clamps at times[0]: for t < times[0] + T_period the
+    window is truncated at the start of the series.
+    """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
-    if t < T_period + times[0] - 1e-12:
-        raise ValueError("window extends before the start of the series")
-    if t > times[-1] + 1e-12:
-        raise ValueError("window end beyond the recorded series")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * np.diff(times))])
-    hi = float(np.interp(t, times, cum))
-    lo = float(np.interp(t - T_period, times, cum))
-    return hi - lo
-
-
-def energy_E(E1_series, times, T_period, t) -> float:
-    """Moving-horizon average energy: integral of E1 over [t - T_period, t]."""
-    return windowed_integral(E1_series, times, T_period, t)
-
-
-def energy_H(trajectory, T_period, t) -> float:
-    """Windowed squared H1 norm of u over [t - T_period, t] x [0, L]."""
-    return windowed_integral(trajectory.series["h1"], trajectory.times, T_period, t)
-
-
-def windowed_series(series, times, T_period):
-    """Vectorized trailing-window trapezoid integral for all admissible t."""
-    return sliding_window_integral(times, series, T_period)
+    return cum - np.interp(times - T_period, times, cum)
 
 
 @dataclass

@@ -28,7 +28,6 @@ class PipeParams:
     a: float            # speed of sound
     theta: float        # friction ratio f_g / diameter, >= 0
     k: float            # Neumann feedback gain at x = 0
-    sigma: int = 1      # flow direction, +1 or -1
 
     def __post_init__(self):
         if not self.L > 0:
@@ -39,8 +38,6 @@ class PipeParams:
             raise ValueError("friction ratio theta must be >= 0")
         if not self.k > 0:
             raise ValueError("feedback gain k must be > 0")
-        if self.sigma not in (-1, 1):
-            raise ValueError("sigma must be -1 or +1")
 
 
 def lambert_w_minus1(z: float) -> float:
@@ -123,11 +120,9 @@ def stationary_ode_rhs(u: float | np.ndarray, params: PipeParams):
 def build_stationary(params: PipeParams, u0: float, xs) -> StationaryProfile:
     """Evaluate the closed-form stationary profile on the grid xs.
 
-    Only positive flow (sigma = +1) is implemented; the derivative is
-    taken from the stationary ODE, not from differencing the samples.
+    Positive flow only; the derivative is taken from the stationary ODE,
+    not from differencing the samples.
     """
-    if params.sigma != 1:
-        raise NotImplementedError("stationary profiles are implemented for sigma = +1 only")
     if not 0.0 < u0 < params.a:
         raise ValueError("u0 must lie in (0, a)")
     xs = np.asarray(xs, dtype=float)

@@ -18,10 +18,12 @@ from pipestab.certificate import (assemble_report, check_hypotheses,
                                   verify_decay_bounds, verify_gronwall_discrete)
 from pipestab.disturbance import DisturbanceSpec, sample_b, verify_noise_bound
 from pipestab.dynamics import (SolverConfig, bump_profile, f_bound_constant,
-                               lower_order_F, lower_order_F_expanded, simulate)
+                               lower_order_F, simulate)
 from pipestab.lyapunov import check_equivalence, windowed_series
 from pipestab.stationary import (PipeParams, build_stationary, critical_length,
                                  lambert_w_minus1, verify_stationary_ode)
+
+from oracles import lower_order_F_expanded
 
 E = math.e
 
@@ -54,9 +56,9 @@ def burst_run():
     noise = verify_noise_bound(traj.times, traj.boundary["b"],
                                traj.boundary["b_t"], T_period, 1.0, C_nu)
     constants = compute_constants(params, 0.6, 1.0, C_nu)
-    t_E, E_series = windowed_series(traj.series["E1"], traj.times, T_period)
-    _, H_series = windowed_series(traj.series["h1"], traj.times, T_period)
-    bounds = verify_decay_bounds(t_E, E_series, H_series, constants,
+    E_series = windowed_series(traj.series["E1"], traj.times, T_period)
+    H_series = windowed_series(traj.series["h1"], traj.times, T_period)
+    bounds = verify_decay_bounds(traj.times, E_series, H_series, constants,
                                  T_period, params.L)
     hyp = check_hypotheses(traj, profile, params, constants, noise["pass"])
     report = assemble_report(constants, hyp, bounds, noise, T_period=T_period)

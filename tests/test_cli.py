@@ -62,6 +62,20 @@ class TestRun:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_window_off_the_step_grid(self, tmp_path, capsys):
+        # T_period = 0.7 is no step time; E(T_period) is interpolated and
+        # the CSV windows before t = 0.7 are truncated at t = 0
+        cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst",
+                                     "disturbance.A": 1e-4,
+                                     "disturbance.T_period": 0.7,
+                                     "solver.snapshot_dt": 0.3})
+        assert main(["run", str(cfg)]) == 0
+        assert "verdict: bound_holds_hypotheses_fail" in capsys.readouterr().out
+        rows = [list(map(float, r.split(",")))
+                for r in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.0])
+        assert rows[0][2] == 0.0 and rows[0][3] == 0.0
+
     def test_supercritical_pipe_exit_one(self, tmp_path, capsys):
         # u0 close to sonic makes L exceed the critical length
         cfg = write_cfg(tmp_path, **{"stationary.u0": 1.99, "pipe.theta": 5.0})
@@ -117,6 +131,16 @@ class TestSweep:
         rows = out.read_text().splitlines()
         assert "error" in rows[1]
         assert "error" not in rows[2]
+
+    def test_non_finite_value_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst"})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "disturbance.A=1e-4,nan",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert rows[1].endswith("bound_holds_hypotheses_fail")
+        assert "error: invalid value for `disturbance.A`" in rows[2]
 
 
 class TestConstantsVerb:

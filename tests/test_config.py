@@ -52,7 +52,11 @@ class TestValidation:
         ("disturbance.C_nu", -1.0), ("disturbance.T_period", 0.0),
         ("initial.family", "spike"), ("initial.width", 0.0),
         ("solver.nx", 8), ("solver.cfl", 1.5), ("solver.snapshot_dt", 0.0),
-        ("certificate.lambda", 0.5),
+        ("certificate.lambda", 0.5), ("disturbance.seed", -1),
+        # every float must be finite: NaN passes every comparison-based rule
+        ("disturbance.A", math.nan), ("disturbance.C_nu", math.inf),
+        ("solver.t_end", math.inf), ("initial.center", -math.inf),
+        ("pipe.L", math.nan), ("disturbance.f", math.nan),
     ])
     def test_constraint_violation_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

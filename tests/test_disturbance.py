@@ -67,6 +67,13 @@ class TestSampleB:
                              frequency=1.0, gamma=0.5, T_period=1.0)
         assert s0.phase != s1.phase
         assert s0.phase == DisturbanceSpec(family="zero", seed=1).phase
+        assert DisturbanceSpec(family="decaying_burst", seed=0).phase == 0.0
+
+    def test_phase_drawn_once(self):
+        spec = DisturbanceSpec(family="decaying_burst", amplitude=1.0, seed=3)
+        expect = float(np.random.default_rng(3).uniform(0.0, 2.0 * math.pi))
+        assert spec.phase == expect
+        assert "phase" in vars(spec)   # cached on the instance after the first draw
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
                                bump_profile, compatibility_residual, f_bound_constant,
-                               f_tilde, lower_order_F, lower_order_F_expanded,
-                               riemann_invariants, simulate, step)
+                               f_tilde, lower_order_F, simulate, step)
 from pipestab.stationary import PipeParams, build_stationary
+
+from oracles import lower_order_F_expanded
 
 
 def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
@@ -71,29 +70,6 @@ class TestLowerOrderTerms:
             lower_order_F(0.0, 0.0, 0.0, 1.5, 0.0, 1.0, 0.5)
 
 
-class TestRiemannInvariants:
-    def test_rest_state(self):
-        rp, rm, u = riemann_invariants(1.0, 0.0, 2.0)
-        assert (rp, rm, u) == (0.0, 0.0, 0.0)
-
-    def test_hand_value(self):
-        rp, rm, u = riemann_invariants(4.0, 2.0, 1.0)
-        assert u == pytest.approx(0.5)
-        assert rp == pytest.approx(-0.5 - math.log(4.0))
-        assert rm == pytest.approx(-0.5 + math.log(4.0))
-
-    def test_velocity_recovery(self):
-        rng = np.random.default_rng(5)
-        rho = rng.uniform(0.5, 2.0, 50)
-        q = rng.uniform(-1.0, 1.0, 50)
-        rp, rm, u = riemann_invariants(rho, q, 1.3)
-        assert np.allclose(u, -(rp + rm) / 2.0, rtol=1e-14)
-
-    def test_vacuum_rejected(self):
-        with pytest.raises(ValueError):
-            riemann_invariants(0.0, 1.0, 1.0)
-
-
 class TestBumpProfile:
     def test_support_and_peak(self):
         xs = np.linspace(0.0, 1.0, 401)
@@ -133,6 +109,15 @@ class TestStep:
         state = FieldState(t=0.0, xs=xs, u=u, v=np.zeros_like(xs), w=np.zeros_like(xs))
         with pytest.raises(BlowUpError):
             step(state, profile, params, (0.0, 0.0), dt=1e-4, blowup_guard=0.1)
+
+    def test_nan_state_raises_at_its_step(self):
+        # every comparison with NaN is False, so the guard must be written to fail on it
+        params, profile, xs = make_setup()
+        u = np.zeros_like(xs)
+        u[len(xs) // 2] = np.nan
+        state = FieldState(t=0.25, xs=xs, u=u, v=np.zeros_like(xs), w=np.zeros_like(xs))
+        with pytest.raises(BlowUpError, match=r"t=0\.2501"):
+            step(state, profile, params, (0.0, 0.0), dt=1e-4)
 
     def test_feedback_closure_exact(self):
         # the left boundary enforces w = k v to machine precision

@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -7,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab.certificate import compute_constants
 from pipestab.dynamics import FieldState
-from pipestab.lyapunov import (check_equivalence, energy_E, energy_E1, energy_H,
-                               energy_classic, fit_decay_rate, grad_norm,
-                               h1_integrand, windowed_integral, windowed_series)
+from pipestab.lyapunov import (check_equivalence, energy_E1, energy_classic,
+                               fit_decay_rate, grad_norm, h1_integrand,
+                               windowed_series)
 from pipestab.stationary import PipeParams, build_stationary
 
 
@@ -55,35 +54,44 @@ class TestWindowedEnergies:
     def test_constant_series(self):
         times = np.linspace(0.0, 5.0, 5001)
         series = np.full_like(times, 3.0)
-        assert windowed_integral(series, times, 1.0, 2.5) == pytest.approx(3.0, rel=1e-12)
-        assert energy_E(series, times, 2.0, 5.0) == pytest.approx(6.0, rel=1e-12)
+        assert windowed_series(series, times, 1.0)[2500] == pytest.approx(3.0, rel=1e-12)
+        assert windowed_series(series, times, 2.0)[-1] == pytest.approx(6.0, rel=1e-12)
 
     def test_exponential_series(self):
         times = np.linspace(0.0, 3.0, 3001)
-        series = np.exp(-times)
-        got = energy_E(series, times, 1.0, 2.0)
+        got = windowed_series(np.exp(-times), times, 1.0)[2000]
         assert got == pytest.approx(math.exp(-1) - math.exp(-2), rel=1e-5)
 
-    def test_window_before_start_rejected(self):
+    def test_window_truncated_at_start(self):
+        # before t = T_period the window is [0, t]: the running integral
         times = np.linspace(0.0, 2.0, 201)
-        with pytest.raises(ValueError):
-            windowed_integral(np.ones_like(times), times, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            windowed_integral(np.ones_like(times), times, 1.0, 2.5)
+        vals = windowed_series(np.ones_like(times), times, 1.0)
+        assert vals[0] == 0.0
+        assert vals[50] == pytest.approx(0.5, rel=1e-12)
+        assert vals[100:] == pytest.approx(np.ones(101), rel=1e-12)
 
     def test_energy_h_constant(self):
+        # H(t) = windowed h1 over [t - T, t]; constant h1 = 1 gives H = T
         times = np.linspace(0.0, 4.0, 2001)
-        traj = types.SimpleNamespace(times=times, series={"h1": np.ones_like(times)})
-        assert energy_H(traj, 1.0, 3.0) == pytest.approx(1.0, rel=1e-12)
+        H = windowed_series(np.ones_like(times), times, 1.0)
+        assert H[1500] == pytest.approx(1.0, rel=1e-12)
 
     def test_windowed_series_matches_pointwise(self):
+        # window start between samples: trapezoid over the whole cells inside
+        # plus the fraction of the cut cell that lies inside the window
         times = np.linspace(0.0, 3.0, 601)
         series = np.cos(times) ** 2 + 0.5
-        t_out, vals = windowed_series(series, times, 1.0)
-        assert t_out[0] >= 1.0 - 1e-12
-        for j in (0, len(t_out) // 2, len(t_out) - 1):
-            assert vals[j] == pytest.approx(
-                windowed_integral(series, times, 1.0, t_out[j]), rel=1e-12)
+        T = 1.0013
+        vals = windowed_series(series, times, T)
+        for j in (300, 450, 600):
+            t0 = times[j] - T
+            i0 = int(np.searchsorted(times, t0))
+            frac = (times[i0] - t0) / (times[i0] - times[i0 - 1])
+            cut = 0.5 * (series[i0 - 1] + series[i0]) * (times[i0] - times[i0 - 1])
+            ts, ys = times[i0:j + 1], series[i0:j + 1]
+            inner = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(ts)))
+            assert 0.0 < frac < 1.0
+            assert vals[j] == pytest.approx(inner + frac * cut, rel=1e-12)
 
 
 class TestEquivalence:

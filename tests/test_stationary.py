@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pipestab.stationary import (PipeParams, build_stationary, critical_length,
                                  lambert_w_minus1, verify_stationary_ode)
@@ -51,13 +51,23 @@ class TestLambertW:
     @given(st.floats(min_value=1e-10, max_value=INV_E - 1e-10),
            st.floats(min_value=1e-10, max_value=INV_E - 1e-10))
     @settings(max_examples=200, deadline=None)
+    @example(m1=1e-10, m2=1.0000000000000002e-10)   # true drop 2.3e-16 < ulp(W) 3.6e-15
     def test_strictly_decreasing(self, m1, m2):
-        z1, z2 = -m1, -m2
+        # W' = W / (z (1 + W)) < 0.  A float64 W is uncertain by about
+        # ulp(W) + |W'| ulp(z) (z itself is rounded; near the branch point
+        # that term dominates), so strict decrease is required only where the
+        # true drop exceeds a few of these; closer pairs may tie or swap by
+        # no more than that.
+        z1, z2 = sorted((-m1, -m2))
         if z1 == z2:
             return
-        if z1 > z2:
-            z1, z2 = z2, z1
-        assert lambert_w_minus1(z1) > lambert_w_minus1(z2)
+        w1, w2 = lambert_w_minus1(z1), lambert_w_minus1(z2)
+        slope = min(abs(w / (z * (1.0 + w))) for z, w in ((z1, w1), (z2, w2)))
+        noise = 4.0 * (max(math.ulp(w1), math.ulp(w2)) + slope * math.ulp(z1))
+        if slope * (z2 - z1) > noise:
+            assert w1 > w2
+        else:
+            assert w1 >= w2 - noise
 
 
 class TestStationaryProfile:
