@@ -88,17 +88,15 @@ def execute_run(cfg: ScenarioConfig):
 def _write_csv(cfg, traj, E_series, H_series, hyp):
     """One row per snapshot; E and H are the trailing-window energies."""
     times = traj.times
-    snap_times = np.array([s.t for s in traj.states])
-    idx = np.searchsorted(times, snap_times - 1e-12)
     rows = [CSV_HEADER]
-    for j in idx:
+    for i, j in enumerate(traj.snap_index):
         rows.append(",".join([
             _fmt(times[j]),
             _fmt(traj.series["E1"][j]),
             _fmt(E_series[j]),
             _fmt(H_series[j]),
-            _fmt(traj.series["E_classic"][j]),
-            _fmt(traj.series["grad"][j]),
+            _fmt(traj.series["E_classic"][i]),
+            _fmt(traj.series["grad"][i]),
             _fmt(traj.series["max_u"][j]),
             _fmt(traj.boundary["u0"][j]),
             _fmt(traj.boundary["v0"][j]),
@@ -151,6 +149,11 @@ def cmd_sweep(args) -> int:
 
     keys = sorted(grid)
     out_path = Path(args.out) if args.out else Path(args.config).with_suffix(".sweep.csv")
+    try:   # fail before the grid runs, not after
+        out_path.open("a").close()
+    except OSError as exc:
+        print(f"error: cannot write the sweep summary: {exc}", file=sys.stderr)
+        return 1
     rows = ["run_id," + ",".join(keys) + ",fitted_rate,mu,verdict"]
     for run_id, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         overrides = dict(zip(keys, combo))

@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     pass
 
 
+# Every snapshot ends a step and is kept in memory, so a tiny snapshot_dt
+# forces a tiny step and an unbounded trajectory.
+MAX_SNAPSHOTS = 10000
+
 # key -> (type, default, constraint text, predicate on the merged values);
 # the last two are None for unconstrained keys.  Every float must also be finite.
 SCHEMA: dict[str, tuple] = {
@@ -57,8 +61,10 @@ SCHEMA: dict[str, tuple] = {
     "solver.cfl": (float, 0.45, "0 < solver.cfl < 1", lambda v: 0 < v["solver.cfl"] < 1),
     "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period",
                      lambda v: v["solver.t_end"] > v["disturbance.T_period"]),
-    "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0",
-                           lambda v: v["solver.snapshot_dt"] > 0),
+    "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0 and "
+                           f"solver.t_end / solver.snapshot_dt <= {MAX_SNAPSHOTS}",
+                           lambda v: v["solver.snapshot_dt"] > 0
+                           and v["solver.t_end"] / v["solver.snapshot_dt"] <= MAX_SNAPSHOTS),
     "certificate.lambda": (float, 0.75, "1/2 < certificate.lambda < 1",
                            lambda v: 0.5 < v["certificate.lambda"] < 1),
     "output.csv_path": (str, "run.csv", None, None),

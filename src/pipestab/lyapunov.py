@@ -1,6 +1,7 @@
 """Energy functionals for the closed-loop pipe flow and decay-rate fitting.
 
-All spatial integrals are composite trapezoid on the solver grid; the
+All spatial integrals are composite trapezoid on the solver grid, taken
+as a dot product with the grid's precomputed weights (`Quadrature`); the
 moving-window energies integrate the per-step series in time, again by
 trapezoid, so the window sees full time resolution.
 """
@@ -12,40 +13,56 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _trapz(y, x):
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+class Quadrature:
+    """The time-independent weights of the spatial integrals on one grid.
+
+    `weights` are the composite-trapezoid weights, so int y dx = y @ weights;
+    `decay` is the cross-term weight exp(-x/L) of E1.
+    """
+
+    def __init__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        half = 0.5 * np.diff(xs)
+        self.weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+        self.decay = np.exp(-(xs - xs[0]) / (xs[-1] - xs[0]))
 
 
-def energy_E1(state, profile, k: float, a: float) -> float:
+def _trapz(y, weights) -> float:
+    return float(np.dot(y, weights))
+
+
+def energy_E1(state, profile, k: float, a: float, quad=None) -> float:
     """Weighted wave energy with the exponential cross term.
 
     E1 = int k[(a^2 - (ubar+u)^2) u_x^2 + u_t^2]
          - 2 exp(-x/L) [(ubar+u) u_x^2 + u_t u_x] dx
+
+    `quad` is Quadrature(state.xs), built here when not given; likewise below.
     """
-    xs = state.xs
-    L = xs[-1] - xs[0]
+    quad = quad or Quadrature(state.xs)
     m = profile.ubar + state.u
-    h2 = np.exp(-(xs - xs[0]) / L)
-    integrand = (k * ((a ** 2 - m ** 2) * state.w ** 2 + state.v ** 2)
-                 - 2.0 * h2 * (m * state.w ** 2 + state.v * state.w))
-    return _trapz(integrand, xs)
+    w2 = state.w ** 2
+    integrand = (k * ((a ** 2 - m ** 2) * w2 + state.v ** 2)
+                 - 2.0 * quad.decay * (m * w2 + state.v * state.w))
+    return _trapz(integrand, quad.weights)
 
 
-def energy_classic(state, k: float, a: float) -> float:
+def energy_classic(state, k: float, a: float, quad=None) -> float:
     """Classical wave energy k * int a^2 u_x^2 + u_t^2 dx."""
-    return _trapz(k * (a ** 2 * state.w ** 2 + state.v ** 2), state.xs)
+    quad = quad or Quadrature(state.xs)
+    return _trapz(k * (a ** 2 * state.w ** 2 + state.v ** 2), quad.weights)
 
 
-def grad_norm(state) -> float:
+def grad_norm(state, quad=None) -> float:
     """int u_t^2 + u_x^2 dx."""
-    return _trapz(state.v ** 2 + state.w ** 2, state.xs)
+    quad = quad or Quadrature(state.xs)
+    return _trapz(state.v ** 2 + state.w ** 2, quad.weights)
 
 
-def h1_integrand(state) -> float:
+def h1_integrand(state, quad=None) -> float:
     """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm)."""
-    return _trapz(state.u ** 2 + state.v ** 2 + state.w ** 2, state.xs)
+    quad = quad or Quadrature(state.xs)
+    return _trapz(state.u ** 2 + state.v ** 2 + state.w ** 2, quad.weights)
 
 
 def windowed_series(series, times, T_period):
@@ -85,9 +102,10 @@ def check_equivalence(state, profile, params, M1, K1, K2,
     L = params.L
     m = profile.ubar + state.u
     precondition_violated = bool(np.any(m < -slack) or np.any(m > a / 2 + slack) or M1 <= 0)
-    e1 = energy_E1(state, profile, params.k, a)
-    g = grad_norm(state)
-    wg = _trapz(state.v ** 2 + (1.0 + 2.0 * L ** 2) * state.w ** 2, state.xs)
+    quad = Quadrature(state.xs)
+    e1 = energy_E1(state, profile, params.k, a, quad)
+    g = grad_norm(state, quad)
+    wg = _trapz(state.v ** 2 + (1.0 + 2.0 * L ** 2) * state.w ** 2, quad.weights)
     return EquivalenceReport(
         lhs_ok=bool(M1 * g <= e1 + slack),
         rhs_ok=bool(e1 <= K2 * g + slack),

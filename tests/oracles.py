@@ -19,3 +19,10 @@ def lower_order_F_expanded(u, ux, ut, ubar, ubar_x, a, theta):
             - (2.0 * u * ubar + u ** 2) / d_bar
             * (2.0 * ubar * ubar_x ** 2 + 1.5 * theta * ubar ** 2 * ubar_x))
 
+
+
+def trapz_intervals(y, x):
+    """Composite trapezoid summed interval by interval from the grid spacing."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))

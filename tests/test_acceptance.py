@@ -115,6 +115,9 @@ def test_criterion_02_end_to_end_decay_bound(burst_run):
 def test_criterion_03_equilibrium(zero_run):
     traj = zero_run["traj"]
     max_u = float(np.max(traj.series["max_u"]))
+    # E1 and h1 are recorded at every step, E_classic and grad at every snapshot
+    assert len(traj.series["E1"]) == len(traj.times)
+    assert len(traj.series["E_classic"]) == len(traj.states)
     max_energy = max(float(np.max(np.abs(traj.series[name])))
                      for name in ("E1", "E_classic", "grad", "h1"))
     ok = max_u <= 1e-10 and max_energy <= 1e-10

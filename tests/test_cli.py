@@ -76,6 +76,15 @@ class TestRun:
         assert [r[0] for r in rows] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.0])
         assert rows[0][2] == 0.0 and rows[0][3] == 0.0
 
+    def test_snapshot_count_bounded_exit_one(self, tmp_path, capsys):
+        # t_end / snapshot_dt = 10,526 > 10,000: rejected before anything runs.  Barely
+        # over the limit, so that a missing rule fails this test in seconds instead of
+        # hanging it, as solver.snapshot_dt = 1e-7 (2e7 steps) would.
+        cfg = write_cfg(tmp_path, **{"solver.snapshot_dt": 1.9e-4})
+        assert main(["run", str(cfg)]) == 1
+        assert "invalid value for `solver.snapshot_dt`" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_supercritical_pipe_exit_one(self, tmp_path, capsys):
         # u0 close to sonic makes L exceed the critical length
         cfg = write_cfg(tmp_path, **{"stationary.u0": 1.99, "pipe.theta": 5.0})
@@ -141,6 +150,25 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1].endswith("bound_holds_hypotheses_fail")
         assert "error: invalid value for `disturbance.A`" in rows[2]
+
+
+    def test_snapshot_count_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "solver.snapshot_dt=0.5,1.9e-4",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: invalid value for `solver.snapshot_dt`" in rows[2]
+
+    def test_unwritable_summary_fails_before_running(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "absent_dir" / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "feedback.k=4.0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run_000.csv").exists()
 
 
 class TestConstantsVerb:

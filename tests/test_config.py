@@ -66,6 +66,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"solver\.t_end"):
             ScenarioConfig({"solver.t_end": 0.5, "disturbance.T_period": 1.0})
 
+    def test_snapshot_count_bounded(self):
+        # every snapshot ends a step, so a tiny cadence would force ~t_end / snapshot_dt steps
+        ScenarioConfig({"solver.t_end": 2.0, "solver.snapshot_dt": 2e-4})
+        with pytest.raises(ConfigError, match=r"invalid value for `solver\.snapshot_dt`"):
+            ScenarioConfig({"solver.t_end": 2.0, "solver.snapshot_dt": 1e-7})
+        with pytest.raises(ConfigError, match=r"solver\.snapshot_dt"):
+            ScenarioConfig({"solver.t_end": 2.0, "solver.snapshot_dt": 5e-324})
+
     def test_bump_support_must_be_interior(self):
         with pytest.raises(ConfigError, match="bump support"):
             ScenarioConfig({"initial.family": "bump", "initial.center": 0.1,

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pipestab import lyapunov
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
                                bump_profile, compatibility_residual, f_bound_constant,
-                               f_tilde, lower_order_F, simulate, step)
+                               f_tilde, lower_order_F, profile_terms, simulate, step,
+                               wave_speed)
+from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
-from oracles import lower_order_F_expanded
+from oracles import lower_order_F_expanded, trapz_intervals
 
 
 def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
@@ -205,11 +208,19 @@ class TestSimulate:
         assert compatibility_residual(traj.states[-1]) <= 0.01 * amp
 
     def test_records_cover_every_step(self):
+        # per-step records cover every step, snapshot-only energies every snapshot
         params, profile, _ = make_setup()
         traj = simulate(params, profile, DisturbanceSpec(family="zero"),
                         SolverConfig(nx=200, cfl=0.45, t_end=0.5, snapshot_dt=0.1))
         assert traj.times[0] == 0.0
-        assert len(traj.times) == len(traj.series["E1"]) == len(traj.boundary["b"])
+        for name in ("E1", "h1", "max_u", "max_ux", "max_ut"):
+            assert len(traj.series[name]) == len(traj.times)
+        for name in ("u0", "v0", "w0", "uL", "b", "b_t"):
+            assert len(traj.boundary[name]) == len(traj.times)
+        assert len(traj.states) == 6
+        for name in ("E_classic", "grad"):
+            assert len(traj.series[name]) == len(traj.states)
+        assert [traj.times[j] for j in traj.snap_index] == [s.t for s in traj.states]
         assert np.all(np.diff(traj.times) > 0)
 
     @given(st.floats(min_value=0.1, max_value=0.9))
@@ -224,3 +235,71 @@ class TestSimulate:
                      SolverConfig(nx=64, cfl=0.45, t_end=0.5, snapshot_dt=0.1,
                                   blowup_guard=guard),
                      initial_u=phi, initial_v=np.zeros_like(xs), initial_w=dphi)
+
+
+def bump_run(amplitude, center, width, nx=64):
+    params, profile, xs = make_setup(nx=nx)
+    phi, dphi = bump_profile(xs, amplitude, center, width)
+    spec = DisturbanceSpec(family="decaying_burst", amplitude=1e-4,
+                           frequency=1.0, gamma=0.5, T_period=1.0)
+    traj = simulate(params, profile, spec,
+                    SolverConfig(nx=nx, cfl=0.45, t_end=0.2, snapshot_dt=0.05),
+                    initial_u=phi, initial_v=-params.a * dphi, initial_w=dphi)
+    return params, profile, xs, traj
+
+
+bump_args = (st.floats(min_value=1e-4, max_value=1e-2),
+             st.floats(min_value=0.35, max_value=0.65),
+             st.floats(min_value=0.1, max_value=0.3))
+
+
+class TestLeanPath:
+    """The per-run precomputed terms give what the definitions give."""
+
+    def test_precomputed_forcing_bitwise(self):
+        params, profile, xs = make_setup()
+        terms = profile_terms(profile, params)
+        rng = np.random.default_rng(5)
+        for ubar, ubar_x, forcing in ((terms.ubar_m, terms.ubarx_m, terms.forcing_m),
+                                      (terms.ubar_i, terms.ubarx_i, terms.forcing_i)):
+            u, ux, ut = rng.uniform(-0.1, 0.1, (3, len(ubar)))
+            lean = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta, forcing)
+            fresh = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta)
+            assert lean.tobytes() == fresh.tobytes()
+
+    def test_step_with_precomputed_terms_bitwise(self):
+        params, profile, xs = make_setup()
+        phi, dphi = bump_profile(xs, 1e-3, 0.5, 0.2)
+        state = FieldState(t=0.0, xs=xs, u=phi, v=np.zeros_like(xs), w=dphi)
+        terms = profile_terms(profile, params)
+        dt = 0.4 * (xs[1] - xs[0]) / (params.a + 1.0)
+        lean = step(state, profile, params, (0.0, 0.0), dt, terms=terms,
+                    speed=wave_speed(profile, state, params.a))
+        fresh = step(state, profile, params, (0.0, 0.0), dt)
+        for name in ("u", "v", "w"):
+            assert getattr(lean, name).tobytes() == getattr(fresh, name).tobytes()
+        assert lean.max_abs_u == float(np.max(np.abs(lean.u)))
+
+    @given(*bump_args)
+    @settings(max_examples=10, deadline=None)
+    def test_recorded_integrals_match_interval_trapezoid(self, amplitude, center, width):
+        # the same integrands, integrated interval by interval instead of by weights
+        params, profile, xs, traj = bump_run(amplitude, center, width)
+        lean_trapz = lyapunov._trapz
+        lyapunov._trapz = lambda y, weights: trapz_intervals(y, xs)
+        try:
+            for state, j in zip(traj.states, traj.snap_index):
+                e1 = energy_E1(state, profile, params.k, params.a)
+                h1 = h1_integrand(state)
+                assert abs(traj.series["E1"][j] - e1) <= 1e-13 * abs(e1)
+                assert abs(traj.series["h1"][j] - h1) <= 1e-13 * abs(h1)
+        finally:
+            lyapunov._trapz = lean_trapz
+
+    @given(*bump_args)
+    @settings(max_examples=5, deadline=None)
+    def test_snapshot_energies_match_states(self, amplitude, center, width):
+        params, _, _, traj = bump_run(amplitude, center, width)
+        for i, state in enumerate(traj.states):
+            assert traj.series["E_classic"][i] == energy_classic(state, params.k, params.a)
+            assert traj.series["grad"][i] == grad_norm(state)

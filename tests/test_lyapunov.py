@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab.certificate import compute_constants
 from pipestab.dynamics import FieldState
-from pipestab.lyapunov import (check_equivalence, energy_E1, energy_classic,
+from pipestab.lyapunov import (Quadrature, check_equivalence, energy_E1, energy_classic,
                                fit_decay_rate, grad_norm, h1_integrand,
                                windowed_series)
 from pipestab.stationary import PipeParams, build_stationary
+
+from oracles import trapz_intervals
 
 
 def const_state(xs, u=0.0, v=0.0, w=0.0):
@@ -48,6 +50,24 @@ class TestPointwiseEnergies:
         state = const_state(self.xs, u=1.0, v=2.0, w=3.0)
         assert grad_norm(state) == pytest.approx(4.0 + 9.0, rel=1e-14)
         assert h1_integrand(state) == pytest.approx(1.0 + 4.0 + 9.0, rel=1e-14)
+
+
+class TestQuadrature:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_weights_match_interval_trapezoid(self, seed):
+        # any grid, uniform or not: y @ weights is the interval-by-interval trapezoid
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(0.0, 2.0, rng.integers(2, 500)))
+        y = rng.uniform(0.0, 1.0, len(xs))
+        lean = float(y @ Quadrature(xs).weights)
+        assert lean == pytest.approx(trapz_intervals(y, xs), rel=1e-13, abs=0.0)
+
+    def test_decay_weight(self):
+        xs = np.linspace(0.5, 2.5, 11)
+        quad = Quadrature(xs)
+        assert quad.decay[0] == 1.0
+        assert quad.decay[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 class TestWindowedEnergies:
