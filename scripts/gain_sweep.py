@@ -12,7 +12,7 @@ Usage: python scripts/gain_sweep.py [configs/demo.cfg] --gains 2,4,8
 import argparse
 import sys
 
-from pipestab.cli import execute_run
+from pipestab.cli import execute_runs
 from pipestab.config import ScenarioConfig
 
 
@@ -25,14 +25,16 @@ def main():
 
     base = ScenarioConfig.from_file(args.config)
     gains = [float(g) for g in args.gains.split(",")]
+    cfgs = [base.replace(**{
+        "feedback.k": k,
+        "output.csv_path": f"gain_sweep_{i:02d}.csv",
+        "output.report_path": f"gain_sweep_{i:02d}.txt"}) for i, k in enumerate(gains)]
 
     print(f"{'k':>6} {'mu':>12} {'fitted rate':>12} {'ratio':>8}  verdict")
-    for i, k in enumerate(gains):
-        cfg = base.replace(**{
-            "feedback.k": k,
-            "output.csv_path": f"gain_sweep_{i:02d}.csv",
-            "output.report_path": f"gain_sweep_{i:02d}.txt"})
-        report, summary = execute_run(cfg)
+    for k, result in zip(gains, execute_runs(cfgs)):
+        if isinstance(result, Exception):
+            raise result
+        report, summary = result
         mu = report.constants.mu
         rate = summary["fitted_rate"]
         ratio = rate / mu if mu > 0 else float("nan")

@@ -24,7 +24,7 @@ from . import certificate as cert
 from . import lyapunov
 from .config import ConfigError, ScenarioConfig, _parse_value
 from .disturbance import verify_noise_bound
-from .dynamics import BlowUpError, CFLError, simulate
+from .dynamics import BlowUpError, CFLError, Member, simulate, simulate_batch
 from .stationary import build_stationary
 
 CSV_HEADER = "t,E1,E,H,E_classic,grad_norm,max_u,u_0,ut_0,ux_0,u_L,b,b_t,hyp_ok"
@@ -32,28 +32,31 @@ CSV_HEADER = "t,E1,E,H,E_classic,grad_norm,max_u,u_0,ut_0,ux_0,u_L,b,b_t,hyp_ok"
 # what ends one scenario with exit code 1 (run) or an error row (sweep)
 RUN_ERRORS = (ConfigError, ValueError, OSError, BlowUpError, CFLError)
 
+# Cells (members x grid points) of one solver batch in `execute_runs`: the
+# records a batch keeps in memory grow with it, see README.
+BATCH_CELLS = 808
+
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def execute_run(cfg: ScenarioConfig):
-    """Run one scenario end to end.
-
-    Returns (report, run_summary) where run_summary carries the fitted
-    decay rate and everything the sweep summary needs.  Writes the CSV
-    and the text/JSON certificate reports to the configured paths.
-    """
+def _member(cfg: ScenarioConfig) -> Member:
+    """The simulation inputs of one scenario."""
     params = cfg.pipe_params()
     solver = cfg.solver_config()
     xs = np.linspace(0.0, params.L, solver.nx + 1)
     profile = build_stationary(params, cfg["stationary.u0"], xs)
-    spec = cfg.disturbance_spec()
-    u0_arr, v0_arr, w0_arr = cfg.initial_arrays(xs)
+    return Member(params, profile, cfg.disturbance_spec(), solver, *cfg.initial_arrays(xs))
 
-    traj = simulate(params, profile, spec, solver,
-                    initial_u=u0_arr, initial_v=v0_arr, initial_w=w0_arr)
 
+def _evaluate(cfg: ScenarioConfig, member: Member, traj):
+    """Certify one simulated scenario and write its CSV and reports.
+
+    Returns (report, run_summary) where run_summary carries the fitted
+    decay rate and everything the sweep summary needs.
+    """
+    params, profile, spec = member.params, member.profile, member.disturbance
     T_period = spec.T_period
     times = traj.times
     noise = verify_noise_bound(times, traj.boundary["b"], traj.boundary["b_t"],
@@ -83,6 +86,59 @@ def execute_run(cfg: ScenarioConfig):
                "mu": constants.mu, "verdict": report.verdict,
                "max_u": float(np.max(traj.series["max_u"]))}
     return report, summary
+
+
+def execute_run(cfg: ScenarioConfig):
+    """Run one scenario end to end.
+
+    Returns (report, run_summary), see _evaluate, and writes the CSV and
+    the text/JSON certificate reports to the configured paths.
+    """
+    member = _member(cfg)
+    return _evaluate(cfg, member, simulate(*member))
+
+
+def execute_runs(cfgs: list) -> list:
+    """Run scenarios end to end, batching those that share a grid.
+
+    Scenarios with equal (solver.nx, pipe.L) are simulated together, in
+    batches of at most BATCH_CELLS // (nx + 1) members, in input order.
+    Returns, per config, what execute_run returns or the error (one of
+    RUN_ERRORS) that ended that scenario; the others are not affected.
+    """
+    results = [None] * len(cfgs)
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault((cfg["solver.nx"], cfg["pipe.L"]), []).append(i)
+    for (nx, _), ids in groups.items():
+        size = max(1, BATCH_CELLS // (nx + 1))
+        for start in range(0, len(ids), size):
+            _run_batch(cfgs, ids[start:start + size], results)
+    return results
+
+
+def _run_batch(cfgs: list, ids: list, results: list):
+    """Simulate cfgs[i] for i in ids as one batch; store each result at i.
+
+    A function of its own, so that one batch's trajectories are freed
+    before the next batch runs.
+    """
+    members = {}
+    for i in ids:
+        try:
+            members[i] = _member(cfgs[i])
+        except RUN_ERRORS as exc:
+            results[i] = exc
+    if not members:
+        return
+    for (i, member), traj in zip(members.items(), simulate_batch(list(members.values()))):
+        if isinstance(traj, Exception):
+            results[i] = traj
+            continue
+        try:
+            results[i] = _evaluate(cfgs[i], member, traj)
+        except RUN_ERRORS as exc:
+            results[i] = exc
 
 
 def _write_csv(cfg, traj, E_series, H_series, hyp):
@@ -154,22 +210,29 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot write the sweep summary: {exc}", file=sys.stderr)
         return 1
-    rows = ["run_id," + ",".join(keys) + ",fitted_rate,mu,verdict"]
-    for run_id, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
-        overrides = dict(zip(keys, combo))
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    results = [None] * len(combos)
+    cfgs = {}
+    for run_id, combo in enumerate(combos):
         tag = f"_{run_id:03d}"
         try:
-            cfg = base.replace(**overrides)
+            cfg = base.replace(**dict(zip(keys, combo)))
             csv_p = Path(cfg["output.csv_path"])
             rep_p = Path(cfg["output.report_path"])
-            cfg = cfg.replace(**{
+            cfgs[run_id] = cfg.replace(**{
                 "output.csv_path": str(csv_p.with_name(csv_p.stem + tag + csv_p.suffix)),
                 "output.report_path": str(rep_p.with_name(rep_p.stem + tag + rep_p.suffix))})
-            _, summary = execute_run(cfg)
-            fitted, verdict = summary["fitted_rate"], summary["verdict"]
-            mu = summary["mu"]
         except RUN_ERRORS as exc:
-            fitted, mu, verdict = float("nan"), float("nan"), f"error: {exc}"
+            results[run_id] = exc
+    for run_id, result in zip(cfgs, execute_runs(list(cfgs.values()))):
+        results[run_id] = result
+    rows = ["run_id," + ",".join(keys) + ",fitted_rate,mu,verdict"]
+    for run_id, (combo, result) in enumerate(zip(combos, results)):
+        if isinstance(result, Exception):
+            fitted, mu, verdict = float("nan"), float("nan"), f"error: {result}"
+        else:
+            summary = result[1]
+            fitted, mu, verdict = summary["fitted_rate"], summary["mu"], summary["verdict"]
         cells = [str(run_id)] + [
             _fmt(v) if isinstance(v, float) else str(v) for v in combo]
         rows.append(",".join(cells + [_fmt(fitted), _fmt(mu), verdict.replace(",", ";")]))

@@ -13,12 +13,20 @@ characteristic extrapolated from the interior; at x = L the Dirichlet
 disturbance drives v = b_t plus the outgoing characteristic.  For the
 subsonic regime 0 < ubar+u < a this is exactly one physical and one
 numerical relation per end.
+
+The solver runs a batch of scenarios on one grid at once.  A batch state
+holds one (B, nx+1) array per field, and every per-member value (time,
+time step, parameters, boundary data) is a (B, 1) column; a single
+member is held as 1-D arrays and Python floats, so a single run does
+the arithmetic of an unbatched solver.  Each member keeps its own time
+step and snapshot cadence, and leaves the batch when it ends or fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +35,68 @@ from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integ
 from .stationary import PipeParams, StationaryProfile
 
 
-class BlowUpError(RuntimeError):
+class SolverError(RuntimeError):
+    """A numerical failure of one or more members of a step.
+
+    `failed` maps the batch row of each failed member to its own message,
+    the message a run of that member alone gives; str(error) is the first.
+    """
+
+    def __init__(self, message: str, failed: dict | None = None):
+        super().__init__(message)
+        self.failed = failed if failed is not None else {0: message}
+
+
+class BlowUpError(SolverError):
     """Raised when the perturbation leaves the configured amplitude guard."""
 
 
-class CFLError(RuntimeError):
+class CFLError(SolverError):
     pass
+
+
+def _row_max(x):
+    """Max over the last axis: a float for one member, a (B, 1) column for a batch."""
+    return float(x.max()) if x.ndim == 1 else x.max(axis=-1, keepdims=True)
+
+
+def _members(x) -> list:
+    """Per-member values of a float (one member) or a (B, 1) column."""
+    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _column(values: list):
+    """Inverse of _members: one member's value itself, else a (B, 1) column."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _fail(error, bad, message):
+    """Raise `error` if `bad` flags a member (a bool, or a column for a
+    batch); message(row) names the values of the member at `row`."""
+    if isinstance(bad, np.ndarray):
+        rows = np.flatnonzero(bad).tolist()
+    else:
+        rows = [0] if bad else []
+    if rows:
+        failed = {row: message(row) for row in rows}
+        raise error(failed[rows[0]], failed)
+
+
+# Index expressions by state dimension, so that one `step` serves a single
+# member (1-D arrays, scalar boundary values) and a batch ((B, 1) columns
+# at the boundary): the slices [:-1], [1:] and [1:-1] along the last axis,
+# then the boundary nodes 0, 1, 2, -3, -2, -1.
+_SLICES = {1: (np.s_[:-1], np.s_[1:], np.s_[1:-1]),
+           2: (np.s_[:, :-1], np.s_[:, 1:], np.s_[:, 1:-1])}
+_EDGES = {1: (0, 1, 2, -3, -2, -1),
+          2: tuple(np.s_[:, j:j + 1 or None] for j in (0, 1, 2, -3, -2, -1))}
 
 
 @dataclass
 class FieldState:
-    """Discrete snapshot of (u, u_t, u_x) at one time."""
+    """Discrete snapshot of (u, u_t, u_x) at one time, of one member or a batch."""
 
-    t: float
+    t: float                            # a (B, 1) column for a batch
     xs: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)   # u_t
@@ -48,7 +105,24 @@ class FieldState:
     max_abs_u: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.max_abs_u = float(np.abs(self.u).max())
+        self.max_abs_u = _row_max(np.abs(self.u))
+
+
+def _row(state: FieldState, row: int) -> FieldState:
+    """One member of a state, its arrays copied out of the batch."""
+    if state.u.ndim == 1:
+        return state
+    return FieldState(float(state.t[row, 0]), state.xs, state.u[row].copy(),
+                      state.v[row].copy(), state.w[row].copy())
+
+
+def _select(state: FieldState, rows: list) -> FieldState:
+    """The members at `rows`; a single member becomes a 1-D state."""
+    if state.u.ndim == 1 or len(rows) == len(state.u) > 1:
+        return state
+    if len(rows) == 1:
+        return _row(state, rows[0])
+    return FieldState(state.t[rows], state.xs, state.u[rows], state.v[rows], state.w[rows])
 
 
 @dataclass
@@ -101,48 +175,84 @@ def stationary_forcing(ubar, ubar_x, a, theta):
     return d_bar, f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None):
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
     """Lower-order term of the perturbation equation, definitional form.
 
     F = F~(u+ubar, u_x+ubar_x, u_t)
         - [(a^2 - (ubar+u)^2)/(a^2 - ubar^2)] * F~(ubar, ubar_x, 0).
 
-    `forcing` is stationary_forcing(ubar, ubar_x, a, theta), computed here
-    when not given.
+    `forcing` is stationary_forcing(ubar, ubar_x, a, theta) and `shared`
+    is (ubar + u, a ** 2 - (ubar + u) ** 2), which `step` needs too; each
+    is computed here when not given.
     """
     if forcing is None:
         forcing = stationary_forcing(ubar, ubar_x, a, theta)
+    if shared is None:
+        m = ubar + u
+        shared = m, a ** 2 - m ** 2
     d_bar, f_bar = forcing
-    m = ubar + u
-    ratio = (a ** 2 - m ** 2) / d_bar
-    return f_tilde(m, ux + ubar_x, ut, theta) - ratio * f_bar
+    m, d = shared
+    return f_tilde(m, ux + ubar_x, ut, theta) - (d / d_bar) * f_bar
 
 
 @dataclass(frozen=True)
 class ProfileTerms:
-    """The time-independent arrays `step` reads, built once per run."""
+    """The time-independent values `step` reads, built once per run.
 
+    stack_terms gives every array a leading member axis and turns every
+    per-member float into a (B, 1) column.
+    """
+
+    ubar: np.ndarray        # ubar at the nodes
     ubar_m: np.ndarray      # ubar and ubar_x averaged onto the midpoints
     ubarx_m: np.ndarray
     forcing_m: tuple        # stationary_forcing on the midpoints
     ubar_i: np.ndarray      # ubar and ubar_x at the interior nodes
     ubarx_i: np.ndarray
     forcing_i: tuple        # stationary_forcing at the interior nodes
+    ubar_0: float           # ubar at x = 0 and at x = L
+    ubar_L: float
+    a: float
+    a2: float               # a ** 2, as lower_order_F writes it
+    k: float
+    theta: float
 
 
 def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
     ubar, ubar_x = profile.ubar, profile.ubar_x
+    a, theta = params.a, params.theta
     ubar_m = 0.5 * (ubar[:-1] + ubar[1:])
     ubarx_m = 0.5 * (ubar_x[:-1] + ubar_x[1:])
     ubar_i, ubarx_i = ubar[1:-1], ubar_x[1:-1]
     return ProfileTerms(
-        ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, params.a, params.theta),
-        ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, params.a, params.theta))
+        ubar, ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, a, theta),
+        ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, a, theta),
+        ubar[0], ubar[-1], a, a ** 2, params.k, theta)
 
 
-def wave_speed(profile: StationaryProfile, state: FieldState, a: float) -> float:
-    """Fastest characteristic speed max|ubar + u| + a of a state."""
-    return float((np.abs(profile.ubar + state.u) + a).max())
+def stack_terms(terms: list) -> ProfileTerms:
+    """The terms of a batch, from the members' own terms."""
+    if len(terms) == 1:
+        return terms[0]
+
+    def stack(values):
+        if isinstance(values[0], tuple):
+            return tuple(stack(parts) for parts in zip(*values))
+        if isinstance(values[0], np.ndarray):
+            return np.stack(values)
+        return _column(values)
+
+    return ProfileTerms(*(stack([getattr(t, f.name) for t in terms])
+                          for f in fields(ProfileTerms)))
+
+
+def wave_speed(profile, state: FieldState, a):
+    """Fastest characteristic speed max|ubar + u| + a of a state, per member.
+
+    `profile` is anything holding the nodal `ubar`: a StationaryProfile,
+    or the ProfileTerms of a batch.
+    """
+    return _row_max(np.abs(profile.ubar + state.u) + a)
 
 
 def f_bound_constant(a, theta):
@@ -150,85 +260,91 @@ def f_bound_constant(a, theta):
     return 18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2
 
 
-def step(state: FieldState, profile: StationaryProfile, params: PipeParams,
-         b_now, dt: float, blowup_guard: float | None = None,
-         terms: ProfileTerms | None = None, speed: float | None = None) -> FieldState:
+def step(state: FieldState, profile: StationaryProfile | None, params: PipeParams | None,
+         b_now, dt, blowup_guard=None, terms: ProfileTerms | None = None,
+         speed=None) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
 
     b_now = (b, b_t) evaluated at the new time t + dt.  `terms` is
     profile_terms(profile, params) and `speed` is wave_speed of the state;
-    each is computed here when not given.
+    each is computed here when not given.  For a batch, `terms` comes from
+    stack_terms, and dt, b_now, blowup_guard and speed are (B, 1) columns.
+    A CFL violation raises CFLError before the step, a member outside the
+    guard BlowUpError after it; `failed` names every such member.
     """
-    a, k, theta = params.a, params.k, params.theta
-    xs = state.xs
-    dx = xs[1] - xs[0]
-    u, v, w = state.u, state.v, state.w
-    ubar = profile.ubar
-    a2 = a * a
     if terms is None:
         terms = profile_terms(profile, params)
     if speed is None:
-        speed = wave_speed(profile, state, a)
+        speed = wave_speed(terms, state, terms.a)
+    a, a2, k, theta = terms.a, terms.a2, terms.k, terms.theta
+    xs = state.xs
+    dx = xs[1] - xs[0]
+    u, v, w = state.u, state.v, state.w
 
-    if dt * speed / dx > 1.0 + 1e-12:
-        raise CFLError(f"CFL violation at t={state.t:.6g}: dt*speed/dx = {dt * speed / dx:.4f}")
+    lo, hi, mid = _SLICES[u.ndim]
+
+    cfl = dt * speed / dx
+    _fail(CFLError, cfl > 1.0 + 1e-12, lambda i: (
+        f"CFL violation at t={_members(state.t)[i]:.6g}: dt*speed/dx = {_members(cfl)[i]:.4f}"))
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
-    um = 0.5 * (u[:-1] + u[1:])
-    vm = 0.5 * (v[:-1] + v[1:])
-    wm = 0.5 * (w[:-1] + w[1:])
+    um = 0.5 * (u[lo] + u[hi])
+    vm = 0.5 * (v[lo] + v[hi])
+    wm = 0.5 * (w[lo] + w[hi])
     mm = terms.ubar_m + um
     dm = a2 - mm ** 2
-    Fm = lower_order_F(um, wm, vm, terms.ubar_m, terms.ubarx_m, a, theta, terms.forcing_m)
-    dv = v[1:] - v[:-1]
-    dw = w[1:] - w[:-1]
+    Fm = lower_order_F(um, wm, vm, terms.ubar_m, terms.ubarx_m, a, theta,
+                       terms.forcing_m, (mm, dm))
+    dv = v[hi] - v[lo]
+    dw = w[hi] - w[lo]
     r = dt / (2.0 * dx)
     v_h = vm - r * (2.0 * mm * dv - dm * dw) + 0.5 * dt * Fm
     w_h = wm + r * dv
     u_h = um + 0.5 * dt * v_h
 
     # corrector at interior nodes, coefficients at the half-time level
-    u_star = 0.5 * (u_h[:-1] + u_h[1:])
-    v_star = 0.5 * (v_h[:-1] + v_h[1:])
-    w_star = 0.5 * (w_h[:-1] + w_h[1:])
+    u_star = 0.5 * (u_h[lo] + u_h[hi])
+    v_star = 0.5 * (v_h[lo] + v_h[hi])
+    w_star = 0.5 * (w_h[lo] + w_h[hi])
     m_star = terms.ubar_i + u_star
     d_star = a2 - m_star ** 2
     F_star = lower_order_F(u_star, w_star, v_star, terms.ubar_i, terms.ubarx_i, a, theta,
-                           terms.forcing_i)
-    dv_h = v_h[1:] - v_h[:-1]
-    dw_h = w_h[1:] - w_h[:-1]
+                           terms.forcing_i, (m_star, d_star))
+    dv_h = v_h[hi] - v_h[lo]
+    dw_h = w_h[hi] - w_h[lo]
     v_new = np.empty_like(v)
     w_new = np.empty_like(w)
-    v_new[1:-1] = v[1:-1] - (dt / dx) * (2.0 * m_star * dv_h - d_star * dw_h) + dt * F_star
-    w_new[1:-1] = w[1:-1] + (dt / dx) * dv_h
+    v_new[mid] = v[mid] - (dt / dx) * (2.0 * m_star * dv_h - d_star * dw_h) + dt * F_star
+    w_new[mid] = w[mid] + (dt / dx) * dv_h
 
     # left boundary: feedback w = k v plus extrapolated outgoing characteristic
-    mb = ubar[0] + u[0]
+    n0, n1, n2, nL2, nL1, nL = _EDGES[u.ndim]
+    mb = terms.ubar_0 + u[n0]
     c_out = a + mb            # - d / lambda_-, frozen at the boundary speed
-    r1 = v_new[1] + c_out * w_new[1]
-    r2 = v_new[2] + c_out * w_new[2]
+    r1 = v_new[n1] + c_out * w_new[n1]
+    r2 = v_new[n2] + c_out * w_new[n2]
     r0 = 2.0 * r1 - r2
-    v_new[0] = r0 / (1.0 + k * c_out)
-    w_new[0] = k * v_new[0]
+    v_new[n0] = r0 / (1.0 + k * c_out)
+    w_new[n0] = k * v_new[n0]
 
     # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
     b_val, bt_val = b_now
-    mb = ubar[-1] + u[-1]
+    mb = terms.ubar_L + u[nL]
     c_out = a - mb            # d / lambda_+, frozen at the boundary speed
-    r1 = v_new[-2] - c_out * w_new[-2]
-    r2 = v_new[-3] - c_out * w_new[-3]
+    r1 = v_new[nL1] - c_out * w_new[nL1]
+    r2 = v_new[nL2] - c_out * w_new[nL2]
     rL = 2.0 * r1 - r2
-    v_new[-1] = bt_val
-    w_new[-1] = (v_new[-1] - rL) / c_out
+    v_new[nL] = bt_val
+    w_new[nL] = (v_new[nL] - rL) / c_out
 
     u_new = u + 0.5 * dt * (v + v_new)
 
     new = FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
     guard = blowup_guard if blowup_guard is not None else a
-    if not new.max_abs_u <= guard:   # written so that NaN fails too
-        raise BlowUpError(
-            f"max|u| = {new.max_abs_u:.4g} left the guard {guard:.4g} at t={new.t:.6g}; "
-            "the run left the regime of validity")
+    # written so that NaN fails too
+    _fail(BlowUpError, np.logical_not(new.max_abs_u <= guard), lambda i: (
+        f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
+        f"at t={_members(new.t)[i]:.6g}; the run left the regime of validity"))
     return new
 
 
@@ -265,77 +381,181 @@ def bump_profile(xs, amplitude, center, width):
     return phi, dphi
 
 
-def _record(series, boundary, state, profile, params, quad, b_val, bt_val):
-    series["E1"].append(energy_E1(state, profile, params.k, params.a, quad))
-    series["h1"].append(h1_integrand(state, quad))
-    series["max_u"].append(state.max_abs_u)
-    series["max_ux"].append(float(np.abs(state.w).max()))
-    series["max_ut"].append(float(np.abs(state.v).max()))
-    boundary["u0"].append(float(state.u[0]))
-    boundary["v0"].append(float(state.v[0]))
-    boundary["w0"].append(float(state.w[0]))
-    boundary["uL"].append(float(state.u[-1]))
-    boundary["b"].append(b_val)
-    boundary["b_t"].append(bt_val)
+class Member(NamedTuple):
+    """One scenario of a batch: the arguments of `simulate`."""
+
+    params: PipeParams
+    profile: StationaryProfile
+    disturbance: DisturbanceSpec
+    config: SolverConfig
+    initial_u: np.ndarray | None = None
+    initial_v: np.ndarray | None = None
+    initial_w: np.ndarray | None = None
 
 
-def _record_snapshot(series, state, params, quad):
-    series["E_classic"].append(energy_classic(state, params.k, params.a, quad))
-    series["grad"].append(grad_norm(state, quad))
+# the per-step records, in the order of the record buffer's first axis
+RECORDS = ("t", "E1", "h1", "max_u", "max_ux", "max_ut", "u0", "v0", "w0", "uL", "b", "b_t")
+
+
+class _Run:
+    """What one member of a batch keeps apart from the batch arrays."""
+
+    def __init__(self, slot: int, member: Member, xs):
+        params, profile, config = member.params, member.profile, member.config
+        if profile.xs.shape != xs.shape or not np.allclose(profile.xs, xs):
+            raise ValueError("profile grid does not match the solver grid")
+        self.initial = [np.zeros(len(xs)) if x is None else np.array(x, dtype=float)
+                        for x in member[4:]]
+        if any(x.shape != xs.shape for x in self.initial):
+            raise ValueError("initial data does not match the solver grid")
+        self.slot = slot                    # index into the batch and the record buffer
+        self.spec = member.disturbance
+        self.k, self.a = params.k, params.a
+        self.terms = profile_terms(profile, params)
+        self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
+        self.cfl_dx = config.cfl * (xs[1] - xs[0])
+        self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
+        self.t = 0.0
+        self.t_snap = 0.0                   # the next snapshot time
+        self.n_snap = 0                     # snapshots taken
+        self.states, self.snap_index, self.E_classic, self.grad = [], [], [], []
+
+    def plan(self, speed) -> float:
+        """This member's next time step: CFL-limited, clipped onto the snapshot cadence."""
+        self.t_snap = min(self.n_snap * self.snapshot_dt, self.t_end)
+        return min(self.cfl_dx / speed, self.t_snap - self.t)
+
+    def snapshot(self, state: FieldState, index: int, quad: Quadrature):
+        self.states.append(state)
+        self.snap_index.append(index)
+        self.E_classic.append(energy_classic(state, self.k, self.a, quad))
+        self.grad.append(grad_norm(state, quad))
+        self.n_snap += 1
+
+    def trajectory(self, records, steps: int) -> Trajectory:
+        rec = dict(zip(RECORDS, records[:, self.slot, :steps + 1]))
+        times = rec.pop("t")
+        series = {name: rec.pop(name) for name in ("E1", "h1", "max_u", "max_ux", "max_ut")}
+        series["E_classic"] = np.asarray(self.E_classic)
+        series["grad"] = np.asarray(self.grad)
+        return Trajectory(states=self.states, times=times, series=series, boundary=rec,
+                          snap_index=np.asarray(self.snap_index))
+
+
+def _record(records, slots, index, state, terms, quad, b_now):
+    edges = _EDGES[state.u.ndim]
+    n0, nL = edges[0], edges[-1]
+    values = (state.t, energy_E1(state, terms, terms.k, terms.a, quad), h1_integrand(state, quad),
+              state.max_abs_u, _row_max(np.abs(state.w)), _row_max(np.abs(state.v)),
+              state.u[n0], state.v[n0], state.w[n0], state.u[nL], *b_now)
+    if isinstance(slots, int):
+        records[:, slots, index] = values
+    else:
+        records[:, slots, index] = np.concatenate(values, axis=1).T
+
+
+def simulate_batch(members: list) -> list:
+    """Run scenarios that share one grid (solver.nx and pipe.L) as one batch.
+
+    Returns one result per member: its Trajectory, or the error that ended
+    it, which is the error `simulate` raises for that member alone.  Each
+    member steps with its own CFL time step, clipped to land exactly on its
+    own snapshot cadence, and leaves the batch when it reaches its t_end or
+    fails; the others carry on.  Deterministic for fixed members.
+    """
+    grids = {(m.config.nx, m.params.L) for m in members}
+    if len(grids) != 1:
+        raise ValueError(f"batch members must share one grid (solver.nx, pipe.L), got {grids}")
+    nx, L = grids.pop()
+    xs = np.linspace(0.0, L, nx + 1)
+    quad = Quadrature(xs)
+    results = [None] * len(members)
+    active = []
+    for slot, member in enumerate(members):
+        try:
+            active.append(_Run(slot, member, xs))
+        except ValueError as exc:
+            results[slot] = exc
+    if not active:
+        return results
+
+    def pack(active):
+        """The batch columns of the active members, and their record slots."""
+        slots = active[0].slot if len(active) == 1 else np.array([run.slot for run in active])
+        guard = _column([run.guard for run in active])
+        return stack_terms([run.terms for run in active]), guard, slots
+
+    rows = list(range(len(active)))
+    state = _select(FieldState(np.zeros((len(active), 1)), xs,
+                               *(np.stack([run.initial[f] for run in active]) for f in range(3))),
+                    rows)
+    terms, guard, slots = pack(active)
+    speed = wave_speed(terms, state, terms.a)
+    # the records of every member, grown should a member outrun the estimate
+    capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
+                       for run, s in zip(active, _members(speed)))
+    records = np.empty((len(RECORDS), len(members), capacity))
+    b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
+    _record(records, slots, 0, state, terms, quad, (_column([b for b, _ in b0]),
+                                                     _column([bt for _, bt in b0])))
+    for row, run in enumerate(active):
+        run.snapshot(_row(state, row), 0, quad)
+
+    steps = 0
+    # batch row -> result, for the members that leave the batch
+    ended = {row: run.trajectory(records, 0) for row, run in enumerate(active)
+             if not run.t < run.t_end - 1e-12}
+    while True:
+        if ended:
+            for row, result in ended.items():
+                results[active[row].slot] = result
+            rows = [row for row in range(len(active)) if row not in ended]
+            active = [active[row] for row in rows]
+            if not active:
+                return results
+            state = _select(state, rows)
+            terms, guard, slots = pack(active)
+            ended = {}
+
+        speed = wave_speed(terms, state, terms.a)
+        dts, bs, bts = [], [], []
+        for run, s in zip(active, _members(speed)):
+            dt = run.plan(s)
+            b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
+            dts.append(dt)
+            bs.append(b_val)
+            bts.append(bt_val)
+        b_now = (_column(bs), _column(bts))
+        try:
+            state = step(state, None, None, b_now, _column(dts), blowup_guard=guard,
+                         terms=terms, speed=speed)
+        except SolverError as exc:
+            ended = {row: type(exc)(message) for row, message in exc.failed.items()}
+            continue
+
+        steps += 1
+        if steps == records.shape[2]:
+            records = np.concatenate([records, np.empty_like(records)], axis=2)
+        _record(records, slots, steps, state, terms, quad, b_now)
+        for row, (run, t) in enumerate(zip(active, _members(state.t))):
+            run.t = t
+            if t >= run.t_snap - 1e-12:
+                run.snapshot(_row(state, row), steps, quad)
+            if not t < run.t_end - 1e-12:
+                ended[row] = run.trajectory(records, steps)
 
 
 def simulate(params: PipeParams, profile: StationaryProfile,
              disturbance: DisturbanceSpec, config: SolverConfig,
              initial_u=None, initial_v=None, initial_w=None) -> Trajectory:
-    """Run the closed-loop system on [0, t_end].
+    """Run the closed-loop system on [0, t_end]: a batch of one member.
 
     Deterministic for a fixed configuration.  The time step is recomputed
     every step from the CFL condition and clipped to land exactly on the
     snapshot cadence, so output times are exact multiples of snapshot_dt.
     """
-    nx = config.nx
-    xs = np.linspace(0.0, params.L, nx + 1)
-    if profile.xs.shape != xs.shape or not np.allclose(profile.xs, xs):
-        raise ValueError("profile grid does not match the solver grid")
-    zeros = np.zeros(nx + 1)
-    u = np.array(initial_u, dtype=float) if initial_u is not None else zeros.copy()
-    v = np.array(initial_v, dtype=float) if initial_v is not None else zeros.copy()
-    w = np.array(initial_w, dtype=float) if initial_w is not None else zeros.copy()
-    state = FieldState(t=0.0, xs=xs, u=u, v=v, w=w)
-
-    dx = xs[1] - xs[0]
-    quad = Quadrature(xs)
-    terms = profile_terms(profile, params)
-    series = {name: [] for name in ("E1", "E_classic", "grad", "h1",
-                                    "max_u", "max_ux", "max_ut")}
-    boundary = {name: [] for name in ("u0", "v0", "w0", "uL", "b", "b_t")}
-    times = [0.0]
-    b0, bt0, _ = sample_b(disturbance, 0.0)
-    _record(series, boundary, state, profile, params, quad, b0, bt0)
-    _record_snapshot(series, state, params, quad)
-    states = [state]
-    snap_index = [0]
-
-    n_snap = 1
-    t_end = config.t_end
-    while state.t < t_end - 1e-12:
-        speed = wave_speed(profile, state, params.a)
-        dt = config.cfl * dx / speed
-        t_snap = min(n_snap * config.snapshot_dt, t_end)
-        dt = min(dt, t_snap - state.t)
-        b_val, bt_val, _ = sample_b(disturbance, state.t + dt)
-        state = step(state, profile, params, (b_val, bt_val), dt,
-                     blowup_guard=config.blowup_guard, terms=terms, speed=speed)
-        times.append(state.t)
-        _record(series, boundary, state, profile, params, quad, b_val, bt_val)
-        if state.t >= t_snap - 1e-12:
-            states.append(state)
-            snap_index.append(len(times) - 1)
-            _record_snapshot(series, state, params, quad)
-            n_snap += 1
-
-    return Trajectory(states=states,
-                      times=np.asarray(times),
-                      series={k2: np.asarray(v2) for k2, v2 in series.items()},
-                      boundary={k2: np.asarray(v2) for k2, v2 in boundary.items()},
-                      snap_index=np.asarray(snap_index))
+    (result,) = simulate_batch([Member(params, profile, disturbance, config,
+                                       initial_u, initial_v, initial_w)])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -27,8 +27,15 @@ class Quadrature:
         self.decay = np.exp(-(xs - xs[0]) / (xs[-1] - xs[0]))
 
 
-def _trapz(y, weights) -> float:
-    return float(np.dot(y, weights))
+def _trapz(y, weights):
+    """int y dx: a float for one member, a (B, 1) column for a batch of rows.
+
+    A batch takes one dot product per row, not one matrix product, so that
+    each member's sum is bit for bit the sum of a run of it alone.
+    """
+    if y.ndim == 1:
+        return float(np.dot(y, weights))
+    return np.array([np.dot(row, weights) for row in y])[:, None]
 
 
 def energy_E1(state, profile, k: float, a: float, quad=None) -> float:
@@ -38,11 +45,13 @@ def energy_E1(state, profile, k: float, a: float, quad=None) -> float:
          - 2 exp(-x/L) [(ubar+u) u_x^2 + u_t u_x] dx
 
     `quad` is Quadrature(state.xs), built here when not given; likewise below.
+    Also takes a batch state, with k and a as (B, 1) columns; a is squared
+    as a * a, which a float and a column round alike.
     """
     quad = quad or Quadrature(state.xs)
     m = profile.ubar + state.u
     w2 = state.w ** 2
-    integrand = (k * ((a ** 2 - m ** 2) * w2 + state.v ** 2)
+    integrand = (k * ((a * a - m ** 2) * w2 + state.v ** 2)
                  - 2.0 * quad.decay * (m * w2 + state.v * state.w))
     return _trapz(integrand, quad.weights)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -161,6 +162,43 @@ class TestSweep:
         assert len(rows) == 3
         assert "error" not in rows[1]
         assert "error: invalid value for `solver.snapshot_dt`" in rows[2]
+
+    def test_failed_member_isolated_from_its_batch(self, tmp_path, capsys):
+        # A = 10 leaves the guard partway through; the runs of one grid share
+        # a batch, and each finishes at its own step
+        sweep_dir, solo_dir = tmp_path / "sweep", tmp_path / "solo"
+        sweep_dir.mkdir()
+        solo_dir.mkdir()
+        burst = {"disturbance.family": "decaying_burst", "disturbance.seed": 5}
+        cfg = write_cfg(sweep_dir, **burst)
+        out = sweep_dir / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "disturbance.A=1e-4,10.0",
+                     "--set", "stationary.u0=0.2,0.4", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        for run_id, (amp, u0) in enumerate([(1e-4, 0.2), (1e-4, 0.4), (10.0, 0.2), (10.0, 0.4)]):
+            solo = write_cfg(solo_dir, **burst, **{
+                "disturbance.A": amp, "stationary.u0": u0,
+                "output.csv_path": str(solo_dir / f"run_{run_id:03d}.csv"),
+                "output.report_path": str(solo_dir / f"report_{run_id:03d}.txt")})
+            capsys.readouterr()
+            code = main(["run", str(solo)])
+            cells = rows[run_id].split(",")
+            assert cells[0] == str(run_id)
+            if amp == 10.0:
+                assert code == 1
+                message = capsys.readouterr().err.strip()
+                assert message.startswith("error: max|u| = ") and " at t=" in message
+                assert cells[-1] == message
+                assert not (sweep_dir / f"run_{run_id:03d}.csv").exists()
+                continue
+            assert code == 0
+            assert cells[-1] == capsys.readouterr().out.strip().removeprefix("verdict: ")
+            report = json.loads((solo_dir / f"report_{run_id:03d}.txt.json").read_text())
+            assert cells[-2] == repr(report["constants"]["mu"])
+            for name in (f"run_{run_id:03d}.csv", f"report_{run_id:03d}.txt",
+                         f"report_{run_id:03d}.txt.json"):
+                assert (sweep_dir / name).read_bytes() == (solo_dir / name).read_bytes(), name
 
     def test_unwritable_summary_fails_before_running(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab import lyapunov
 from pipestab.disturbance import DisturbanceSpec
-from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
+from pipestab.dynamics import (BlowUpError, CFLError, FieldState, Member, SolverConfig,
                                bump_profile, compatibility_residual, f_bound_constant,
-                               f_tilde, lower_order_F, profile_terms, simulate, step,
-                               wave_speed)
+                               f_tilde, lower_order_F, profile_terms, simulate,
+                               simulate_batch, step, wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -303,3 +303,92 @@ class TestLeanPath:
         for i, state in enumerate(traj.states):
             assert traj.series["E_classic"][i] == energy_classic(state, params.k, params.a)
             assert traj.series["grad"][i] == grad_norm(state)
+
+
+# a sound speed whose a ** 2 (C pow) and a * a round apart, so that a batch,
+# which holds a as a column, must square it as a single run does
+ODD_A = 1.71253018222773
+
+
+def batch_member(u0=0.3, k=4.0, a=2.0, seed=0, t_end=0.4, amplitude=1e-4, guard=None,
+                 bump=False, nan_at=None, nx=64):
+    params = PipeParams(L=1.0, a=a, theta=0.1, k=k)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    profile = build_stationary(params, u0, xs)
+    spec = DisturbanceSpec(family="decaying_burst", amplitude=amplitude, frequency=1.0,
+                           gamma=0.5, T_period=0.2, seed=seed)
+    config = SolverConfig(nx=nx, cfl=0.45, t_end=t_end, snapshot_dt=0.1, blowup_guard=guard)
+    phi, dphi = bump_profile(xs, 1e-3 if bump else 0.0, 0.5, 0.2)
+    v = -a * dphi
+    if nan_at is not None:
+        v[nan_at] = np.nan
+    return Member(params, profile, spec, config, phi, v, dphi)
+
+
+def solo(member):
+    try:
+        return simulate(*member)
+    except BlowUpError as exc:
+        return exc
+
+
+class TestBatch:
+    """A batch gives every member what a run of it alone gives, bit for bit."""
+
+    MEMBERS = [
+        batch_member(u0=0.2, k=4.0, t_end=0.4),
+        batch_member(u0=0.4, k=2.5, seed=7, t_end=0.3, bump=True),     # faster: more steps
+        batch_member(u0=0.3, k=6.0, a=ODD_A, seed=3, t_end=0.25),
+        batch_member(u0=0.2, k=3.0, amplitude=1e-3, guard=1e-4),         # crosses the guard
+        batch_member(u0=0.3, k=4.0, nan_at=40),                          # NaN after one step
+        batch_member(u0=0.35, k=5.0, seed=11, t_end=0.35),
+        batch_member(u0=0.3, amplitude=0.3, seed=2, t_end=0.4),         # speeds up: outgrows
+    ]                                                                    # the record estimate
+
+    def test_members_bitwise_equal_to_single_runs(self):
+        assert ODD_A ** 2 != ODD_A * ODD_A
+        alone = [solo(m) for m in self.MEMBERS]
+        batched = simulate_batch(self.MEMBERS)
+        steps = {len(t.times) for t in alone if not isinstance(t, Exception)}
+        assert len(steps) == 5      # every member that finishes ends at its own step
+        for single, member in zip(alone, batched):
+            if isinstance(single, Exception):
+                assert type(member) is type(single)
+                assert str(member) == str(single)
+                continue
+            assert single.times.tobytes() == member.times.tobytes()
+            assert single.snap_index.tobytes() == member.snap_index.tobytes()
+            for s1, s2 in zip(single.states, member.states, strict=True):
+                assert s1.t == s2.t
+                for name in ("u", "v", "w"):
+                    assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
+            for records1, records2 in ((single.series, member.series),
+                                       (single.boundary, member.boundary)):
+                assert records1.keys() == records2.keys()
+                for name in records1:
+                    assert records1[name].tobytes() == records2[name].tobytes(), name
+
+    def test_failures_name_their_own_time(self):
+        blowup, nan = simulate_batch(self.MEMBERS)[3:5]
+        assert isinstance(blowup, BlowUpError) and isinstance(nan, BlowUpError)
+        t_blowup = float(str(blowup).split("t=")[1].split(";")[0])
+        t_nan = float(str(nan).split("t=")[1].split(";")[0])
+        assert 0.02 < t_blowup < 0.4      # partway through: steps are about 0.003 long
+        assert t_nan < 0.01
+        assert "max|u| = nan" in str(nan)
+
+    def test_snapshots_are_copied_rows(self):
+        traj = simulate_batch(self.MEMBERS[:2])[0]
+        for state in traj.states:
+            assert state.u.base is None and state.u.shape == state.xs.shape
+
+    def test_one_grid_per_batch(self):
+        with pytest.raises(ValueError, match="one grid"):
+            simulate_batch([batch_member(nx=64), batch_member(nx=32)])
+
+    def test_member_setup_error_is_its_own(self):
+        good = batch_member()
+        bad = good._replace(initial_u=np.zeros(10))
+        single, err = simulate_batch([good, bad])
+        assert isinstance(err, ValueError) and "initial data" in str(err)
+        assert single.times.tobytes() == simulate(*good).times.tobytes()
