@@ -17,7 +17,6 @@ from .dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
 from .lyapunov import (check_equivalence, energy_E1, energy_classic,
                        fit_decay_rate, windowed_series)
 from .stationary import (PipeParams, StationaryProfile, build_stationary,
-                         critical_length, lambert_w_minus1,
-                         verify_stationary_ode)
+                         critical_length, lambert_w_minus1)
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ def compute_constants(params: PipeParams, lam: float, nu: float, C_nu: float) ->
     C0 = 12.0 * k + 4.0 * (k + 1.0) * f_bound_constant(a, theta) + 10.0
     Cg = ((4.0 / 3.0) * e * a ** 2 * k ** 2 + 1.0 / (2.0 * e * K1 * k)) * C_nu
     delta = nu - mu
-    mu0 = (a / L) * math.log1p(2.0 / (a * k - 1.0)) if a * k > 1.0 else math.nan
+    mu0 = linear_rate_mu0(a, L, k)["mu0"] if a * k > 1.0 else math.nan
     cap = mu / (C0 * K1)
     return TheoremConstants(
         lam=lam, nu=nu, C_nu=C_nu, M1=M1, K1=K1, K2=K2, mu=mu, C0=C0,

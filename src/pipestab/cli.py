@@ -142,10 +142,11 @@ def _run_batch(cfgs: list, ids: list, results: list):
 
 
 def _write_csv(cfg, traj, E_series, H_series, hyp):
-    """One row per snapshot; E and H are the trailing-window energies."""
+    """One row per snapshot; E and H are the trailing-window energies, the
+    boundary values of u, u_t and u_x are the ends of the snapshot state."""
     times = traj.times
     rows = [CSV_HEADER]
-    for i, j in enumerate(traj.snap_index):
+    for i, (j, state) in enumerate(zip(traj.snap_index, traj.states)):
         rows.append(",".join([
             _fmt(times[j]),
             _fmt(traj.series["E1"][j]),
@@ -154,10 +155,10 @@ def _write_csv(cfg, traj, E_series, H_series, hyp):
             _fmt(traj.series["E_classic"][i]),
             _fmt(traj.series["grad"][i]),
             _fmt(traj.series["max_u"][j]),
-            _fmt(traj.boundary["u0"][j]),
-            _fmt(traj.boundary["v0"][j]),
-            _fmt(traj.boundary["w0"][j]),
-            _fmt(traj.boundary["uL"][j]),
+            _fmt(state.u[0]),
+            _fmt(state.v[0]),
+            _fmt(state.w[0]),
+            _fmt(state.u[-1]),
             _fmt(traj.boundary["b"][j]),
             _fmt(traj.boundary["b_t"][j]),
             str(int(hyp.per_step_ok[j])),

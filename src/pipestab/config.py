@@ -129,8 +129,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+        return cls.from_text(text)
 
     def to_text(self) -> str:
         lines = []

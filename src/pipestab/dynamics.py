@@ -148,13 +148,14 @@ class Trajectory:
 
     `series` holds E1, h1, max_u, max_ux and max_ut at every step (aligned
     with `times`) and E_classic and grad at every snapshot (aligned with
-    `states`); `snap_index[i]` is the step index of `states[i]`.
+    `states`); `boundary` holds the disturbance b and b_t at every step;
+    `snap_index[i]` is the step index of `states[i]`.
     """
 
     states: list
     times: np.ndarray
     series: dict
-    boundary: dict    # per-step: u0, v0, w0, uL, b, b_t
+    boundary: dict
     snap_index: np.ndarray
 
 
@@ -246,13 +247,9 @@ def stack_terms(terms: list) -> ProfileTerms:
                           for f in fields(ProfileTerms)))
 
 
-def wave_speed(profile, state: FieldState, a):
-    """Fastest characteristic speed max|ubar + u| + a of a state, per member.
-
-    `profile` is anything holding the nodal `ubar`: a StationaryProfile,
-    or the ProfileTerms of a batch.
-    """
-    return _row_max(np.abs(profile.ubar + state.u) + a)
+def wave_speed(terms: ProfileTerms, state: FieldState):
+    """Fastest characteristic speed max|ubar + u| + a of a state, per member."""
+    return _row_max(np.abs(terms.ubar + state.u) + terms.a)
 
 
 def f_bound_constant(a, theta):
@@ -260,22 +257,16 @@ def f_bound_constant(a, theta):
     return 18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2
 
 
-def step(state: FieldState, profile: StationaryProfile | None, params: PipeParams | None,
-         b_now, dt, blowup_guard=None, terms: ProfileTerms | None = None,
-         speed=None) -> FieldState:
+def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
 
-    b_now = (b, b_t) evaluated at the new time t + dt.  `terms` is
-    profile_terms(profile, params) and `speed` is wave_speed of the state;
-    each is computed here when not given.  For a batch, `terms` comes from
-    stack_terms, and dt, b_now, blowup_guard and speed are (B, 1) columns.
-    A CFL violation raises CFLError before the step, a member outside the
-    guard BlowUpError after it; `failed` names every such member.
+    `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
+    new time t + dt, `guard` the bound on max|u| and `speed` is
+    wave_speed(terms, state).  For a batch, `terms` comes from stack_terms,
+    and dt, b_now, guard and speed are (B, 1) columns.  A CFL violation
+    raises CFLError before the step, a member outside the guard
+    BlowUpError after it; `failed` names every such member.
     """
-    if terms is None:
-        terms = profile_terms(profile, params)
-    if speed is None:
-        speed = wave_speed(terms, state, terms.a)
     a, a2, k, theta = terms.a, terms.a2, terms.k, terms.theta
     xs = state.xs
     dx = xs[1] - xs[0]
@@ -340,7 +331,6 @@ def step(state: FieldState, profile: StationaryProfile | None, params: PipeParam
     u_new = u + 0.5 * dt * (v + v_new)
 
     new = FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
-    guard = blowup_guard if blowup_guard is not None else a
     # written so that NaN fails too
     _fail(BlowUpError, np.logical_not(new.max_abs_u <= guard), lambda i: (
         f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
@@ -394,7 +384,7 @@ class Member(NamedTuple):
 
 
 # the per-step records, in the order of the record buffer's first axis
-RECORDS = ("t", "E1", "h1", "max_u", "max_ux", "max_ut", "u0", "v0", "w0", "uL", "b", "b_t")
+RECORDS = ("t", "E1", "h1", "max_u", "max_ux", "max_ut", "b", "b_t")
 
 
 class _Run:
@@ -443,11 +433,8 @@ class _Run:
 
 
 def _record(records, slots, index, state, terms, quad, b_now):
-    edges = _EDGES[state.u.ndim]
-    n0, nL = edges[0], edges[-1]
     values = (state.t, energy_E1(state, terms, terms.k, terms.a, quad), h1_integrand(state, quad),
-              state.max_abs_u, _row_max(np.abs(state.w)), _row_max(np.abs(state.v)),
-              state.u[n0], state.v[n0], state.w[n0], state.u[nL], *b_now)
+              state.max_abs_u, _row_max(np.abs(state.w)), _row_max(np.abs(state.v)), *b_now)
     if isinstance(slots, int):
         records[:, slots, index] = values
     else:
@@ -490,7 +477,7 @@ def simulate_batch(members: list) -> list:
                                *(np.stack([run.initial[f] for run in active]) for f in range(3))),
                     rows)
     terms, guard, slots = pack(active)
-    speed = wave_speed(terms, state, terms.a)
+    speed = wave_speed(terms, state)
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
                        for run, s in zip(active, _members(speed)))
@@ -517,7 +504,7 @@ def simulate_batch(members: list) -> list:
             terms, guard, slots = pack(active)
             ended = {}
 
-        speed = wave_speed(terms, state, terms.a)
+        speed = wave_speed(terms, state)
         dts, bs, bts = [], [], []
         for run, s in zip(active, _members(speed)):
             dt = run.plan(s)
@@ -527,8 +514,7 @@ def simulate_batch(members: list) -> list:
             bts.append(bt_val)
         b_now = (_column(bs), _column(bts))
         try:
-            state = step(state, None, None, b_now, _column(dts), blowup_guard=guard,
-                         terms=terms, speed=speed)
+            state = step(state, terms, b_now, _column(dts), guard, speed)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue

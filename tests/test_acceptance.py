@@ -21,9 +21,9 @@ from pipestab.dynamics import (SolverConfig, bump_profile, f_bound_constant,
                                lower_order_F, simulate)
 from pipestab.lyapunov import check_equivalence, windowed_series
 from pipestab.stationary import (PipeParams, build_stationary, critical_length,
-                                 lambert_w_minus1, verify_stationary_ode)
+                                 lambert_w_minus1)
 
-from oracles import lower_order_F_expanded
+from oracles import lower_order_F_expanded, verify_stationary_ode
 
 E = math.e
 

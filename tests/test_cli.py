@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pipestab.cli import CSV_HEADER, main
+from pipestab.cli import CSV_HEADER, _member, main
+from pipestab.config import ScenarioConfig
+from pipestab.dynamics import simulate
 
 
 def write_cfg(tmp_path, name="scenario.cfg", **overrides):
@@ -62,6 +64,26 @@ class TestRun:
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_boundary_columns_are_the_snapshot_ends(self, tmp_path):
+        # the feedback law u_x(t, 0) = k u_t(t, 0) holds exactly at every row,
+        # and u_0, ut_0, ux_0, u_L are the ends of the simulated snapshots
+        cfg_path = write_cfg(tmp_path, **{
+            "disturbance.family": "decaying_burst", "disturbance.A": 1e-4,
+            "disturbance.gamma": 0.5, "disturbance.seed": 5, "initial.family": "bump",
+            "initial.amplitude": 1e-3, "initial.center": 0.5, "initial.width": 0.2})
+        assert main(["run", str(cfg_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        cfg = ScenarioConfig.from_file(cfg_path)
+        traj = simulate(*_member(cfg))
+        assert len(rows) == len(traj.states)
+        for row, state in zip(rows, traj.states):
+            assert row["ux_0"] == cfg["feedback.k"] * row["ut_0"]
+            assert (row["u_0"], row["ut_0"], row["ux_0"], row["u_L"]) == (
+                state.u[0], state.v[0], state.w[0], state.u[-1])
+        assert any(row["ut_0"] != 0.0 for row in rows)
 
     def test_window_off_the_step_grid(self, tmp_path, capsys):
         # T_period = 0.7 is no step time; E(T_period) is interpolated and
@@ -207,6 +229,25 @@ class TestSweep:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run_000.csv").exists()
+
+
+class TestUnreadableConfig:
+    """Every verb turns a config file it cannot read into exit 1 and a message."""
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "constants", "stationary"])
+    @pytest.mark.parametrize("kind", ["absent", "directory", "not_utf8"])
+    def test_exit_one_with_message(self, tmp_path, capsys, verb, kind):
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"pipe.L = 1.0\n\xff\xfe = 2\n")
+        argv = [verb, str(path)] + (["--set", "feedback.k=4.0"] if verb == "sweep" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "Traceback" not in err
 
 
 class TestConstantsVerb:
