@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disturbance import FAMILIES, DisturbanceSpec
-from .dynamics import SolverConfig, bump_profile
+from .dynamics import RECORDS, SolverConfig, bump_profile
 from .stationary import PipeParams
 
 
@@ -26,6 +26,12 @@ class ConfigError(ValueError):
 # Every snapshot ends a step and is kept in memory, so a tiny snapshot_dt
 # forces a tiny step and an unbounded trajectory.
 MAX_SNAPSHOTS = 10000
+# Every step keeps one float64 per record until the run ends, in a buffer that
+# doubles when full (old and new buffer live at once), so this cap on the steps
+# keeps one scenario's records within 1 GiB.  A step is CFL-limited at a wave
+# speed below 3 pipe.a (|ubar| < a and the blow-up guard |u| <= a), or it ends
+# on one of at most MAX_SNAPSHOTS snapshots or on t_end.
+MAX_STEPS = 2 ** 30 // (3 * 8 * len(RECORDS))
 
 # key -> (type, default, constraint text, predicate on the merged values);
 # the last two are None for unconstrained keys.  Every float must also be finite.
@@ -59,8 +65,12 @@ SCHEMA: dict[str, tuple] = {
                           and v["initial.center"] + v["initial.width"] < v["pipe.L"])),
     "solver.nx": (int, 200, "solver.nx >= 16", lambda v: v["solver.nx"] >= 16),
     "solver.cfl": (float, 0.45, "0 < solver.cfl < 1", lambda v: 0 < v["solver.cfl"] < 1),
-    "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period",
-                     lambda v: v["solver.t_end"] > v["disturbance.T_period"]),
+    "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period and "
+                     "solver.t_end * 3 * pipe.a * solver.nx / (solver.cfl * pipe.L) "
+                     f"+ {MAX_SNAPSHOTS + 1} <= {MAX_STEPS}",
+                     lambda v: v["solver.t_end"] > v["disturbance.T_period"]
+                     and v["solver.t_end"] * 3 * v["pipe.a"] * v["solver.nx"]
+                     / (v["solver.cfl"] * v["pipe.L"]) + MAX_SNAPSHOTS + 1 <= MAX_STEPS),
     "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0 and "
                            f"solver.t_end / solver.snapshot_dt <= {MAX_SNAPSHOTS}",
                            lambda v: v["solver.snapshot_dt"] > 0

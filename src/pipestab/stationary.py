@@ -4,8 +4,9 @@ The stationary velocity profile of the isothermal pipe model solves
 
     ubar_x = (theta/2) * |ubar| * ubar^2 / (a^2 - ubar^2)
 
-and has the closed form ubar(x) = a / sqrt(-W_{-1}(-exp(theta*x + c1)))
-on the W_{-1} branch of the Lambert W function.  For positive flow the
+and has the closed form ubar(x) = a / sqrt(y(x)), where y >= 1 solves
+y - ln y = -(theta*x + c1), that is y = -W_{-1}(-exp(theta*x + c1)) on the
+lower branch of the Lambert W function.  For positive flow the
 profile is strictly increasing and blows up (becomes sonic) at a finite
 critical length.
 """
@@ -40,50 +41,37 @@ class PipeParams:
             raise ValueError("feedback gain k must be > 0")
 
 
+def _minus_w_minus1(q):
+    """y >= 1 with y - ln y = q, element-wise for q >= 1: y = -W_{-1}(-exp(-q)).
+
+    Solved in log space, so no exponential underflows however large q is.
+    Halley's method starts from the branch-point series in
+    p = sqrt(2(q - 1)) when q - 1 < 1 and from q + ln q beyond (Corless,
+    Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996); both starts
+    are within 15 % of y, so three cubically convergent steps reach
+    float64 accuracy and the fourth is margin.
+    """
+    q = np.maximum(np.asarray(q, dtype=float), 1.0)
+    p = np.sqrt(2.0 * np.minimum(q - 1.0, 1.0))
+    series = 1.0 + p * (1.0 + p * (1.0 / 3.0 + p * (1.0 / 36.0 + p * (-1.0 / 270.0 + p / 4320.0))))
+    y = np.where(q - 1.0 < 1.0, series, q + np.log(q))
+    for _ in range(4):
+        # f = y - ln y - q, f' = (y - 1) / y, f'' = 1 / y^2; y = 1 only at q = 1, where f = 0
+        t = np.maximum(y - 1.0, np.finfo(float).tiny)
+        newton = (y - np.log(y) - q) * (y / t)
+        y = y - newton / (1.0 - 0.5 * (newton / y) / t)
+    return y
+
+
 def lambert_w_minus1(z: float) -> float:
     """Lambert W on the lower real branch, W_{-1}(z) <= -1 for z in [-1/e, 0).
 
-    Halley iteration from the asymptotic guess log(-z) - log(-log(-z));
-    near the branch point the series in p = -sqrt(2(1 + e*z)) is used
-    instead, where the iteration stagnates.
+    The scalar form of the profile solve: -y with y - ln y = -ln(-z).
     """
     z = float(z)
-    tol = 4.0 * np.finfo(float).eps
-    if z >= 0.0 or z < -INV_E * (1.0 + tol):
+    if z >= 0.0 or z < -INV_E * (1.0 + 4.0 * np.finfo(float).eps):
         raise ValueError(f"lambert_w_minus1 requires -1/e <= z < 0, got {z}")
-    z = max(z, -INV_E)
-
-    arg = 2.0 * (1.0 + math.e * z)
-    if arg <= 0.0:
-        return -1.0
-    p = -math.sqrt(arg)
-    if abs(z + INV_E) < 1e-6:
-        # branch-point series, accurate to ~p^7 here
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
-            -43.0 / 540.0 + p * (769.0 / 17280.0 - p * 221.0 / 8505.0)))))
-        if abs(z + INV_E) < 1e-9:
-            return w
-    elif z > -0.27:
-        lz = math.log(-z)
-        w = lz - math.log(-lz)
-    else:
-        # mid range: branch-point series is still the better starting point
-        w = -1.0 + p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p)
-
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-15 * (1.0 + abs(w)):
-            break
-    return min(w, -1.0) if w > -1.0 else w
-
-
-def _w_minus1_array(z):
-    return np.array([lambert_w_minus1(zi) for zi in np.asarray(z, dtype=float).ravel()])
+    return -float(_minus_w_minus1(-math.log(-z)))
 
 
 @dataclass
@@ -99,7 +87,10 @@ class StationaryProfile:
 
 
 def _c1_of(params: PipeParams, u0: float) -> float:
-    r = params.a ** 2 / u0 ** 2
+    ratio = params.a / u0
+    r = ratio * ratio           # inf, where ratio ** 2 would raise OverflowError
+    if not math.isfinite(r):
+        raise ValueError(f"u0 = {u0!r} is too small: (a / u0)^2 overflows")
     return math.log(r) - r
 
 
@@ -135,13 +126,7 @@ def build_stationary(params: PipeParams, u0: float, xs) -> StationaryProfile:
             "the stationary profile becomes sonic inside the pipe")
 
     c1 = _c1_of(params, u0)
-    if params.theta == 0.0:
-        # frictionless pipe: the profile is constant and the Lambert-W
-        # evaluation would underflow for small u0
-        ubar = np.full_like(xs, u0)
-    else:
-        w = _w_minus1_array(-np.exp(params.theta * xs + c1))
-        ubar = params.a / np.sqrt(-w)
+    ubar = params.a / np.sqrt(_minus_w_minus1(-(params.theta * xs + c1)))
     ubar_x = np.asarray(stationary_ode_rhs(ubar, params))
     return StationaryProfile(u0=u0, c1=c1, L_crit=lcrit, xs=xs, ubar=ubar, ubar_x=ubar_x)
 

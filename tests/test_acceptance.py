@@ -7,8 +7,10 @@ run) are module-scoped fixtures shared by the criteria that need their
 snapshots.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ import pytest
 from pipestab.certificate import (assemble_report, check_hypotheses,
                                   compute_constants, linear_rate_mu0,
                                   verify_decay_bounds, verify_gronwall_discrete)
+from pipestab.cli import main
+from pipestab.config import ScenarioConfig
 from pipestab.disturbance import DisturbanceSpec, sample_b, verify_noise_bound
 from pipestab.dynamics import (SolverConfig, bump_profile, f_bound_constant,
                                lower_order_F, simulate)
@@ -246,3 +250,19 @@ def test_criterion_10_disturbance_certificate():
     ok = good["pass"] and not bad["pass"]
     announce(10, ok, f"minimal C_nu {c_min:.4g}, "
                      f"overclaim worst ratio {bad['worst_ratio']:.3f} (> 1 required)")
+
+
+def test_criterion_11_certified_config(tmp_path):
+    # configs/certified.cfg: friction, u0 below ubar_cap, a small disturbance
+    root = Path(__file__).resolve().parents[1]
+    cfg = ScenarioConfig.from_file(root / "configs" / "certified.cfg").replace(**{
+        "output.csv_path": str(tmp_path / "certified.csv"),
+        "output.report_path": str(tmp_path / "certified_report.txt")})
+    assert cfg["pipe.theta"] > 0
+    cfg.to_file(tmp_path / "certified.cfg")
+    code = main(["run", str(tmp_path / "certified.cfg")])
+    report = json.loads((tmp_path / "certified_report.txt.json").read_text())
+    flags = {k: v for k, v in report["hypotheses"].items() if k != "first_violation_time"}
+    ok = code == 0 and report["verdict"] == "certified" and all(flags.values())
+    announce(11, ok, f"exit {code}, verdict {report['verdict']}, "
+                     f"noise worst ratio {report['noise']['worst_ratio']:.3f}")

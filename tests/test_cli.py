@@ -108,6 +108,13 @@ class TestRun:
         assert "invalid value for `solver.snapshot_dt`" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_unbounded_step_count_exit_one(self, tmp_path, capsys):
+        # about 4e16 steps: their records could not be held, so the config is rejected
+        cfg = write_cfg(tmp_path, **{"solver.t_end": 1e14, "solver.snapshot_dt": 1e10})
+        assert main(["run", str(cfg)]) == 1
+        assert "invalid value for `solver.t_end`" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_supercritical_pipe_exit_one(self, tmp_path, capsys):
         # u0 close to sonic makes L exceed the critical length
         cfg = write_cfg(tmp_path, **{"stationary.u0": 1.99, "pipe.theta": 5.0})
@@ -222,6 +229,26 @@ class TestSweep:
                          f"report_{run_id:03d}.txt.json"):
                 assert (sweep_dir / name).read_bytes() == (solo_dir / name).read_bytes(), name
 
+    def test_unbounded_step_count_recorded_not_fatal(self, tmp_path, capsys):
+        sweep_dir, solo_dir = tmp_path / "sweep", tmp_path / "solo"
+        sweep_dir.mkdir()
+        solo_dir.mkdir()
+        cfg = write_cfg(sweep_dir, **{"solver.snapshot_dt": 1e10})
+        out = sweep_dir / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "solver.t_end=2.0,1e14",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error: invalid value for `solver.t_end`" in rows[2]
+        solo = write_cfg(solo_dir, **{"solver.snapshot_dt": 1e10,
+                                      "output.csv_path": str(solo_dir / "run_000.csv"),
+                                      "output.report_path": str(solo_dir / "report_000.txt")})
+        capsys.readouterr()
+        assert main(["run", str(solo)]) == 0
+        assert rows[1].split(",")[-1] == capsys.readouterr().out.strip().removeprefix("verdict: ")
+        for name in ("run_000.csv", "report_000.txt", "report_000.txt.json"):
+            assert (sweep_dir / name).read_bytes() == (solo_dir / name).read_bytes(), name
+
     def test_unwritable_summary_fails_before_running(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "absent_dir" / "sweep.csv"
@@ -248,6 +275,18 @@ class TestUnreadableConfig:
         assert err.startswith("error: ")
         assert str(path) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["run", "stationary"])
+@pytest.mark.parametrize("u0", ["1e-160", "1e-200"])
+def test_overflowing_inflow_exit_one(tmp_path, capsys, verb, u0):
+    # a valid config value whose (a / u0)^2 overflows
+    cfg = write_cfg(tmp_path, **{"stationary.u0": u0})
+    assert main([verb, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"u0 = {u0}" in err
+    assert "Traceback" not in err
 
 
 class TestConstantsVerb:

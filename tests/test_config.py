@@ -1,8 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from pipestab.config import SCHEMA, ConfigError, ScenarioConfig
+from pipestab.config import MAX_SNAPSHOTS, MAX_STEPS, SCHEMA, ConfigError, ScenarioConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParsing:
@@ -20,6 +24,17 @@ class TestParsing:
         again = ScenarioConfig.from_text(text)
         assert again.values == cfg.values
         assert again.to_text() == text
+
+    def test_readme_example_parses(self):
+        (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        cfg = ScenarioConfig.from_text(block)
+        assert cfg["pipe.L"] == 1.0
+        assert cfg["disturbance.family"] == "decaying_burst"
+        assert cfg["certificate.lambda"] == 0.6
+
+    def test_trailing_hash_is_part_of_the_value(self):
+        with pytest.raises(ConfigError, match="not a valid float"):
+            ScenarioConfig.from_text("pipe.L = 1.0   # pipe length\n")
 
     def test_comments_and_blank_lines(self):
         cfg = ScenarioConfig.from_text("# a comment\n\npipe.a = 3.0\n")
@@ -73,6 +88,20 @@ class TestValidation:
             ScenarioConfig({"solver.t_end": 2.0, "solver.snapshot_dt": 1e-7})
         with pytest.raises(ConfigError, match=r"solver\.snapshot_dt"):
             ScenarioConfig({"solver.t_end": 2.0, "solver.snapshot_dt": 5e-324})
+
+    def test_step_count_bounded(self):
+        # steps <= t_end * 3a * nx / (cfl * L) + snapshots + 1, each keeping its records
+        at_cap = (MAX_STEPS - MAX_SNAPSHOTS - 1) * 0.45 / (3 * 2.0 * 400)
+        base = {"pipe.a": 2.0, "solver.nx": 400, "solver.cfl": 0.45, "solver.snapshot_dt": 10.0}
+        ScenarioConfig({**base, "solver.t_end": 0.999 * at_cap})
+        with pytest.raises(ConfigError, match=r"invalid value for `solver\.t_end`"):
+            ScenarioConfig({**base, "solver.t_end": 1.001 * at_cap})
+        with pytest.raises(ConfigError, match=r"solver\.t_end"):
+            ScenarioConfig({**base, "solver.t_end": 1e14})
+
+    def test_committed_configs_valid(self):
+        for path in sorted((ROOT / "configs").glob("*.cfg")):
+            ScenarioConfig.from_file(path)
 
     def test_bump_support_must_be_interior(self):
         with pytest.raises(ConfigError, match="bump support"):

@@ -118,6 +118,27 @@ class TestStationaryProfile:
         with pytest.raises(ValueError):
             build_stationary(self.params, u0, np.linspace(0.0, 1.0, 11))
 
+    @pytest.mark.parametrize("u0", [1e-160, 1e-200])
+    def test_overflowing_inflow_rejected(self, u0):
+        # (a / u0)^2 overflows: c1 would be -inf or NaN
+        with pytest.raises(ValueError, match=r"u0 = 1e-"):
+            build_stationary(self.params, u0, np.linspace(0.0, 1.0, 11))
+
+    def test_small_inflow_with_friction(self):
+        # exp(theta*x + c1) underflows once u0 < a/27 (subnormal for u0/a in about
+        # [0.0365, 0.0374], zero below); the profile is built from its logarithm
+        p = PipeParams(L=1.0, a=2.0, theta=0.1, k=2.0)
+        xs = np.linspace(0.0, 1.0, 101)
+        ratios = np.concatenate([np.geomspace(5e-7, 0.05, 400), np.linspace(0.0360, 0.0380, 401),
+                                 [0.072945 / 2.0, 0.0731 / 2.0]])
+        for u0 in p.a * ratios:
+            prof = build_stationary(p, u0, xs)
+            assert prof.ubar[0] == pytest.approx(u0, rel=1e-12, abs=0)
+            r = (p.a / prof.ubar) ** 2
+            residual = np.max(np.abs(np.log(r) - r - (p.theta * xs + prof.c1)))
+            assert residual <= 1e-14 * max(1.0, abs(prof.c1))
+            assert np.all(np.diff(prof.ubar) >= 0)
+
 
 class TestCriticalLength:
     def test_closed_form(self):
@@ -169,3 +190,11 @@ class TestOdeCrossCheck:
         p = PipeParams(L=L, a=2.0, theta=theta, k=2.0)
         prof = build_stationary(p, u0, np.linspace(0.0, L, 257))
         assert verify_stationary_ode(prof, p) <= 1e-8
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0])
+    @pytest.mark.parametrize("u0", [1e-6, 4e-5, 0.05])
+    def test_agreement_small_inflow(self, u0, theta):
+        p = PipeParams(L=1.0, a=2.0, theta=theta, k=2.0)
+        prof = build_stationary(p, u0, np.linspace(0.0, 1.0, 129))
+        assert prof.ubar[-1] > prof.ubar[0]
+        assert verify_stationary_ode(prof, p) <= 1e-12
