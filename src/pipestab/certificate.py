@@ -19,7 +19,6 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .dynamics import f_bound_constant
 from .stationary import PipeParams
 
 
@@ -42,6 +41,11 @@ class TheoremConstants:
 
     def as_dict(self):
         return asdict(self)
+
+
+def f_bound_constant(a, theta):
+    """Coefficient of the Lipschitz-type upper bound on |F|."""
+    return 18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2
 
 
 def compute_constants(params: PipeParams, lam: float, nu: float, C_nu: float) -> TheoremConstants:
@@ -237,17 +241,17 @@ class CertificateReport:
     hypotheses: HypothesisFlags
     bounds: dict
     noise: dict
+    observed: dict      # fitted_rate and r_squared of E's decay fit, max_u over every step
     verdict: str
     T_half: float       # informational half-time (1/mu) ln(2 K1 K2) + T_period
 
     def as_dict(self):
-        noise = {k2: v for k2, v in self.noise.items()
-                 if not isinstance(v, np.ndarray)}
         hyp = {k2: v for k2, v in asdict(self.hypotheses).items() if k2 != "per_step_ok"}
         return {"constants": self.constants.as_dict(),
+                "observed": self.observed,
                 "hypotheses": hyp,
                 "bounds": self.bounds,
-                "noise": noise,
+                "noise": self.noise,
                 "verdict": self.verdict,
                 "T_half": self.T_half}
 
@@ -262,6 +266,10 @@ class CertificateReport:
         for name, val in c.as_dict().items():
             lines.append(f"  {name:>10} = {val!r}")
         lines.append(f"  {'T_half':>10} = {self.T_half!r}   (informational)")
+        lines.append("")
+        lines.append("observed:")
+        for name, val in self.observed.items():
+            lines.append(f"  {name:>11} = {val!r}")
         lines.append("")
         lines.append("hypotheses:")
         for name, val in asdict(self.hypotheses).items():
@@ -289,7 +297,8 @@ def _finite_or_null(obj):
 
 
 def assemble_report(constants: TheoremConstants, hypotheses: HypothesisFlags,
-                    bounds: dict, noise: dict, T_period: float = 0.0) -> CertificateReport:
+                    bounds: dict, noise: dict, observed: dict,
+                    T_period: float = 0.0) -> CertificateReport:
     bounds_ok = (bounds["energy_bound_ok"] and bounds["h1_bound_ok"]
                  and bounds["final_window_ok"])
     if not bounds_ok:
@@ -303,5 +312,5 @@ def assemble_report(constants: TheoremConstants, hypotheses: HypothesisFlags,
     else:
         t_half = math.nan
     return CertificateReport(constants=constants, hypotheses=hypotheses,
-                             bounds=bounds, noise=noise, verdict=verdict,
+                             bounds=bounds, noise=noise, observed=observed, verdict=verdict,
                              T_half=t_half)

@@ -51,11 +51,7 @@ def _member(cfg: ScenarioConfig) -> Member:
 
 
 def _evaluate(cfg: ScenarioConfig, member: Member, traj):
-    """Certify one simulated scenario and write its CSV and reports.
-
-    Returns (report, run_summary) where run_summary carries the fitted
-    decay rate and everything the sweep summary needs.
-    """
+    """Certify one simulated scenario, write its CSV and reports, return the report."""
     params, profile, spec = member.params, member.profile, member.disturbance
     T_period = spec.T_period
     times = traj.times
@@ -70,29 +66,27 @@ def _evaluate(cfg: ScenarioConfig, member: Member, traj):
     b_final_zero = bool(np.all(np.asarray(traj.boundary["b"])[times >= times[-1] - T_period] == 0.0))
     bounds = cert.verify_decay_bounds(times, E_series, H_series, constants,
                                       T_period, params.L, b_final_zero=b_final_zero)
-    report = cert.assemble_report(constants, hyp, bounds, noise, T_period=T_period)
 
     # decay-rate fit on E, transients (window ramp) excluded
-    fit_start = T_period + 0.5 * T_period
     try:
-        fit = lyapunov.fit_decay_rate(E_series, times, window=(fit_start, times[-1]))
+        fit = lyapunov.fit_decay_rate(E_series, times, window=(1.5 * T_period, times[-1]))
+        rate, r_squared = fit["rate"], fit["r_squared"]
     except ValueError:
-        fit = {"rate": float("nan"), "intercept": float("nan"),
-               "r_squared": float("nan"), "n_excluded": len(E_series)}
+        rate = r_squared = float("nan")
+    observed = {"fitted_rate": rate, "r_squared": r_squared,
+                "max_u": float(np.max(traj.series["max_u"]))}
+    report = cert.assemble_report(constants, hyp, bounds, noise, observed, T_period=T_period)
 
     _write_csv(cfg, traj, E_series, H_series, hyp)
     _write_reports(cfg, report)
-    summary = {"fitted_rate": fit["rate"], "r_squared": fit["r_squared"],
-               "mu": constants.mu, "verdict": report.verdict,
-               "max_u": float(np.max(traj.series["max_u"]))}
-    return report, summary
+    return report
 
 
 def execute_run(cfg: ScenarioConfig):
-    """Run one scenario end to end.
+    """Run one scenario end to end and return its certificate report.
 
-    Returns (report, run_summary), see _evaluate, and writes the CSV and
-    the text/JSON certificate reports to the configured paths.
+    Writes the CSV and the text/JSON certificate reports to the
+    configured paths.
     """
     member = _member(cfg)
     return _evaluate(cfg, member, simulate(*member))
@@ -103,8 +97,8 @@ def execute_runs(cfgs: list) -> list:
 
     Scenarios with equal (solver.nx, pipe.L) are simulated together, in
     batches of at most BATCH_CELLS // (nx + 1) members, in input order.
-    Returns, per config, what execute_run returns or the error (one of
-    RUN_ERRORS) that ended that scenario; the others are not affected.
+    Returns, per config, its report or the error (one of RUN_ERRORS)
+    that ended that scenario; the others are not affected.
     """
     results = [None] * len(cfgs)
     groups = {}
@@ -175,7 +169,7 @@ def _write_reports(cfg, report):
 def cmd_run(args) -> int:
     try:
         cfg = ScenarioConfig.from_file(args.config)
-        report, _ = execute_run(cfg)
+        report = execute_run(cfg)
     except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -228,12 +222,12 @@ def cmd_sweep(args) -> int:
     for run_id, result in zip(cfgs, execute_runs(list(cfgs.values()))):
         results[run_id] = result
     rows = ["run_id," + ",".join(keys) + ",fitted_rate,mu,verdict"]
-    for run_id, (combo, result) in enumerate(zip(combos, results)):
-        if isinstance(result, Exception):
-            fitted, mu, verdict = float("nan"), float("nan"), f"error: {result}"
+    for run_id, (combo, report) in enumerate(zip(combos, results)):
+        if isinstance(report, Exception):
+            fitted, mu, verdict = float("nan"), float("nan"), f"error: {report}"
         else:
-            summary = result[1]
-            fitted, mu, verdict = summary["fitted_rate"], summary["mu"], summary["verdict"]
+            fitted, mu, verdict = (report.observed["fitted_rate"], report.constants.mu,
+                                   report.verdict)
         cells = [str(run_id)] + [
             _fmt(v) if isinstance(v, float) else str(v) for v in combo]
         rows.append(",".join(cells + [_fmt(fitted), _fmt(mu), verdict.replace(",", ";")]))

@@ -138,6 +138,4 @@ def verify_noise_bound(times, b, b_t, T_period, nu, C_nu, rel_slack=1e-6):
         "worst_ratio": worst,
         "pass": worst <= 1.0 + rel_slack,
         "minimal_C_nu": minimal_C,
-        "times": t_w,
-        "window_integral": w,
     }

@@ -252,11 +252,6 @@ def wave_speed(terms: ProfileTerms, state: FieldState):
     return _row_max(np.abs(terms.ubar + state.u) + terms.a)
 
 
-def f_bound_constant(a, theta):
-    """Coefficient of the Lipschitz-type upper bound on |F|."""
-    return 18.0 + 13.0 * theta + (8.0 + 6.0 * theta) / a ** 2
-
-
 def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
 

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from pipestab.certificate import (assemble_report, check_hypotheses,
-                                  compute_constants, linear_rate_mu0,
+                                  compute_constants, f_bound_constant, linear_rate_mu0,
                                   verify_decay_bounds, verify_gronwall_discrete)
 from pipestab.cli import main
 from pipestab.config import ScenarioConfig
 from pipestab.disturbance import DisturbanceSpec, sample_b, verify_noise_bound
-from pipestab.dynamics import (SolverConfig, bump_profile, f_bound_constant,
-                               lower_order_F, simulate)
-from pipestab.lyapunov import check_equivalence, windowed_series
+from pipestab.dynamics import SolverConfig, bump_profile, lower_order_F, simulate
+from pipestab.lyapunov import check_equivalence, fit_decay_rate, windowed_series
 from pipestab.stationary import (PipeParams, build_stationary, critical_length,
                                  lambert_w_minus1)
 
@@ -65,7 +64,10 @@ def burst_run():
     bounds = verify_decay_bounds(traj.times, E_series, H_series, constants,
                                  T_period, params.L)
     hyp = check_hypotheses(traj, profile, params, constants, noise["pass"])
-    report = assemble_report(constants, hyp, bounds, noise, T_period=T_period)
+    fit = fit_decay_rate(E_series, traj.times, window=(1.5 * T_period, t_end))
+    observed = {"fitted_rate": fit["rate"], "r_squared": fit["r_squared"],
+                "max_u": float(np.max(traj.series["max_u"]))}
+    report = assemble_report(constants, hyp, bounds, noise, observed, T_period=T_period)
     return {"params": params, "profile": profile, "traj": traj,
             "constants": constants, "bounds": bounds, "report": report,
             "elapsed": elapsed}

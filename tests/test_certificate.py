@@ -223,6 +223,7 @@ class TestDecayBounds:
 
 class TestReport:
     params = PipeParams(L=1.0, a=2.0, theta=0.1, k=4.0)
+    observed = {"fitted_rate": 0.5, "r_squared": 0.99, "max_u": 1e-4}
 
     def pieces(self, bound_ok=True, hyp_ok=True):
         c = compute_constants(self.params, 0.6, 1.0, 1e-6)
@@ -237,15 +238,16 @@ class TestReport:
 
     def test_verdicts(self):
         c, flags, bounds, noise = self.pieces()
-        assert assemble_report(c, flags, bounds, noise).verdict == "certified"
+        assert assemble_report(c, flags, bounds, noise, self.observed).verdict == "certified"
         c, flags, bounds, noise = self.pieces(hyp_ok=False)
-        assert assemble_report(c, flags, bounds, noise).verdict == "bound_holds_hypotheses_fail"
+        assert (assemble_report(c, flags, bounds, noise, self.observed).verdict
+                == "bound_holds_hypotheses_fail")
         c, flags, bounds, noise = self.pieces(bound_ok=False, hyp_ok=False)
-        assert assemble_report(c, flags, bounds, noise).verdict == "bound_violated"
+        assert assemble_report(c, flags, bounds, noise, self.observed).verdict == "bound_violated"
 
     def test_half_time_formula(self):
         c, flags, bounds, noise = self.pieces()
-        rep = assemble_report(c, flags, bounds, noise, T_period=2.0)
+        rep = assemble_report(c, flags, bounds, noise, self.observed, T_period=2.0)
         expect = (1.0 / c.mu) * math.log(2.0 * c.K1 * c.K2) + 2.0
         assert rep.T_half == pytest.approx(expect, rel=1e-14)
 
@@ -254,7 +256,7 @@ class TestReport:
         # so the report is strict RFC 8259 JSON
         c, flags, bounds, noise = self.pieces()
         bounds.update(final_window_checked=False, final_window_margin=math.nan)
-        rep = assemble_report(c, flags, bounds, noise)
+        rep = assemble_report(c, flags, bounds, noise, self.observed)
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -264,5 +266,7 @@ class TestReport:
         assert parsed["bounds"]["final_window_margin"] is None
         assert math.isnan(rep.as_dict()["bounds"]["final_window_margin"])
         assert "per_step_ok" not in parsed["hypotheses"]
+        assert parsed["observed"] == self.observed
         txt = rep.to_text()
         assert "verdict: certified" in txt
+        assert "observed:\n  fitted_rate = 0.5\n" in txt

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ class TestRun:
         report = (tmp_path / "report.txt").read_text()
         assert "verdict:" in report
         assert (tmp_path / "report.txt.json").exists()
+
+    def test_zero_disturbance_observed_section(self, tmp_path):
+        # E is 0 at every step, so the decay fit has no positive sample
+        cfg = (Path(__file__).parent.parent / "configs" / "zero.cfg").read_text()
+        cfg = cfg.replace("output.csv_path = zero.csv", f"output.csv_path = {tmp_path / 'z.csv'}")
+        cfg = cfg.replace("output.report_path = zero_report.txt",
+                          f"output.report_path = {tmp_path / 'z.txt'}")
+        (tmp_path / "zero.cfg").write_text(cfg)
+        assert main(["run", str(tmp_path / "zero.cfg")]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        report = json.loads((tmp_path / "z.txt.json").read_text(), parse_constant=reject)
+        assert report["observed"]["fitted_rate"] is None
+        assert report["observed"]["max_u"] == 0.0
+        assert "  fitted_rate = nan\n" in (tmp_path / "z.txt").read_text()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst",
@@ -225,6 +242,7 @@ class TestSweep:
             assert cells[-1] == capsys.readouterr().out.strip().removeprefix("verdict: ")
             report = json.loads((solo_dir / f"report_{run_id:03d}.txt.json").read_text())
             assert cells[-2] == repr(report["constants"]["mu"])
+            assert cells[-3] == repr(report["observed"]["fitted_rate"])
             for name in (f"run_{run_id:03d}.csv", f"report_{run_id:03d}.txt",
                          f"report_{run_id:03d}.txt.json"):
                 assert (sweep_dir / name).read_bytes() == (solo_dir / name).read_bytes(), name

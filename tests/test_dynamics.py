@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipestab import lyapunov
+from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, Member, SolverConfig,
-                               bump_profile, compatibility_residual, f_bound_constant,
-                               f_tilde, lower_order_F, profile_terms, simulate,
+                               bump_profile, compatibility_residual, f_tilde, lower_order_F, profile_terms, simulate,
                                simulate_batch, step, wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
