@@ -20,6 +20,9 @@ time step, parameters, boundary data) is a (B, 1) column; a single
 member is held as 1-D arrays and Python floats, so a single run does
 the arithmetic of an unbatched solver.  Each member keeps its own time
 step and snapshot cadence, and leaves the batch when it ends or fails.
+
+`step` writes every array it computes into a StepWork built once per
+batch, so that a step allocates no array of the grid's size.
 """
 
 from __future__ import annotations
@@ -29,10 +32,17 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+# the ufuncs of the per-step path, bound here once rather than looked up per call
+from numpy import absolute, add, divide, multiply, square, subtract
 
 from .disturbance import DisturbanceSpec, sample_b
 from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile
+
+
+# Constant factors of the per-step path.  NumPy takes a 0-d array operand
+# faster than a Python float, and computes the same values from it.
+_HALF, _TWO, _MINUS_TWO = np.array(0.5), np.array(2.0), np.array(-2.0)
 
 
 class SolverError(RuntimeError):
@@ -57,7 +67,7 @@ class CFLError(SolverError):
 
 def _row_max(x):
     """Max over the last axis: a float for one member, a (B, 1) column for a batch."""
-    return float(x.max()) if x.ndim == 1 else x.max(axis=-1, keepdims=True)
+    return float(np.maximum.reduce(x)) if x.ndim == 1 else np.maximum.reduce(x, -1, keepdims=True)
 
 
 def _members(x) -> list:
@@ -70,26 +80,11 @@ def _column(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _fail(error, bad, message):
-    """Raise `error` if `bad` flags a member (a bool, or a column for a
-    batch); message(row) names the values of the member at `row`."""
+def _flagged(bad) -> list:
+    """The batch rows `bad` flags: a bool for one member, a (B, 1) column for a batch."""
     if isinstance(bad, np.ndarray):
-        rows = np.flatnonzero(bad).tolist()
-    else:
-        rows = [0] if bad else []
-    if rows:
-        failed = {row: message(row) for row in rows}
-        raise error(failed[rows[0]], failed)
-
-
-# Index expressions by state dimension, so that one `step` serves a single
-# member (1-D arrays, scalar boundary values) and a batch ((B, 1) columns
-# at the boundary): the slices [:-1], [1:] and [1:-1] along the last axis,
-# then the boundary nodes 0, 1, 2, -3, -2, -1.
-_SLICES = {1: (np.s_[:-1], np.s_[1:], np.s_[1:-1]),
-           2: (np.s_[:, :-1], np.s_[:, 1:], np.s_[:, 1:-1])}
-_EDGES = {1: (0, 1, 2, -3, -2, -1),
-          2: tuple(np.s_[:, j:j + 1 or None] for j in (0, 1, 2, -3, -2, -1))}
+        return np.flatnonzero(bad).tolist()
+    return [0] if bad else []
 
 
 @dataclass
@@ -101,19 +96,21 @@ class FieldState:
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)   # u_t
     w: np.ndarray = field(repr=False)   # u_x
-    # max |u|, read by the blow-up guard and by the per-step record
-    max_abs_u: float = field(init=False, repr=False, compare=False)
+    # max |u|, read by the blow-up guard and by the per-step record; computed when not given
+    max_abs_u: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.max_abs_u = _row_max(np.abs(self.u))
+        if self.max_abs_u is None:
+            self.max_abs_u = _row_max(np.abs(self.u))
 
 
 def _row(state: FieldState, row: int) -> FieldState:
-    """One member of a state, its arrays copied out of the batch."""
+    """One member of a state, its arrays copied out of the batch or the work set."""
     if state.u.ndim == 1:
-        return state
-    return FieldState(float(state.t[row, 0]), state.xs, state.u[row].copy(),
-                      state.v[row].copy(), state.w[row].copy())
+        t, u, v, w = state.t, state.u, state.v, state.w
+    else:
+        t, u, v, w = float(state.t[row, 0]), state.u[row], state.v[row], state.w[row]
+    return FieldState(t, state.xs, u.copy(), v.copy(), w.copy())
 
 
 def _select(state: FieldState, rows: list) -> FieldState:
@@ -159,13 +156,36 @@ class Trajectory:
     snap_index: np.ndarray
 
 
-def f_tilde(u_val, ux_val, ut_val, theta):
-    """Lower-order term of the wave equation for the full velocity."""
-    abs_u = np.abs(u_val)
-    return (-2.0 * ut_val * ux_val
-            - 2.0 * u_val * ux_val ** 2
-            - 1.5 * theta * u_val * abs_u * ux_val
-            - theta * abs_u * ut_val)
+def _work(count, *operands):
+    """`count` fresh arrays of the broadcast shape of `operands`."""
+    shape = np.broadcast_shapes(*map(np.shape, operands))
+    return tuple(np.empty(shape) for _ in range(count))
+
+
+def f_tilde(u_val, ux_val, ut_val, theta, *, out=None):
+    """Lower-order term of the wave equation for the full velocity,
+
+    F~ = -2 u_t u_x - 2 u u_x^2 - 1.5 theta u |u| u_x - theta |u| u_t.
+
+    `out` is (result, work, work, work): arrays of the result's shape that
+    receive F~ and its temporaries; fresh ones when not given.
+    """
+    f, abs_u, t, sq = out or _work(4, u_val, ux_val, ut_val, theta)
+    absolute(u_val, abs_u)
+    multiply(_MINUS_TWO, ut_val, f)
+    multiply(f, ux_val, f)
+    multiply(_TWO, u_val, t)
+    square(ux_val, sq)
+    multiply(t, sq, t)
+    subtract(f, t, f)
+    multiply(1.5 * theta, u_val, t)
+    multiply(t, abs_u, t)
+    multiply(t, ux_val, t)
+    subtract(f, t, f)
+    multiply(theta, abs_u, t)
+    multiply(t, ut_val, t)
+    subtract(f, t, f)
+    return f
 
 
 def stationary_forcing(ubar, ubar_x, a, theta):
@@ -176,7 +196,7 @@ def stationary_forcing(ubar, ubar_x, a, theta):
     return d_bar, f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, *, out=None):
     """Lower-order term of the perturbation equation, definitional form.
 
     F = F~(u+ubar, u_x+ubar_x, u_t)
@@ -184,7 +204,8 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
 
     `forcing` is stationary_forcing(ubar, ubar_x, a, theta) and `shared`
     is (ubar + u, a ** 2 - (ubar + u) ** 2), which `step` needs too; each
-    is computed here when not given.
+    is computed here when not given.  `out` is (result, work, work, work,
+    work), arrays of the result's shape; fresh ones when not given.
     """
     if forcing is None:
         forcing = stationary_forcing(ubar, ubar_x, a, theta)
@@ -193,7 +214,13 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
         shared = m, a ** 2 - m ** 2
     d_bar, f_bar = forcing
     m, d = shared
-    return f_tilde(m, ux + ubar_x, ut, theta) - (d / d_bar) * f_bar
+    f, x, *work = out or _work(5, u, ux, ut, ubar, ubar_x, theta)
+    add(ux, ubar_x, x)
+    f_tilde(m, x, ut, theta, out=(f, *work))
+    divide(d, d_bar, x)
+    multiply(x, f_bar, x)
+    subtract(f, x, f)
+    return f
 
 
 @dataclass(frozen=True)
@@ -201,7 +228,7 @@ class ProfileTerms:
     """The time-independent values `step` reads, built once per run.
 
     stack_terms gives every array a leading member axis and turns every
-    per-member float into a (B, 1) column.
+    per-member float or 0-d array into a (B, 1) column.
     """
 
     ubar: np.ndarray        # ubar at the nodes
@@ -214,9 +241,9 @@ class ProfileTerms:
     ubar_0: float           # ubar at x = 0 and at x = L
     ubar_L: float
     a: float
-    a2: float               # a ** 2, as lower_order_F writes it
-    k: float
-    theta: float
+    a2: np.ndarray          # a ** 2, as lower_order_F writes it, and theta: 0-d
+    k: float                # arrays, for the per-step ufuncs
+    theta: np.ndarray
 
 
 def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
@@ -228,7 +255,7 @@ def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerm
     return ProfileTerms(
         ubar, ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, a, theta),
         ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, a, theta),
-        ubar[0], ubar[-1], a, a ** 2, params.k, theta)
+        float(ubar[0]), float(ubar[-1]), a, np.array(a ** 2), params.k, np.array(theta))
 
 
 def stack_terms(terms: list) -> ProfileTerms:
@@ -239,7 +266,7 @@ def stack_terms(terms: list) -> ProfileTerms:
     def stack(values):
         if isinstance(values[0], tuple):
             return tuple(stack(parts) for parts in zip(*values))
-        if isinstance(values[0], np.ndarray):
+        if isinstance(values[0], np.ndarray) and values[0].ndim:
             return np.stack(values)
         return _column(values)
 
@@ -247,89 +274,176 @@ def stack_terms(terms: list) -> ProfileTerms:
                           for f in fields(ProfileTerms)))
 
 
-def wave_speed(terms: ProfileTerms, state: FieldState):
-    """Fastest characteristic speed max|ubar + u| + a of a state, per member."""
-    return _row_max(np.abs(terms.ubar + state.u) + terms.a)
+def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
+    """Fastest characteristic speed max|ubar + u| + a of a state, per member.
+
+    Equal to max(|ubar + u| + a) bit for bit, since x -> fl(x + a) is
+    monotone.  `out` is a work array of the state's shape.
+    """
+    m = add(terms.ubar, state.u, out)
+    return _row_max(absolute(m, m)) + terms.a
 
 
-def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> FieldState:
+class _Fields:
+    """(u, v, w) as one (3, ..., n) array, and the views of it `step` reads."""
+
+    def __init__(self, uvw):
+        self.u, self.v, self.w = uvw
+        self.lo, self.hi = uvw[..., :-1], uvw[..., 1:]
+        self.vw_lo, self.vw_hi = uvw[1:, ..., :-1], uvw[1:, ..., 1:]
+        self.v_mid, self.w_mid = uvw[1:, ..., 1:-1]
+
+
+class _Half:
+    """The temporaries of one half of a step: the rows of one buffer, laid
+    out so that ops on two adjacent rows run as one call."""
+
+    ROWS = 14
+
+    def __init__(self, buf):
+        self.avg = buf[0:3]                 # (u, v, w) averaged over each cell
+        self.um, self.vm, self.wm = self.avg
+        self.m = buf[3]                     # ubar + u
+        self.md = buf[4:6]                  # (2 m, a^2 - m^2)
+        self.two_m, self.d = self.md
+        self.xdv = buf[6:8]                 # (2 m dv - d dw, dv)
+        self.dvw = buf[7:9]                 # (v, w) differenced across each cell
+        self.x, self.dv = self.xdv
+        self.lof = tuple(buf[9:14])         # lower_order_F's result and work
+        self.prod = buf[10:12]              # (2 m dv, d dw), once lower_order_F is done
+        self.p, self.q = self.prod
+
+
+class StepWork:
+    """The arrays `step` works in, built once for one state shape.
+
+    `sides` are two ping-pong buffers for a state's (u, v, w): `step` reads
+    the side that holds its input (copying a state held by neither into the
+    first) and writes the other, so a state it returns is overwritten by
+    the step after next.  The predictor's temporaries are n - 1 wide; the
+    corrector's are n - 2 wide views of the leading elements of the same
+    buffer.  `full` is work of the state's shape for wave_speed and the
+    per-step record.
+    """
+
+    def __init__(self, state: FieldState):
+        shape = state.u.shape
+        lead, n = shape[:-1], shape[-1]
+        self.dx = float(state.xs[1] - state.xs[0])
+        self.sides = (_Fields(np.empty((3, *shape))), _Fields(np.empty((3, *shape))))
+        self.half = _Fields(np.empty((3, *lead, n - 1)))   # (u, v, w) at t + dt/2
+        rows, cells = _Half.ROWS, math.prod(lead)
+        buf = np.empty(rows * cells * (n - 1))
+        self.predictor = _Half(buf.reshape(rows, *lead, n - 1))
+        self.corrector = _Half(buf[:rows * cells * (n - 2)].reshape(rows, *lead, n - 2))
+        # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, as
+        # 0-d arrays (one member) or (B, 1) columns
+        column = (*lead, 1) if lead else ()         # the shape of a per-member value
+        self.divisors = np.array([2.0 * self.dx, 2.0, self.dx, 1.0]).reshape(4, *(1,) * len(column))
+        self.coef = np.empty((4, *column))
+        self.coefs = tuple(self.coef[i, ...] for i in range(4))
+        self.full = tuple(np.empty(shape) for _ in range(4))
+        # the boundary nodes 0, 1, 2, -3, -2, -1 and how to read them: as
+        # Python floats for one member, as (B, 1) column views for a batch
+        nodes = (0, 1, 2, -3, -2, -1)
+        if len(shape) == 1:
+            self.edges, self.read = nodes, np.ndarray.item
+        else:
+            self.edges = tuple(np.s_[:, j:j + 1 or None] for j in nodes)
+            self.read = np.ndarray.__getitem__
+
+
+def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileTerms,
+               c, e, base, out):
+    """One half of a Lax-Wendroff step from the cell averages of `fields`:
+
+    out_v = base_v - c (2 m dv - d dw) + e F,   out_w = base_w + c dv.
+    """
+    add(fields.lo, fields.hi, h.avg)
+    multiply(_HALF, h.avg, h.avg)
+    add(ubar, h.um, h.m)
+    square(h.m, h.d)
+    subtract(terms.a2, h.d, h.d)
+    F = lower_order_F(h.um, h.wm, h.vm, ubar, ubar_x, terms.a, terms.theta, forcing, (h.m, h.d),
+                      out=h.lof)
+    subtract(fields.vw_hi, fields.vw_lo, h.dvw)
+    multiply(_TWO, h.m, h.two_m)
+    multiply(h.md, h.dvw, h.prod)
+    subtract(h.p, h.q, h.x)
+    multiply(c, h.xdv, h.xdv)
+    subtract(base[0], h.x, out[0])
+    multiply(e, F, h.q)
+    add(out[0], h.q, out[0])
+    add(base[1], h.dv, out[1])
+
+
+def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
+         work: StepWork) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
 
     `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
-    new time t + dt, `guard` the bound on max|u| and `speed` is
-    wave_speed(terms, state).  For a batch, `terms` comes from stack_terms,
-    and dt, b_now, guard and speed are (B, 1) columns.  A CFL violation
-    raises CFLError before the step, a member outside the guard
-    BlowUpError after it; `failed` names every such member.
+    new time t + dt, `guard` the bound on max|u|, `speed` is
+    wave_speed(terms, state) and `work` is StepWork for the state's shape;
+    the new state lives in `work`.  For a batch, `terms` comes from
+    stack_terms, and dt, b_now, guard and speed are (B, 1) columns.  A CFL
+    violation raises CFLError before the step, a member outside the guard
+    BlowUpError after it; `failed` names every such member, and the input
+    state is left as it was.
     """
-    a, a2, k, theta = terms.a, terms.a2, terms.k, terms.theta
-    xs = state.xs
-    dx = xs[1] - xs[0]
-    u, v, w = state.u, state.v, state.w
-
-    lo, hi, mid = _SLICES[u.ndim]
-
+    a, k = terms.a, terms.k
+    dx = work.dx
     cfl = dt * speed / dx
-    _fail(CFLError, cfl > 1.0 + 1e-12, lambda i: (
-        f"CFL violation at t={_members(state.t)[i]:.6g}: dt*speed/dx = {_members(cfl)[i]:.4f}"))
+    rows = _flagged(cfl > 1.0 + 1e-12)
+    if rows:
+        t, cfl = _members(state.t), _members(cfl)
+        failed = {i: f"CFL violation at t={t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}" for i in rows}
+        raise CFLError(failed[rows[0]], failed)
+
+    src, dst = work.sides
+    if state.u is dst.u:
+        src, dst = dst, src
+    elif state.u is not src.u:
+        src.u[...], src.v[...], src.w[...] = state.u, state.v, state.w
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
-    um = 0.5 * (u[lo] + u[hi])
-    vm = 0.5 * (v[lo] + v[hi])
-    wm = 0.5 * (w[lo] + w[hi])
-    mm = terms.ubar_m + um
-    dm = a2 - mm ** 2
-    Fm = lower_order_F(um, wm, vm, terms.ubar_m, terms.ubarx_m, a, theta,
-                       terms.forcing_m, (mm, dm))
-    dv = v[hi] - v[lo]
-    dw = w[hi] - w[lo]
-    r = dt / (2.0 * dx)
-    v_h = vm - r * (2.0 * mm * dv - dm * dw) + 0.5 * dt * Fm
-    w_h = wm + r * dv
-    u_h = um + 0.5 * dt * v_h
+    divide(dt, work.divisors, work.coef)
+    r, half_dt, dt_dx, dt_arr = work.coefs
+    pred, half = work.predictor, work.half
+    _half_step(pred, src, terms.ubar_m, terms.ubarx_m, terms.forcing_m, terms,
+               r, half_dt, (pred.vm, pred.wm), (half.v, half.w))
+    multiply(half_dt, half.v, half.u)
+    add(pred.um, half.u, half.u)
 
     # corrector at interior nodes, coefficients at the half-time level
-    u_star = 0.5 * (u_h[lo] + u_h[hi])
-    v_star = 0.5 * (v_h[lo] + v_h[hi])
-    w_star = 0.5 * (w_h[lo] + w_h[hi])
-    m_star = terms.ubar_i + u_star
-    d_star = a2 - m_star ** 2
-    F_star = lower_order_F(u_star, w_star, v_star, terms.ubar_i, terms.ubarx_i, a, theta,
-                           terms.forcing_i, (m_star, d_star))
-    dv_h = v_h[hi] - v_h[lo]
-    dw_h = w_h[hi] - w_h[lo]
-    v_new = np.empty_like(v)
-    w_new = np.empty_like(w)
-    v_new[mid] = v[mid] - (dt / dx) * (2.0 * m_star * dv_h - d_star * dw_h) + dt * F_star
-    w_new[mid] = w[mid] + (dt / dx) * dv_h
+    _half_step(work.corrector, half, terms.ubar_i, terms.ubarx_i, terms.forcing_i, terms,
+               dt_dx, dt_arr, (src.v_mid, src.w_mid), (dst.v_mid, dst.w_mid))
 
     # left boundary: feedback w = k v plus extrapolated outgoing characteristic
-    n0, n1, n2, nL2, nL1, nL = _EDGES[u.ndim]
-    mb = terms.ubar_0 + u[n0]
-    c_out = a + mb            # - d / lambda_-, frozen at the boundary speed
-    r1 = v_new[n1] + c_out * w_new[n1]
-    r2 = v_new[n2] + c_out * w_new[n2]
-    r0 = 2.0 * r1 - r2
-    v_new[n0] = r0 / (1.0 + k * c_out)
-    w_new[n0] = k * v_new[n0]
+    read, (n0, n1, n2, nL2, nL1, nL) = work.read, work.edges
+    v, w = dst.v, dst.w
+    c_out = a + (terms.ubar_0 + read(src.u, n0))   # - d / lambda_-, frozen at the boundary speed
+    r0 = 2.0 * (read(v, n1) + c_out * read(w, n1)) - (read(v, n2) + c_out * read(w, n2))
+    v[n0] = r0 / (1.0 + k * c_out)
+    w[n0] = k * read(v, n0)
 
     # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
-    b_val, bt_val = b_now
-    mb = terms.ubar_L + u[nL]
-    c_out = a - mb            # d / lambda_+, frozen at the boundary speed
-    r1 = v_new[nL1] - c_out * w_new[nL1]
-    r2 = v_new[nL2] - c_out * w_new[nL2]
-    rL = 2.0 * r1 - r2
-    v_new[nL] = bt_val
-    w_new[nL] = (v_new[nL] - rL) / c_out
+    c_out = a - (terms.ubar_L + read(src.u, nL))   # d / lambda_+, frozen at the boundary speed
+    rL = 2.0 * (read(v, nL1) - c_out * read(w, nL1)) - (read(v, nL2) - c_out * read(w, nL2))
+    v[nL] = b_now[1]
+    w[nL] = (read(v, nL) - rL) / c_out
 
-    u_new = u + 0.5 * dt * (v + v_new)
-
-    new = FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
+    add(src.v, dst.v, dst.u)
+    multiply(half_dt, dst.u, dst.u)
+    add(src.u, dst.u, dst.u)
+    new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w,
+                     _row_max(absolute(dst.u, work.full[0])))
     # written so that NaN fails too
-    _fail(BlowUpError, np.logical_not(new.max_abs_u <= guard), lambda i: (
-        f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
-        f"at t={_members(new.t)[i]:.6g}; the run left the regime of validity"))
+    rows = _flagged(np.logical_not(new.max_abs_u <= guard))
+    if rows:
+        top, t, guard = _members(new.max_abs_u), _members(new.t), _members(guard)
+        failed = {i: (f"max|u| = {top[i]:.4g} left the guard {guard[i]:.4g} at t={t[i]:.6g}; "
+                      "the run left the regime of validity") for i in rows}
+        raise BlowUpError(failed[rows[0]], failed)
     return new
 
 
@@ -398,17 +512,12 @@ class _Run:
         self.k, self.a = params.k, params.a
         self.terms = profile_terms(profile, params)
         self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
-        self.cfl_dx = config.cfl * (xs[1] - xs[0])
+        self.cfl_dx = config.cfl * float(xs[1] - xs[0])
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
         self.t = 0.0
         self.t_snap = 0.0                   # the next snapshot time
         self.n_snap = 0                     # snapshots taken
         self.states, self.snap_index, self.E_classic, self.grad = [], [], [], []
-
-    def plan(self, speed) -> float:
-        """This member's next time step: CFL-limited, clipped onto the snapshot cadence."""
-        self.t_snap = min(self.n_snap * self.snapshot_dt, self.t_end)
-        return min(self.cfl_dx / speed, self.t_snap - self.t)
 
     def snapshot(self, state: FieldState, index: int, quad: Quadrature):
         self.states.append(state)
@@ -416,6 +525,7 @@ class _Run:
         self.E_classic.append(energy_classic(state, self.k, self.a, quad))
         self.grad.append(grad_norm(state, quad))
         self.n_snap += 1
+        self.t_snap = min(self.n_snap * self.snapshot_dt, self.t_end)
 
     def trajectory(self, records, steps: int) -> Trajectory:
         rec = dict(zip(RECORDS, records[:, self.slot, :steps + 1]))
@@ -427,9 +537,11 @@ class _Run:
                           snap_index=np.asarray(self.snap_index))
 
 
-def _record(records, slots, index, state, terms, quad, b_now):
-    values = (state.t, energy_E1(state, terms, terms.k, terms.a, quad), h1_integrand(state, quad),
-              state.max_abs_u, _row_max(np.abs(state.w)), _row_max(np.abs(state.v)), *b_now)
+def _record(records, slots, index, state, terms, quad, b_now, work: StepWork):
+    out = work.full
+    values = (state.t, energy_E1(state, terms, terms.k, terms.a, quad, out=out),
+              h1_integrand(state, quad, out=out[:2]), state.max_abs_u,
+              _row_max(absolute(state.w, out[0])), _row_max(absolute(state.v, out[0])), *b_now)
     if isinstance(slots, int):
         records[:, slots, index] = values
     else:
@@ -461,25 +573,25 @@ def simulate_batch(members: list) -> list:
     if not active:
         return results
 
-    def pack(active):
-        """The batch columns of the active members, and their record slots."""
+    def pack(active, state):
+        """The batch columns of the active members, their record slots and work set."""
         slots = active[0].slot if len(active) == 1 else np.array([run.slot for run in active])
         guard = _column([run.guard for run in active])
-        return stack_terms([run.terms for run in active]), guard, slots
+        return stack_terms([run.terms for run in active]), guard, slots, StepWork(state)
 
     rows = list(range(len(active)))
     state = _select(FieldState(np.zeros((len(active), 1)), xs,
                                *(np.stack([run.initial[f] for run in active]) for f in range(3))),
                     rows)
-    terms, guard, slots = pack(active)
-    speed = wave_speed(terms, state)
+    terms, guard, slots, work = pack(active, state)
+    speed = wave_speed(terms, state, out=work.full[0])
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
                        for run, s in zip(active, _members(speed)))
     records = np.empty((len(RECORDS), len(members), capacity))
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
     _record(records, slots, 0, state, terms, quad, (_column([b for b, _ in b0]),
-                                                     _column([bt for _, bt in b0])))
+                                                     _column([bt for _, bt in b0])), work)
     for row, run in enumerate(active):
         run.snapshot(_row(state, row), 0, quad)
 
@@ -496,20 +608,20 @@ def simulate_batch(members: list) -> list:
             if not active:
                 return results
             state = _select(state, rows)
-            terms, guard, slots = pack(active)
+            terms, guard, slots, work = pack(active, state)
             ended = {}
 
-        speed = wave_speed(terms, state)
+        speed = wave_speed(terms, state, out=work.full[0])
         dts, bs, bts = [], [], []
         for run, s in zip(active, _members(speed)):
-            dt = run.plan(s)
+            dt = min(run.cfl_dx / s, run.t_snap - run.t)
             b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
             dts.append(dt)
             bs.append(b_val)
             bts.append(bt_val)
         b_now = (_column(bs), _column(bts))
         try:
-            state = step(state, terms, b_now, _column(dts), guard, speed)
+            state = step(state, terms, b_now, _column(dts), guard, speed, work)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
@@ -517,7 +629,7 @@ def simulate_batch(members: list) -> list:
         steps += 1
         if steps == records.shape[2]:
             records = np.concatenate([records, np.empty_like(records)], axis=2)
-        _record(records, slots, steps, state, terms, quad, b_now)
+        _record(records, slots, steps, state, terms, quad, b_now, work)
         for row, (run, t) in enumerate(zip(active, _members(state.t))):
             run.t = t
             if t >= run.t_snap - 1e-12:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import add, multiply, square, subtract
 
 
 class Quadrature:
@@ -38,7 +39,7 @@ def _trapz(y, weights):
     return np.array([np.dot(row, weights) for row in y])[:, None]
 
 
-def energy_E1(state, profile, k: float, a: float, quad=None) -> float:
+def energy_E1(state, profile, k: float, a: float, quad=None, *, out=None) -> float:
     """Weighted wave energy with the exponential cross term.
 
     E1 = int k[(a^2 - (ubar+u)^2) u_x^2 + u_t^2]
@@ -46,14 +47,26 @@ def energy_E1(state, profile, k: float, a: float, quad=None) -> float:
 
     `quad` is Quadrature(state.xs), built here when not given; likewise below.
     Also takes a batch state, with k and a as (B, 1) columns; a is squared
-    as a * a, which a float and a column round alike.
+    as a * a, which a float and a column round alike.  `out` is four work
+    arrays of the state's shape; fresh ones when not given, likewise below.
     """
     quad = quad or Quadrature(state.xs)
-    m = profile.ubar + state.u
-    w2 = state.w ** 2
-    integrand = (k * ((a * a - m ** 2) * w2 + state.v ** 2)
-                 - 2.0 * quad.decay * (m * w2 + state.v * state.w))
-    return _trapz(integrand, quad.weights)
+    f, m, w2, t = out or tuple(np.empty(state.u.shape) for _ in range(4))
+    add(profile.ubar, state.u, m)
+    square(state.w, w2)
+    square(m, f)
+    subtract(a * a, f, f)
+    multiply(f, w2, f)
+    square(state.v, t)
+    add(f, t, f)
+    multiply(k, f, f)
+    multiply(m, w2, m)
+    multiply(state.v, state.w, t)
+    add(m, t, m)
+    multiply(2.0, quad.decay, t)
+    multiply(t, m, m)
+    subtract(f, m, f)
+    return _trapz(f, quad.weights)
 
 
 def energy_classic(state, k: float, a: float, quad=None) -> float:
@@ -68,10 +81,19 @@ def grad_norm(state, quad=None) -> float:
     return _trapz(state.v ** 2 + state.w ** 2, quad.weights)
 
 
-def h1_integrand(state, quad=None) -> float:
-    """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm)."""
+def h1_integrand(state, quad=None, *, out=None) -> float:
+    """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm).
+
+    `out` is two work arrays of the state's shape.
+    """
     quad = quad or Quadrature(state.xs)
-    return _trapz(state.u ** 2 + state.v ** 2 + state.w ** 2, quad.weights)
+    f, t = out or (np.empty(state.u.shape), np.empty(state.u.shape))
+    square(state.u, f)
+    square(state.v, t)
+    add(f, t, f)
+    square(state.w, t)
+    add(f, t, f)
+    return _trapz(f, quad.weights)
 
 
 def windowed_series(series, times, T_period):

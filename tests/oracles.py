@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from pipestab.dynamics import BlowUpError, CFLError, FieldState, ProfileTerms, stationary_forcing
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
 
@@ -50,3 +51,155 @@ def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
             u = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         worst = max(worst, abs(u - profile.ubar[i + 1]) / abs(profile.ubar[i + 1]))
     return worst
+
+
+# The allocating Lax-Wendroff step that the work-set step replaced, with
+# the helpers and formulas it called, kept verbatim: the lean step must
+# give its u, v and w bit for bit.
+
+
+def _row_max(x):
+    """Max over the last axis: a float for one member, a (B, 1) column for a batch."""
+    return float(x.max()) if x.ndim == 1 else x.max(axis=-1, keepdims=True)
+
+
+def _members(x) -> list:
+    """Per-member values of a float (one member) or a (B, 1) column."""
+    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _fail(error, bad, message):
+    """Raise `error` if `bad` flags a member (a bool, or a column for a
+    batch); message(row) names the values of the member at `row`."""
+    if isinstance(bad, np.ndarray):
+        rows = np.flatnonzero(bad).tolist()
+    else:
+        rows = [0] if bad else []
+    if rows:
+        failed = {row: message(row) for row in rows}
+        raise error(failed[rows[0]], failed)
+
+
+# Index expressions by state dimension, so that one `step` serves a single
+# member (1-D arrays, scalar boundary values) and a batch ((B, 1) columns
+# at the boundary): the slices [:-1], [1:] and [1:-1] along the last axis,
+# then the boundary nodes 0, 1, 2, -3, -2, -1.
+_SLICES = {1: (np.s_[:-1], np.s_[1:], np.s_[1:-1]),
+           2: (np.s_[:, :-1], np.s_[:, 1:], np.s_[:, 1:-1])}
+_EDGES = {1: (0, 1, 2, -3, -2, -1),
+          2: tuple(np.s_[:, j:j + 1 or None] for j in (0, 1, 2, -3, -2, -1))}
+
+
+def f_tilde(u_val, ux_val, ut_val, theta):
+    """Lower-order term of the wave equation for the full velocity."""
+    abs_u = np.abs(u_val)
+    return (-2.0 * ut_val * ux_val
+            - 2.0 * u_val * ux_val ** 2
+            - 1.5 * theta * u_val * abs_u * ux_val
+            - theta * abs_u * ut_val)
+
+
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
+    """Lower-order term of the perturbation equation, definitional form.
+
+    F = F~(u+ubar, u_x+ubar_x, u_t)
+        - [(a^2 - (ubar+u)^2)/(a^2 - ubar^2)] * F~(ubar, ubar_x, 0).
+
+    `forcing` is stationary_forcing(ubar, ubar_x, a, theta) and `shared`
+    is (ubar + u, a ** 2 - (ubar + u) ** 2), which `step` needs too; each
+    is computed here when not given.
+    """
+    if forcing is None:
+        forcing = stationary_forcing(ubar, ubar_x, a, theta)
+    if shared is None:
+        m = ubar + u
+        shared = m, a ** 2 - m ** 2
+    d_bar, f_bar = forcing
+    m, d = shared
+    return f_tilde(m, ux + ubar_x, ut, theta) - (d / d_bar) * f_bar
+
+
+def wave_speed(terms: ProfileTerms, state: FieldState):
+    """Fastest characteristic speed max|ubar + u| + a of a state, per member."""
+    return _row_max(np.abs(terms.ubar + state.u) + terms.a)
+
+
+def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> FieldState:
+    """Advance the state by one Lax-Wendroff step of size dt.
+
+    `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
+    new time t + dt, `guard` the bound on max|u| and `speed` is
+    wave_speed(terms, state).  For a batch, `terms` comes from stack_terms,
+    and dt, b_now, guard and speed are (B, 1) columns.  A CFL violation
+    raises CFLError before the step, a member outside the guard
+    BlowUpError after it; `failed` names every such member.
+    """
+    a, a2, k, theta = terms.a, terms.a2, terms.k, terms.theta
+    xs = state.xs
+    dx = xs[1] - xs[0]
+    u, v, w = state.u, state.v, state.w
+
+    lo, hi, mid = _SLICES[u.ndim]
+
+    cfl = dt * speed / dx
+    _fail(CFLError, cfl > 1.0 + 1e-12, lambda i: (
+        f"CFL violation at t={_members(state.t)[i]:.6g}: dt*speed/dx = {_members(cfl)[i]:.4f}"))
+
+    # predictor: provisional values at (x_{j+1/2}, t + dt/2)
+    um = 0.5 * (u[lo] + u[hi])
+    vm = 0.5 * (v[lo] + v[hi])
+    wm = 0.5 * (w[lo] + w[hi])
+    mm = terms.ubar_m + um
+    dm = a2 - mm ** 2
+    Fm = lower_order_F(um, wm, vm, terms.ubar_m, terms.ubarx_m, a, theta,
+                       terms.forcing_m, (mm, dm))
+    dv = v[hi] - v[lo]
+    dw = w[hi] - w[lo]
+    r = dt / (2.0 * dx)
+    v_h = vm - r * (2.0 * mm * dv - dm * dw) + 0.5 * dt * Fm
+    w_h = wm + r * dv
+    u_h = um + 0.5 * dt * v_h
+
+    # corrector at interior nodes, coefficients at the half-time level
+    u_star = 0.5 * (u_h[lo] + u_h[hi])
+    v_star = 0.5 * (v_h[lo] + v_h[hi])
+    w_star = 0.5 * (w_h[lo] + w_h[hi])
+    m_star = terms.ubar_i + u_star
+    d_star = a2 - m_star ** 2
+    F_star = lower_order_F(u_star, w_star, v_star, terms.ubar_i, terms.ubarx_i, a, theta,
+                           terms.forcing_i, (m_star, d_star))
+    dv_h = v_h[hi] - v_h[lo]
+    dw_h = w_h[hi] - w_h[lo]
+    v_new = np.empty_like(v)
+    w_new = np.empty_like(w)
+    v_new[mid] = v[mid] - (dt / dx) * (2.0 * m_star * dv_h - d_star * dw_h) + dt * F_star
+    w_new[mid] = w[mid] + (dt / dx) * dv_h
+
+    # left boundary: feedback w = k v plus extrapolated outgoing characteristic
+    n0, n1, n2, nL2, nL1, nL = _EDGES[u.ndim]
+    mb = terms.ubar_0 + u[n0]
+    c_out = a + mb            # - d / lambda_-, frozen at the boundary speed
+    r1 = v_new[n1] + c_out * w_new[n1]
+    r2 = v_new[n2] + c_out * w_new[n2]
+    r0 = 2.0 * r1 - r2
+    v_new[n0] = r0 / (1.0 + k * c_out)
+    w_new[n0] = k * v_new[n0]
+
+    # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
+    b_val, bt_val = b_now
+    mb = terms.ubar_L + u[nL]
+    c_out = a - mb            # d / lambda_+, frozen at the boundary speed
+    r1 = v_new[nL1] - c_out * w_new[nL1]
+    r2 = v_new[nL2] - c_out * w_new[nL2]
+    rL = 2.0 * r1 - r2
+    v_new[nL] = bt_val
+    w_new[nL] = (v_new[nL] - rL) / c_out
+
+    u_new = u + 0.5 * dt * (v + v_new)
+
+    new = FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
+    # written so that NaN fails too
+    _fail(BlowUpError, np.logical_not(new.max_abs_u <= guard), lambda i: (
+        f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
+        f"at t={_members(new.t)[i]:.6g}; the run left the regime of validity"))
+    return new

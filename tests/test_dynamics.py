@@ -1,16 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pipestab import lyapunov
 from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, Member, SolverConfig,
-                               bump_profile, compatibility_residual, f_tilde, lower_order_F, profile_terms, simulate,
-                               simulate_batch, step, wave_speed)
+                               StepWork, bump_profile, compatibility_residual, f_tilde,
+                               lower_order_F, profile_terms, simulate, simulate_batch,
+                               stack_terms, step, wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
+import oracles
 from oracles import lower_order_F_expanded, trapz_intervals
 
 
@@ -25,7 +30,7 @@ def advance(state, params, profile, dt, guard=None):
     """One step without disturbance; the guard defaults to the sound speed."""
     terms = profile_terms(profile, params)
     return step(state, terms, (0.0, 0.0), dt, params.a if guard is None else guard,
-                wave_speed(terms, state))
+                wave_speed(terms, state), StepWork(state))
 
 
 class TestLowerOrderTerms:
@@ -389,3 +394,150 @@ class TestBatch:
         single, err = simulate_batch([good, bad])
         assert isinstance(err, ValueError) and "initial data" in str(err)
         assert single.times.tobytes() == simulate(*good).times.tobytes()
+
+
+def lean_setup(nx, physics, seed, amplitude):
+    """Stacked terms and a random state of len(physics) members on one grid.
+
+    physics is a list of (a, k, theta, u0); the fields are noise of the given
+    amplitude, except that u = -1.5 ubar at two adjacent nodes, so that
+    ubar + u is negative at nodes and at a midpoint.
+    """
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    members = []
+    for a, k, theta, u0 in physics:
+        params = PipeParams(L=1.0, a=a, theta=theta, k=k)
+        members.append(profile_terms(build_stationary(params, u0, xs), params))
+    terms = stack_terms(members)
+    rng = np.random.default_rng(seed)
+    u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, *terms.ubar.shape))
+    j = nx // 3
+    u[..., j:j + 2] = -1.5 * terms.ubar[..., j:j + 2]
+    t = 0.25 if len(physics) == 1 else np.full((len(physics), 1), 0.25)
+    return terms, FieldState(t=t, xs=xs, u=u, v=v, w=w), rng
+
+
+def column(values):
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def assert_same_state(lean, reference):
+    assert np.array_equal(lean.t, reference.t)
+    for name in ("u", "v", "w"):
+        assert getattr(lean, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert np.array_equal(lean.max_abs_u, reference.max_abs_u, equal_nan=True)
+
+
+def copied(state):
+    return FieldState(np.copy(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
+
+
+PHYSICS = st.sampled_from([
+    [(2.0, 4.0, 0.1, 0.3)],
+    [(ODD_A, 6.0, 0.0, 0.25)],
+    [(2.0, 4.0, 0.1, 0.3), (ODD_A, 2.5, 0.0, 0.2), (1.5, 8.0, 0.6, 0.4)],
+])
+
+
+class TestLeanStep:
+    """The work-set step gives what the allocating step gave, bit for bit."""
+
+    @given(st.integers(16, 48), PHYSICS, st.integers(0, 2 ** 32 - 1),
+           st.floats(1e-6, 1.0), st.lists(st.floats(0.05, 0.99), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
+        terms, state, rng = lean_setup(nx, physics, seed, amplitude)
+        work = StepWork(state)
+        dx = state.xs[1] - state.xs[0]
+        lean, reference = state, copied(state)
+        for _ in range(3):   # the first step copies the state in, the others ping-pong
+            speed = wave_speed(terms, lean)
+            assert np.array_equal(speed, oracles.wave_speed(terms, reference))
+            dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
+            b_now = (column(list(rng.normal(size=len(physics)))),
+                     column(list(rng.normal(size=len(physics)))))
+            guard = column([1e3] * len(physics))
+            lean = step(lean, terms, b_now, dt, guard, speed, work)
+            reference = oracles.step(reference, terms, b_now, dt, guard, speed)
+            assert_same_state(lean, reference)
+
+    @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]))
+    @settings(max_examples=20, deadline=None)
+    def test_failed_step_leaves_its_input(self, physics, seed, failure):
+        terms, state, rng = lean_setup(24, physics, seed, 0.1)
+        work = StepWork(state)
+        dx = state.xs[1] - state.xs[0]
+        b_now = (column([0.0] * len(physics)), column([0.0] * len(physics)))
+        big = column([1e3] * len(physics))
+        speed = wave_speed(terms, state)
+        held = step(state, terms, b_now, 0.5 * dx / speed, big, speed, work)
+        before = copied(held)
+        speed = wave_speed(terms, held)
+        # the last member fails: by its time step or by its guard
+        fractions = [0.5] * len(physics)
+        guards = [1e3] * len(physics)
+        if failure == "cfl":
+            fractions[-1] = 1.5
+        else:
+            guards[-1] = 1e-3
+        dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
+        error = CFLError if failure == "cfl" else BlowUpError
+        with pytest.raises(error) as lean:
+            step(held, terms, b_now, dt, column(guards), speed, work)
+        with pytest.raises(error) as reference:
+            oracles.step(before, terms, b_now, dt, column(guards), speed)
+        assert lean.value.failed == reference.value.failed == {
+            len(physics) - 1: str(reference.value)}
+        assert_same_state(held, before)
+        # and the work set steps on from the state it kept
+        dt = column([0.5 * dx / s for s in np.ravel(speed)])
+        assert_same_state(step(held, terms, b_now, dt, big, speed, work),
+                          oracles.step(before, terms, b_now, dt, big, speed))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
+                  elements=st.floats(-1e6, 1e6)),
+           st.lists(st.floats(0.1, 1e3), min_size=4, max_size=4), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_wave_speed_is_the_max_plus_a(self, u, speeds, nan_row):
+        # max|ubar + u| + a equals max(|ubar + u| + a) exactly, per batch row,
+        # a row holding NaN included; row 0 alone stands for one member
+        rows, n = u.shape
+        ubar = np.linspace(0.1, 0.4, n)
+        if nan_row < rows:
+            u[nan_row, n // 2] = np.nan
+        cases = [(SimpleNamespace(ubar=ubar, a=speeds[0]), FieldState(0.0, ubar, u[0], u[0], u[0])),
+                 (SimpleNamespace(ubar=np.tile(ubar, (rows, 1)), a=np.array(speeds[:rows])[:, None]),
+                  FieldState(np.zeros((rows, 1)), ubar, u, u, u))]
+        for terms, state in cases:
+            lean, reference = wave_speed(terms, state), oracles.wave_speed(terms, state)
+            assert np.asarray(lean).tobytes() == np.asarray(reference).tobytes()
+
+    @given(st.integers(16, 48), st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_formulas_match_allocating_forms(self, n, scale, theta, seed):
+        rng = np.random.default_rng(seed)
+        u, ux, ut, ubar, ubar_x = scale * rng.uniform(-1.0, 1.0, (5, n))
+        assert f_tilde(u, ux, ut, theta).tobytes() == oracles.f_tilde(u, ux, ut, theta).tobytes()
+        ubar = np.abs(ubar) * 0.4   # subsonic for a = 2
+        lean = lower_order_F(u, ux, ut, ubar, ubar_x, 2.0, theta)
+        assert lean.tobytes() == oracles.lower_order_F(u, ux, ut, ubar, ubar_x, 2.0, theta).tobytes()
+
+
+class TestSnapshotsOwnTheirArrays:
+    """A snapshot holds its own copy of the fields, not a view of the work set."""
+
+    def test_no_shared_memory_and_repeatable(self):
+        runs = [lambda: [simulate(*TestBatch.MEMBERS[0])],
+                lambda: simulate_batch(TestBatch.MEMBERS[:3])]
+        for run in runs:
+            first, second = run(), run()
+            fields = [x for traj in first for s in traj.states for x in (s.u, s.v, s.w)]
+            for i, x in enumerate(fields):
+                for y in fields[i + 1:]:
+                    assert not np.shares_memory(x, y)
+            for traj1, traj2 in zip(first, second, strict=True):
+                for s1, s2 in zip(traj1.states, traj2.states, strict=True):
+                    assert s1.t == s2.t
+                    for name in ("u", "v", "w"):
+                        assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
