@@ -22,7 +22,10 @@ the arithmetic of an unbatched solver.  Each member keeps its own time
 step and snapshot cadence, and leaves the batch when it ends or fails.
 
 `step` writes every array it computes into a StepWork built once per
-batch, so that a step allocates no array of the grid's size.
+batch, so that a step allocates no array of the grid's size.  The new
+state goes into the next slot of a block of states, and the energies of
+the per-step record are reduced over the whole block at once, when it is
+full or a member leaves the batch.
 """
 
 from __future__ import annotations
@@ -162,23 +165,26 @@ def _work(count, *operands):
     return tuple(np.empty(shape) for _ in range(count))
 
 
-def f_tilde(u_val, ux_val, ut_val, theta, *, out=None):
+def f_tilde(u_val, ux_val, ut_val, theta, *, theta_1_5=None, out=None):
     """Lower-order term of the wave equation for the full velocity,
 
     F~ = -2 u_t u_x - 2 u u_x^2 - 1.5 theta u |u| u_x - theta |u| u_t.
 
-    `out` is (result, work, work, work): arrays of the result's shape that
-    receive F~ and its temporaries; fresh ones when not given.
+    `theta_1_5` is 1.5 * theta, computed here when not given.  `out` is
+    (result, work, 2 u, work): arrays of the result's shape that receive
+    F~ and its temporaries, the third keeping 2 u; fresh ones when not given.
     """
-    f, abs_u, t, sq = out or _work(4, u_val, ux_val, ut_val, theta)
+    f, abs_u, two_u, t = out or _work(4, u_val, ux_val, ut_val, theta)
+    if theta_1_5 is None:
+        theta_1_5 = 1.5 * theta
     absolute(u_val, abs_u)
     multiply(_MINUS_TWO, ut_val, f)
     multiply(f, ux_val, f)
-    multiply(_TWO, u_val, t)
-    square(ux_val, sq)
-    multiply(t, sq, t)
+    multiply(_TWO, u_val, two_u)
+    square(ux_val, t)
+    multiply(two_u, t, t)
     subtract(f, t, f)
-    multiply(1.5 * theta, u_val, t)
+    multiply(theta_1_5, u_val, t)
     multiply(t, abs_u, t)
     multiply(t, ux_val, t)
     subtract(f, t, f)
@@ -196,7 +202,8 @@ def stationary_forcing(ubar, ubar_x, a, theta):
     return d_bar, f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, *, out=None):
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, *,
+                  theta_1_5=None, out=None):
     """Lower-order term of the perturbation equation, definitional form.
 
     F = F~(u+ubar, u_x+ubar_x, u_t)
@@ -204,8 +211,9 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, 
 
     `forcing` is stationary_forcing(ubar, ubar_x, a, theta) and `shared`
     is (ubar + u, a ** 2 - (ubar + u) ** 2), which `step` needs too; each
-    is computed here when not given.  `out` is (result, work, work, work,
-    work), arrays of the result's shape; fresh ones when not given.
+    is computed here when not given, as is `theta_1_5` = 1.5 * theta.  `out`
+    is (result, work, work, 2 (ubar + u), work), arrays of the result's
+    shape; fresh ones when not given.
     """
     if forcing is None:
         forcing = stationary_forcing(ubar, ubar_x, a, theta)
@@ -216,7 +224,7 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, 
     m, d = shared
     f, x, *work = out or _work(5, u, ux, ut, ubar, ubar_x, theta)
     add(ux, ubar_x, x)
-    f_tilde(m, x, ut, theta, out=(f, *work))
+    f_tilde(m, x, ut, theta, theta_1_5=theta_1_5, out=(f, *work))
     divide(d, d_bar, x)
     multiply(x, f_bar, x)
     subtract(f, x, f)
@@ -241,9 +249,10 @@ class ProfileTerms:
     ubar_0: float           # ubar at x = 0 and at x = L
     ubar_L: float
     a: float
-    a2: np.ndarray          # a ** 2, as lower_order_F writes it, and theta: 0-d
-    k: float                # arrays, for the per-step ufuncs
+    a2: np.ndarray          # a ** 2, as lower_order_F writes it, theta and
+    k: float                # 1.5 * theta: 0-d arrays, for the per-step ufuncs
     theta: np.ndarray
+    theta_1_5: np.ndarray
 
 
 def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
@@ -255,7 +264,8 @@ def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerm
     return ProfileTerms(
         ubar, ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, a, theta),
         ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, a, theta),
-        float(ubar[0]), float(ubar[-1]), a, np.array(a ** 2), params.k, np.array(theta))
+        float(ubar[0]), float(ubar[-1]), a, np.array(a ** 2), params.k, np.array(theta),
+        np.array(1.5 * theta))
 
 
 def stack_terms(terms: list) -> ProfileTerms:
@@ -285,7 +295,8 @@ def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
 
 
 class _Fields:
-    """(u, v, w) as one (3, ..., n) array, and the views of it `step` reads."""
+    """(u, v, w) as one (3, ..., n) array, and the views of it `step` reads;
+    also the states of a block, with the step axis after the first."""
 
     def __init__(self, uvw):
         self.u, self.v, self.w = uvw
@@ -298,39 +309,56 @@ class _Half:
     """The temporaries of one half of a step: the rows of one buffer, laid
     out so that ops on two adjacent rows run as one call."""
 
-    ROWS = 14
+    ROWS = 13
 
     def __init__(self, buf):
         self.avg = buf[0:3]                 # (u, v, w) averaged over each cell
         self.um, self.vm, self.wm = self.avg
         self.m = buf[3]                     # ubar + u
-        self.md = buf[4:6]                  # (2 m, a^2 - m^2)
-        self.two_m, self.d = self.md
+        self.md = buf[4:6]                  # (2 m, a^2 - m^2); f_tilde writes 2 m
+        self.d = buf[5]
         self.xdv = buf[6:8]                 # (2 m dv - d dw, dv)
         self.dvw = buf[7:9]                 # (v, w) differenced across each cell
         self.x, self.dv = self.xdv
-        self.lof = tuple(buf[9:14])         # lower_order_F's result and work
+        self.lof = (buf[9], buf[10], buf[11], buf[4], buf[12])   # lower_order_F's result and work
         self.prod = buf[10:12]              # (2 m dv, d dw), once lower_order_F is done
         self.p, self.q = self.prod
+
+
+# The cells (members x grid nodes) of the states in one block: a block
+# holds max(1, BLOCK_CELLS // cells of a state) steps' states, so that it
+# and the flush's work take about 6 * 8 * BLOCK_CELLS bytes.
+BLOCK_CELLS = 16_384
 
 
 class StepWork:
     """The arrays `step` works in, built once for one state shape.
 
-    `sides` are two ping-pong buffers for a state's (u, v, w): `step` reads
-    the side that holds its input (copying a state held by neither into the
-    first) and writes the other, so a state it returns is overwritten by
-    the step after next.  The predictor's temporaries are n - 1 wide; the
-    corrector's are n - 2 wide views of the leading elements of the same
-    buffer.  `full` is work of the state's shape for wave_speed and the
-    per-step record.
+    `block` holds the (u, v, w) of rows + 1 states, one per slot.  `step`
+    reads the newest state and writes the next slot, in passes that run
+    from slot 0 to slot `rows` and back: a pass ends at slot `end`, and the
+    step after it turns back, so the `rows` states of one pass are the
+    block that one flush records, and no state is ever copied.  A state
+    the block does not hold is first copied into slot 0, where a pass
+    ends.  So a state `step` returns stays until a pass comes back to its
+    slot, one step later at the earliest.  `pending` holds, for each state
+    of the pass not yet recorded, the (t, max|u|, b, b_t) written with it,
+    and `spare` is the work of the flush.  The predictor's temporaries are
+    n - 1 wide; the corrector's are n - 2 wide views of the leading
+    elements of the same buffer.  `full` is work of the state's shape for
+    wave_speed and the guard.
     """
 
     def __init__(self, state: FieldState):
         shape = state.u.shape
         lead, n = shape[:-1], shape[-1]
         self.dx = float(state.xs[1] - state.xs[0])
-        self.sides = (_Fields(np.empty((3, *shape))), _Fields(np.empty((3, *shape))))
+        self.rows = max(1, BLOCK_CELLS // state.u.size)
+        self.block = np.empty((3, self.rows + 1, *shape))
+        self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
+        self.newest = self.end = 0          # the slot of the newest state, of the pass's end
+        self.pending = []
+        self.spare = np.empty((3, self.rows, *shape))
         self.half = _Fields(np.empty((3, *lead, n - 1)))   # (u, v, w) at t + dt/2
         rows, cells = _Half.ROWS, math.prod(lead)
         buf = np.empty(rows * cells * (n - 1))
@@ -342,7 +370,7 @@ class StepWork:
         self.divisors = np.array([2.0 * self.dx, 2.0, self.dx, 1.0]).reshape(4, *(1,) * len(column))
         self.coef = np.empty((4, *column))
         self.coefs = tuple(self.coef[i, ...] for i in range(4))
-        self.full = tuple(np.empty(shape) for _ in range(4))
+        self.full = np.empty(shape)
         # the boundary nodes 0, 1, 2, -3, -2, -1 and how to read them: as
         # Python floats for one member, as (B, 1) column views for a batch
         nodes = (0, 1, 2, -3, -2, -1)
@@ -351,6 +379,21 @@ class StepWork:
         else:
             self.edges = tuple(np.s_[:, j:j + 1 or None] for j in nodes)
             self.read = np.ndarray.__getitem__
+
+    def take(self, state: FieldState) -> _Fields:
+        """Copy `state` into slot 0 as the newest state, at the end of a pass."""
+        slot = self.slots[0]
+        slot.u[...], slot.v[...], slot.w[...] = state.u, state.v, state.w
+        self.newest = self.end = 0
+        self.pending.clear()
+        return slot
+
+    def hold(self, state: FieldState, b_now) -> FieldState:
+        """Take `state` as the one pending state, with its boundary data
+        b_now = (b, b_t); returns it as held in the block."""
+        slot = self.take(state)
+        self.pending.append((state.t, state.max_abs_u, *b_now))
+        return FieldState(state.t, state.xs, slot.u, slot.v, slot.w, state.max_abs_u)
 
 
 def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileTerms,
@@ -365,9 +408,8 @@ def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileT
     square(h.m, h.d)
     subtract(terms.a2, h.d, h.d)
     F = lower_order_F(h.um, h.wm, h.vm, ubar, ubar_x, terms.a, terms.theta, forcing, (h.m, h.d),
-                      out=h.lof)
+                      theta_1_5=terms.theta_1_5, out=h.lof)
     subtract(fields.vw_hi, fields.vw_lo, h.dvw)
-    multiply(_TWO, h.m, h.two_m)
     multiply(h.md, h.dvw, h.prod)
     subtract(h.p, h.q, h.x)
     multiply(c, h.xdv, h.xdv)
@@ -384,11 +426,12 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
     new time t + dt, `guard` the bound on max|u|, `speed` is
     wave_speed(terms, state) and `work` is StepWork for the state's shape;
-    the new state lives in `work`.  For a batch, `terms` comes from
-    stack_terms, and dt, b_now, guard and speed are (B, 1) columns.  A CFL
-    violation raises CFLError before the step, a member outside the guard
-    BlowUpError after it; `failed` names every such member, and the input
-    state is left as it was.
+    the new state lives in the next slot of its block, pending with its
+    (t, max|u|, b, b_t).  For a batch, `terms` comes from stack_terms, and
+    dt, b_now, guard and speed are (B, 1) columns.  A CFL violation raises
+    CFLError before the step, a member outside the guard BlowUpError after
+    it; `failed` names every such member, and the input state is left as
+    it was.
     """
     a, k = terms.a, terms.k
     dx = work.dx
@@ -399,11 +442,16 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
         failed = {i: f"CFL violation at t={t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}" for i in rows}
         raise CFLError(failed[rows[0]], failed)
 
-    src, dst = work.sides
-    if state.u is dst.u:
-        src, dst = dst, src
-    elif state.u is not src.u:
-        src.u[...], src.v[...], src.w[...] = state.u, state.v, state.w
+    j = work.newest
+    src = work.slots[j]
+    if state.u is not src.u:
+        src = work.take(state)
+        j = 0
+    if j == work.end:               # the pass is over: turn back
+        work.end = work.rows - j
+        work.pending.clear()
+    j += 1 if work.end > j else -1
+    dst = work.slots[j]
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
     divide(dt, work.divisors, work.coef)
@@ -436,7 +484,7 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     multiply(half_dt, dst.u, dst.u)
     add(src.u, dst.u, dst.u)
     new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w,
-                     _row_max(absolute(dst.u, work.full[0])))
+                     _row_max(absolute(dst.u, work.full)))
     # written so that NaN fails too
     rows = _flagged(np.logical_not(new.max_abs_u <= guard))
     if rows:
@@ -444,6 +492,8 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
         failed = {i: (f"max|u| = {top[i]:.4g} left the guard {guard[i]:.4g} at t={t[i]:.6g}; "
                       "the run left the regime of validity") for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
+    work.newest = j
+    work.pending.append((new.t, new.max_abs_u, *b_now))
     return new
 
 
@@ -492,8 +542,9 @@ class Member(NamedTuple):
     initial_w: np.ndarray | None = None
 
 
-# the per-step records, in the order of the record buffer's first axis
-RECORDS = ("t", "E1", "h1", "max_u", "max_ux", "max_ut", "b", "b_t")
+# the per-step records, in the order of the record buffer's first axis:
+# the four that `step` writes, then the four that _flush reduces
+RECORDS = ("t", "max_u", "b", "b_t", "E1", "h1", "max_ux", "max_ut")
 
 
 class _Run:
@@ -537,15 +588,35 @@ class _Run:
                           snap_index=np.asarray(self.snap_index))
 
 
-def _record(records, slots, index, state, terms, quad, b_now, work: StepWork):
-    out = work.full
-    values = (state.t, energy_E1(state, terms, terms.k, terms.a, quad, out=out),
-              h1_integrand(state, quad, out=out[:2]), state.max_abs_u,
-              _row_max(absolute(state.w, out[0])), _row_max(absolute(state.v, out[0])), *b_now)
-    if isinstance(slots, int):
-        records[:, slots, index] = values
-    else:
-        records[:, slots, index] = np.concatenate(values, axis=1).T
+def _flush(records, slots, index, work: StepWork, terms: ProfileTerms, quad: Quadrature):
+    """Record the pending states of `work`, the newest of which is step `index`.
+
+    Their (t, max|u|, b, b_t) are copied as `step` wrote them; E1, the H1
+    integrand, max|u_x| and max|u_t| are reduced over the block at once.
+    `slots` are the members' rows of `records`; returns the records, grown
+    when they are too short.
+    """
+    count = len(work.pending)
+    if not count:
+        return records
+    while index >= records.shape[2]:
+        records = np.concatenate([records, np.empty_like(records)], axis=2)
+    steps = np.s_[index + 1 - count:index + 1]
+    records[:4, slots, steps] = np.array(work.pending).reshape(count, 4, -1).transpose(1, 2, 0)
+    j = work.newest
+    if work.end:        # a pass up the slots: the newest state is the last
+        states = work.block[:, j + 1 - count:j + 1]
+    else:               # a pass down the slots: in step order from the top
+        states = work.block[:, j:j + count][:, ::-1]
+    block = _Fields(states)
+    spare = tuple(work.spare[:, :count])
+    reduced = (energy_E1(block, terms, terms.k, terms.a, quad, out=spare),
+               h1_integrand(block, quad, out=spare[:2]),
+               np.maximum.reduce(absolute(block.w, spare[0]), -1, keepdims=True),
+               np.maximum.reduce(absolute(block.v, spare[0]), -1, keepdims=True))
+    records[4:, slots, steps] = np.concatenate(reduced, -1).reshape(count, -1, 4).transpose(2, 1, 0)
+    work.pending.clear()
+    return records
 
 
 def simulate_batch(members: list) -> list:
@@ -575,7 +646,7 @@ def simulate_batch(members: list) -> list:
 
     def pack(active, state):
         """The batch columns of the active members, their record slots and work set."""
-        slots = active[0].slot if len(active) == 1 else np.array([run.slot for run in active])
+        slots = np.array([run.slot for run in active])
         guard = _column([run.guard for run in active])
         return stack_terms([run.terms for run in active]), guard, slots, StepWork(state)
 
@@ -584,34 +655,38 @@ def simulate_batch(members: list) -> list:
                                *(np.stack([run.initial[f] for run in active]) for f in range(3))),
                     rows)
     terms, guard, slots, work = pack(active, state)
-    speed = wave_speed(terms, state, out=work.full[0])
+    speed = wave_speed(terms, state, out=work.full)
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
                        for run, s in zip(active, _members(speed)))
     records = np.empty((len(RECORDS), len(members), capacity))
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
-    _record(records, slots, 0, state, terms, quad, (_column([b for b, _ in b0]),
-                                                     _column([bt for _, bt in b0])), work)
+    state = work.hold(state, (_column([b for b, _ in b0]), _column([bt for _, bt in b0])))
     for row, run in enumerate(active):
         run.snapshot(_row(state, row), 0, quad)
 
     steps = 0
-    # batch row -> result, for the members that leave the batch
-    ended = {row: run.trajectory(records, 0) for row, run in enumerate(active)
-             if not run.t < run.t_end - 1e-12}
+    # batch row -> None for the members that reached their t_end, the error
+    # for those that failed
+    ended = {row: None for row, run in enumerate(active) if not run.t < run.t_end - 1e-12}
     while True:
+        # record the pass when it is over, and before members leave: their
+        # trajectories read the records, and the others go on in a new block
+        if ended or work.newest == work.end:
+            records = _flush(records, slots, steps, work, terms, quad)
         if ended:
-            for row, result in ended.items():
-                results[active[row].slot] = result
+            for row, error in ended.items():
+                run = active[row]
+                results[run.slot] = run.trajectory(records, steps) if error is None else error
             rows = [row for row in range(len(active)) if row not in ended]
             active = [active[row] for row in rows]
             if not active:
                 return results
-            state = _select(state, rows)
+            state, work = _select(state, rows), None   # the old block goes before the new comes
             terms, guard, slots, work = pack(active, state)
             ended = {}
 
-        speed = wave_speed(terms, state, out=work.full[0])
+        speed = wave_speed(terms, state, out=work.full)
         dts, bs, bts = [], [], []
         for run, s in zip(active, _members(speed)):
             dt = min(run.cfl_dx / s, run.t_snap - run.t)
@@ -627,15 +702,12 @@ def simulate_batch(members: list) -> list:
             continue
 
         steps += 1
-        if steps == records.shape[2]:
-            records = np.concatenate([records, np.empty_like(records)], axis=2)
-        _record(records, slots, steps, state, terms, quad, b_now, work)
         for row, (run, t) in enumerate(zip(active, _members(state.t))):
             run.t = t
             if t >= run.t_snap - 1e-12:
                 run.snapshot(_row(state, row), steps, quad)
             if not t < run.t_end - 1e-12:
-                ended[row] = run.trajectory(records, steps)
+                ended[row] = None
 
 
 def simulate(params: PipeParams, profile: StationaryProfile,

@@ -18,7 +18,8 @@ class Quadrature:
     """The time-independent weights of the spatial integrals on one grid.
 
     `weights` are the composite-trapezoid weights, so int y dx = y @ weights;
-    `decay` is the cross-term weight exp(-x/L) of E1.
+    `decay` is the cross-term weight exp(-x/L) of E1 and `two_decay` is
+    2 exp(-x/L), the factor E1 multiplies by.
     """
 
     def __init__(self, xs):
@@ -26,17 +27,17 @@ class Quadrature:
         half = 0.5 * np.diff(xs)
         self.weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
         self.decay = np.exp(-(xs - xs[0]) / (xs[-1] - xs[0]))
+        self.two_decay = 2.0 * self.decay
 
 
 def _trapz(y, weights):
-    """int y dx: a float for one member, a (B, 1) column for a batch of rows.
+    """int y dx over the last axis: a float for one member, a (..., 1) column
+    for a batch of rows or a block of batches.
 
-    A batch takes one dot product per row, not one matrix product, so that
-    each member's sum is bit for bit the sum of a run of it alone.
+    np.vecdot takes one dot product per row, not one matrix product, so
+    that each row's sum is bit for bit np.dot of that row alone.
     """
-    if y.ndim == 1:
-        return float(np.dot(y, weights))
-    return np.array([np.dot(row, weights) for row in y])[:, None]
+    return np.vecdot(y, weights, keepdims=y.ndim > 1)
 
 
 def energy_E1(state, profile, k: float, a: float, quad=None, *, out=None) -> float:
@@ -46,25 +47,25 @@ def energy_E1(state, profile, k: float, a: float, quad=None, *, out=None) -> flo
          - 2 exp(-x/L) [(ubar+u) u_x^2 + u_t u_x] dx
 
     `quad` is Quadrature(state.xs), built here when not given; likewise below.
-    Also takes a batch state, with k and a as (B, 1) columns; a is squared
-    as a * a, which a float and a column round alike.  `out` is four work
+    Also takes a batch state, with k and a as (B, 1) columns, or a block of
+    states, whose u, v and w have a further leading axis; a is squared as
+    a * a, which a float and a column round alike.  `out` is three work
     arrays of the state's shape; fresh ones when not given, likewise below.
     """
     quad = quad or Quadrature(state.xs)
-    f, m, w2, t = out or tuple(np.empty(state.u.shape) for _ in range(4))
+    f, m, t = out or tuple(np.empty(state.u.shape) for _ in range(3))
     add(profile.ubar, state.u, m)
-    square(state.w, w2)
+    square(state.w, t)
     square(m, f)
     subtract(a * a, f, f)
-    multiply(f, w2, f)
+    multiply(f, t, f)
+    multiply(m, t, m)
     square(state.v, t)
     add(f, t, f)
     multiply(k, f, f)
-    multiply(m, w2, m)
     multiply(state.v, state.w, t)
     add(m, t, m)
-    multiply(2.0, quad.decay, t)
-    multiply(t, m, m)
+    multiply(quad.two_decay, m, m)
     subtract(f, m, f)
     return _trapz(f, quad.weights)
 

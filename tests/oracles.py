@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from pipestab.dynamics import BlowUpError, CFLError, FieldState, ProfileTerms, stationary_forcing
+from pipestab.disturbance import sample_b
+from pipestab.dynamics import (BlowUpError, CFLError, FieldState, ProfileTerms, SolverError,
+                               Trajectory, _column, _row, _Run, _select, stack_terms,
+                               stationary_forcing)
+from pipestab.lyapunov import Quadrature
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
 
@@ -203,3 +207,102 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> Fie
         f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
         f"at t={_members(new.t)[i]:.6g}; the run left the regime of validity"))
     return new
+
+
+# The per-step record that the block record replaced: every step's E1, H1
+# integrand and maxima taken from that step's state alone, member by
+# member, each integral one np.dot, in the loop `simulate_batch` ran
+# before, stepping with the allocating step above.
+
+def _per_step_record(run, u, v, w, t, max_u, b, b_t, quad):
+    m = run.terms.ubar + u
+    w2 = w ** 2
+    e1 = run.k * ((run.a * run.a - m ** 2) * w2 + v ** 2) - (2.0 * quad.decay) * (m * w2 + v * w)
+    h1 = (u ** 2 + v ** 2) + w ** 2
+    values = (t, float(np.dot(e1, quad.weights)), float(np.dot(h1, quad.weights)), max_u,
+              float(np.max(np.abs(w))), float(np.max(np.abs(v))), b, b_t)
+    for name, value in zip(("t", "E1", "h1", "max_u", "max_ux", "max_ut", "b", "b_t"), values):
+        run.records.setdefault(name, []).append(value)
+
+
+def _per_step_trajectory(run) -> Trajectory:
+    rec = {name: np.array(values) for name, values in run.records.items()}
+    series = {name: rec[name] for name in ("E1", "h1", "max_u", "max_ux", "max_ut")}
+    series["E_classic"] = np.asarray(run.E_classic)
+    series["grad"] = np.asarray(run.grad)
+    return Trajectory(states=run.states, times=rec["t"], series=series,
+                      boundary={"b": rec["b"], "b_t": rec["b_t"]},
+                      snap_index=np.asarray(run.snap_index))
+
+
+def simulate_batch_per_step(members: list) -> list:
+    """simulate_batch with a per-step record: one result per member, its
+    Trajectory or the error that ended it."""
+    nx, L = members[0].config.nx, members[0].params.L
+    xs = np.linspace(0.0, L, nx + 1)
+    quad = Quadrature(xs)
+    results = [None] * len(members)
+    active = []
+    for slot, member in enumerate(members):
+        try:
+            active.append(_Run(slot, member, xs))
+        except ValueError as exc:
+            results[slot] = exc
+    for run in active:
+        run.records = {}
+
+    def record(state, bs, bts):
+        for row, (run, t, top) in enumerate(zip(active, _members(state.t),
+                                                _members(state.max_abs_u))):
+            u, v, w = ((state.u, state.v, state.w) if state.u.ndim == 1
+                       else (state.u[row], state.v[row], state.w[row]))
+            _per_step_record(run, u, v, w, t, top, bs[row], bts[row], quad)
+
+    rows = list(range(len(active)))
+    state = _select(FieldState(np.zeros((len(active), 1)), xs,
+                               *(np.stack([run.initial[f] for run in active]) for f in range(3))),
+                    rows)
+    terms, guard = stack_terms([run.terms for run in active]), _column([r.guard for r in active])
+    b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
+    record(state, [b for b, _ in b0], [bt for _, bt in b0])
+    for row, run in enumerate(active):
+        run.snapshot(_row(state, row), 0, quad)
+
+    steps = 0
+    ended = {row: None for row, run in enumerate(active) if not run.t < run.t_end - 1e-12}
+    while True:
+        if ended:
+            for row, error in ended.items():
+                run = active[row]
+                results[run.slot] = _per_step_trajectory(run) if error is None else error
+            rows = [row for row in range(len(active)) if row not in ended]
+            active = [active[row] for row in rows]
+            if not active:
+                return results
+            state = _select(state, rows)
+            terms = stack_terms([run.terms for run in active])
+            guard = _column([run.guard for run in active])
+            ended = {}
+
+        speed = wave_speed(terms, state)
+        dts, bs, bts = [], [], []
+        for run, s in zip(active, _members(speed)):
+            dt = min(run.cfl_dx / s, run.t_snap - run.t)
+            b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
+            dts.append(dt)
+            bs.append(b_val)
+            bts.append(bt_val)
+        try:
+            state = step(state, terms, (_column(bs), _column(bts)), _column(dts), guard, speed)
+        except SolverError as exc:
+            ended = {row: type(exc)(message) for row, message in exc.failed.items()}
+            continue
+
+        steps += 1
+        record(state, bs, bts)
+        for row, (run, t) in enumerate(zip(active, _members(state.t))):
+            run.t = t
+            if t >= run.t_snap - 1e-12:
+                run.snapshot(_row(state, row), steps, quad)
+            if not t < run.t_end - 1e-12:
+                ended[row] = None

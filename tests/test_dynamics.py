@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pipestab import lyapunov
+from pipestab import dynamics, lyapunov
 from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import DisturbanceSpec
-from pipestab.dynamics import (BlowUpError, CFLError, FieldState, Member, SolverConfig,
-                               StepWork, bump_profile, compatibility_residual, f_tilde,
-                               lower_order_F, profile_terms, simulate, simulate_batch,
-                               stack_terms, step, wave_speed)
+from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, Member,
+                               SolverConfig, SolverError, StepWork, bump_profile,
+                               compatibility_residual, f_tilde, lower_order_F, profile_terms,
+                               simulate, simulate_batch, stack_terms, step, wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -330,8 +330,27 @@ def batch_member(u0=0.3, k=4.0, a=2.0, seed=0, t_end=0.4, amplitude=1e-4, guard=
 def solo(member):
     try:
         return simulate(*member)
-    except BlowUpError as exc:
+    except SolverError as exc:
         return exc
+
+
+def assert_same_results(results, reference):
+    """Each result is its reference: the same error, or a bitwise-equal Trajectory."""
+    for got, want in zip(results, reference, strict=True):
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            continue
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.snap_index.tobytes() == want.snap_index.tobytes()
+        for s1, s2 in zip(got.states, want.states, strict=True):
+            assert s1.t == s2.t
+            for name in ("u", "v", "w"):
+                assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
+        for records1, records2 in ((got.series, want.series), (got.boundary, want.boundary)):
+            assert records1.keys() == records2.keys()
+            for name in records1:
+                assert records1[name].tobytes() == records2[name].tobytes(), name
 
 
 class TestBatch:
@@ -353,22 +372,7 @@ class TestBatch:
         batched = simulate_batch(self.MEMBERS)
         steps = {len(t.times) for t in alone if not isinstance(t, Exception)}
         assert len(steps) == 5      # every member that finishes ends at its own step
-        for single, member in zip(alone, batched):
-            if isinstance(single, Exception):
-                assert type(member) is type(single)
-                assert str(member) == str(single)
-                continue
-            assert single.times.tobytes() == member.times.tobytes()
-            assert single.snap_index.tobytes() == member.snap_index.tobytes()
-            for s1, s2 in zip(single.states, member.states, strict=True):
-                assert s1.t == s2.t
-                for name in ("u", "v", "w"):
-                    assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
-            for records1, records2 in ((single.series, member.series),
-                                       (single.boundary, member.boundary)):
-                assert records1.keys() == records2.keys()
-                for name in records1:
-                    assert records1[name].tobytes() == records2[name].tobytes(), name
+        assert_same_results(batched, alone)
 
     def test_failures_name_their_own_time(self):
         blowup, nan = simulate_batch(self.MEMBERS)[3:5]
@@ -394,6 +398,74 @@ class TestBatch:
         single, err = simulate_batch([good, bad])
         assert isinstance(err, ValueError) and "initial data" in str(err)
         assert single.times.tobytes() == simulate(*good).times.tobytes()
+
+
+def cfl_member():
+    """A member that fails the CFL check eight steps in: its steps are clipped
+    to a snapshot cadence just inside the CFL limit at its initial wave
+    speed, and its CFL number, set past SolverConfig's check, is 1.5, so
+    the first step after the burst speeds the flow up is too long."""
+    member = batch_member(u0=0.3, amplitude=0.3, seed=2, t_end=0.4)
+    xs = member.profile.xs
+    speed = float(np.max(np.abs(member.profile.ubar))) + member.params.a
+    member.config.cfl = 1.5
+    member.config.snapshot_dt = 0.95 * (xs[1] - xs[0]) / speed
+    return member
+
+
+class TestBlockRecord:
+    """Records reduced per block of steps are the per-step records, bit for bit."""
+
+    # members that end at their own steps, fail by blow-up and NaN, and
+    # outgrow the record estimate (TestBatch), and one that fails by CFL
+    BATCHES = [TestBatch.MEMBERS, [cfl_member(), *TestBatch.MEMBERS[:2]]]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 400])     # 400: a whole run in one block
+    def test_series_match_per_step_record(self, monkeypatch, rows):
+        grown = []      # (first step of the flush, records capacity before it)
+        flush = dynamics._flush
+
+        def watched(records, slots, index, work, *args):
+            first = index + 1 - len(work.pending)
+            out = flush(records, slots, index, work, *args)
+            if out.shape[2] > records.shape[2]:
+                grown.append((first, records.shape[2]))
+            return out
+
+        monkeypatch.setattr(dynamics, "_flush", watched)
+        for members in self.BATCHES:
+            cells = len(members) * (members[0].config.nx + 1)
+            monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * cells)
+            assert_same_results(simulate_batch(members),
+                                oracles.simulate_batch_per_step(members))
+            monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * (members[0].config.nx + 1))
+            for member in members:
+                assert_same_results([solo(member)], oracles.simulate_batch_per_step([member]))
+        assert grown
+        if rows == 400:
+            # the block that grew the records began within them
+            assert any(first < capacity for first, capacity in grown)
+
+    def test_cfl_member_fails_mid_run(self):
+        error = solo(cfl_member())
+        assert isinstance(error, CFLError)
+        assert 0.03 < float(str(error).split("t=")[1].split(":")[0]) < 0.1
+
+    @pytest.mark.parametrize("nx", [100, 400, 3200])
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_block_bytes_within_budget(self, nx, count):
+        shape = (nx + 1,) if count == 1 else (count, nx + 1)
+        t = 0.0 if count == 1 else np.zeros((count, 1))
+        xs = np.linspace(0.0, 1.0, nx + 1)
+        work = StepWork(FieldState(t, xs, np.zeros(shape), np.zeros(shape), np.zeros(shape)))
+        cells = int(np.prod(shape))
+        # as many steps as the budget holds, and one when a state alone exceeds it
+        assert work.rows == max(1, BLOCK_CELLS // cells)
+        assert work.rows * cells <= max(BLOCK_CELLS, cells)
+        # the rows + 1 slots of the block and the flush's work
+        block_bytes = work.block.nbytes + work.spare.nbytes
+        assert block_bytes == 8 * cells * (6 * work.rows + 3)
+        assert block_bytes <= 8 * (6 * max(BLOCK_CELLS, cells) + 3 * cells)
 
 
 def lean_setup(nx, physics, seed, amplitude):
@@ -450,7 +522,7 @@ class TestLeanStep:
         work = StepWork(state)
         dx = state.xs[1] - state.xs[0]
         lean, reference = state, copied(state)
-        for _ in range(3):   # the first step copies the state in, the others ping-pong
+        for _ in range(3):   # the first step copies the state in, the others write the block
             speed = wave_speed(terms, lean)
             assert np.array_equal(speed, oracles.wave_speed(terms, reference))
             dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])

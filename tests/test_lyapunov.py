@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab.certificate import compute_constants
 from pipestab.dynamics import FieldState
-from pipestab.lyapunov import (Quadrature, check_equivalence, energy_E1, energy_classic,
-                               fit_decay_rate, grad_norm, h1_integrand,
+from pipestab.lyapunov import (Quadrature, _trapz, check_equivalence, energy_E1,
+                               energy_classic, fit_decay_rate, grad_norm, h1_integrand,
                                windowed_series)
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -68,6 +68,25 @@ class TestQuadrature:
         quad = Quadrature(xs)
         assert quad.decay[0] == 1.0
         assert quad.decay[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert quad.two_decay.tobytes() == (2.0 * quad.decay).tobytes()
+
+    @given(st.integers(2, 400), st.integers(1, 6), st.integers(1, 5), st.integers(-300, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_trapz_rows_are_np_dot_bit_for_bit(self, n, batch, blocks, exponent, seed):
+        # every row of a member, a batch or a block of batches sums as np.dot of
+        # that row alone, also when the rows or their elements are strided
+        rng = np.random.default_rng(seed)
+        weights = Quadrature(np.sort(rng.uniform(0.0, 1.0, n))).weights
+        # elements strided by 2, and rows strided like a slice of a block of states
+        spaced = rng.uniform(-1.0, 1.0, (3, 2 * blocks, batch, 2 * n)) * 10.0 ** exponent
+        for y in (spaced[0, :blocks, :, :n], spaced[1, ::2, :, ::2]):
+            single = _trapz(y[0, 0], weights)
+            assert isinstance(single, float)
+            assert np.float64(single).tobytes() == np.dot(y[0, 0], weights).tobytes()
+            per_row = np.array([[np.dot(row, weights) for row in rows] for rows in y])
+            assert _trapz(y[0], weights).tobytes() == per_row[0][:, None].tobytes()
+            assert _trapz(y, weights).tobytes() == per_row[..., None].tobytes()
 
 
 class TestWindowedEnergies:
