@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +35,19 @@ RUN_ERRORS = (ConfigError, ValueError, OSError, BlowUpError, CFLError)
 
 # Cells (members x grid points) of one solver batch in `execute_runs`: the
 # records a batch keeps in memory grow with it, see README.
-BATCH_CELLS = 808
+BATCH_CELLS = 1616
+
+
+class WorkerError(RuntimeError):
+    """A worker process of `execute_runs` ended without sending its results.
+
+    `ids` are the indices, into the configs, of the scenarios of its share.
+    """
+
+    def __init__(self, exitcode: int, ids: list):
+        super().__init__(f"a sweep worker process exited with code {exitcode} "
+                         "without sending its results")
+        self.exitcode, self.ids = exitcode, ids
 
 
 def _fmt(x) -> str:
@@ -92,30 +105,99 @@ def execute_run(cfg: ScenarioConfig):
     return _evaluate(cfg, member, simulate(*member))
 
 
-def execute_runs(cfgs: list) -> list:
-    """Run scenarios end to end, batching those that share a grid.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    Scenarios with equal (solver.nx, pipe.L) are simulated together, in
-    batches of at most BATCH_CELLS // (nx + 1) members, in input order.
-    Returns, per config, its report or the error (one of RUN_ERRORS)
-    that ended that scenario; the others are not affected.
-    """
-    results = [None] * len(cfgs)
+
+def _shares(cfgs: list, cpus: int) -> list:
+    """The batches of `execute_runs`, dealt into P = min(cpus, batches) shares."""
     groups = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault((cfg["solver.nx"], cfg["pipe.L"]), []).append(i)
+    grids = []
     for (nx, _), ids in groups.items():
         size = max(1, BATCH_CELLS // (nx + 1))
-        for start in range(0, len(ids), size):
-            _run_batch(cfgs, ids[start:start + size], results)
+        grids.append([ids[start:start + size] for start in range(0, len(ids), size)])
+    procs = max(1, min(cpus, sum(map(len, grids))))
+    batches = []
+    for parts in grids:
+        if procs > 1 and len(parts) > 1:
+            ids, count = sum(parts, []), -(-len(parts) // procs) * procs
+            parts = [ids[len(ids) * j // count:len(ids) * (j + 1) // count] for j in range(count)]
+        batches += parts
+    return [batches[j::procs] for j in range(procs)]
+
+
+def execute_runs(cfgs: list) -> list:
+    """Run scenarios end to end, batching those that share a grid, on every CPU.
+
+    Scenarios with equal (solver.nx, pipe.L) are simulated together, in
+    batches of at most BATCH_CELLS // (nx + 1) members, in input order.
+    With P = min(usable CPUs, batches) above 1, a grid that needs more than
+    one batch is cut into the smallest multiple of P near-equal batches,
+    and the batches are dealt round-robin into P shares: this process runs
+    the first share, and one forked process per other share runs that
+    share, sends its results through a pipe and exits.
+
+    Returns, per config, its report or the error (one of RUN_ERRORS)
+    that ended that scenario; the others are not affected.  Raises
+    WorkerError when a worker process ends without sending its results;
+    no worker outlives the call.
+    """
+    shares = _shares(cfgs, _usable_cpus() if hasattr(os, "fork") else 1)
+    if len(shares) > 1:
+        # imported only here: the import alone adds about 0.75 MB to the
+        # peak RSS of a run that never forks
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+    results = [None] * len(cfgs)
+    workers = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_run_share, args=(cfgs, share, sender))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver, share))
+        for ids in shares[0]:
+            _run_batch(cfgs, ids, results)
+        for worker, receiver, share in workers:
+            try:
+                for i, result in receiver.recv().items():
+                    results[i] = result
+            except (EOFError, OSError):    # it ended before or while sending
+                worker.join()
+                raise WorkerError(worker.exitcode, [i for ids in share for i in ids]) from None
+    except BaseException:
+        for worker, _, _ in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker, receiver, _ in workers:
+            receiver.close()
+            worker.join()
     return results
+
+
+def _run_share(cfgs: list, share: list, sender):
+    """The body of a worker process: run the batches of `share` and send
+    {index: report or error} through `sender`."""
+    results = [None] * len(cfgs)
+    for ids in share:
+        _run_batch(cfgs, ids, results)
+    sender.send({i: results[i] for ids in share for i in ids})
+    sender.close()
 
 
 def _run_batch(cfgs: list, ids: list, results: list):
     """Simulate cfgs[i] for i in ids as one batch; store each result at i.
 
     A function of its own, so that one batch's trajectories are freed
-    before the next batch runs.
+    before the next batch runs.  `execute_runs` calls it in this process
+    for its own share, and `_run_share` in each worker process.
     """
     members = {}
     for i in ids:
@@ -219,7 +301,14 @@ def cmd_sweep(args) -> int:
                 "output.report_path": str(rep_p.with_name(rep_p.stem + tag + rep_p.suffix))})
         except RUN_ERRORS as exc:
             results[run_id] = exc
-    for run_id, result in zip(cfgs, execute_runs(list(cfgs.values()))):
+    try:
+        outcome = execute_runs(list(cfgs.values()))
+    except WorkerError as exc:
+        run_ids = list(cfgs)
+        print(f"error: {exc}; no result for runs "
+              + ", ".join(str(run_ids[i]) for i in exc.ids), file=sys.stderr)
+        return 1
+    for run_id, result in zip(cfgs, outcome):
         results[run_id] = result
     rows = ["run_id," + ",".join(keys) + ",fitted_rate,mu,verdict"]
     for run_id, (combo, report) in enumerate(zip(combos, results)):

@@ -347,30 +347,39 @@ class StepWork:
     n - 1 wide; the corrector's are n - 2 wide views of the leading
     elements of the same buffer.  `full` is work of the state's shape for
     wave_speed and the guard.
+
+    Built from `base`, a work set of a state with at least as many cells,
+    every array is carved out of the leading elements of the buffers that
+    the batch's first work set allocated, and a pass holds no more cells
+    than the first's, so the work set allocates nothing of the grid's
+    size.  Base's arrays are then reused and must not be read again.
     """
 
-    def __init__(self, state: FieldState):
+    def __init__(self, state: FieldState, base: StepWork | None = None):
         shape = state.u.shape
         lead, n = shape[:-1], shape[-1]
+        self.buffers = {} if base is None else base.buffers
         self.dx = float(state.xs[1] - state.xs[0])
-        self.rows = max(1, BLOCK_CELLS // state.u.size)
-        self.block = np.empty((3, self.rows + 1, *shape))
+        # the cells of one pass: at most those the first work set's flush holds
+        budget = min(BLOCK_CELLS, self.buffers["spare"].size // 3) if self.buffers else BLOCK_CELLS
+        self.rows = max(1, budget // state.u.size)
+        self.block = self._carve("block", (3, self.rows + 1, *shape))
         self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
         self.newest = self.end = 0          # the slot of the newest state, of the pass's end
         self.pending = []
-        self.spare = np.empty((3, self.rows, *shape))
-        self.half = _Fields(np.empty((3, *lead, n - 1)))   # (u, v, w) at t + dt/2
+        self.spare = self._carve("spare", (3, self.rows, *shape))
+        self.half = _Fields(self._carve("half", (3, *lead, n - 1)))   # (u, v, w) at t + dt/2
         rows, cells = _Half.ROWS, math.prod(lead)
-        buf = np.empty(rows * cells * (n - 1))
+        buf = self._carve("halves", (rows * cells * (n - 1),))
         self.predictor = _Half(buf.reshape(rows, *lead, n - 1))
         self.corrector = _Half(buf[:rows * cells * (n - 2)].reshape(rows, *lead, n - 2))
         # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, as
         # 0-d arrays (one member) or (B, 1) columns
         column = (*lead, 1) if lead else ()         # the shape of a per-member value
         self.divisors = np.array([2.0 * self.dx, 2.0, self.dx, 1.0]).reshape(4, *(1,) * len(column))
-        self.coef = np.empty((4, *column))
+        self.coef = self._carve("coef", (4, *column))
         self.coefs = tuple(self.coef[i, ...] for i in range(4))
-        self.full = np.empty(shape)
+        self.full = self._carve("full", shape)
         # the boundary nodes 0, 1, 2, -3, -2, -1 and how to read them: as
         # Python floats for one member, as (B, 1) column views for a batch
         nodes = (0, 1, 2, -3, -2, -1)
@@ -379,6 +388,14 @@ class StepWork:
         else:
             self.edges = tuple(np.s_[:, j:j + 1 or None] for j in nodes)
             self.read = np.ndarray.__getitem__
+
+    def _carve(self, name: str, shape: tuple) -> np.ndarray:
+        """An array of `shape` over the leading elements of buffer `name`,
+        which the first work set of a batch allocates."""
+        size = math.prod(shape)
+        if name not in self.buffers:
+            self.buffers[name] = np.empty(size)
+        return self.buffers[name][:size].reshape(shape)
 
     def take(self, state: FieldState) -> _Fields:
         """Copy `state` into slot 0 as the newest state, at the end of a pass."""
@@ -644,11 +661,12 @@ def simulate_batch(members: list) -> list:
     if not active:
         return results
 
-    def pack(active, state):
-        """The batch columns of the active members, their record slots and work set."""
+    def pack(active, state, work=None):
+        """The batch columns of the active members, their record slots and
+        work set, carved out of `work` when given."""
         slots = np.array([run.slot for run in active])
         guard = _column([run.guard for run in active])
-        return stack_terms([run.terms for run in active]), guard, slots, StepWork(state)
+        return stack_terms([run.terms for run in active]), guard, slots, StepWork(state, work)
 
     rows = list(range(len(active)))
     state = _select(FieldState(np.zeros((len(active), 1)), xs,
@@ -682,8 +700,8 @@ def simulate_batch(members: list) -> list:
             active = [active[row] for row in rows]
             if not active:
                 return results
-            state, work = _select(state, rows), None   # the old block goes before the new comes
-            terms, guard, slots, work = pack(active, state)
+            state = _select(state, rows)     # a copy: the new work set reuses the block
+            terms, guard, slots, work = pack(active, state, work)
             ended = {}
 
         speed = wave_speed(terms, state, out=work.full)

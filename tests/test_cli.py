@@ -1,10 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pipestab import cli
 from pipestab.cli import CSV_HEADER, _member, main
 from pipestab.config import ScenarioConfig
 from pipestab.dynamics import simulate
@@ -274,6 +278,96 @@ class TestSweep:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run_000.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sweeps run on one CPU without os.fork")
+class TestSweepProcesses:
+    """A sweep on two CPUs writes what the same sweep writes on one."""
+
+    BURST = {"disturbance.family": "decaying_burst", "disturbance.A": 1e-4,
+             "disturbance.seed": 5}
+    # 6 scenarios on one grid need 3 batches of 2 at nx = 32; on two CPUs
+    # they run as 4 batches, [0] [3] here and [1, 2] [4, 5] in a worker
+    SETS = ["--set", "disturbance.A=1e-4,10.0", "--set", "stationary.u0=0.2,1e-160,0.4"]
+
+    @pytest.fixture(autouse=True)
+    def two_batches_of_two(self, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_CELLS", 2 * 33)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def sweep(self, tmp_path, capsys, monkeypatch, cpus, sets, name):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        folder = tmp_path / name
+        folder.mkdir()
+        cfg = write_cfg(folder, **self.BURST)
+        capsys.readouterr()
+        code = main(["sweep", str(cfg), *sets, "--out", str(folder / "sweep.csv")])
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in folder.iterdir() if path != cfg}
+        return code, out.replace(str(folder), "<dir>"), err, files
+
+    def test_two_cpus_write_what_one_writes(self, tmp_path, capsys, monkeypatch):
+        parent, pids = os.getpid(), tmp_path / "pids"
+        run_share = cli._run_share
+
+        def noted(*args):
+            pids.write_text(str(os.getpid()))
+            run_share(*args)
+
+        monkeypatch.setattr(cli, "_run_share", noted)
+        sets = ["--set", "feedback.k=2.0,4.0,8.0", "--set", "disturbance.seed=1,2"]
+        one = self.sweep(tmp_path, capsys, monkeypatch, 1, sets, "one")
+        assert not pids.exists()
+        two = self.sweep(tmp_path, capsys, monkeypatch, 2, sets, "two")
+        assert int(pids.read_text()) != parent
+        assert one == two
+        code, out, err, files = two
+        assert (code, out, err) == (0, "wrote <dir>/sweep.csv\n", "")
+        assert len(files) == 1 + 3 * 6
+        assert "error" not in files["sweep.csv"].decode()
+
+    def test_failures_in_a_worker_match_one_cpu(self, tmp_path, capsys, monkeypatch):
+        one = self.sweep(tmp_path, capsys, monkeypatch, 1, self.SETS, "one")
+        two = self.sweep(tmp_path, capsys, monkeypatch, 2, self.SETS, "two")
+        assert one == two
+        rows = two[3]["sweep.csv"].decode().splitlines()[1:]
+        for run_id in (1, 4):       # the worker's invalid values
+            assert "error: " in rows[run_id] and "u0 = 1e-160" in rows[run_id]
+        for run_id in (3, 5):       # a blow-up here and one in the worker
+            assert rows[run_id].split(",")[-1].startswith("error: max|u| = ")
+        assert "error" not in rows[0] + rows[2]
+
+    def test_killed_worker_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_share", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        code, out, err, files = self.sweep(tmp_path, capsys, monkeypatch, 2, self.SETS, "two")
+        assert (code, out) == (1, "")
+        assert err == ("error: a sweep worker process exited with code -9 without sending "
+                       "its results; no result for runs 1, 2, 4, 5\n")
+        assert files["sweep.csv"] == b""       # opened before the grid runs, never written
+
+    def test_failing_share_here_stops_the_worker(self, tmp_path, monkeypatch):
+        parent, run_batch = os.getpid(), cli._run_batch
+
+        def failing(cfgs, ids, results):
+            if os.getpid() == parent:
+                raise RuntimeError("failed here")
+            run_batch(cfgs, ids, results)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_run_batch", failing)
+        cfg = write_cfg(tmp_path, **self.BURST)
+        with pytest.raises(RuntimeError, match="failed here"):
+            main(["sweep", str(cfg), *self.SETS, "--out", str(tmp_path / "sweep.csv")])
+
+    def test_batches_and_shares(self):
+        cfgs = [{"solver.nx": 32, "pipe.L": 1.0}] * 6 + [{"solver.nx": 32, "pipe.L": 2.0}] * 2
+        # a grid that fits one batch is never cut
+        assert cli._shares(cfgs[6:], 2) == [[[0, 1]]]
+        assert cli._shares(cfgs, 1) == [[[0, 1], [2, 3], [4, 5], [6, 7]]]
+        assert cli._shares(cfgs, 2) == [[[0], [3], [6, 7]], [[1, 2], [4, 5]]]
+        assert cli._shares(cfgs, 3) == [[[0, 1], [6, 7]], [[2, 3]], [[4, 5]]]
+        assert cli._shares([], 2) == [[]]
 
 
 class TestUnreadableConfig:

@@ -446,6 +446,41 @@ class TestBlockRecord:
             # the block that grew the records began within them
             assert any(first < capacity for first, capacity in grown)
 
+    @pytest.mark.parametrize("extra", [0, 1, -1])
+    def test_repack_carves_the_first_work_set(self, monkeypatch, extra):
+        # after a re-pack the survivors' work set lies in the first one's
+        # buffers, and its block holds no more cells; extra = 1 leaves
+        # BLOCK_CELLS one cell short of 3 batch states, so that the first
+        # block's cells, not BLOCK_CELLS, cap the survivors' rows, and
+        # extra = -1 gives blocks of one batch state
+        works = []
+
+        class Watched(StepWork):
+            def __init__(self, *args):
+                super().__init__(*args)
+                works.append(self)
+
+        members = TestBatch.MEMBERS
+        cells = len(members) * (members[0].config.nx + 1)
+        monkeypatch.setattr(dynamics, "StepWork", Watched)
+        monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2 * cells + extra * (cells - 1))
+        assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
+        first, *later = works
+        assert len(later) == 6      # every member ends at its own step
+        capped = [work for work in later if work.rows < dynamics.BLOCK_CELLS // work.full.size]
+        assert bool(capped) == (extra == 1)
+        for work in later:
+            assert work.buffers is first.buffers
+            for array in (work.block, work.spare, work.half.u, work.predictor.avg, work.coef,
+                          work.full):
+                assert array.base is not None
+            assert work.rows * work.full.size <= min(dynamics.BLOCK_CELLS,
+                                                     first.rows * first.full.size)
+        assert {name: buf.size for name, buf in first.buffers.items()} == {
+            "block": 3 * (first.rows + 1) * cells, "spare": 3 * first.rows * cells,
+            "half": 3 * cells - 3 * len(members), "halves": dynamics._Half.ROWS * (cells - len(members)),
+            "coef": 4 * len(members), "full": cells}
+
     def test_cfl_member_fails_mid_run(self):
         error = solo(cfl_member())
         assert isinstance(error, CFLError)
