@@ -11,6 +11,7 @@ integral of b^2 + b_t^2 decays like exp(-2*gamma*t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,69 @@ import numpy as np
 from .lyapunov import windowed_series
 
 FAMILIES = ("zero", "decaying_burst", "compact_burst")
+
+# NumPy's default_rng(seed) without importing numpy.random, which would
+# bring in `secrets` and OpenSSL's hashlib (about 6 MiB per process).
+# SeedSequence(seed) hashes the seed's little-endian 32-bit words into a
+# 4-word pool and draws the 8 words that seed PCG64
+# (numpy/random/bit_generator.pyx); PCG64 is a 128-bit LCG with XSL-RR
+# output (numpy/random/src/pcg64/pcg64.h; M. E. O'Neill, "PCG: A Family of
+# Simple Fast Space-Efficient Statistically Good Algorithms for Random
+# Number Generation", 2014).
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(8, np.uint32) for an int seed >= 0."""
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out, h = [], 0x8B51F9DD
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return out
+
+
+def _first_uniform(seed: int) -> float:
+    """np.random.default_rng(seed).random(): PCG64's first double in [0, 1)."""
+    w = _seed_words(seed)
+    s0, s1, s2, s3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+
+    def step(state):
+        return (state * _PCG_MULT + inc) & _M128
+
+    state = step(step(0) + (s0 << 64 | s1))     # seeding
+    state = step(state)                         # a draw steps, then outputs
+    rot = state >> 122
+    x = (state >> 64 ^ state) & _M64
+    x = (x >> rot | x << (64 - rot)) & _M64
+    return (x >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -46,13 +110,19 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance family {self.family!r}")
         if self.T_period <= 0:
             raise ValueError("T_period must be > 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @cached_property
     def phase(self) -> float:
-        """Carrier phase: 0 for seed 0, else a uniform draw seeded by `seed`."""
+        """Carrier phase: 0 for seed 0, else a uniform draw seeded by `seed`.
+
+        The draw is NumPy's first `default_rng(seed).uniform(0, 2*pi)`, bit
+        for bit, computed without importing numpy.random.
+        """
         if self.seed == 0:
             return 0.0
-        return float(np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi))
+        return 2.0 * math.pi * _first_uniform(int(self.seed))
 
 
 def _smoothstep(p: float) -> tuple[float, float, float]:

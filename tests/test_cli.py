@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,23 @@ class TestSweepProcesses:
         assert cli._shares(cfgs, 2) == [[[0], [3], [6, 7]], [[1, 2], [4, 5]]]
         assert cli._shares(cfgs, 3) == [[[0, 1], [6, 7]], [[2, 3]], [[4, 5]]]
         assert cli._shares([], 2) == [[]]
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_seeded_run_leaves_numpy_random_unimported(tmp_path, verb):
+    # numpy.random imports `secrets` and OpenSSL's hashlib: about 6 MiB of
+    # resident memory in every process that drew a phase from it
+    cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst", "disturbance.A": 1e-4,
+                                 "disturbance.seed": 7, "solver.t_end": 1.5})
+    args = ["run", str(cfg)] if verb == "run" else \
+        ["sweep", str(cfg), "--set", "disturbance.seed=1,2", "--out", str(tmp_path / "s.csv")]
+    child = ("import sys; from pipestab.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestUnreadableConfig:

@@ -75,6 +75,27 @@ class TestSampleB:
         assert spec.phase == expect
         assert "phase" in vars(spec)   # cached on the instance after the first draw
 
+    @pytest.mark.parametrize("seed", [1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5,
+                                      int("7" * 1000)])
+    def test_phase_is_numpys_first_draw(self, seed):
+        expect = float(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi))
+        assert DisturbanceSpec(seed=seed).phase == expect
+
+    @given(st.integers(min_value=0, max_value=2**130 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_phase_is_numpys_first_draw_for_any_seed(self, seed):
+        expect = float(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)) if seed else 0.0
+        assert DisturbanceSpec(seed=seed).phase == expect
+
+    @pytest.mark.parametrize("seed", [-1, -2**64, 1.0, 2.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a negative seed would never run out of 32-bit words
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            DisturbanceSpec(family="decaying_burst", amplitude=1.0, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert DisturbanceSpec(seed=np.uint64(3)).phase == DisturbanceSpec(seed=3).phase
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             sample_b(DisturbanceSpec(family="zero"), -0.1)
