@@ -14,12 +14,13 @@ disturbance drives v = b_t plus the outgoing characteristic.  For the
 subsonic regime 0 < ubar+u < a this is exactly one physical and one
 numerical relation per end.
 
-The solver runs a batch of scenarios on one grid at once.  A batch state
-holds one (B, nx+1) array per field, and every per-member value (time,
-time step, parameters, boundary data) is a (B, 1) column; a single
-member is held as 1-D arrays and Python floats, so a single run does
-the arithmetic of an unbatched solver.  Each member keeps its own time
-step and snapshot cadence, and leaves the batch when it ends or fails.
+The solver runs a batch of scenarios on one grid at once.  Every state
+holds one (B, nx+1) array per field, a single run's too.  Every
+per-member value (time, time step, parameters, boundary data) is a
+(B, 1) column for a batch, and a float or 0-d array for one member, so
+that no per-step ufunc of a single run takes a (1, 1) operand.  Each
+member keeps its own time step and snapshot cadence, and leaves the
+batch when it ends or fails.
 
 `step` writes every array it computes into a StepWork built once per
 batch, so that a step allocates no array of the grid's size.  The new
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +71,9 @@ class CFLError(SolverError):
 
 
 def _row_max(x):
-    """Max over the last axis: a float for one member, a (B, 1) column for a batch."""
-    return float(np.maximum.reduce(x)) if x.ndim == 1 else np.maximum.reduce(x, -1, keepdims=True)
+    """Max over the last axis, per member: a float for one, a (B, 1) column for a batch."""
+    top = np.maximum.reduce(x, -1)
+    return top.item() if top.size == 1 else top[:, None]
 
 
 def _members(x) -> list:
@@ -85,16 +88,15 @@ def _column(values: list):
 
 def _flagged(bad) -> list:
     """The batch rows `bad` flags: a bool for one member, a (B, 1) column for a batch."""
-    if isinstance(bad, np.ndarray):
-        return np.flatnonzero(bad).tolist()
-    return [0] if bad else []
+    return [row for row, flag in enumerate(_members(bad)) if flag]
 
 
 @dataclass
 class FieldState:
-    """Discrete snapshot of (u, u_t, u_x) at one time, of one member or a batch."""
+    """(u, u_t, u_x) at one time: the (B, nx+1) arrays of a batch, or the
+    1-D copies of one member's arrays that a snapshot holds."""
 
-    t: float                            # a (B, 1) column for a batch
+    t: float                            # per member: a (B, 1) column for a batch
     xs: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)   # u_t
@@ -108,21 +110,16 @@ class FieldState:
 
 
 def _row(state: FieldState, row: int) -> FieldState:
-    """One member of a state, its arrays copied out of the batch or the work set."""
-    if state.u.ndim == 1:
-        t, u, v, w = state.t, state.u, state.v, state.w
-    else:
-        t, u, v, w = float(state.t[row, 0]), state.u[row], state.v[row], state.w[row]
-    return FieldState(t, state.xs, u.copy(), v.copy(), w.copy())
+    """The snapshot of one member, its arrays copied out of the batch or the work set."""
+    return FieldState(_members(state.t)[row], state.xs,
+                      state.u[row].copy(), state.v[row].copy(), state.w[row].copy())
 
 
 def _select(state: FieldState, rows: list) -> FieldState:
-    """The members at `rows`; a single member becomes a 1-D state."""
-    if state.u.ndim == 1 or len(rows) == len(state.u) > 1:
-        return state
-    if len(rows) == 1:
-        return _row(state, rows[0])
-    return FieldState(state.t[rows], state.xs, state.u[rows], state.v[rows], state.w[rows])
+    """The members at `rows`, copied out of the batch."""
+    t = _members(state.t)
+    return FieldState(_column([t[row] for row in rows]), state.xs,
+                      state.u[rows], state.v[rows], state.w[rows])
 
 
 @dataclass
@@ -134,12 +131,15 @@ class SolverConfig:
     blowup_guard: float | None = None   # default: sound speed a
 
     def __post_init__(self):
-        if self.nx < 16:
-            raise ValueError("nx must be >= 16")
+        # each check written so that NaN fails too
+        if not (self.nx >= 16 and float(self.nx).is_integer()):
+            raise ValueError("nx must be an integer >= 16")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
-        if self.t_end <= 0 or self.snapshot_dt <= 0:
-            raise ValueError("t_end and snapshot_dt must be > 0")
+        if not (0.0 < self.t_end < math.inf and 0.0 < self.snapshot_dt < math.inf):
+            raise ValueError("t_end and snapshot_dt must be finite and > 0")
+        if self.blowup_guard is not None and not 0.0 < self.blowup_guard < math.inf:
+            raise ValueError("blowup_guard must be finite and > 0")
 
 
 @dataclass
@@ -235,8 +235,8 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, 
 class ProfileTerms:
     """The time-independent values `step` reads, built once per run.
 
-    stack_terms gives every array a leading member axis and turns every
-    per-member float or 0-d array into a (B, 1) column.
+    stack_terms gives every profile array a leading member axis, and turns
+    the per-member values (MEMBER_VALUES) into (B, 1) columns for a batch.
     """
 
     ubar: np.ndarray        # ubar at the nodes
@@ -254,6 +254,11 @@ class ProfileTerms:
     theta: np.ndarray
     theta_1_5: np.ndarray
 
+    @cached_property
+    def ends(self) -> list:
+        """Each member's (a, k, ubar_0, ubar_L) in floats, for the boundary closure."""
+        return list(zip(*map(_members, (self.a, self.k, self.ubar_0, self.ubar_L))))
+
 
 def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
     ubar, ubar_x = profile.ubar, profile.ubar_x
@@ -268,20 +273,23 @@ def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerm
         np.array(1.5 * theta))
 
 
+# the ProfileTerms fields that hold one value per member, not one per node
+MEMBER_VALUES = ("ubar_0", "ubar_L", "a", "a2", "k", "theta", "theta_1_5")
+
+
 def stack_terms(terms: list) -> ProfileTerms:
-    """The terms of a batch, from the members' own terms."""
-    if len(terms) == 1:
-        return terms[0]
+    """The terms of a batch, from the members' own terms: (B, n) profile
+    arrays, B = 1 included, and per-member values as _column gives them."""
 
-    def stack(values):
-        if isinstance(values[0], tuple):
-            return tuple(stack(parts) for parts in zip(*values))
-        if isinstance(values[0], np.ndarray) and values[0].ndim:
-            return np.stack(values)
-        return _column(values)
+    def stack(name):
+        values = [getattr(t, name) for t in terms]
+        if name in MEMBER_VALUES:
+            return _column(values)
+        if isinstance(values[0], tuple):         # stationary_forcing's pair
+            return tuple(map(np.stack, zip(*values)))
+        return np.stack(values)
 
-    return ProfileTerms(*(stack([getattr(t, f.name) for t in terms])
-                          for f in fields(ProfileTerms)))
+    return ProfileTerms(*(stack(f.name) for f in fields(ProfileTerms)))
 
 
 def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
@@ -295,7 +303,7 @@ def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
 
 
 class _Fields:
-    """(u, v, w) as one (3, ..., n) array, and the views of it `step` reads;
+    """(u, v, w) as one (3, B, n) array, and the views of it `step` reads;
     also the states of a block, with the step axis after the first."""
 
     def __init__(self, uvw):
@@ -357,7 +365,7 @@ class StepWork:
 
     def __init__(self, state: FieldState, base: StepWork | None = None):
         shape = state.u.shape
-        lead, n = shape[:-1], shape[-1]
+        members, n = shape
         self.buffers = {} if base is None else base.buffers
         self.dx = float(state.xs[1] - state.xs[0])
         # the cells of one pass: at most those the first work set's flush holds
@@ -368,26 +376,18 @@ class StepWork:
         self.newest = self.end = 0          # the slot of the newest state, of the pass's end
         self.pending = []
         self.spare = self._carve("spare", (3, self.rows, *shape))
-        self.half = _Fields(self._carve("half", (3, *lead, n - 1)))   # (u, v, w) at t + dt/2
-        rows, cells = _Half.ROWS, math.prod(lead)
-        buf = self._carve("halves", (rows * cells * (n - 1),))
-        self.predictor = _Half(buf.reshape(rows, *lead, n - 1))
-        self.corrector = _Half(buf[:rows * cells * (n - 2)].reshape(rows, *lead, n - 2))
-        # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, as
-        # 0-d arrays (one member) or (B, 1) columns
-        column = (*lead, 1) if lead else ()         # the shape of a per-member value
-        self.divisors = np.array([2.0 * self.dx, 2.0, self.dx, 1.0]).reshape(4, *(1,) * len(column))
+        self.half = _Fields(self._carve("half", (3, members, n - 1)))   # (u, v, w) at t + dt/2
+        rows = _Half.ROWS * members
+        buf = self._carve("halves", (rows * (n - 1),))
+        self.predictor = _Half(buf.reshape(_Half.ROWS, members, n - 1))
+        self.corrector = _Half(buf[:rows * (n - 2)].reshape(_Half.ROWS, members, n - 2))
+        # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, each
+        # shaped like t: 0-d for one member, a (B, 1) column for a batch
+        column = np.shape(state.t)
+        self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, *(1 for _ in column)))
         self.coef = self._carve("coef", (4, *column))
         self.coefs = tuple(self.coef[i, ...] for i in range(4))
         self.full = self._carve("full", shape)
-        # the boundary nodes 0, 1, 2, -3, -2, -1 and how to read them: as
-        # Python floats for one member, as (B, 1) column views for a batch
-        nodes = (0, 1, 2, -3, -2, -1)
-        if len(shape) == 1:
-            self.edges, self.read = nodes, np.ndarray.item
-        else:
-            self.edges = tuple(np.s_[:, j:j + 1 or None] for j in nodes)
-            self.read = np.ndarray.__getitem__
 
     def _carve(self, name: str, shape: tuple) -> np.ndarray:
         """An array of `shape` over the leading elements of buffer `name`,
@@ -444,15 +444,14 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     new time t + dt, `guard` the bound on max|u|, `speed` is
     wave_speed(terms, state) and `work` is StepWork for the state's shape;
     the new state lives in the next slot of its block, pending with its
-    (t, max|u|, b, b_t).  For a batch, `terms` comes from stack_terms, and
-    dt, b_now, guard and speed are (B, 1) columns.  A CFL violation raises
-    CFLError before the step, a member outside the guard BlowUpError after
-    it; `failed` names every such member, and the input state is left as
-    it was.
+    (t, max|u|, b, b_t).  The state is (B, nx+1), B = 1 included, `terms`
+    comes from stack_terms, and dt, b_now, guard and speed are per member:
+    floats or 0-d arrays for one member, (B, 1) columns for a batch.  A CFL
+    violation raises CFLError before the step, a member outside the guard
+    BlowUpError after it; `failed` names every such member, and the input
+    state is left as it was.
     """
-    a, k = terms.a, terms.k
-    dx = work.dx
-    cfl = dt * speed / dx
+    cfl = dt * speed / work.dx
     rows = _flagged(cfl > 1.0 + 1e-12)
     if rows:
         t, cfl = _members(state.t), _members(cfl)
@@ -483,19 +482,20 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     _half_step(work.corrector, half, terms.ubar_i, terms.ubarx_i, terms.forcing_i, terms,
                dt_dx, dt_arr, (src.v_mid, src.w_mid), (dst.v_mid, dst.w_mid))
 
-    # left boundary: feedback w = k v plus extrapolated outgoing characteristic
-    read, (n0, n1, n2, nL2, nL1, nL) = work.read, work.edges
-    v, w = dst.v, dst.w
-    c_out = a + (terms.ubar_0 + read(src.u, n0))   # - d / lambda_-, frozen at the boundary speed
-    r0 = 2.0 * (read(v, n1) + c_out * read(w, n1)) - (read(v, n2) + c_out * read(w, n2))
-    v[n0] = r0 / (1.0 + k * c_out)
-    w[n0] = k * read(v, n0)
+    # both ends, member by member in Python floats
+    u, v, w = src.u, dst.v, dst.w
+    for i, ((a, k, ubar_0, ubar_L), b_t) in enumerate(zip(terms.ends, _members(b_now[1]))):
+        # left boundary: feedback w = k v plus extrapolated outgoing characteristic
+        c_out = a + (ubar_0 + u.item(i, 0))     # - d / lambda_-, frozen at the boundary speed
+        r0 = 2.0 * (v.item(i, 1) + c_out * w.item(i, 1)) - (v.item(i, 2) + c_out * w.item(i, 2))
+        v[i, 0] = v_0 = r0 / (1.0 + k * c_out)
+        w[i, 0] = k * v_0
 
-    # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
-    c_out = a - (terms.ubar_L + read(src.u, nL))   # d / lambda_+, frozen at the boundary speed
-    rL = 2.0 * (read(v, nL1) - c_out * read(w, nL1)) - (read(v, nL2) - c_out * read(w, nL2))
-    v[nL] = b_now[1]
-    w[nL] = (read(v, nL) - rL) / c_out
+        # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
+        c_out = a - (ubar_L + u.item(i, -1))    # d / lambda_+, frozen at the boundary speed
+        rL = 2.0 * (v.item(i, -2) - c_out * w.item(i, -2)) - (v.item(i, -3) - c_out * w.item(i, -3))
+        v[i, -1] = b_t
+        w[i, -1] = (b_t - rL) / c_out
 
     add(src.v, dst.v, dst.u)
     multiply(half_dt, dst.u, dst.u)
@@ -668,10 +668,8 @@ def simulate_batch(members: list) -> list:
         guard = _column([run.guard for run in active])
         return stack_terms([run.terms for run in active]), guard, slots, StepWork(state, work)
 
-    rows = list(range(len(active)))
-    state = _select(FieldState(np.zeros((len(active), 1)), xs,
-                               *(np.stack([run.initial[f] for run in active]) for f in range(3))),
-                    rows)
+    state = FieldState(_column([0.0] * len(active)), xs,
+                       *(np.stack([run.initial[f] for run in active]) for f in range(3)))
     terms, guard, slots, work = pack(active, state)
     speed = wave_speed(terms, state, out=work.full)
     # the records of every member, grown should a member outrun the estimate

@@ -1,11 +1,12 @@
 """Independent oracles shared by the test modules."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from pipestab.disturbance import sample_b
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, ProfileTerms, SolverError,
-                               Trajectory, _column, _row, _Run, _select, stack_terms,
-                               stationary_forcing)
+                               Trajectory, _Run, stationary_forcing)
 from pipestab.lyapunov import Quadrature
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
@@ -59,7 +60,9 @@ def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
 
 # The allocating Lax-Wendroff step that the work-set step replaced, with
 # the helpers and formulas it called, kept verbatim: the lean step must
-# give its u, v and w bit for bit.
+# give its u, v and w bit for bit.  The batch helpers are those of the
+# solver that held a single member in 1-D arrays, so the per-step record
+# below runs one member the way that solver did.
 
 
 def _row_max(x):
@@ -70,6 +73,45 @@ def _row_max(x):
 def _members(x) -> list:
     """Per-member values of a float (one member) or a (B, 1) column."""
     return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _column(values: list):
+    """Inverse of _members: one member's value itself, else a (B, 1) column."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _row(state: FieldState, row: int) -> FieldState:
+    """One member of a state, its arrays copied out of the batch or the work set."""
+    if state.u.ndim == 1:
+        t, u, v, w = state.t, state.u, state.v, state.w
+    else:
+        t, u, v, w = float(state.t[row, 0]), state.u[row], state.v[row], state.w[row]
+    return FieldState(t, state.xs, u.copy(), v.copy(), w.copy())
+
+
+def _select(state: FieldState, rows: list) -> FieldState:
+    """The members at `rows`; a single member becomes a 1-D state."""
+    if state.u.ndim == 1 or len(rows) == len(state.u) > 1:
+        return state
+    if len(rows) == 1:
+        return _row(state, rows[0])
+    return FieldState(state.t[rows], state.xs, state.u[rows], state.v[rows], state.w[rows])
+
+
+def stack_terms(terms: list) -> ProfileTerms:
+    """The terms of a batch, from the members' own terms."""
+    if len(terms) == 1:
+        return terms[0]
+
+    def stack(values):
+        if isinstance(values[0], tuple):
+            return tuple(stack(parts) for parts in zip(*values))
+        if isinstance(values[0], np.ndarray) and values[0].ndim:
+            return np.stack(values)
+        return _column(values)
+
+    return ProfileTerms(*(stack([getattr(t, f.name) for t in terms])
+                          for f in fields(ProfileTerms)))
 
 
 def _fail(error, bad, message):

@@ -27,8 +27,9 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
 
 
 def advance(state, params, profile, dt, guard=None):
-    """One step without disturbance; the guard defaults to the sound speed."""
-    terms = profile_terms(profile, params)
+    """One step of a one-member (1, nx+1) state without disturbance; the
+    guard defaults to the sound speed."""
+    terms = stack_terms([profile_terms(profile, params)])
     return step(state, terms, (0.0, 0.0), dt, params.a if guard is None else guard,
                 wave_speed(terms, state), StepWork(state))
 
@@ -104,6 +105,8 @@ class TestBumpProfile:
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"nx": 8}, {"cfl": 0.0}, {"cfl": 1.0}, {"t_end": -1.0}, {"snapshot_dt": 0.0},
+        {"t_end": np.nan}, {"t_end": np.inf}, {"snapshot_dt": np.nan},
+        {"blowup_guard": np.nan}, {"blowup_guard": -1.0}, {"nx": np.nan}, {"nx": 16.5},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -113,24 +116,24 @@ class TestSolverConfig:
 class TestStep:
     def test_cfl_violation_raises(self):
         params, profile, xs = make_setup()
-        state = FieldState(t=0.0, xs=xs, u=np.zeros_like(xs),
-                           v=np.zeros_like(xs), w=np.zeros_like(xs))
+        zeros = np.zeros((1, len(xs)))
+        state = FieldState(t=0.0, xs=xs, u=zeros, v=zeros.copy(), w=zeros.copy())
         with pytest.raises(CFLError):
             advance(state, params, profile, dt=1.0)
 
     def test_blowup_guard_raises(self):
         params, profile, xs = make_setup()
-        u = np.full_like(xs, 0.2)
-        state = FieldState(t=0.0, xs=xs, u=u, v=np.zeros_like(xs), w=np.zeros_like(xs))
+        u = np.full((1, len(xs)), 0.2)
+        state = FieldState(t=0.0, xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
         with pytest.raises(BlowUpError):
             advance(state, params, profile, dt=1e-4, guard=0.1)
 
     def test_nan_state_raises_at_its_step(self):
         # every comparison with NaN is False, so the guard must be written to fail on it
         params, profile, xs = make_setup()
-        u = np.zeros_like(xs)
-        u[len(xs) // 2] = np.nan
-        state = FieldState(t=0.25, xs=xs, u=u, v=np.zeros_like(xs), w=np.zeros_like(xs))
+        u = np.zeros((1, len(xs)))
+        u[0, len(xs) // 2] = np.nan
+        state = FieldState(t=0.25, xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
         with pytest.raises(BlowUpError, match=r"t=0\.2501"):
             advance(state, params, profile, dt=1e-4)
 
@@ -139,11 +142,11 @@ class TestStep:
         # stepped state carries its own max|u|
         params, profile, xs = make_setup()
         phi, dphi = bump_profile(xs, 1e-3, 0.5, 0.2)
-        state = FieldState(t=0.0, xs=xs, u=phi, v=np.zeros_like(xs), w=dphi)
+        state = FieldState(t=0.0, xs=xs, u=phi[None], v=np.zeros((1, len(xs))), w=dphi[None])
         dx = xs[1] - xs[0]
         for _ in range(20):
             state = advance(state, params, profile, dt=0.4 * dx / (params.a + 1.0))
-        assert state.w[0] == params.k * state.v[0]
+        assert state.w[0, 0] == params.k * state.v[0, 0]
         assert state.max_abs_u == float(np.max(np.abs(state.u)))
 
 
@@ -489,7 +492,7 @@ class TestBlockRecord:
     @pytest.mark.parametrize("nx", [100, 400, 3200])
     @pytest.mark.parametrize("count", [1, 8])
     def test_block_bytes_within_budget(self, nx, count):
-        shape = (nx + 1,) if count == 1 else (count, nx + 1)
+        shape = (count, nx + 1)
         t = 0.0 if count == 1 else np.zeros((count, 1))
         xs = np.linspace(0.0, 1.0, nx + 1)
         work = StepWork(FieldState(t, xs, np.zeros(shape), np.zeros(shape), np.zeros(shape)))
@@ -559,7 +562,8 @@ class TestLeanStep:
         lean, reference = state, copied(state)
         for _ in range(3):   # the first step copies the state in, the others write the block
             speed = wave_speed(terms, lean)
-            assert np.array_equal(speed, oracles.wave_speed(terms, reference))
+            # a float for one member here, a (1, 1) column from the oracle
+            assert np.array_equal(np.ravel(speed), np.ravel(oracles.wave_speed(terms, reference)))
             dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
             b_now = (column(list(rng.normal(size=len(physics)))),
                      column(list(rng.normal(size=len(physics)))))
@@ -612,7 +616,8 @@ class TestLeanStep:
         ubar = np.linspace(0.1, 0.4, n)
         if nan_row < rows:
             u[nan_row, n // 2] = np.nan
-        cases = [(SimpleNamespace(ubar=ubar, a=speeds[0]), FieldState(0.0, ubar, u[0], u[0], u[0])),
+        one = u[:1]
+        cases = [(SimpleNamespace(ubar=ubar[None], a=speeds[0]), FieldState(0.0, ubar, one, one, one)),
                  (SimpleNamespace(ubar=np.tile(ubar, (rows, 1)), a=np.array(speeds[:rows])[:, None]),
                   FieldState(np.zeros((rows, 1)), ubar, u, u, u))]
         for terms, state in cases:
