@@ -212,11 +212,13 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
 
     margin_E = bound_E - E_series
     margin_H = bound_H - H_series
+    # a bound of K1 = +inf (M1 <= 0) holds vacuously: None, not applicable
+    k1_finite = math.isfinite(constants.K1)
     result = {
         "E_Tperiod": E_Tp,
         "bracket": bracket,
         "energy_bound_ok": bool(np.all(margin_E >= -slack_E)),
-        "h1_bound_ok": bool(np.all(margin_H >= -slack_H)),
+        "h1_bound_ok": bool(np.all(margin_H >= -slack_H)) if k1_finite else None,
         "worst_energy_margin": float(np.min(margin_E)),
         "worst_h1_margin": float(np.min(margin_H)),
         "final_window_checked": bool(b_final_zero),
@@ -227,7 +229,8 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
         T = float(times[-1])
         bound_final = constants.K1 * math.exp(-constants.mu * (T - T_period)) * bracket
         margin = bound_final - float(H_series[-1])
-        result["final_window_ok"] = bool(margin >= -1e-12 * max(bound_final, 1e-300))
+        result["final_window_ok"] = (bool(margin >= -1e-12 * max(bound_final, 1e-300))
+                                     if k1_finite else None)
         result["final_window_margin"] = margin
     return result
 
@@ -299,9 +302,8 @@ def _finite_or_null(obj):
 def assemble_report(constants: TheoremConstants, hypotheses: HypothesisFlags,
                     bounds: dict, noise: dict, observed: dict,
                     T_period: float = 0.0) -> CertificateReport:
-    bounds_ok = (bounds["energy_bound_ok"] and bounds["h1_bound_ok"]
-                 and bounds["final_window_ok"])
-    if not bounds_ok:
+    # None, a check that does not apply, is not a failure
+    if False in (bounds["energy_bound_ok"], bounds["h1_bound_ok"], bounds["final_window_ok"]):
         verdict = "bound_violated"
     elif hypotheses.all_ok():
         verdict = "certified"

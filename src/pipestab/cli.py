@@ -7,8 +7,8 @@ Verbs:
     pipestab stationary <config>           print the stationary profile table
 
 Exit codes for `run`: 0 when the verdict is certified or
-bound_holds_hypotheses_fail, 2 when a decay bound is violated, 1 on
-configuration or runtime errors.
+bound_holds_hypotheses_fail, 2 when a decay bound is violated.  Every verb
+prints `error: <message>` and exits 1 on a configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .stationary import build_stationary
 
 CSV_HEADER = "t,E1,E,H,E_classic,grad_norm,max_u,u_0,ut_0,ux_0,u_L,b,b_t,hyp_ok"
 
-# what ends one scenario with exit code 1 (run) or an error row (sweep)
-RUN_ERRORS = (ConfigError, ValueError, OSError, BlowUpError, CFLError)
+# what ends a verb with exit code 1, or one scenario of a sweep with an error row
+RUN_ERRORS = (ValueError, OSError, BlowUpError, CFLError)
 
 # Cells (members x grid points) of one solver batch in `execute_runs`: the
 # records a batch keeps in memory grow with it, see README.
@@ -249,12 +249,7 @@ def _write_reports(cfg, report):
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.config)
-        report = execute_run(cfg)
-    except RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = execute_run(ScenarioConfig.from_file(args.config))
     print(f"verdict: {report.verdict}")
     return 0 if report.verdict in ("certified", "bound_holds_hypotheses_fail") else 2
 
@@ -266,27 +261,24 @@ def _parse_sets(set_args):
             raise ConfigError(f"--set expects key=v1,v2,..., got {item!r}")
         key, _, vals = item.partition("=")
         key = key.strip()
+        if key in grid:
+            raise ConfigError(f"--set gives `{key}` twice; list all its values in one --set")
         grid[key] = [_parse_value(key, v.strip()) for v in vals.split(",")]
     return grid
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = ScenarioConfig.from_file(args.config)
-        grid = _parse_sets(args.set)
-        if not grid:
-            raise ConfigError("sweep requires at least one --set key=v1,v2,... override")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    base = ScenarioConfig.from_file(args.config)
+    grid = _parse_sets(args.set)
+    if not grid:
+        raise ConfigError("sweep requires at least one --set key=v1,v2,... override")
 
     keys = sorted(grid)
     out_path = Path(args.out) if args.out else Path(args.config).with_suffix(".sweep.csv")
     try:   # fail before the grid runs, not after
         out_path.open("a").close()
     except OSError as exc:
-        print(f"error: cannot write the sweep summary: {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot write the sweep summary: {exc}") from None
     combos = list(itertools.product(*(grid[k] for k in keys)))
     results = [None] * len(combos)
     cfgs = {}
@@ -326,28 +318,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.config)
-        constants = cert.compute_constants(
-            cfg.pipe_params(), cfg["certificate.lambda"],
-            cfg["disturbance.nu"], cfg["disturbance.C_nu"])
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = ScenarioConfig.from_file(args.config)
+    constants = cert.compute_constants(cfg.pipe_params(), cfg["certificate.lambda"],
+                                       cfg["disturbance.nu"], cfg["disturbance.C_nu"])
     for name, val in constants.as_dict().items():
         print(f"{name:>10} = {val!r}")
     return 0
 
 
 def cmd_stationary(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.config)
-        params = cfg.pipe_params()
-        xs = np.linspace(0.0, params.L, cfg["solver.nx"] + 1)
-        profile = build_stationary(params, cfg["stationary.u0"], xs)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    profile = _member(ScenarioConfig.from_file(args.config)).profile
     print(f"# c1 = {profile.c1!r}, L_crit = {profile.L_crit!r}")
     print("x,ubar,ubar_x")
     for x, ub, ubx in zip(profile.xs, profile.ubar, profile.ubar_x):
@@ -382,7 +362,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_stationary)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ identically.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disturbance import FAMILIES, DisturbanceSpec
+from .disturbance import DisturbanceSpec
 from .dynamics import RECORDS, SolverConfig, bump_profile
-from .stationary import PipeParams
+from .stationary import FieldError, PipeParams
 
 
 class ConfigError(ValueError):
@@ -33,26 +35,24 @@ MAX_SNAPSHOTS = 10000
 # on one of at most MAX_SNAPSHOTS snapshots or on t_end.
 MAX_STEPS = 2 ** 30 // (3 * 8 * len(RECORDS))
 
-# key -> (type, default, constraint text, predicate on the merged values);
-# the last two are None for unconstrained keys.  Every float must also be finite.
+# key -> (type, default, constraint text, predicate on the merged values).  A number
+# must be a finite float64, and PipeParams, SolverConfig and DisturbanceSpec check
+# the ranges of their fields: only the rules that no dataclass owns are written here.
 SCHEMA: dict[str, tuple] = {
-    "pipe.L": (float, 1.0, "pipe.L > 0", lambda v: v["pipe.L"] > 0),
-    "pipe.a": (float, 1.0, "pipe.a > 0", lambda v: v["pipe.a"] > 0),
-    "pipe.theta": (float, 0.0, "pipe.theta >= 0", lambda v: v["pipe.theta"] >= 0),
-    "feedback.k": (float, 2.0, "feedback.k > 0", lambda v: v["feedback.k"] > 0),
+    "pipe.L": (float, 1.0, None, None),
+    "pipe.a": (float, 1.0, None, None),
+    "pipe.theta": (float, 0.0, None, None),
+    "feedback.k": (float, 2.0, None, None),
     "stationary.u0": (float, 0.25, "0 < stationary.u0 < pipe.a",
                       lambda v: 0 < v["stationary.u0"] < v["pipe.a"]),
-    "disturbance.family": (str, "zero", f"disturbance.family in {{{', '.join(FAMILIES)}}}",
-                           lambda v: v["disturbance.family"] in FAMILIES),
+    "disturbance.family": (str, "zero", None, None),
     "disturbance.A": (float, 0.0, None, None),
     "disturbance.f": (float, 1.0, None, None),
-    "disturbance.gamma": (float, 1.0, "disturbance.gamma >= 0",
-                          lambda v: v["disturbance.gamma"] >= 0),
-    "disturbance.nu": (float, 1.0, "disturbance.nu > 0", lambda v: v["disturbance.nu"] > 0),
-    "disturbance.C_nu": (float, 1.0, "disturbance.C_nu > 0", lambda v: v["disturbance.C_nu"] > 0),
-    "disturbance.T_period": (float, 1.0, "disturbance.T_period > 0",
-                             lambda v: v["disturbance.T_period"] > 0),
-    "disturbance.seed": (int, 0, "disturbance.seed >= 0", lambda v: v["disturbance.seed"] >= 0),
+    "disturbance.gamma": (float, 1.0, None, None),
+    "disturbance.nu": (float, 1.0, None, None),
+    "disturbance.C_nu": (float, 1.0, None, None),
+    "disturbance.T_period": (float, 1.0, None, None),
+    "disturbance.seed": (int, 0, None, None),
     "initial.family": (str, "zero", "initial.family in {zero, bump}",
                        lambda v: v["initial.family"] in ("zero", "bump")),
     "initial.amplitude": (float, 0.0, None, None),
@@ -63,23 +63,24 @@ SCHEMA: dict[str, tuple] = {
                           v["initial.family"] != "bump"
                           or 0 < v["initial.center"] - v["initial.width"]
                           and v["initial.center"] + v["initial.width"] < v["pipe.L"])),
-    "solver.nx": (int, 200, "solver.nx >= 16", lambda v: v["solver.nx"] >= 16),
-    "solver.cfl": (float, 0.45, "0 < solver.cfl < 1", lambda v: 0 < v["solver.cfl"] < 1),
+    "solver.nx": (int, 200, None, None),
+    "solver.cfl": (float, 0.45, None, None),
     "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period and "
                      "solver.t_end * 3 * pipe.a * solver.nx / (solver.cfl * pipe.L) "
                      f"+ {MAX_SNAPSHOTS + 1} <= {MAX_STEPS}",
                      lambda v: v["solver.t_end"] > v["disturbance.T_period"]
+                     # one divisor at a time: solver.cfl * pipe.L may underflow to 0
                      and v["solver.t_end"] * 3 * v["pipe.a"] * v["solver.nx"]
-                     / (v["solver.cfl"] * v["pipe.L"]) + MAX_SNAPSHOTS + 1 <= MAX_STEPS),
-    "solver.snapshot_dt": (float, 0.1, "solver.snapshot_dt > 0 and "
-                           f"solver.t_end / solver.snapshot_dt <= {MAX_SNAPSHOTS}",
-                           lambda v: v["solver.snapshot_dt"] > 0
-                           and v["solver.t_end"] / v["solver.snapshot_dt"] <= MAX_SNAPSHOTS),
+                     / v["solver.cfl"] / v["pipe.L"] + MAX_SNAPSHOTS + 1 <= MAX_STEPS),
+    "solver.snapshot_dt": (float, 0.1, f"solver.t_end / solver.snapshot_dt <= {MAX_SNAPSHOTS}",
+                           lambda v: v["solver.t_end"] / v["solver.snapshot_dt"]
+                           <= MAX_SNAPSHOTS),
     "certificate.lambda": (float, 0.75, "1/2 < certificate.lambda < 1",
                            lambda v: 0.5 < v["certificate.lambda"] < 1),
     "output.csv_path": (str, "run.csv", None, None),
     "output.report_path": (str, "report.txt", None, None),
 }
+KINDS = {str: str, int: numbers.Integral, float: numbers.Real}   # an int is a float too
 
 
 def _parse_value(key: str, text: str):
@@ -100,22 +101,28 @@ class ScenarioConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {k: spec[1] for k, spec in SCHEMA.items()}
-        for k, v in self.values.items():
-            if k not in SCHEMA:
-                raise ConfigError(f"unknown configuration key `{k}`")
-            merged[k] = v
-        self.values = merged
+        unknown = [k for k in self.values if k not in SCHEMA]
+        if unknown:
+            raise ConfigError(f"unknown configuration key `{unknown[0]}`")
+        self.values = {k: self.values.get(k, spec[1]) for k, spec in SCHEMA.items()}
         self.validate()
 
     def __getitem__(self, key):
         return self.values[key]
 
     def validate(self):
+        """Check each value's type, build the dataclasses, then the SCHEMA rules."""
         v = self.values
-        for key, (typ, _, rule, ok) in SCHEMA.items():
-            if typ is float and not math.isfinite(v[key]):
-                raise ConfigError(f"invalid value for `{key}`: {v[key]!r} is not finite")
+        for key, (typ, *_) in SCHEMA.items():
+            if isinstance(v[key], bool) or not isinstance(v[key], KINDS[typ]):
+                raise ConfigError(f"invalid value for `{key}`: expected {typ.__name__}, "
+                                  f"got {type(v[key]).__name__}")
+            # an int beyond the float range would overflow in a rule's float arithmetic
+            if typ is not str and not abs(v[key]) <= sys.float_info.max:
+                raise ConfigError(f"invalid value for `{key}`: not a finite float64 number")
+            v[key] = typ(v[key])
+        self.pipe_params(), self.solver_config(), self.disturbance_spec()
+        for key, (_, _, rule, ok) in SCHEMA.items():
             if ok is not None and not ok(v):
                 raise ConfigError(f"invalid value for `{key}`: constraint `{rule}` violated")
 
@@ -161,33 +168,34 @@ class ScenarioConfig:
 
     def replace(self, **overrides) -> "ScenarioConfig":
         """New config with dotted keys overridden (keys use `.` as given)."""
-        values = dict(self.values)
-        values.update(overrides)
-        return ScenarioConfig(values)
+        return ScenarioConfig({**self.values, **overrides})
 
     # -- builders ----------------------------------------------------------
 
+    def _build(self, cls, keys: dict, **extra):
+        """cls with each field in `keys` read from its config key; a field
+        error becomes a ConfigError that names the key."""
+        try:
+            return cls(**{name: self[key] for name, key in keys.items()}, **extra)
+        except FieldError as exc:
+            raise ConfigError(f"invalid value for `{keys[exc.field]}`: {exc}") from None
+
     def pipe_params(self) -> PipeParams:
-        return PipeParams(L=self["pipe.L"], a=self["pipe.a"],
-                          theta=self["pipe.theta"], k=self["feedback.k"])
+        return self._build(PipeParams, {"L": "pipe.L", "a": "pipe.a", "theta": "pipe.theta",
+                                        "k": "feedback.k"})
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(nx=self["solver.nx"], cfl=self["solver.cfl"],
-                            t_end=self["solver.t_end"],
-                            snapshot_dt=self["solver.snapshot_dt"])
+        return self._build(SolverConfig, {name: "solver." + name for name in
+                                          ("nx", "cfl", "t_end", "snapshot_dt")})
 
     def disturbance_spec(self) -> DisturbanceSpec:
-        t_off = self["solver.t_end"] - self["disturbance.T_period"]
-        return DisturbanceSpec(
-            family=self["disturbance.family"],
-            amplitude=self["disturbance.A"],
-            frequency=self["disturbance.f"],
-            gamma=self["disturbance.gamma"],
-            nu=self["disturbance.nu"],
-            C_nu=self["disturbance.C_nu"],
-            T_period=self["disturbance.T_period"],
-            seed=self["disturbance.seed"],
-            t_off=t_off if self["disturbance.family"] == "compact_burst" else math.inf)
+        compact = self["disturbance.family"] == "compact_burst"
+        t_off = self["solver.t_end"] - self["disturbance.T_period"] if compact else math.inf
+        return self._build(DisturbanceSpec, {
+            "family": "disturbance.family", "amplitude": "disturbance.A",
+            "frequency": "disturbance.f", "gamma": "disturbance.gamma", "nu": "disturbance.nu",
+            "C_nu": "disturbance.C_nu", "T_period": "disturbance.T_period",
+            "seed": "disturbance.seed"}, t_off=t_off)
 
     def initial_arrays(self, xs):
         if self["initial.family"] == "zero":

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .lyapunov import windowed_series
+from .stationary import require
 
 FAMILIES = ("zero", "decaying_burst", "compact_burst")
 
@@ -106,12 +107,15 @@ class DisturbanceSpec:
     t_off: float = math.inf   # support end for compact_burst (vanishes for t >= t_off)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown disturbance family {self.family!r}")
-        if self.T_period <= 0:
-            raise ValueError("T_period must be > 0")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        require(self.family in FAMILIES, "family", f"one of {', '.join(FAMILIES)}")
+        require(abs(self.amplitude) < math.inf, "amplitude", "finite")
+        require(abs(self.frequency) < math.inf, "frequency", "finite")
+        require(0.0 <= self.gamma < math.inf, "gamma", "finite and >= 0")
+        require(0.0 < self.nu < math.inf, "nu", "finite and > 0")
+        require(0.0 < self.C_nu < math.inf, "C_nu", "finite and > 0")
+        require(0.0 < self.T_period < math.inf, "T_period", "finite and > 0")
+        require(isinstance(self.seed, numbers.Integral) and self.seed >= 0,
+                "seed", "an integer >= 0")
 
     @cached_property
     def phase(self) -> float:

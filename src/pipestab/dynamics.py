@@ -42,7 +42,7 @@ from numpy import absolute, add, divide, multiply, square, subtract
 
 from .disturbance import DisturbanceSpec, sample_b
 from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
-from .stationary import PipeParams, StationaryProfile
+from .stationary import PipeParams, StationaryProfile, require
 
 
 # Constant factors of the per-step path.  NumPy takes a 0-d array operand
@@ -131,15 +131,13 @@ class SolverConfig:
     blowup_guard: float | None = None   # default: sound speed a
 
     def __post_init__(self):
-        # each check written so that NaN fails too
-        if not (self.nx >= 16 and float(self.nx).is_integer()):
-            raise ValueError("nx must be an integer >= 16")
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
-        if not (0.0 < self.t_end < math.inf and 0.0 < self.snapshot_dt < math.inf):
-            raise ValueError("t_end and snapshot_dt must be finite and > 0")
-        if self.blowup_guard is not None and not 0.0 < self.blowup_guard < math.inf:
-            raise ValueError("blowup_guard must be finite and > 0")
+        # nx % 1, not float(nx): an int beyond the float range is an integer
+        require(self.nx >= 16 and self.nx % 1 == 0, "nx", "an integer >= 16")
+        require(0.0 < self.cfl < 1.0, "cfl", "in (0, 1)")
+        require(0.0 < self.t_end < math.inf, "t_end", "finite and > 0")
+        require(0.0 < self.snapshot_dt < math.inf, "snapshot_dt", "finite and > 0")
+        require(self.blowup_guard is None or 0.0 < self.blowup_guard < math.inf,
+                "blowup_guard", "finite and > 0")
 
 
 @dataclass

@@ -21,6 +21,20 @@ import numpy as np
 INV_E = math.exp(-1.0)
 
 
+class FieldError(ValueError):
+    """A dataclass field holds a value outside its range; `field` names it."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} must be {rule}")
+        self.field = field
+
+
+def require(ok: bool, field: str, rule: str):
+    """Raise FieldError for `field` unless `ok`, a test written so that NaN fails it."""
+    if not ok:
+        raise FieldError(field, rule)
+
+
 @dataclass(frozen=True)
 class PipeParams:
     """Physical pipe description plus the boundary feedback gain."""
@@ -31,14 +45,10 @@ class PipeParams:
     k: float            # Neumann feedback gain at x = 0
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("pipe length L must be > 0")
-        if not self.a > 0:
-            raise ValueError("sound speed a must be > 0")
-        if self.theta < 0:
-            raise ValueError("friction ratio theta must be >= 0")
-        if not self.k > 0:
-            raise ValueError("feedback gain k must be > 0")
+        require(0.0 < self.L < math.inf, "L", "finite and > 0")
+        require(0.0 < self.a < math.inf, "a", "finite and > 0")
+        require(0.0 <= self.theta < math.inf, "theta", "finite and >= 0")
+        require(0.0 < self.k < math.inf, "k", "finite and > 0")
 
 
 def _minus_w_minus1(q):
@@ -114,8 +124,6 @@ def build_stationary(params: PipeParams, u0: float, xs) -> StationaryProfile:
     Positive flow only; the derivative is taken from the stationary ODE,
     not from differencing the samples.
     """
-    if not 0.0 < u0 < params.a:
-        raise ValueError("u0 must lie in (0, a)")
     xs = np.asarray(xs, dtype=float)
     if xs.min() < 0.0 or xs.max() > params.L + 1e-12:
         raise ValueError("grid must lie inside [0, L]")

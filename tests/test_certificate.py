@@ -213,6 +213,27 @@ class TestDecayBounds:
         assert not res2["final_window_checked"]
         assert math.isnan(res2["final_window_margin"])
 
+    def test_infinite_k1_is_not_applicable(self):
+        # k = 1/a: M1 <= 0 and K1 = +inf, so the H1 bounds hold vacuously; they
+        # are reported as None (JSON null), which the verdict does not count as failed
+        params = PipeParams(L=1.0, a=2.0, theta=0.1, k=0.5)
+        c = compute_constants(params, 0.6, 1.0, 1e-6)
+        assert c.K1 == math.inf
+        times = np.linspace(1.0, 10.0, 901)
+        E_series = 0.5 * c.Cg / c.delta * np.exp(-c.mu * (times - 1.0))
+        res = verify_decay_bounds(times, E_series, E_series, c, 1.0, params.L,
+                                  b_final_zero=True)
+        assert res["energy_bound_ok"] is True
+        assert res["h1_bound_ok"] is None and res["final_window_ok"] is None
+        flags = HypothesisFlags(feedback_gain_ok=False, stationary_small_ok=True,
+                                state_small_ok=True, noise_bound_ok=True,
+                                rate_gap_ok=True, m1_positive=False)
+        rep = assemble_report(c, flags, res, {"worst_ratio": 0.0, "pass": True}, {})
+        assert rep.verdict == "bound_holds_hypotheses_fail"
+        bounds = json.loads(rep.to_json())["bounds"]
+        assert bounds["h1_bound_ok"] is None and bounds["final_window_ok"] is None
+        assert bounds["worst_h1_margin"] is None
+
     def test_rate_gap_violation_raises(self):
         c = self.constants(nu=0.0)
         times = np.linspace(1.0, 5.0, 401)

@@ -138,6 +138,20 @@ class TestRun:
         assert "invalid value for `solver.t_end`" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_reflection_free_gain_leaves_h1_bounds_not_applicable(self, tmp_path):
+        # a k = 1: M1 < 0 and K1 = +inf, so the H1 bound and the final-window bound
+        # hold vacuously; they are null (not applicable), never `true`
+        cfg = write_cfg(tmp_path, **{"feedback.k": 0.5, "initial.family": "bump",
+                                     "initial.amplitude": 0.01})
+        assert main(["run", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.txt.json").read_text())
+        assert report["constants"]["K1"] is None
+        bounds = report["bounds"]
+        assert bounds["energy_bound_ok"] is True
+        assert bounds["h1_bound_ok"] is None and bounds["worst_h1_margin"] is None
+        assert bounds["final_window_checked"] is True and bounds["final_window_ok"] is None
+        assert report["verdict"] == "bound_holds_hypotheses_fail"
+
     def test_supercritical_pipe_exit_one(self, tmp_path, capsys):
         # u0 close to sonic makes L exceed the critical length
         cfg = write_cfg(tmp_path, **{"stationary.u0": 1.99, "pipe.theta": 5.0})
@@ -183,6 +197,26 @@ class TestSweep:
         cfg = write_cfg(tmp_path)
         assert main(["sweep", str(cfg), "--set", "pipe.bogus=1,2"]) == 1
         assert "pipe.bogus" in capsys.readouterr().err
+
+    def test_repeated_set_key_exit_one(self, tmp_path, capsys):
+        # the second --set of a key would silently replace the first
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "feedback.k=2", "--set", "feedback.k=4,8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "`feedback.k`" in err
+        assert not out.exists()
+
+    def test_int_beyond_the_float_range_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "solver.nx=32,1" + "0" * 400,
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: invalid value for `solver.nx`" in rows[2]
 
     def test_bad_value_recorded_not_fatal(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -381,12 +415,18 @@ def test_seeded_run_leaves_numpy_random_unimported(tmp_path, verb):
     args = ["run", str(cfg)] if verb == "run" else \
         ["sweep", str(cfg), "--set", "disturbance.seed=1,2", "--out", str(tmp_path / "s.csv")]
     child = ("import sys; from pipestab.cli import main; code = main(sys.argv[1:]); "
-             "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules)")
+             "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules, "
+             "'multiprocessing' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False False"
+    code, numpy_random, secrets, forks = done.stdout.splitlines()[-1].split()
+    assert (code, numpy_random, secrets) == ("0", "False", "False")
+    if verb == "run":
+        # only a sweep of several batches forks; importing multiprocessing alone
+        # adds about 0.75 MB to the peak RSS of a single run
+        assert forks == "False"
 
 
 class TestUnreadableConfig:
@@ -417,6 +457,20 @@ def test_overflowing_inflow_exit_one(tmp_path, capsys, verb, u0):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"u0 = {u0}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "constants", "stationary"])
+@pytest.mark.parametrize("key,text", [
+    pytest.param("solver.nx", "1" + "0" * 400, id="solver.nx-beyond-float-range"),
+    ("solver.nx", "64.5"), ("pipe.L", "nan"), ("feedback.k", "-1"), ("disturbance.C_nu", "0"),
+])
+def test_invalid_value_exit_one_naming_key(tmp_path, capsys, verb, key, text):
+    cfg = write_cfg(tmp_path, **{key: text})
+    argv = [verb, str(cfg)] + (["--set", "certificate.lambda=0.6"] if verb == "sweep" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"`{key}`" in err
     assert "Traceback" not in err
 
 

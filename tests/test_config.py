@@ -2,7 +2,9 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pipestab.config import MAX_SNAPSHOTS, MAX_STEPS, SCHEMA, ConfigError, ScenarioConfig
 
@@ -113,6 +115,56 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.replace(**{"feedback.k": -1.0})
         assert cfg.replace(**{"feedback.k": 8.0})["feedback.k"] == 8.0
+
+
+class TestLibraryCallers:
+    """ScenarioConfig(values) checks what a config file's text is checked for."""
+
+    def test_replace_checks_types(self):
+        with pytest.raises(ConfigError, match=r"`stationary\.u0`: expected float, got str"):
+            ScenarioConfig().replace(**{"stationary.u0": "0.3"})
+
+    @pytest.mark.parametrize("key", ["pipe.L", "solver.nx", "disturbance.seed"])
+    def test_int_beyond_the_float_range_names_key(self, key):
+        # a rule's float arithmetic would raise OverflowError on it
+        with pytest.raises(ConfigError, match=rf"`{key.replace('.', '[.]')}`"):
+            ScenarioConfig({key: 10 ** 400})
+
+    def test_numbers_are_stored_as_their_key_type(self):
+        cfg = ScenarioConfig({"pipe.a": 2, "disturbance.seed": np.uint64(3)})
+        assert type(cfg["pipe.a"]) is float and type(cfg["disturbance.seed"]) is int
+
+
+# any value of any type a caller may pass: floats (NaN, infinities, subnormals
+# and the extremes included), ints beyond the float range, text, bools and None
+ANY_VALUE = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308]),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.sampled_from([10 ** 400, -10 ** 400, 10 ** 309]),
+    st.text(), st.booleans(), st.none())
+
+
+def wrong_typed(typ, value) -> bool:
+    """A value that no key of type `typ` takes, whatever its size."""
+    if isinstance(value, bool) or value is None:
+        return True
+    if typ is str or isinstance(value, str):
+        return not (typ is str and isinstance(value, str))
+    return typ is int and isinstance(value, float) and not value.is_integer()
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+@settings(max_examples=60, deadline=None)
+@given(value=ANY_VALUE)
+def test_every_key_builds_or_raises_config_error(key, value):
+    try:
+        ScenarioConfig({key: value})
+    except ConfigError as exc:
+        if wrong_typed(SCHEMA[key][0], value):
+            assert f"`{key}`" in str(exc)
+    else:
+        assert not wrong_typed(SCHEMA[key][0], value)
 
 
 class TestBuilders:

@@ -93,6 +93,15 @@ class TestSampleB:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             DisturbanceSpec(family="decaying_burst", amplitude=1.0, seed=seed)
 
+    @pytest.mark.parametrize("field,value", [
+        ("family", "spike"), ("amplitude", math.nan), ("frequency", math.inf),
+        ("gamma", math.nan), ("gamma", -1.0), ("T_period", math.nan), ("T_period", 0.0),
+        ("nu", 0.0), ("nu", math.nan), ("C_nu", -1.0), ("C_nu", math.inf),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            DisturbanceSpec(**{"family": "decaying_burst", "amplitude": 1.0, field: value})
+
     def test_numpy_integer_seed(self):
         assert DisturbanceSpec(seed=np.uint64(3)).phase == DisturbanceSpec(seed=3).phase
 

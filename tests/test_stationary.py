@@ -25,6 +25,18 @@ def bisect_w_minus1(z, lo=-50.0, hi=-1.0, iters=200):
     return 0.5 * (lo + hi)
 
 
+class TestPipeParams:
+    @pytest.mark.parametrize("field,value", [
+        ("L", 0.0), ("L", math.nan), ("a", -1.0), ("a", math.inf), ("theta", -0.1),
+        ("theta", math.nan), ("k", 0.0), ("k", math.inf),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        # each check is written so that NaN fails it, and names its field
+        kwargs = {"L": 1.0, "a": 2.0, "theta": 0.1, "k": 4.0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            PipeParams(**kwargs)
+
+
 class TestLambertW:
     def test_branch_point(self):
         assert lambert_w_minus1(-INV_E) == pytest.approx(-1.0, abs=1e-8)
