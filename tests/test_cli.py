@@ -139,7 +139,7 @@ class TestRun:
         assert not (tmp_path / "run.csv").exists()
 
     def test_reflection_free_gain_leaves_h1_bounds_not_applicable(self, tmp_path):
-        # a k = 1: M1 < 0 and K1 = +inf, so the H1 bound and the final-window bound
+        # a·k = 1: M1 < 0 and K1 = +inf, so the H1 bound and the final-window bound
         # hold vacuously; they are null (not applicable), never `true`
         cfg = write_cfg(tmp_path, **{"feedback.k": 0.5, "initial.family": "bump",
                                      "initial.amplitude": 0.01})
