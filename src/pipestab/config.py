@@ -34,6 +34,9 @@ MAX_SNAPSHOTS = 10000
 # speed below 3 pipe.a (|ubar| < a and the blow-up guard |u| <= a), or it ends
 # on one of at most MAX_SNAPSHOTS snapshots or on t_end.
 MAX_STEPS = 2 ** 30 // (3 * 8 * len(RECORDS))
+# Every snapshot keeps 3 float64 arrays of nx + 1 values until the run ends,
+# so this cap on their cells keeps one scenario's snapshots within 1 GiB.
+MAX_SNAPSHOT_CELLS = 2 ** 30 // 24
 
 # key -> (type, default, constraint text, predicate on the merged values).  A number
 # must be a finite float64, and PipeParams, SolverConfig and DisturbanceSpec check
@@ -63,7 +66,11 @@ SCHEMA: dict[str, tuple] = {
                           v["initial.family"] != "bump"
                           or 0 < v["initial.center"] - v["initial.width"]
                           and v["initial.center"] + v["initial.width"] < v["pipe.L"])),
-    "solver.nx": (int, 200, None, None),
+    "solver.nx": (int, 200, "(solver.nx + 1) * (solver.t_end / solver.snapshot_dt + 1) "
+                  f"<= {MAX_SNAPSHOT_CELLS}",
+                  # beyond MAX_SNAPSHOTS snapshots the solver.snapshot_dt rule names the fault
+                  lambda v: (v["solver.nx"] + 1) * (min(v["solver.t_end"] / v["solver.snapshot_dt"],
+                                                        MAX_SNAPSHOTS) + 1) <= MAX_SNAPSHOT_CELLS),
     "solver.cfl": (float, 0.45, None, None),
     "solver.t_end": (float, 10.0, "solver.t_end > disturbance.T_period and "
                      "solver.t_end * 3 * pipe.a * solver.nx / (solver.cfl * pipe.L) "
@@ -190,7 +197,9 @@ class ScenarioConfig:
 
     def disturbance_spec(self) -> DisturbanceSpec:
         compact = self["disturbance.family"] == "compact_burst"
-        t_off = self["solver.t_end"] - self["disturbance.T_period"] if compact else math.inf
+        t_off = self["solver.t_end"] - self["disturbance.T_period"]
+        if not (compact and t_off > 0):     # t_off <= 0: the solver.t_end rule names the fault
+            t_off = math.inf
         return self._build(DisturbanceSpec, {
             "family": "disturbance.family", "amplitude": "disturbance.A",
             "frequency": "disturbance.f", "gamma": "disturbance.gamma", "nu": "disturbance.nu",

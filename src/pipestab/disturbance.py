@@ -116,6 +116,7 @@ class DisturbanceSpec:
         require(0.0 < self.T_period < math.inf, "T_period", "finite and > 0")
         require(isinstance(self.seed, numbers.Integral) and self.seed >= 0,
                 "seed", "an integer >= 0")
+        require(0.0 < self.t_off, "t_off", "> 0")
 
     @cached_property
     def phase(self) -> float:

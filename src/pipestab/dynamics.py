@@ -32,8 +32,8 @@ full or a member leaves the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+import numbers
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -131,8 +131,7 @@ class SolverConfig:
     blowup_guard: float | None = None   # default: sound speed a
 
     def __post_init__(self):
-        # nx % 1, not float(nx): an int beyond the float range is an integer
-        require(self.nx >= 16 and self.nx % 1 == 0, "nx", "an integer >= 16")
+        require(isinstance(self.nx, numbers.Integral) and self.nx >= 16, "nx", "an integer >= 16")
         require(0.0 < self.cfl < 1.0, "cfl", "in (0, 1)")
         require(0.0 < self.t_end < math.inf, "t_end", "finite and > 0")
         require(0.0 < self.snapshot_dt < math.inf, "snapshot_dt", "finite and > 0")
@@ -231,11 +230,9 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, 
 
 @dataclass(frozen=True)
 class ProfileTerms:
-    """The time-independent values `step` reads, built once per run.
-
-    stack_terms gives every profile array a leading member axis, and turns
-    the per-member values (MEMBER_VALUES) into (B, 1) columns for a batch.
-    """
+    """The time-independent values `step` reads, built once per batch:
+    (B, n) profile arrays, B = 1 included, and per-member values as
+    _column gives them."""
 
     ubar: np.ndarray        # ubar at the nodes
     ubar_m: np.ndarray      # ubar and ubar_x averaged onto the midpoints
@@ -244,50 +241,34 @@ class ProfileTerms:
     ubar_i: np.ndarray      # ubar and ubar_x at the interior nodes
     ubarx_i: np.ndarray
     forcing_i: tuple        # stationary_forcing at the interior nodes
-    ubar_0: float           # ubar at x = 0 and at x = L
-    ubar_L: float
     a: float
     a2: np.ndarray          # a ** 2, as lower_order_F writes it, theta and
     k: float                # 1.5 * theta: 0-d arrays, for the per-step ufuncs
     theta: np.ndarray
     theta_1_5: np.ndarray
-
-    @cached_property
-    def ends(self) -> list:
-        """Each member's (a, k, ubar_0, ubar_L) in floats, for the boundary closure."""
-        return list(zip(*map(_members, (self.a, self.k, self.ubar_0, self.ubar_L))))
+    ends: list              # each member's (a, k, ubar at x = 0, at x = L) in floats
 
 
-def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
-    ubar, ubar_x = profile.ubar, profile.ubar_x
-    a, theta = params.a, params.theta
-    ubar_m = 0.5 * (ubar[:-1] + ubar[1:])
-    ubarx_m = 0.5 * (ubar_x[:-1] + ubar_x[1:])
-    ubar_i, ubarx_i = ubar[1:-1], ubar_x[1:-1]
+def profile_terms(members: list) -> ProfileTerms:
+    """The terms of a batch of (profile, params) pairs on one grid."""
+    profiles, params = zip(*members)
+    ubar = np.stack([p.ubar for p in profiles])
+    ubar_x = np.stack([p.ubar_x for p in profiles])
+    ubar_m = 0.5 * (ubar[:, :-1] + ubar[:, 1:])
+    ubarx_m = 0.5 * (ubar_x[:, :-1] + ubar_x[:, 1:])
+    ubar_i, ubarx_i = ubar[:, 1:-1], ubar_x[:, 1:-1]
+
+    def forcing(ubar, ubar_x):
+        # member by member with each float a: a column's a ** 2 rounds like a * a
+        pairs = [stationary_forcing(u, ux, p.a, p.theta) for u, ux, p in zip(ubar, ubar_x, params)]
+        return tuple(map(np.stack, zip(*pairs)))
+
+    a, k = [p.a for p in params], [p.k for p in params]
+    theta = _column([p.theta for p in params])
     return ProfileTerms(
-        ubar, ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, a, theta),
-        ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, a, theta),
-        float(ubar[0]), float(ubar[-1]), a, np.array(a ** 2), params.k, np.array(theta),
-        np.array(1.5 * theta))
-
-
-# the ProfileTerms fields that hold one value per member, not one per node
-MEMBER_VALUES = ("ubar_0", "ubar_L", "a", "a2", "k", "theta", "theta_1_5")
-
-
-def stack_terms(terms: list) -> ProfileTerms:
-    """The terms of a batch, from the members' own terms: (B, n) profile
-    arrays, B = 1 included, and per-member values as _column gives them."""
-
-    def stack(name):
-        values = [getattr(t, name) for t in terms]
-        if name in MEMBER_VALUES:
-            return _column(values)
-        if isinstance(values[0], tuple):         # stationary_forcing's pair
-            return tuple(map(np.stack, zip(*values)))
-        return np.stack(values)
-
-    return ProfileTerms(*(stack(f.name) for f in fields(ProfileTerms)))
+        ubar, ubar_m, ubarx_m, forcing(ubar_m, ubarx_m), ubar_i, ubarx_i, forcing(ubar_i, ubarx_i),
+        _column(a), np.asarray(_column([x ** 2 for x in a])), _column(k), np.asarray(theta),
+        np.asarray(1.5 * theta), list(zip(a, k, ubar[:, 0].tolist(), ubar[:, -1].tolist())))
 
 
 def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
@@ -353,47 +334,30 @@ class StepWork:
     n - 1 wide; the corrector's are n - 2 wide views of the leading
     elements of the same buffer.  `full` is work of the state's shape for
     wave_speed and the guard.
-
-    Built from `base`, a work set of a state with at least as many cells,
-    every array is carved out of the leading elements of the buffers that
-    the batch's first work set allocated, and a pass holds no more cells
-    than the first's, so the work set allocates nothing of the grid's
-    size.  Base's arrays are then reused and must not be read again.
     """
 
-    def __init__(self, state: FieldState, base: StepWork | None = None):
+    def __init__(self, state: FieldState):
         shape = state.u.shape
         members, n = shape
-        self.buffers = {} if base is None else base.buffers
         self.dx = float(state.xs[1] - state.xs[0])
-        # the cells of one pass: at most those the first work set's flush holds
-        budget = min(BLOCK_CELLS, self.buffers["spare"].size // 3) if self.buffers else BLOCK_CELLS
-        self.rows = max(1, budget // state.u.size)
-        self.block = self._carve("block", (3, self.rows + 1, *shape))
+        self.rows = max(1, BLOCK_CELLS // state.u.size)
+        self.block = np.empty((3, self.rows + 1, *shape))
         self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
         self.newest = self.end = 0          # the slot of the newest state, of the pass's end
         self.pending = []
-        self.spare = self._carve("spare", (3, self.rows, *shape))
-        self.half = _Fields(self._carve("half", (3, members, n - 1)))   # (u, v, w) at t + dt/2
+        self.spare = np.empty((3, self.rows, *shape))
+        self.half = _Fields(np.empty((3, members, n - 1)))   # (u, v, w) at t + dt/2
         rows = _Half.ROWS * members
-        buf = self._carve("halves", (rows * (n - 1),))
+        buf = np.empty(rows * (n - 1))
         self.predictor = _Half(buf.reshape(_Half.ROWS, members, n - 1))
         self.corrector = _Half(buf[:rows * (n - 2)].reshape(_Half.ROWS, members, n - 2))
         # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, each
         # shaped like t: 0-d for one member, a (B, 1) column for a batch
         column = np.shape(state.t)
         self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, *(1 for _ in column)))
-        self.coef = self._carve("coef", (4, *column))
+        self.coef = np.empty((4, *column))
         self.coefs = tuple(self.coef[i, ...] for i in range(4))
-        self.full = self._carve("full", shape)
-
-    def _carve(self, name: str, shape: tuple) -> np.ndarray:
-        """An array of `shape` over the leading elements of buffer `name`,
-        which the first work set of a batch allocates."""
-        size = math.prod(shape)
-        if name not in self.buffers:
-            self.buffers[name] = np.empty(size)
-        return self.buffers[name][:size].reshape(shape)
+        self.full = np.empty(shape)
 
     def take(self, state: FieldState) -> _Fields:
         """Copy `state` into slot 0 as the newest state, at the end of a pass."""
@@ -438,12 +402,12 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
          work: StepWork) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
 
-    `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
-    new time t + dt, `guard` the bound on max|u|, `speed` is
+    `terms` is profile_terms of the batch, b_now = (b, b_t) evaluated at
+    the new time t + dt, `guard` the bound on max|u|, `speed` is
     wave_speed(terms, state) and `work` is StepWork for the state's shape;
     the new state lives in the next slot of its block, pending with its
-    (t, max|u|, b, b_t).  The state is (B, nx+1), B = 1 included, `terms`
-    comes from stack_terms, and dt, b_now, guard and speed are per member:
+    (t, max|u|, b, b_t).  The state is (B, nx+1), B = 1 included, and dt,
+    b_now, guard and speed are per member:
     floats or 0-d arrays for one member, (B, 1) columns for a batch.  A CFL
     violation raises CFLError before the step, a member outside the guard
     BlowUpError after it; `failed` names every such member, and the input
@@ -573,10 +537,11 @@ class _Run:
                         for x in member[4:]]
         if any(x.shape != xs.shape for x in self.initial):
             raise ValueError("initial data does not match the solver grid")
+        # a supersonic profile fails here, this member alone, and not the batch's terms
+        profile_terms([(profile, params)])
         self.slot = slot                    # index into the batch and the record buffer
         self.spec = member.disturbance
         self.k, self.a = params.k, params.a
-        self.terms = profile_terms(profile, params)
         self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
         self.cfl_dx = config.cfl * float(xs[1] - xs[0])
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
@@ -659,12 +624,13 @@ def simulate_batch(members: list) -> list:
     if not active:
         return results
 
-    def pack(active, state, work=None):
-        """The batch columns of the active members, their record slots and
-        work set, carved out of `work` when given."""
+    def pack(active, state):
+        """The terms, guards, record slots and work set of the active members."""
         slots = np.array([run.slot for run in active])
         guard = _column([run.guard for run in active])
-        return stack_terms([run.terms for run in active]), guard, slots, StepWork(state, work)
+        terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
+                               for run in active])
+        return terms, guard, slots, StepWork(state)
 
     state = FieldState(_column([0.0] * len(active)), xs,
                        *(np.stack([run.initial[f] for run in active]) for f in range(3)))
@@ -696,8 +662,9 @@ def simulate_batch(members: list) -> list:
             active = [active[row] for row in rows]
             if not active:
                 return results
-            state = _select(state, rows)     # a copy: the new work set reuses the block
-            terms, guard, slots, work = pack(active, state, work)
+            # a copy; the old work set goes before the survivors' is built
+            state, work = _select(state, rows), None
+            terms, guard, slots, work = pack(active, state)
             ended = {}
 
         speed = wave_speed(terms, state, out=work.full)

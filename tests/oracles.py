@@ -1,12 +1,13 @@
 """Independent oracles shared by the test modules."""
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from pipestab.disturbance import sample_b
-from pipestab.dynamics import (BlowUpError, CFLError, FieldState, ProfileTerms, SolverError,
-                               Trajectory, _Run, stationary_forcing)
+from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, Trajectory, _Run,
+                               stationary_forcing)
 from pipestab.lyapunov import Quadrature
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
@@ -62,7 +63,9 @@ def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
 # the helpers and formulas it called, kept verbatim: the lean step must
 # give its u, v and w bit for bit.  The batch helpers are those of the
 # solver that held a single member in 1-D arrays, so the per-step record
-# below runs one member the way that solver did.
+# below runs one member the way that solver did.  Its terms are built
+# member by member and then stacked, as that solver built them: the rows
+# of a batch's profile_terms must equal them bit for bit.
 
 
 def _row_max(x):
@@ -96,6 +99,45 @@ def _select(state: FieldState, rows: list) -> FieldState:
     if len(rows) == 1:
         return _row(state, rows[0])
     return FieldState(state.t[rows], state.xs, state.u[rows], state.v[rows], state.w[rows])
+
+
+@dataclass(frozen=True)
+class ProfileTerms:
+    """The time-independent values `step` reads, built for one member by
+    profile_terms; stack_terms gives those of a batch."""
+
+    ubar: np.ndarray        # ubar at the nodes
+    ubar_m: np.ndarray      # ubar and ubar_x averaged onto the midpoints
+    ubarx_m: np.ndarray
+    forcing_m: tuple        # stationary_forcing on the midpoints
+    ubar_i: np.ndarray      # ubar and ubar_x at the interior nodes
+    ubarx_i: np.ndarray
+    forcing_i: tuple        # stationary_forcing at the interior nodes
+    ubar_0: float           # ubar at x = 0 and at x = L
+    ubar_L: float
+    a: float
+    a2: np.ndarray          # a ** 2, as lower_order_F writes it, theta and
+    k: float                # 1.5 * theta: 0-d arrays, for the per-step ufuncs
+    theta: np.ndarray
+    theta_1_5: np.ndarray
+
+    @cached_property
+    def ends(self) -> list:
+        """Each member's (a, k, ubar_0, ubar_L) in floats, for the boundary closure."""
+        return list(zip(*map(_members, (self.a, self.k, self.ubar_0, self.ubar_L))))
+
+
+def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
+    ubar, ubar_x = profile.ubar, profile.ubar_x
+    a, theta = params.a, params.theta
+    ubar_m = 0.5 * (ubar[:-1] + ubar[1:])
+    ubarx_m = 0.5 * (ubar_x[:-1] + ubar_x[1:])
+    ubar_i, ubarx_i = ubar[1:-1], ubar_x[1:-1]
+    return ProfileTerms(
+        ubar, ubar_m, ubarx_m, stationary_forcing(ubar_m, ubarx_m, a, theta),
+        ubar_i, ubarx_i, stationary_forcing(ubar_i, ubarx_i, a, theta),
+        float(ubar[0]), float(ubar[-1]), a, np.array(a ** 2), params.k, np.array(theta),
+        np.array(1.5 * theta))
 
 
 def stack_terms(terms: list) -> ProfileTerms:
@@ -292,6 +334,7 @@ def simulate_batch_per_step(members: list) -> list:
             results[slot] = exc
     for run in active:
         run.records = {}
+        run.terms = profile_terms(members[run.slot].profile, members[run.slot].params)
 
     def record(state, bs, bts):
         for row, (run, t, top) in enumerate(zip(active, _members(state.t),

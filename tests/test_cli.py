@@ -249,6 +249,16 @@ class TestSweep:
         assert "error" not in rows[1]
         assert "error: invalid value for `solver.snapshot_dt`" in rows[2]
 
+    def test_snapshot_memory_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path, **{**SNAPSHOTS_BEYOND_MEMORY, "solver.nx": 32})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "solver.nx=32,10000000000000",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: invalid value for `solver.nx`" in rows[2]
+
     def test_failed_member_isolated_from_its_batch(self, tmp_path, capsys):
         # A = 10 leaves the guard partway through; the runs of one grid share
         # a batch, and each finishes at its own step
@@ -460,13 +470,20 @@ def test_overflowing_inflow_exit_one(tmp_path, capsys, verb, u0):
     assert "Traceback" not in err
 
 
+# a config whose grid alone takes 72.8 TiB, and its three snapshots nine times that
+SNAPSHOTS_BEYOND_MEMORY = {"disturbance.T_period": 1e-8, "solver.t_end": 2e-8,
+                           "solver.snapshot_dt": 1e-8, "solver.nx": 10_000_000_000_000}
+
+
 @pytest.mark.parametrize("verb", ["run", "sweep", "constants", "stationary"])
 @pytest.mark.parametrize("key,text", [
     pytest.param("solver.nx", "1" + "0" * 400, id="solver.nx-beyond-float-range"),
     ("solver.nx", "64.5"), ("pipe.L", "nan"), ("feedback.k", "-1"), ("disturbance.C_nu", "0"),
+    # snapshots of 72.8 TiB: rejected before anything is allocated
+    pytest.param("solver.nx", SNAPSHOTS_BEYOND_MEMORY, id="solver.nx-snapshots-beyond-memory"),
 ])
 def test_invalid_value_exit_one_naming_key(tmp_path, capsys, verb, key, text):
-    cfg = write_cfg(tmp_path, **{key: text})
+    cfg = write_cfg(tmp_path, **(text if isinstance(text, dict) else {key: text}))
     argv = [verb, str(cfg)] + (["--set", "certificate.lambda=0.6"] if verb == "sweep" else [])
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipestab.config import MAX_SNAPSHOTS, MAX_STEPS, SCHEMA, ConfigError, ScenarioConfig
+from pipestab.config import (MAX_SNAPSHOT_CELLS, MAX_SNAPSHOTS, MAX_STEPS, SCHEMA, ConfigError,
+                             ScenarioConfig)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +83,11 @@ class TestValidation:
     def test_t_end_must_exceed_window(self):
         with pytest.raises(ConfigError, match=r"solver\.t_end"):
             ScenarioConfig({"solver.t_end": 0.5, "disturbance.T_period": 1.0})
+        # for a compact burst the window also sets t_off = t_end - T_period
+        for t_end in (0.5, 1.0):
+            with pytest.raises(ConfigError, match=r"`solver\.t_end`: constraint"):
+                ScenarioConfig({"disturbance.family": "compact_burst", "solver.t_end": t_end,
+                                "disturbance.T_period": 1.0})
 
     def test_snapshot_count_bounded(self):
         # every snapshot ends a step, so a tiny cadence would force ~t_end / snapshot_dt steps
@@ -100,6 +106,17 @@ class TestValidation:
             ScenarioConfig({**base, "solver.t_end": 1.001 * at_cap})
         with pytest.raises(ConfigError, match=r"solver\.t_end"):
             ScenarioConfig({**base, "solver.t_end": 1e14})
+
+    def test_snapshot_cells_bounded(self):
+        # every snapshot keeps 3 float64 arrays of nx + 1 values
+        base = {"disturbance.T_period": 0.5, "solver.t_end": 1.0, "solver.snapshot_dt": 0.01}
+        at_cap = MAX_SNAPSHOT_CELLS // 101 - 1
+        ScenarioConfig({**base, "solver.nx": at_cap})
+        with pytest.raises(ConfigError, match=r"invalid value for `solver\.nx`"):
+            ScenarioConfig({**base, "solver.nx": at_cap + 1})
+        with pytest.raises(ConfigError, match=r"invalid value for `solver\.nx`"):
+            ScenarioConfig({"disturbance.T_period": 1e-8, "solver.t_end": 2e-8,
+                            "solver.snapshot_dt": 1e-8, "solver.nx": 10 ** 13})
 
     def test_committed_configs_valid(self):
         for path in sorted((ROOT / "configs").glob("*.cfg")):

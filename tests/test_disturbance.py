@@ -97,6 +97,7 @@ class TestSampleB:
         ("family", "spike"), ("amplitude", math.nan), ("frequency", math.inf),
         ("gamma", math.nan), ("gamma", -1.0), ("T_period", math.nan), ("T_period", 0.0),
         ("nu", 0.0), ("nu", math.nan), ("C_nu", -1.0), ("C_nu", math.inf),
+        ("t_off", math.nan), ("t_off", 0.0),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):

@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, Member,
                                SolverConfig, SolverError, StepWork, bump_profile,
                                compatibility_residual, f_tilde, lower_order_F, profile_terms,
-                               simulate, simulate_batch, stack_terms, step, wave_speed)
+                               simulate, simulate_batch, step, wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -29,7 +30,7 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
 def advance(state, params, profile, dt, guard=None):
     """One step of a one-member (1, nx+1) state without disturbance; the
     guard defaults to the sound speed."""
-    terms = stack_terms([profile_terms(profile, params)])
+    terms = profile_terms([(profile, params)])
     return step(state, terms, (0.0, 0.0), dt, params.a if guard is None else guard,
                 wave_speed(terms, state), StepWork(state))
 
@@ -107,6 +108,7 @@ class TestSolverConfig:
         {"nx": 8}, {"cfl": 0.0}, {"cfl": 1.0}, {"t_end": -1.0}, {"snapshot_dt": 0.0},
         {"t_end": np.nan}, {"t_end": np.inf}, {"snapshot_dt": np.nan},
         {"blowup_guard": np.nan}, {"blowup_guard": -1.0}, {"nx": np.nan}, {"nx": 16.5},
+        {"nx": 64.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -276,11 +278,11 @@ class TestLeanPath:
 
     def test_precomputed_forcing_bitwise(self):
         params, profile, xs = make_setup()
-        terms = profile_terms(profile, params)
+        terms = profile_terms([(profile, params)])
         rng = np.random.default_rng(5)
         for ubar, ubar_x, forcing in ((terms.ubar_m, terms.ubarx_m, terms.forcing_m),
                                       (terms.ubar_i, terms.ubarx_i, terms.forcing_i)):
-            u, ux, ut = rng.uniform(-0.1, 0.1, (3, len(ubar)))
+            u, ux, ut = rng.uniform(-0.1, 0.1, (3, *ubar.shape))
             lean = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta, forcing)
             fresh = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta)
             assert lean.tobytes() == fresh.tobytes()
@@ -402,6 +404,14 @@ class TestBatch:
         assert isinstance(err, ValueError) and "initial data" in str(err)
         assert single.times.tobytes() == simulate(*good).times.tobytes()
 
+    def test_supersonic_member_fails_alone(self):
+        # a sound speed below the profile's ubar >= 0.3: its terms cannot be built
+        good = batch_member()
+        bad = good._replace(params=PipeParams(L=1.0, a=0.25, theta=0.1, k=4.0))
+        single, err = simulate_batch([good, bad])
+        assert isinstance(err, ValueError) and "subsonic" in str(err)
+        assert single.times.tobytes() == simulate(*good).times.tobytes()
+
 
 def cfl_member():
     """A member that fails the CFL check eight steps in: its steps are clipped
@@ -449,40 +459,20 @@ class TestBlockRecord:
             # the block that grew the records began within them
             assert any(first < capacity for first, capacity in grown)
 
-    @pytest.mark.parametrize("extra", [0, 1, -1])
-    def test_repack_carves_the_first_work_set(self, monkeypatch, extra):
-        # after a re-pack the survivors' work set lies in the first one's
-        # buffers, and its block holds no more cells; extra = 1 leaves
-        # BLOCK_CELLS one cell short of 3 batch states, so that the first
-        # block's cells, not BLOCK_CELLS, cap the survivors' rows, and
-        # extra = -1 gives blocks of one batch state
-        works = []
+    def test_repack_builds_its_work_set_alone(self, monkeypatch):
+        # a re-pack frees the old work set before it builds the survivors'
+        live, counts = weakref.WeakSet(), []
 
         class Watched(StepWork):
-            def __init__(self, *args):
-                super().__init__(*args)
-                works.append(self)
+            def __init__(self, state):
+                counts.append(len(live))
+                super().__init__(state)
+                live.add(self)
 
         members = TestBatch.MEMBERS
-        cells = len(members) * (members[0].config.nx + 1)
         monkeypatch.setattr(dynamics, "StepWork", Watched)
-        monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2 * cells + extra * (cells - 1))
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        first, *later = works
-        assert len(later) == 6      # every member ends at its own step
-        capped = [work for work in later if work.rows < dynamics.BLOCK_CELLS // work.full.size]
-        assert bool(capped) == (extra == 1)
-        for work in later:
-            assert work.buffers is first.buffers
-            for array in (work.block, work.spare, work.half.u, work.predictor.avg, work.coef,
-                          work.full):
-                assert array.base is not None
-            assert work.rows * work.full.size <= min(dynamics.BLOCK_CELLS,
-                                                     first.rows * first.full.size)
-        assert {name: buf.size for name, buf in first.buffers.items()} == {
-            "block": 3 * (first.rows + 1) * cells, "spare": 3 * first.rows * cells,
-            "half": 3 * cells - 3 * len(members), "halves": dynamics._Half.ROWS * (cells - len(members)),
-            "coef": 4 * len(members), "full": cells}
+        assert counts == [0] * 7    # the first work set, and one per member that ends before the last
 
     def test_cfl_member_fails_mid_run(self):
         error = solo(cfl_member())
@@ -506,25 +496,33 @@ class TestBlockRecord:
         assert block_bytes <= 8 * (6 * max(BLOCK_CELLS, cells) + 3 * cells)
 
 
+def physics_pairs(physics, xs):
+    """The (profile, params) of each (a, k, theta, u0) in physics on the grid xs."""
+    pairs = []
+    for a, k, theta, u0 in physics:
+        params = PipeParams(L=1.0, a=a, theta=theta, k=k)
+        pairs.append((build_stationary(params, u0, xs), params))
+    return pairs
+
+
 def lean_setup(nx, physics, seed, amplitude):
-    """Stacked terms and a random state of len(physics) members on one grid.
+    """The batch's terms, the oracle's terms and a random state of
+    len(physics) members on one grid.
 
     physics is a list of (a, k, theta, u0); the fields are noise of the given
     amplitude, except that u = -1.5 ubar at two adjacent nodes, so that
     ubar + u is negative at nodes and at a midpoint.
     """
     xs = np.linspace(0.0, 1.0, nx + 1)
-    members = []
-    for a, k, theta, u0 in physics:
-        params = PipeParams(L=1.0, a=a, theta=theta, k=k)
-        members.append(profile_terms(build_stationary(params, u0, xs), params))
-    terms = stack_terms(members)
+    pairs = physics_pairs(physics, xs)
+    terms = profile_terms(pairs)
+    reference = oracles.stack_terms([oracles.profile_terms(*pair) for pair in pairs])
     rng = np.random.default_rng(seed)
     u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, *terms.ubar.shape))
     j = nx // 3
     u[..., j:j + 2] = -1.5 * terms.ubar[..., j:j + 2]
     t = 0.25 if len(physics) == 1 else np.full((len(physics), 1), 0.25)
-    return terms, FieldState(t=t, xs=xs, u=u, v=v, w=w), rng
+    return terms, reference, FieldState(t=t, xs=xs, u=u, v=v, w=w), rng
 
 
 def column(values):
@@ -542,11 +540,40 @@ def copied(state):
     return FieldState(np.copy(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
 
 
-PHYSICS = st.sampled_from([
+PHYSICS_LISTS = [
     [(2.0, 4.0, 0.1, 0.3)],
     [(ODD_A, 6.0, 0.0, 0.25)],
     [(2.0, 4.0, 0.1, 0.3), (ODD_A, 2.5, 0.0, 0.2), (1.5, 8.0, 0.6, 0.4)],
-])
+]
+PHYSICS = st.sampled_from(PHYSICS_LISTS)
+
+
+class TestProfileTerms:
+    """Each row of a batch's terms is its member's terms built alone, bit for bit."""
+
+    @pytest.mark.parametrize("physics", [PHYSICS_LISTS[0], PHYSICS_LISTS[2]])
+    def test_rows_equal_members_alone(self, physics):
+        pairs = physics_pairs(physics, np.linspace(0.0, 1.0, 65))
+        terms = profile_terms(pairs)
+        assert terms.ubar.shape == (len(pairs), 65)
+        for row, pair in enumerate(pairs):
+            alone = oracles.profile_terms(*pair)
+            for name in ("ubar", "ubar_m", "ubarx_m", "ubar_i", "ubarx_i"):
+                assert getattr(terms, name)[row].tobytes() == getattr(alone, name).tobytes(), name
+            for name in ("forcing_m", "forcing_i"):
+                for got, want in zip(getattr(terms, name), getattr(alone, name), strict=True):
+                    assert got[row].tobytes() == want.tobytes(), name
+            for name in ("a", "a2", "k", "theta", "theta_1_5"):
+                # one member's value itself, else the member's entry of a (B, 1) column
+                got, want = getattr(terms, name), getattr(alone, name)
+                if len(pairs) == 1:
+                    assert type(got) is type(want), name
+                else:
+                    assert got.shape == (len(pairs), 1), name
+                    got = got[row, 0]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            assert terms.ends[row] == alone.ends[0]
+        assert len(terms.ends) == len(pairs)
 
 
 class TestLeanStep:
@@ -556,26 +583,27 @@ class TestLeanStep:
            st.floats(1e-6, 1.0), st.lists(st.floats(0.05, 0.99), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
-        terms, state, rng = lean_setup(nx, physics, seed, amplitude)
+        terms, reference_terms, state, rng = lean_setup(nx, physics, seed, amplitude)
         work = StepWork(state)
         dx = state.xs[1] - state.xs[0]
         lean, reference = state, copied(state)
         for _ in range(3):   # the first step copies the state in, the others write the block
             speed = wave_speed(terms, lean)
             # a float for one member here, a (1, 1) column from the oracle
-            assert np.array_equal(np.ravel(speed), np.ravel(oracles.wave_speed(terms, reference)))
+            assert np.array_equal(np.ravel(speed),
+                                  np.ravel(oracles.wave_speed(reference_terms, reference)))
             dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
             b_now = (column(list(rng.normal(size=len(physics)))),
                      column(list(rng.normal(size=len(physics)))))
             guard = column([1e3] * len(physics))
             lean = step(lean, terms, b_now, dt, guard, speed, work)
-            reference = oracles.step(reference, terms, b_now, dt, guard, speed)
+            reference = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
             assert_same_state(lean, reference)
 
     @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]))
     @settings(max_examples=20, deadline=None)
     def test_failed_step_leaves_its_input(self, physics, seed, failure):
-        terms, state, rng = lean_setup(24, physics, seed, 0.1)
+        terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
         work = StepWork(state)
         dx = state.xs[1] - state.xs[0]
         b_now = (column([0.0] * len(physics)), column([0.0] * len(physics)))
@@ -596,14 +624,14 @@ class TestLeanStep:
         with pytest.raises(error) as lean:
             step(held, terms, b_now, dt, column(guards), speed, work)
         with pytest.raises(error) as reference:
-            oracles.step(before, terms, b_now, dt, column(guards), speed)
+            oracles.step(before, reference_terms, b_now, dt, column(guards), speed)
         assert lean.value.failed == reference.value.failed == {
             len(physics) - 1: str(reference.value)}
         assert_same_state(held, before)
         # and the work set steps on from the state it kept
         dt = column([0.5 * dx / s for s in np.ravel(speed)])
         assert_same_state(step(held, terms, b_now, dt, big, speed, work),
-                          oracles.step(before, terms, b_now, dt, big, speed))
+                          oracles.step(before, reference_terms, b_now, dt, big, speed))
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
                   elements=st.floats(-1e6, 1e6)),
