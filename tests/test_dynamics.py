@@ -459,20 +459,30 @@ class TestBlockRecord:
             # the block that grew the records began within them
             assert any(first < capacity for first, capacity in grown)
 
-    def test_repack_builds_its_work_set_alone(self, monkeypatch):
-        # a re-pack frees the old work set before it builds the survivors'
-        live, counts = weakref.WeakSet(), []
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_repack_builds_its_work_set_alone(self, monkeypatch, extra):
+        # a re-pack frees the old work set before it builds the survivors',
+        # whose block holds as many steps as BLOCK_CELLS allows; extra = 1
+        # leaves BLOCK_CELLS one cell short of 3 batch states, and extra = -1
+        # gives the first block one batch state
+        live, counts, works = weakref.WeakSet(), [], []
 
         class Watched(StepWork):
             def __init__(self, state):
                 counts.append(len(live))
                 super().__init__(state)
                 live.add(self)
+                works.append((self.rows, self.full.size))
 
         members = TestBatch.MEMBERS
+        cells = len(members) * (members[0].config.nx + 1)
         monkeypatch.setattr(dynamics, "StepWork", Watched)
+        monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2 * cells + extra * (cells - 1))
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
         assert counts == [0] * 7    # the first work set, and one per member that ends before the last
+        assert works[0] == ({-1: 1, 0: 2, 1: 2}[extra], cells)
+        for rows, size in works:
+            assert rows == max(1, dynamics.BLOCK_CELLS // size)
 
     def test_cfl_member_fails_mid_run(self):
         error = solo(cfl_member())
