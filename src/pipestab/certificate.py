@@ -1,9 +1,9 @@
-"""Theorem constants, hypothesis checks, Gronwall machinery and decay bounds.
+"""Theorem constants, hypothesis checks and decay bounds.
 
 Everything the exponential-decay certificate needs: the closed-form
 constants, the windowed-energy decay bound, the windowed-H1 bound, the
 final-window bound for disturbances that vanish near the end of the
-horizon, the discrete Gronwall check, and the linear-wave comparison.
+horizon, and the linear-wave comparison.
 
 Hypothesis checking is deliberately separated from bound checking: the
 smallness caps mu/(C0*K1) are numerically tiny, so a run frequently
@@ -87,49 +87,6 @@ def linear_rate_mu0(a: float, L: float, k: float):
     mu0 = (a / L) * math.log1p(2.0 / (a * k - 1.0))
     ratio = 4.0 * math.e * a * k * math.log1p(2.0 / (a * k - 1.0))
     return {"mu0": mu0, "ratio_mu0_over_mu": ratio}
-
-
-def gronwall_bound(U0: float, mu: float, nu: float, Cg: float, t) -> float:
-    """Exponential comparison bound exp(-mu t) (U0 + Cg/delta), delta = nu - mu."""
-    if nu <= mu:
-        raise ValueError("the Gronwall bound requires nu > mu")
-    delta = nu - mu
-    return np.exp(-mu * np.asarray(t, dtype=float)) * (U0 + Cg / delta)
-
-
-def verify_gronwall_discrete(U, times, mu, nu, Cg):
-    """Check the differential inequality and the resulting bound on samples.
-
-    inequality_ok: centered-difference U' <= -mu U + Cg exp(-nu t) + slack
-    at interior samples; bound_ok: U(t) <= gronwall_bound(U(0), ...) at
-    all samples.  The slack combines a 1e-8 relative floor with the
-    centered-difference truncation allowance h^2/6 * |U'''| estimated
-    from the data itself; without the truncation term the check would
-    reject exact solutions of the limiting ODE at any finite cadence.
-    """
-    U = np.asarray(U, dtype=float)
-    times = np.asarray(times, dtype=float)
-    h = times[1] - times[0]
-    if not np.allclose(np.diff(times), h):
-        raise ValueError("verify_gronwall_discrete expects a uniform time grid")
-    scale = max(float(np.max(np.abs(U))), Cg, 1e-300)
-
-    dU = (U[2:] - U[:-2]) / (2.0 * h)
-    rhs = -mu * U[1:-1] + Cg * np.exp(-nu * times[1:-1])
-    # third-derivative magnitude from third differences, for the truncation allowance
-    if len(U) >= 5:
-        d3 = np.abs(U[4:] - 3.0 * U[3:-1] + 3.0 * U[2:-2] - U[1:-3]) / h ** 3
-        m3 = float(np.max(d3)) if len(d3) else 0.0
-    else:
-        m3 = 0.0
-    slack = 1e-8 * scale + (h ** 2 / 6.0) * m3 * 1.5
-    inequality_ok = bool(np.all(dU <= rhs + slack))
-
-    bound = gronwall_bound(float(U[0]), mu, nu, Cg, times)
-    bound_ok = bool(np.all(U <= bound + 1e-8 * scale))
-    return {"inequality_ok": inequality_ok, "bound_ok": bound_ok,
-            "worst_inequality_margin": float(np.min(rhs + slack - dU)),
-            "worst_bound_margin": float(np.min(bound - U))}
 
 
 @dataclass

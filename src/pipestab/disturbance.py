@@ -187,7 +187,11 @@ def sample_b(spec: DisturbanceSpec, t: float) -> tuple[float, float, float]:
     return b, bt, btt
 
 
-def verify_noise_bound(times, b, b_t, T_period, nu, C_nu, rel_slack=1e-6):
+# the relative slack of the noise claim: it passes when W(t) <= (1 + slack) C_nu exp(-nu t)
+NOISE_REL_SLACK = 1e-6
+
+
+def verify_noise_bound(times, b, b_t, T_period, nu, C_nu):
     """Check the windowed-H1 decay claim on a sampled disturbance trace.
 
     For every sample time t > T_period the trailing-window integral
@@ -211,6 +215,6 @@ def verify_noise_bound(times, b, b_t, T_period, nu, C_nu, rel_slack=1e-6):
     minimal_C = float(np.max(w * np.exp(nu * t_w))) if len(t_w) else 0.0
     return {
         "worst_ratio": worst,
-        "pass": worst <= 1.0 + rel_slack,
+        "pass": worst <= 1.0 + NOISE_REL_SLACK,
         "minimal_C_nu": minimal_C,
     }

@@ -398,6 +398,12 @@ def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileT
     add(base[1], h.dv, out[1])
 
 
+def _left_guard(top: float, guard: float, t: float) -> str:
+    """The message of a member whose max|u| = top is outside its guard at time t."""
+    return (f"max|u| = {top:.4g} left the guard {guard:.4g} at t={t:.6g}; "
+            "the run left the regime of validity")
+
+
 def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
          work: StepWork) -> FieldState:
     """Advance the state by one Lax-Wendroff step of size dt.
@@ -468,23 +474,11 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     rows = _flagged(np.logical_not(new.max_abs_u <= guard))
     if rows:
         top, t, guard = _members(new.max_abs_u), _members(new.t), _members(guard)
-        failed = {i: (f"max|u| = {top[i]:.4g} left the guard {guard[i]:.4g} at t={t[i]:.6g}; "
-                      "the run left the regime of validity") for i in rows}
+        failed = {i: _left_guard(top[i], guard[i], t[i]) for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
     work.newest = j
     work.pending.append((new.t, new.max_abs_u, *b_now))
     return new
-
-
-def compatibility_residual(state: FieldState) -> float:
-    """Diagnostic: max |w - D_x u| with centered differences at interior nodes.
-
-    O(dx^2) for smooth states; large values indicate the (u, w) pair has
-    drifted apart.
-    """
-    dx = state.xs[1] - state.xs[0]
-    du = (state.u[2:] - state.u[:-2]) / (2.0 * dx)
-    return float(np.max(np.abs(state.w[1:-1] - du)))
 
 
 def bump_profile(xs, amplitude, center, width):
@@ -543,6 +537,9 @@ class _Run:
         self.spec = member.disturbance
         self.k, self.a = params.k, params.a
         self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
+        top = float(np.max(np.abs(self.initial[0])))
+        if not top <= self.guard:           # the guard test of `step`, on the initial state
+            raise BlowUpError(_left_guard(top, self.guard, 0.0))
         self.cfl_dx = config.cfl * float(xs[1] - xs[0])
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
         self.t = 0.0
@@ -619,7 +616,7 @@ def simulate_batch(members: list) -> list:
     for slot, member in enumerate(members):
         try:
             active.append(_Run(slot, member, xs))
-        except ValueError as exc:
+        except (ValueError, BlowUpError) as exc:
             results[slot] = exc
     if not active:
         return results

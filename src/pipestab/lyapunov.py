@@ -8,8 +8,6 @@ trapezoid, so the window sees full time resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy import add, multiply, square, subtract
 
@@ -109,41 +107,6 @@ def windowed_series(series, times, T_period):
     series = np.asarray(series, dtype=float)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * np.diff(times))])
     return cum - np.interp(times - T_period, times, cum)
-
-
-@dataclass
-class EquivalenceReport:
-    lhs_ok: bool          # M1 * int(u_t^2+u_x^2) <= E1
-    rhs_ok: bool          # E1 <= K2 * int(u_t^2+u_x^2)
-    weighted_ok: bool     # int(u_t^2 + (1+2L^2) u_x^2) <= K1 * E1
-    precondition_violated: bool
-    E1: float
-    grad: float
-    weighted_grad: float
-
-
-def check_equivalence(state, profile, params, M1, K1, K2,
-                      slack: float = 1e-10) -> EquivalenceReport:
-    """Numerically check the energy-equivalence inequalities at one snapshot.
-
-    Preconditions (0 <= ubar+u <= a/2 pointwise and M1 > 0) are reported,
-    not thrown; the inequalities are evaluated either way with the same
-    quadrature on both sides.
-    """
-    a = params.a
-    L = params.L
-    m = profile.ubar + state.u
-    precondition_violated = bool(np.any(m < -slack) or np.any(m > a / 2 + slack) or M1 <= 0)
-    quad = Quadrature(state.xs)
-    e1 = energy_E1(state, profile, params.k, a, quad)
-    g = grad_norm(state, quad)
-    wg = _trapz(state.v ** 2 + (1.0 + 2.0 * L ** 2) * state.w ** 2, quad.weights)
-    return EquivalenceReport(
-        lhs_ok=bool(M1 * g <= e1 + slack),
-        rhs_ok=bool(e1 <= K2 * g + slack),
-        weighted_ok=bool(wg <= K1 * e1 + slack),
-        precondition_violated=precondition_violated,
-        E1=e1, grad=g, weighted_grad=wg)
 
 
 def fit_decay_rate(series, times, window=None):

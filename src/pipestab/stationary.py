@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-INV_E = math.exp(-1.0)
-
 
 class FieldError(ValueError):
     """A dataclass field holds a value outside its range; `field` names it."""
@@ -73,17 +71,6 @@ def _minus_w_minus1(q):
     return y
 
 
-def lambert_w_minus1(z: float) -> float:
-    """Lambert W on the lower real branch, W_{-1}(z) <= -1 for z in [-1/e, 0).
-
-    The scalar form of the profile solve: -y with y - ln y = -ln(-z).
-    """
-    z = float(z)
-    if z >= 0.0 or z < -INV_E * (1.0 + 4.0 * np.finfo(float).eps):
-        raise ValueError(f"lambert_w_minus1 requires -1/e <= z < 0, got {z}")
-    return -float(_minus_w_minus1(-math.log(-z)))
-
-
 @dataclass
 class StationaryProfile:
     """Sampled stationary velocity profile on a grid."""
@@ -128,13 +115,13 @@ def build_stationary(params: PipeParams, u0: float, xs) -> StationaryProfile:
     if xs.min() < 0.0 or xs.max() > params.L + 1e-12:
         raise ValueError("grid must lie inside [0, L]")
     lcrit = critical_length(params, u0)
-    if params.L >= lcrit:
+    c1 = _c1_of(params, u0)
+    ubar = params.a / np.sqrt(_minus_w_minus1(-(params.theta * xs + c1)))
+    # a length just below lcrit can still round ubar up to a at the outflow
+    if params.L >= lcrit or not np.all(ubar < params.a):
         raise ValueError(
             f"pipe length {params.L} reaches the critical length {lcrit:.6g}; "
             "the stationary profile becomes sonic inside the pipe")
-
-    c1 = _c1_of(params, u0)
-    ubar = params.a / np.sqrt(_minus_w_minus1(-(params.theta * xs + c1)))
     ubar_x = np.asarray(stationary_ode_rhs(ubar, params))
     return StationaryProfile(u0=u0, c1=c1, L_crit=lcrit, xs=xs, ubar=ubar, ubar_x=ubar_x)
 

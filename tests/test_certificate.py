@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import types
@@ -8,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pipestab.certificate import (HypothesisFlags, assemble_report,
                                   check_hypotheses, compute_constants,
-                                  gronwall_bound, linear_rate_mu0,
-                                  verify_decay_bounds, verify_gronwall_discrete)
+                                  linear_rate_mu0, verify_decay_bounds)
 from pipestab.stationary import PipeParams, build_stationary
 
 E = math.e
@@ -95,35 +95,32 @@ class TestLinearRate:
 
 
 class TestGronwall:
-    def test_bound_hand_value(self):
-        # U0 = 0.25, Cg = 0.25, delta = 1: bound at t = 0 is 0.5
-        assert gronwall_bound(0.25, 1.0, 2.0, 0.25, 0.0) == pytest.approx(0.5)
-        assert gronwall_bound(0.25, 1.0, 2.0, 0.25, 1.0) == pytest.approx(0.5 / E)
+    """The Gronwall step: U' <= -mu U + Cg exp(-nu t) gives U(t) <= exp(-mu t) (U(0) + Cg/delta),
+    the energy bound verify_decay_bounds checks, here with T_period = 0."""
+    params = PipeParams(L=1.0, a=2.0, theta=0.1, k=4.0)
 
-    def test_rate_gap_required(self):
-        with pytest.raises(ValueError):
-            gronwall_bound(1.0, 1.0, 1.0, 1.0, 0.0)
+    def check(self, U, t, mu, nu, Cg):
+        c = dataclasses.replace(compute_constants(self.params, 0.6, nu, 1.0),
+                                mu=mu, nu=nu, Cg=Cg, delta=nu - mu)
+        return verify_decay_bounds(t, U, U, c, 0.0, self.params.L)
+
+    def test_bound_hand_value(self):
+        # U0 = 0.25, Cg = 0.25, delta = 1: the bound is 0.5 at t = 0 and 0.5/e at t = 1
+        res = self.check(np.array([0.25, 0.0]), np.array([0.0, 1.0]), 1.0, 2.0, 0.25)
+        assert res["bracket"] == pytest.approx(0.5)
+        assert res["worst_energy_margin"] == pytest.approx(0.5 / E)
 
     def test_exact_ode_solution_passes(self):
         mu, nu, Cg, U0 = 0.3, 0.8, 2.0, 1.5
         t = np.linspace(0.0, 10.0, 10001)
         delta = nu - mu
         U = U0 * np.exp(-mu * t) + (Cg / delta) * (np.exp(-mu * t) - np.exp(-nu * t))
-        res = verify_gronwall_discrete(U, t, mu, nu, Cg)
-        assert res["inequality_ok"]
-        assert res["bound_ok"]
+        assert self.check(U, t, mu, nu, Cg)["energy_bound_ok"]
 
     def test_growing_series_fails(self):
         t = np.linspace(0.0, 10.0, 1001)
         U = np.exp(0.1 * t)
-        res = verify_gronwall_discrete(U, t, 0.3, 0.8, 0.1)
-        assert not res["inequality_ok"]
-        assert not res["bound_ok"]
-
-    def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 0.1, 0.3, 0.6])
-        with pytest.raises(ValueError, match="uniform"):
-            verify_gronwall_discrete(np.ones_like(t), t, 0.1, 0.2, 1.0)
+        assert not self.check(U, t, 0.3, 0.8, 0.1)["energy_bound_ok"]
 
 
 class TestHypotheses:

@@ -470,6 +470,30 @@ def test_overflowing_inflow_exit_one(tmp_path, capsys, verb, u0):
     assert "Traceback" not in err
 
 
+# a pipe one ulp shorter than its critical length, whose ubar rounds to a at the outflow
+SONIC_OUTFLOW = {"pipe.L": 2.0241363287421584, "pipe.a": 2, "pipe.theta": 0.1,
+                 "stationary.u0": 1.5, "solver.nx": 32}
+
+
+@pytest.mark.parametrize("verb", ["run", "stationary"])
+def test_sonic_outflow_exit_one(tmp_path, capsys, verb):
+    cfg = write_cfg(tmp_path, **SONIC_OUTFLOW)
+    assert main([verb, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "critical length" in err
+    assert "Traceback" not in err
+
+
+def test_sonic_outflow_recorded_not_fatal(tmp_path):
+    cfg = write_cfg(tmp_path, **SONIC_OUTFLOW)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--set", "stationary.u0=1.5,0.3", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert "error: " in rows[1] and "critical length" in rows[1]
+    assert "error" not in rows[2]
+
+
 # a config whose grid alone takes 72.8 TiB, and its three snapshots nine times that
 SNAPSHOTS_BEYOND_MEMORY = {"disturbance.T_period": 1e-8, "solver.t_end": 2e-8,
                            "solver.snapshot_dt": 1e-8, "solver.nx": 10_000_000_000_000}

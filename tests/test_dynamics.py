@@ -10,9 +10,9 @@ from pipestab import dynamics, lyapunov
 from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, Member,
-                               SolverConfig, SolverError, StepWork, bump_profile,
-                               compatibility_residual, f_tilde, lower_order_F, profile_terms,
-                               simulate, simulate_batch, step, wave_speed)
+                               SolverConfig, SolverError, StepWork, bump_profile, f_tilde,
+                               lower_order_F, profile_terms, simulate, simulate_batch, step,
+                               wave_speed)
 from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -225,7 +225,10 @@ class TestSimulate:
         traj = simulate(params, profile, spec,
                         SolverConfig(nx=200, cfl=0.45, t_end=3.0, snapshot_dt=1.0))
         amp = np.max(traj.series["max_u"])
-        assert compatibility_residual(traj.states[-1]) <= 0.01 * amp
+        # max |w - D_x u|, centred differences at the interior nodes
+        final = traj.states[-1]
+        du = (final.u[2:] - final.u[:-2]) / (2.0 * (final.xs[1] - final.xs[0]))
+        assert np.max(np.abs(final.w[1:-1] - du)) <= 0.01 * amp
 
     def test_records_cover_every_step(self):
         # per-step records cover every step, snapshot-only energies every snapshot
@@ -411,6 +414,23 @@ class TestBatch:
         single, err = simulate_batch([good, bad])
         assert isinstance(err, ValueError) and "subsonic" in str(err)
         assert single.times.tobytes() == simulate(*good).times.tobytes()
+
+    def test_nan_initial_state_fails_alone_at_t0(self):
+        # the guard test of `step`, held to the initial state: it fails this
+        # member alone, before the records are sized by the batch's wave speed
+        good = batch_member()
+        u = good.initial_u.copy()
+        u[20] = np.nan
+        single, err = simulate_batch([good, good._replace(initial_u=u)])
+        assert isinstance(err, BlowUpError)
+        assert "max|u| = nan" in str(err) and "at t=0;" in str(err)
+        assert_same_results([single], [simulate(*good)])
+
+    def test_initial_state_outside_guard_fails_at_t0(self):
+        member = batch_member(guard=1e-4)
+        member = member._replace(initial_u=np.full_like(member.profile.xs, 2e-4))
+        with pytest.raises(BlowUpError, match=r"max\|u\| = 0\.0002 left the guard 0\.0001 at t=0;"):
+            simulate(*member)
 
 
 def cfl_member():

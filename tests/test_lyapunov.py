@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab.certificate import compute_constants
 from pipestab.dynamics import FieldState
-from pipestab.lyapunov import (Quadrature, _trapz, check_equivalence, energy_E1,
-                               energy_classic, fit_decay_rate, grad_norm, h1_integrand,
-                               windowed_series)
+from pipestab.lyapunov import (Quadrature, _trapz, energy_E1, energy_classic, fit_decay_rate,
+                               grad_norm, h1_integrand, windowed_series)
 from pipestab.stationary import PipeParams, build_stationary
 
 from oracles import trapz_intervals
@@ -134,19 +133,36 @@ class TestWindowedEnergies:
 
 
 class TestEquivalence:
+    """M1 g <= E1 <= K2 g and int u_t^2 + (1+2L^2) u_x^2 <= K1 E1, g = int u_t^2 + u_x^2,
+    where 0 <= ubar + u <= a/2 pointwise and M1 > 0."""
     params = PipeParams(L=1.0, a=2.0, theta=0.2, k=4.0)
+    slack = 1e-10
 
     def setup_method(self):
         self.xs = np.linspace(0.0, 1.0, 401)
         self.profile = build_stationary(self.params, 0.3, self.xs)
         self.const = compute_constants(self.params, 0.6, 0.1, 1.0)
 
+    def in_regime(self, state):
+        m = self.profile.ubar + state.u
+        return bool(np.all(m >= -self.slack) and np.all(m <= self.params.a / 2 + self.slack)
+                    and self.const.M1 > 0)
+
+    def sandwich(self, state):
+        """E1 and whether each of the three inequalities holds."""
+        quad, c, L = Quadrature(self.xs), self.const, self.params.L
+        e1 = energy_E1(state, self.profile, self.params.k, self.params.a, quad)
+        g = grad_norm(state, quad)
+        wg = _trapz(state.v ** 2 + (1.0 + 2.0 * L ** 2) * state.w ** 2, quad.weights)
+        return e1, (c.M1 * g <= e1 + self.slack, e1 <= c.K2 * g + self.slack,
+                    wg <= c.K1 * e1 + self.slack)
+
     def test_zero_state(self):
-        rep = check_equivalence(const_state(self.xs), self.profile, self.params,
-                                self.const.M1, self.const.K1, self.const.K2)
-        assert rep.lhs_ok and rep.rhs_ok and rep.weighted_ok
-        assert not rep.precondition_violated
-        assert rep.E1 == 0.0
+        state = const_state(self.xs)
+        e1, holds = self.sandwich(state)
+        assert all(holds)
+        assert self.in_regime(state)
+        assert e1 == 0.0
 
     def test_random_states_in_regime(self):
         rng = np.random.default_rng(17)
@@ -159,24 +175,8 @@ class TestEquivalence:
             v = rng.uniform(-1.0, 1.0) * np.cos(rng.uniform(1, 5) * np.pi * self.xs)
             w = rng.uniform(-1.0, 1.0) * np.sin(rng.uniform(1, 5) * np.pi * self.xs)
             state = FieldState(t=0.0, xs=self.xs, u=u, v=v, w=w)
-            rep = check_equivalence(state, self.profile, self.params,
-                                    self.const.M1, self.const.K1, self.const.K2)
-            assert not rep.precondition_violated
-            assert rep.lhs_ok and rep.rhs_ok and rep.weighted_ok
-
-    def test_violation_reported_not_thrown(self):
-        state = const_state(self.xs, v=1.0, w=1.0)
-        # inflated M1 makes the lower equivalence fail; no exception
-        rep = check_equivalence(state, self.profile, self.params,
-                                1e6, self.const.K1, self.const.K2)
-        assert not rep.lhs_ok
-        assert rep.precondition_violated is False or rep.precondition_violated is True
-
-    def test_precondition_flagged(self):
-        state = const_state(self.xs, u=self.params.a)   # m > a/2
-        rep = check_equivalence(state, self.profile, self.params,
-                                self.const.M1, self.const.K1, self.const.K2)
-        assert rep.precondition_violated
+            assert self.in_regime(state)
+            assert all(self.sandwich(state)[1])
 
 
 class TestFitDecayRate:
