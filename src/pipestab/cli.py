@@ -76,7 +76,8 @@ def _evaluate(cfg: ScenarioConfig, member: Member, traj):
 
     E_series = lyapunov.windowed_series(traj.series["E1"], times, T_period)
     H_series = lyapunov.windowed_series(traj.series["h1"], times, T_period)
-    b_final_zero = bool(np.all(np.asarray(traj.boundary["b"])[times >= times[-1] - T_period] == 0.0))
+    final = np.searchsorted(times, times[-1] - T_period)   # the final window's first sample
+    b_final_zero = bool(np.all(traj.boundary["b"][final:] == 0.0))
     bounds = cert.verify_decay_bounds(times, E_series, H_series, constants,
                                       T_period, params.L, b_final_zero=b_final_zero)
 

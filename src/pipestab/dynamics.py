@@ -63,7 +63,8 @@ class SolverError(RuntimeError):
 
 
 class BlowUpError(SolverError):
-    """Raised when the perturbation leaves the configured amplitude guard."""
+    """Raised when the perturbation leaves the configured amplitude guard, or
+    starts with a non-finite value in any field."""
 
 
 class CFLError(SolverError):
@@ -540,6 +541,12 @@ class _Run:
         top = float(np.max(np.abs(self.initial[0])))
         if not top <= self.guard:           # the guard test of `step`, on the initial state
             raise BlowUpError(_left_guard(top, self.guard, 0.0))
+        # the guard reads u alone: a non-finite v or w would reach u one step late
+        for name, x in zip(("initial_v", "initial_w"), self.initial[1:]):
+            bad = np.flatnonzero(~np.isfinite(x))
+            if len(bad):
+                raise BlowUpError(f"{name} = {x[bad[0]]} at x={xs[bad[0]]:.6g} is not "
+                                  "finite at t=0; the run cannot start")
         self.cfl_dx = config.cfl * float(xs[1] - xs[0])
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
         self.t = 0.0

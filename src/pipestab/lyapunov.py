@@ -95,41 +95,70 @@ def h1_integrand(state, quad=None, *, out=None) -> float:
     return _trapz(f, quad.weights)
 
 
+# Window starts per np.interp call in `windowed_series`: fewer than the
+# series' samples, so that np.interp builds no slope table of their length.
+INTERP_CHUNK = 4096
+
+
 def windowed_series(series, times, T_period):
     """Trapezoid integral of a per-step series over the trailing window.
 
-    Returns the integral over [t - T_period, t] at every sample time t.
-    The window start is placed by linear interpolation of the cumulative
-    integral, which clamps at times[0]: for t < times[0] + T_period the
-    window is truncated at the start of the series.
+    Returns the integral over [t - T_period, t] at every sample time t;
+    `times` must be strictly increasing.  The window start is placed by
+    linear interpolation of the cumulative integral, which clamps at
+    times[0]: for t < times[0] + T_period the window is truncated at the
+    start of the series.  Works in two arrays of the series' length, the
+    result one of them.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.ascontiguousarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * np.diff(times))])
-    return cum - np.interp(times - T_period, times, cum)
+    cum, out = np.empty(len(times)), np.empty(len(times))
+    cum[0] = 0.0
+    # the cumulative integral: trapezoid areas in out, their widths in cum
+    area, width = out[1:], cum[1:]
+    add(series[1:], series[:-1], area)
+    multiply(0.5, area, area)
+    subtract(times[1:], times[:-1], width)
+    multiply(area, width, area)
+    np.cumsum(area, out=cum[1:])
+    # minus its value at each window start, chunk by chunk in place of the starts
+    subtract(times, T_period, out)
+    for lo in range(0, len(out), INTERP_CHUNK):
+        part = out[lo:lo + INTERP_CHUNK]
+        subtract(cum[lo:lo + INTERP_CHUNK], np.interp(part, times, cum), part)
+    return out
 
 
 def fit_decay_rate(series, times, window=None):
     """Least-squares exponential decay rate of a positive series.
 
-    Fits a line through (t, log series); the rate is the negated slope,
-    so positive means decay.  Nonpositive samples are excluded and
-    counted; fewer than 8 usable samples is an error.
+    Fits a line through (t, log series) in closed form, about the means
+    of t and log series; the rate is the negated slope, so positive means
+    decay.  `times` must be strictly increasing; `window` = (t0, t1)
+    keeps the samples with t0 <= t <= t1.  Nonpositive samples are
+    excluded and counted; fewer than 8 usable samples is an error.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     if window is not None:
-        t0, t1 = window
-        sel = (times >= t0) & (times <= t1)
-        times, series = times[sel], series[sel]
+        lo, hi = np.searchsorted(times, window[0]), np.searchsorted(times, window[1], "right")
+        times, series = times[lo:hi], series[lo:hi]
     usable = series > 0
-    n_excluded = int(np.sum(~usable))
-    times, series = times[usable], series[usable]
+    n_excluded = len(series) - int(np.count_nonzero(usable))
+    if n_excluded:
+        times, series = times[usable], series[usable]
     if len(series) < 8:
         raise ValueError(f"need at least 8 positive samples, have {len(series)}")
-    slope, intercept = np.polyfit(times, np.log(series), 1)
-    resid = np.log(series) - (slope * times + intercept)
-    ss_tot = float(np.sum((np.log(series) - np.mean(np.log(series))) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return {"rate": -float(slope), "intercept": float(intercept),
+    # y, then y minus its mean, in the copy the exclusion made, if any
+    y = np.log(series, out=series if n_excluded else None)
+    t_mean, y_mean = times.mean(), y.mean()
+    x = subtract(times, t_mean)
+    subtract(y, y_mean, y)
+    slope = np.vecdot(x, y) / np.vecdot(x, x)
+    ss_tot = float(np.vecdot(y, y))
+    # the residuals y - slope x, in x
+    multiply(slope, x, x)
+    subtract(y, x, x)
+    r2 = 1.0 - float(np.vecdot(x, x)) / ss_tot if ss_tot > 0 else 1.0
+    return {"rate": -float(slope), "intercept": float(y_mean - slope * t_mean),
             "r_squared": r2, "n_excluded": n_excluded}

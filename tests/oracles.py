@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from pipestab.disturbance import sample_b
+from pipestab.disturbance import NOISE_REL_SLACK, sample_b
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, Trajectory, _Run,
                                stationary_forcing)
 from pipestab.lyapunov import Quadrature
@@ -34,6 +34,66 @@ def trapz_intervals(y, x):
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
+def windowed_series_concat(series, times, T_period):
+    """windowed_series as one expression over fresh arrays."""
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * np.diff(times))])
+    return cum - np.interp(times - T_period, times, cum)
+
+
+def verify_noise_bound_masked(times, b, b_t, T_period, nu, C_nu):
+    """verify_noise_bound's result from boolean-mask copies and fresh arrays."""
+    integrand = b ** 2 + b_t ** 2
+    sel = times - T_period >= times[0] - 1e-12
+    t_w, w = times[sel], windowed_series_concat(integrand, times, T_period)[sel]
+    envelope = C_nu * np.exp(-nu * t_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(envelope > 0, w / envelope, np.inf)
+    worst = float(np.max(ratios)) if len(ratios) else 0.0
+    if np.all(w == 0.0):
+        worst = 0.0
+    minimal_C = float(np.max(w * np.exp(nu * t_w))) if len(t_w) else 0.0
+    return {"worst_ratio": worst, "pass": worst <= 1.0 + NOISE_REL_SLACK,
+            "minimal_C_nu": minimal_C}
+
+
+def decay_margins_masked(times, E_series, H_series, constants, T_period, L):
+    """verify_decay_bounds's pointwise checks, from boolean-mask copies and
+    fresh arrays: its energy_bound_ok, h1_bound_ok and worst margins."""
+    sel = times >= T_period - 1e-12
+    E_Tp = float(np.interp(T_period, times, E_series))
+    times, E_series, H_series = times[sel], E_series[sel], H_series[sel]
+    bracket = E_Tp + constants.Cg / constants.delta
+    bound_E = np.exp(-constants.mu * (times - T_period)) * bracket
+    bound_H = constants.K1 * bound_E + 2.0 * L * constants.C_nu * np.exp(-constants.nu * times)
+    slack_E = 1e-12 * max(float(np.max(np.abs(bound_E))), 1e-300)
+    slack_H = 1e-12 * max(float(np.max(np.abs(bound_H))), 1e-300)
+    margin_E, margin_H = bound_E - E_series, bound_H - H_series
+    return {"energy_bound_ok": bool(np.all(margin_E >= -slack_E)),
+            "h1_bound_ok": bool(np.all(margin_H >= -slack_H)) if np.isfinite(constants.K1) else None,
+            "worst_energy_margin": float(np.min(margin_E)),
+            "worst_h1_margin": float(np.min(margin_H))}
+
+
+def polyfit_decay_rate(series, times, window=None):
+    """fit_decay_rate by np.polyfit on boolean-mask selections."""
+    times = np.asarray(times, dtype=float)
+    series = np.asarray(series, dtype=float)
+    if window is not None:
+        sel = (times >= window[0]) & (times <= window[1])
+        times, series = times[sel], series[sel]
+    usable = series > 0
+    n_excluded = int(np.sum(~usable))
+    times, y = times[usable], np.log(series[usable])
+    if len(y) < 8:
+        raise ValueError(f"need at least 8 positive samples, have {len(y)}")
+    slope, intercept = np.polyfit(times, y, 1)
+    resid = y - (slope * times + intercept)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return {"rate": -float(slope), "intercept": float(intercept),
+            "r_squared": r2, "n_excluded": n_excluded}
 
 
 def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
@@ -330,8 +390,10 @@ def simulate_batch_per_step(members: list) -> list:
     for slot, member in enumerate(members):
         try:
             active.append(_Run(slot, member, xs))
-        except ValueError as exc:
+        except (ValueError, BlowUpError) as exc:
             results[slot] = exc
+    if not active:
+        return results
     for run in active:
         run.records = {}
         run.terms = profile_terms(members[run.slot].profile, members[run.slot].params)

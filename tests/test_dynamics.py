@@ -369,7 +369,7 @@ class TestBatch:
         batch_member(u0=0.4, k=2.5, seed=7, t_end=0.3, bump=True),     # faster: more steps
         batch_member(u0=0.3, k=6.0, a=ODD_A, seed=3, t_end=0.25),
         batch_member(u0=0.2, k=3.0, amplitude=1e-3, guard=1e-4),         # crosses the guard
-        batch_member(u0=0.3, k=4.0, nan_at=40),                          # NaN after one step
+        batch_member(u0=0.3, k=4.0, nan_at=40),                          # NaN in v: fails at t=0
         batch_member(u0=0.35, k=5.0, seed=11, t_end=0.35),
         batch_member(u0=0.3, amplitude=0.3, seed=2, t_end=0.4),         # speeds up: outgrows
     ]                                                                    # the record estimate
@@ -388,8 +388,8 @@ class TestBatch:
         t_blowup = float(str(blowup).split("t=")[1].split(";")[0])
         t_nan = float(str(nan).split("t=")[1].split(";")[0])
         assert 0.02 < t_blowup < 0.4      # partway through: steps are about 0.003 long
-        assert t_nan < 0.01
-        assert "max|u| = nan" in str(nan)
+        assert t_nan == 0.0
+        assert "initial_v = nan" in str(nan)
 
     def test_snapshots_are_copied_rows(self):
         traj = simulate_batch(self.MEMBERS[:2])[0]
@@ -426,6 +426,19 @@ class TestBatch:
         assert "max|u| = nan" in str(err) and "at t=0;" in str(err)
         assert_same_results([single], [simulate(*good)])
 
+    def test_nonfinite_initial_v_and_w_fail_alone_at_t0(self):
+        # the guard reads u alone; a NaN in v or an inf in w is named at t=0,
+        # not found in u one step later
+        good = batch_member(nx=32)
+        v, w = good.initial_v.copy(), good.initial_w.copy()
+        v[5], w[7] = np.nan, np.inf
+        single, nan_v, inf_w = simulate_batch([good, good._replace(initial_v=v),
+                                               good._replace(initial_w=w)])
+        assert isinstance(nan_v, BlowUpError) and isinstance(inf_w, BlowUpError)
+        assert str(nan_v).startswith("initial_v = nan at x=0.15625 ") and "at t=0;" in str(nan_v)
+        assert str(inf_w).startswith("initial_w = inf at x=0.21875 ") and "at t=0;" in str(inf_w)
+        assert_same_results([single], [simulate(*good)])
+
     def test_initial_state_outside_guard_fails_at_t0(self):
         member = batch_member(guard=1e-4)
         member = member._replace(initial_u=np.full_like(member.profile.xs, 2e-4))
@@ -449,8 +462,9 @@ def cfl_member():
 class TestBlockRecord:
     """Records reduced per block of steps are the per-step records, bit for bit."""
 
-    # members that end at their own steps, fail by blow-up and NaN, and
-    # outgrow the record estimate (TestBatch), and one that fails by CFL
+    # members that end at their own steps, fail by blow-up, fail at t=0 by a
+    # NaN in v, and outgrow the record estimate (TestBatch), and one that
+    # fails by CFL
     BATCHES = [TestBatch.MEMBERS, [cfl_member(), *TestBatch.MEMBERS[:2]]]
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 400])     # 400: a whole run in one block
@@ -495,11 +509,12 @@ class TestBlockRecord:
                 works.append((self.rows, self.full.size))
 
         members = TestBatch.MEMBERS
-        cells = len(members) * (members[0].config.nx + 1)
+        # the cells of the members that start: the NaN member fails at t=0
+        cells = (len(members) - 1) * (members[0].config.nx + 1)
         monkeypatch.setattr(dynamics, "StepWork", Watched)
         monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2 * cells + extra * (cells - 1))
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        assert counts == [0] * 7    # the first work set, and one per member that ends before the last
+        assert counts == [0] * 6    # the first work set, and one per member that ends before the last
         assert works[0] == ({-1: 1, 0: 2, 1: 2}[extra], cells)
         for rows, size in works:
             assert rows == max(1, dynamics.BLOCK_CELLS // size)

@@ -10,7 +10,7 @@ from pipestab.lyapunov import (Quadrature, _trapz, energy_E1, energy_classic, fi
                                grad_norm, h1_integrand, windowed_series)
 from pipestab.stationary import PipeParams, build_stationary
 
-from oracles import trapz_intervals
+from oracles import polyfit_decay_rate, trapz_intervals
 
 
 def const_state(xs, u=0.0, v=0.0, w=0.0):
@@ -222,3 +222,31 @@ class TestFitDecayRate:
         times = np.linspace(0.0, 1.0, 7)
         with pytest.raises(ValueError, match="8"):
             fit_decay_rate(np.exp(-times), times)
+
+    @given(n=st.integers(40, 400), t0=st.floats(0.0, 2.0), span=st.floats(2.0, 20.0),
+           rate=st.floats(0.2, 3.0), sign=st.sampled_from([1.0, -1.0]),
+           log_amp=st.one_of(st.floats(-20.0, -2.0), st.floats(2.0, 5.0)),
+           wiggle=st.floats(0.0, 0.01),
+           lo=st.floats(0.0, 0.25), hi=st.floats(0.75, 1.0),
+           excluded=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, -1.0])),
+                             max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_polyfit(self, n, t0, span, rate, sign, log_amp, wiggle, lo, hi, excluded):
+        # the closed-form line against np.polyfit on mask-selected samples; the
+        # intercept, about log_amp, stays away from 0, so its relative error is defined
+        times = t0 + span * np.linspace(0.0, 1.0, n)
+        series = np.exp(log_amp - sign * rate * times + wiggle * np.sin(7.3 * times))
+        for where, value in excluded:
+            series[int(where * (n - 1))] = value
+        window = (t0 + lo * span, t0 + hi * span)
+        try:
+            want = polyfit_decay_rate(series, times, window)
+        except ValueError:
+            with pytest.raises(ValueError, match="8"):
+                fit_decay_rate(series, times, window)
+            return
+        got = fit_decay_rate(series, times, window)
+        assert got["n_excluded"] == want["n_excluded"]
+        assert got["rate"] == pytest.approx(want["rate"], rel=1e-12, abs=0.0)
+        assert got["intercept"] == pytest.approx(want["intercept"], rel=1e-12, abs=0.0)
+        assert got["r_squared"] == pytest.approx(want["r_squared"], rel=0.0, abs=1e-12)
