@@ -25,7 +25,7 @@ from . import certificate as cert
 from . import lyapunov
 from .config import ConfigError, ScenarioConfig, _parse_value
 from .disturbance import verify_noise_bound
-from .dynamics import BlowUpError, CFLError, Member, simulate, simulate_batch
+from .dynamics import BlowUpError, CFLError, Member, simulate, simulate_batch, step_library
 from .stationary import build_stationary
 
 CSV_HEADER = "t,E1,E,H,E_classic,grad_norm,max_u,u_0,ut_0,ux_0,u_L,b,b_t,hyp_ok"
@@ -148,6 +148,7 @@ def execute_runs(cfgs: list) -> list:
     WorkerError when a worker process ends without sending its results;
     no worker outlives the call.
     """
+    step_library()      # without it no batch can run: fail before any worker starts
     shares = _shares(cfgs, _usable_cpus() if hasattr(os, "fork") else 1)
     if len(shares) > 1:
         # imported only here: the import alone adds about 0.75 MB to the

@@ -29,10 +29,15 @@ class ConfigError(ValueError):
 # forces a tiny step and an unbounded trajectory.
 MAX_SNAPSHOTS = 10000
 # Every step keeps one float64 per record until the run ends, in a buffer that
-# doubles when full (old and new buffer live at once), so this cap on the steps
-# keeps one scenario's records within 1 GiB.  A step is CFL-limited at a wave
-# speed below 3 pipe.a (|ubar| < a and the blow-up guard |u| <= a), or it ends
-# on one of at most MAX_SNAPSHOTS snapshots or on t_end.
+# doubles when full: while it grows, the old and the new buffer live at once,
+# 3 * 8 * len(RECORDS) = 192 bytes a step.  After the run the buffer holds at
+# most 2 * 64 bytes a step, and the certificate stage adds at most six float64
+# arrays and one bool array the length of the series (the windowed E and H,
+# the work of the noise check, the decay checks and the fit, and the hypothesis
+# flags): 177 bytes a step.  So this cap on the steps keeps one scenario's
+# per-step arrays within 1 GiB.  A step is CFL-limited at a wave speed below
+# 3 pipe.a (|ubar| < a and the blow-up guard |u| <= a), or it ends on one of at
+# most MAX_SNAPSHOTS snapshots or on t_end.
 MAX_STEPS = 2 ** 30 // (3 * 8 * len(RECORDS))
 # Every snapshot keeps 3 float64 arrays of nx + 1 values until the run ends,
 # so this cap on their cells keeps one scenario's snapshots within 1 GiB.

@@ -22,32 +22,119 @@ that no per-step ufunc of a single run takes a (1, 1) operand.  Each
 member keeps its own time step and snapshot cadence, and leaves the
 batch when it ends or fails.
 
-`step` writes every array it computes into a StepWork built once per
-batch, so that a step allocates no array of the grid's size.  The new
-state goes into the next slot of a block of states, and the energies of
-the per-step record are reduced over the whole block at once, when it is
-full or a member leaves the batch.
+The arithmetic of `step` runs in C (`_lw.c`), as one loop per member
+instead of some seventy NumPy calls: the same IEEE operations in the same
+order, so its values are those of the NumPy form bit for bit.  The library
+is built when this module is imported, with the C compiler Python was
+built with, and cached in the package's `__pycache__`.  The new state goes
+into the next slot of a block of states held in a StepWork built once per
+batch, and the energies of the per-step record are reduced over the whole
+block at once, when it is full or a member leaves the batch.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
+import sysconfig
+import tempfile
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-# the ufuncs of the per-step path, bound here once rather than looked up per call
-from numpy import absolute, add, divide, multiply, square, subtract
 
 from .disturbance import DisturbanceSpec, sample_b
 from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile, require
 
 
-# Constant factors of the per-step path.  NumPy takes a 0-d array operand
-# faster than a Python float, and computes the same values from it.
-_HALF, _TWO, _MINUS_TWO = np.array(0.5), np.array(2.0), np.array(-2.0)
+# How _lw.c is compiled.  -ffp-contract=off, and no -march and no fast-math,
+# so that no a * b + c becomes a fused multiply-add and nothing is reordered:
+# each operation rounds as the NumPy ufunc that it replaces does.
+_COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
+            "-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
+
+
+class _Batch(ctypes.Structure):
+    """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
+
+    _fields_ = [("members", ctypes.c_long), ("n", ctypes.c_long), ("slots", ctypes.c_long),
+                ("dx", ctypes.c_double)] + [
+        (name, ctypes.c_void_p) for name in (
+            "block", "half", "io", "coefficients", "ubar", "ubar_x", "ubar_m", "ubarx_m",
+            "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i")]
+
+
+def _compile(source: Path, target) -> None:
+    import subprocess       # only here: a run that loads a cached build does not pay its import
+    command = [*_COMPILE, "-o", str(target), str(source)]
+    try:
+        subprocess.run(command, check=True, capture_output=True, text=True)
+    except OSError as exc:
+        reason = str(exc)
+    except subprocess.CalledProcessError as exc:
+        errors = [line.strip() for line in exc.stderr.splitlines() if "error" in line]
+        reason = errors[0] if errors else f"exit code {exc.returncode}"
+    else:
+        return
+    raise OSError(f"cannot build the compiled Lax-Wendroff step: `{' '.join(_COMPILE)}` "
+                  f"failed ({reason}); running a scenario needs a C compiler")
+
+
+def _load_library():
+    """The compiled step, built at most once per C source, compile command and
+    platform: its name in the package's __pycache__ holds two checksums of
+    all three (zlib's, which NumPy has imported already; hashlib would load
+    OpenSSL, about 3.6 MB).  A build is written to a temporary file and
+    moved into place, so that no process loads a partial library; where
+    __pycache__ cannot be written, the library is built in a private
+    temporary directory for this process.
+    """
+    source = Path(__file__).with_name("_lw.c")
+    built_from = b"\0".join([source.read_bytes(), " ".join(_COMPILE).encode(),
+                             sysconfig.get_platform().encode()])
+    cache = source.parent / "__pycache__"
+    library = cache / f"_lw.{zlib.crc32(built_from):08x}{zlib.adler32(built_from):08x}.so"
+    if not library.exists():
+        try:
+            cache.mkdir(exist_ok=True)
+            fd, partial = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError:
+            with tempfile.TemporaryDirectory() as private:
+                library = Path(private) / library.name
+                _compile(source, library)
+                return _declare(ctypes.CDLL(str(library)))
+        os.close(fd)
+        try:
+            _compile(source, partial)
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    return _declare(ctypes.CDLL(str(library)))
+
+
+def _declare(lib):
+    lib.lw_step.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long, ctypes.c_long)
+    lib.lw_step.restype = None
+    return lib
+
+
+try:
+    _LW = _load_library()
+except OSError as exc:      # raised when a step runs: the verbs that run none still work
+    _LW = exc
+
+
+def step_library():
+    """The compiled step; raises the OSError that kept it from being built or loaded."""
+    if isinstance(_LW, OSError):
+        raise OSError(str(_LW))
+    return _LW
 
 
 class SolverError(RuntimeError):
@@ -157,76 +244,43 @@ class Trajectory:
     snap_index: np.ndarray
 
 
-def _work(count, *operands):
-    """`count` fresh arrays of the broadcast shape of `operands`."""
-    shape = np.broadcast_shapes(*map(np.shape, operands))
-    return tuple(np.empty(shape) for _ in range(count))
-
-
-def f_tilde(u_val, ux_val, ut_val, theta, *, theta_1_5=None, out=None):
+def f_tilde(u_val, ux_val, ut_val, theta):
     """Lower-order term of the wave equation for the full velocity,
 
     F~ = -2 u_t u_x - 2 u u_x^2 - 1.5 theta u |u| u_x - theta |u| u_t.
-
-    `theta_1_5` is 1.5 * theta, computed here when not given.  `out` is
-    (result, work, 2 u, work): arrays of the result's shape that receive
-    F~ and its temporaries, the third keeping 2 u; fresh ones when not given.
     """
-    f, abs_u, two_u, t = out or _work(4, u_val, ux_val, ut_val, theta)
-    if theta_1_5 is None:
-        theta_1_5 = 1.5 * theta
-    absolute(u_val, abs_u)
-    multiply(_MINUS_TWO, ut_val, f)
-    multiply(f, ux_val, f)
-    multiply(_TWO, u_val, two_u)
-    square(ux_val, t)
-    multiply(two_u, t, t)
-    subtract(f, t, f)
-    multiply(theta_1_5, u_val, t)
-    multiply(t, abs_u, t)
-    multiply(t, ux_val, t)
-    subtract(f, t, f)
-    multiply(theta, abs_u, t)
-    multiply(t, ut_val, t)
-    subtract(f, t, f)
-    return f
+    abs_u = np.abs(u_val)
+    return (-2.0 * ut_val * ux_val
+            - 2.0 * u_val * ux_val ** 2
+            - 1.5 * theta * u_val * abs_u * ux_val
+            - theta * abs_u * ut_val)
+
+
+def _subsonic(ubar, a):
+    """a^2 - ubar^2, which must be positive: the stationary state is subsonic."""
+    d_bar = a ** 2 - np.asarray(ubar, dtype=float) ** 2
+    if np.any(d_bar <= 0):
+        raise ValueError("stationary state must be subsonic: a^2 - ubar^2 > 0")
+    return d_bar
 
 
 def stationary_forcing(ubar, ubar_x, a, theta):
     """The time-independent factors of F: (a^2 - ubar^2, F~(ubar, ubar_x, 0))."""
-    d_bar = a ** 2 - np.asarray(ubar, dtype=float) ** 2
-    if np.any(d_bar <= 0):
-        raise ValueError("stationary state must be subsonic: a^2 - ubar^2 > 0")
-    return d_bar, f_tilde(ubar, ubar_x, 0.0, theta)
+    return _subsonic(ubar, a), f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, *,
-                  theta_1_5=None, out=None):
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None):
     """Lower-order term of the perturbation equation, definitional form.
 
     F = F~(u+ubar, u_x+ubar_x, u_t)
         - [(a^2 - (ubar+u)^2)/(a^2 - ubar^2)] * F~(ubar, ubar_x, 0).
 
-    `forcing` is stationary_forcing(ubar, ubar_x, a, theta) and `shared`
-    is (ubar + u, a ** 2 - (ubar + u) ** 2), which `step` needs too; each
-    is computed here when not given, as is `theta_1_5` = 1.5 * theta.  `out`
-    is (result, work, work, 2 (ubar + u), work), arrays of the result's
-    shape; fresh ones when not given.
+    `forcing` is stationary_forcing(ubar, ubar_x, a, theta), computed here
+    when not given.  `step` computes F with these operations, in this order.
     """
-    if forcing is None:
-        forcing = stationary_forcing(ubar, ubar_x, a, theta)
-    if shared is None:
-        m = ubar + u
-        shared = m, a ** 2 - m ** 2
-    d_bar, f_bar = forcing
-    m, d = shared
-    f, x, *work = out or _work(5, u, ux, ut, ubar, ubar_x, theta)
-    add(ux, ubar_x, x)
-    f_tilde(m, x, ut, theta, theta_1_5=theta_1_5, out=(f, *work))
-    divide(d, d_bar, x)
-    multiply(x, f_bar, x)
-    subtract(f, x, f)
-    return f
+    d_bar, f_bar = forcing if forcing is not None else stationary_forcing(ubar, ubar_x, a, theta)
+    m = ubar + u
+    return f_tilde(m, ux + ubar_x, ut, theta) - ((a ** 2 - m ** 2) / d_bar) * f_bar
 
 
 @dataclass(frozen=True)
@@ -235,19 +289,17 @@ class ProfileTerms:
     (B, n) profile arrays, B = 1 included, and per-member values as
     _column gives them."""
 
-    ubar: np.ndarray        # ubar at the nodes
+    ubar: np.ndarray        # ubar and ubar_x at the nodes
+    ubar_x: np.ndarray
     ubar_m: np.ndarray      # ubar and ubar_x averaged onto the midpoints
     ubarx_m: np.ndarray
     forcing_m: tuple        # stationary_forcing on the midpoints
-    ubar_i: np.ndarray      # ubar and ubar_x at the interior nodes
-    ubarx_i: np.ndarray
     forcing_i: tuple        # stationary_forcing at the interior nodes
     a: float
-    a2: np.ndarray          # a ** 2, as lower_order_F writes it, theta and
-    k: float                # 1.5 * theta: 0-d arrays, for the per-step ufuncs
-    theta: np.ndarray
-    theta_1_5: np.ndarray
-    ends: list              # each member's (a, k, ubar at x = 0, at x = L) in floats
+    k: float
+    # (5, B): each member's a, a ** 2, k, theta and 1.5 * theta, for the
+    # compiled step; a ** 2 rounds as lower_order_F's, which may differ from a * a
+    coefficients: np.ndarray
 
 
 def profile_terms(members: list) -> ProfileTerms:
@@ -257,7 +309,6 @@ def profile_terms(members: list) -> ProfileTerms:
     ubar_x = np.stack([p.ubar_x for p in profiles])
     ubar_m = 0.5 * (ubar[:, :-1] + ubar[:, 1:])
     ubarx_m = 0.5 * (ubar_x[:, :-1] + ubar_x[:, 1:])
-    ubar_i, ubarx_i = ubar[:, 1:-1], ubar_x[:, 1:-1]
 
     def forcing(ubar, ubar_x):
         # member by member with each float a: a column's a ** 2 rounds like a * a
@@ -265,58 +316,49 @@ def profile_terms(members: list) -> ProfileTerms:
         return tuple(map(np.stack, zip(*pairs)))
 
     a, k = [p.a for p in params], [p.k for p in params]
-    theta = _column([p.theta for p in params])
-    return ProfileTerms(
-        ubar, ubar_m, ubarx_m, forcing(ubar_m, ubarx_m), ubar_i, ubarx_i, forcing(ubar_i, ubarx_i),
-        _column(a), np.asarray(_column([x ** 2 for x in a])), _column(k), np.asarray(theta),
-        np.asarray(1.5 * theta), list(zip(a, k, ubar[:, 0].tolist(), ubar[:, -1].tolist())))
+    theta = [p.theta for p in params]
+    coefficients = np.array([a, [x ** 2 for x in a], k, theta, [1.5 * x for x in theta]])
+    return ProfileTerms(ubar, ubar_x, ubar_m, ubarx_m, forcing(ubar_m, ubarx_m),
+                        forcing(ubar[:, 1:-1], ubar_x[:, 1:-1]), _column(a), _column(k),
+                        coefficients)
 
 
-def wave_speed(terms: ProfileTerms, state: FieldState, *, out=None):
-    """Fastest characteristic speed max|ubar + u| + a of a state, per member.
+def wave_speed(terms: ProfileTerms, state: FieldState):
+    """Fastest characteristic speed max|ubar + u| + a of a state, per member,
+    as `step` computes it for the state it returns.
 
     Equal to max(|ubar + u| + a) bit for bit, since x -> fl(x + a) is
-    monotone.  `out` is a work array of the state's shape.
+    monotone.
     """
-    m = add(terms.ubar, state.u, out)
-    return _row_max(absolute(m, m)) + terms.a
+    return _row_max(np.abs(terms.ubar + state.u)) + terms.a
 
 
 class _Fields:
-    """(u, v, w) as one (3, B, n) array, and the views of it `step` reads;
-    also the states of a block, with the step axis after the first."""
+    """(u, v, w) as the rows of one array: a (3, B, n) state, or the states
+    of a block, with the step axis after the first."""
 
     def __init__(self, uvw):
         self.u, self.v, self.w = uvw
-        self.lo, self.hi = uvw[..., :-1], uvw[..., 1:]
-        self.vw_lo, self.vw_hi = uvw[1:, ..., :-1], uvw[1:, ..., 1:]
-        self.v_mid, self.w_mid = uvw[1:, ..., 1:-1]
-
-
-class _Half:
-    """The temporaries of one half of a step: the rows of one buffer, laid
-    out so that ops on two adjacent rows run as one call."""
-
-    ROWS = 13
-
-    def __init__(self, buf):
-        self.avg = buf[0:3]                 # (u, v, w) averaged over each cell
-        self.um, self.vm, self.wm = self.avg
-        self.m = buf[3]                     # ubar + u
-        self.md = buf[4:6]                  # (2 m, a^2 - m^2); f_tilde writes 2 m
-        self.d = buf[5]
-        self.xdv = buf[6:8]                 # (2 m dv - d dw, dv)
-        self.dvw = buf[7:9]                 # (v, w) differenced across each cell
-        self.x, self.dv = self.xdv
-        self.lof = (buf[9], buf[10], buf[11], buf[4], buf[12])   # lower_order_F's result and work
-        self.prod = buf[10:12]              # (2 m dv, d dw), once lower_order_F is done
-        self.p, self.q = self.prod
 
 
 # The cells (members x grid nodes) of the states in one block: a block
 # holds max(1, BLOCK_CELLS // cells of a state) steps' states, so that it
 # and the flush's work take about 6 * 8 * BLOCK_CELLS bytes.
 BLOCK_CELLS = 16_384
+
+
+def _address(x: np.ndarray, shape: tuple) -> int:
+    """The address of a float64 C-contiguous array of the given shape, for _lw.c."""
+    if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise ValueError(f"an array of shape {x.shape} ({x.dtype}) where the compiled "
+                         f"step needs a C-contiguous float64 array of shape {shape}")
+    return x.ctypes.data
+
+
+def _value(x):
+    """A per-member result of the compiled step: a float for one member, a
+    (B, 1) column of its own for a batch."""
+    return x.item() if x.size == 1 else x.copy()
 
 
 class StepWork:
@@ -331,15 +373,14 @@ class StepWork:
     ends.  So a state `step` returns stays until a pass comes back to its
     slot, one step later at the earliest.  `pending` holds, for each state
     of the pass not yet recorded, the (t, max|u|, b, b_t) written with it,
-    and `spare` is the work of the flush.  The predictor's temporaries are
-    n - 1 wide; the corrector's are n - 2 wide views of the leading
-    elements of the same buffer.  `full` is work of the state's shape for
-    wave_speed and the guard.
+    and `spare` is the work of the flush.  `half` holds one member's
+    (u, v, w) at t + dt/2, and `io` the compiled step's per-member inputs
+    (dt, b_t) and results (max|u|, max|ubar + u|), each shaped like t.
+    `speed` is wave_speed of the state `step` returned last.
     """
 
     def __init__(self, state: FieldState):
         shape = state.u.shape
-        members, n = shape
         self.dx = float(state.xs[1] - state.xs[0])
         self.rows = max(1, BLOCK_CELLS // state.u.size)
         self.block = np.empty((3, self.rows + 1, *shape))
@@ -347,18 +388,26 @@ class StepWork:
         self.newest = self.end = 0          # the slot of the newest state, of the pass's end
         self.pending = []
         self.spare = np.empty((3, self.rows, *shape))
-        self.half = _Fields(np.empty((3, members, n - 1)))   # (u, v, w) at t + dt/2
-        rows = _Half.ROWS * members
-        buf = np.empty(rows * (n - 1))
-        self.predictor = _Half(buf.reshape(_Half.ROWS, members, n - 1))
-        self.corrector = _Half(buf[:rows * (n - 2)].reshape(_Half.ROWS, members, n - 2))
-        # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, each
-        # shaped like t: 0-d for one member, a (B, 1) column for a batch
-        column = np.shape(state.t)
-        self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, *(1 for _ in column)))
-        self.coef = np.empty((4, *column))
-        self.coefs = tuple(self.coef[i, ...] for i in range(4))
-        self.full = np.empty(shape)
+        self.half = np.empty((3, shape[-1] - 1))
+        self.io = np.empty((4, *np.shape(state.t)))
+        self.speed = None
+        self.terms = self.batch = None
+
+    def bind(self, terms: ProfileTerms):
+        """lw_step and the lw_batch of this work set and `terms`, built at the
+        first step with them."""
+        if terms is not self.terms:
+            members, n = self.block.shape[2:]
+            node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
+            arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
+                      (terms.ubar_m, mid), (terms.ubarx_m, mid),
+                      *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
+            self.batch = (step_library().lw_step, ctypes.byref(_Batch(
+                members, n, self.rows + 1, self.dx, self.block.ctypes.data,
+                self.half.ctypes.data, self.io.ctypes.data,
+                *(_address(x, shape) for x, shape in arrays))))
+            self.terms = terms
+        return self.batch
 
     def take(self, state: FieldState) -> _Fields:
         """Copy `state` into slot 0 as the newest state, at the end of a pass."""
@@ -376,29 +425,6 @@ class StepWork:
         return FieldState(state.t, state.xs, slot.u, slot.v, slot.w, state.max_abs_u)
 
 
-def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileTerms,
-               c, e, base, out):
-    """One half of a Lax-Wendroff step from the cell averages of `fields`:
-
-    out_v = base_v - c (2 m dv - d dw) + e F,   out_w = base_w + c dv.
-    """
-    add(fields.lo, fields.hi, h.avg)
-    multiply(_HALF, h.avg, h.avg)
-    add(ubar, h.um, h.m)
-    square(h.m, h.d)
-    subtract(terms.a2, h.d, h.d)
-    F = lower_order_F(h.um, h.wm, h.vm, ubar, ubar_x, terms.a, terms.theta, forcing, (h.m, h.d),
-                      theta_1_5=terms.theta_1_5, out=h.lof)
-    subtract(fields.vw_hi, fields.vw_lo, h.dvw)
-    multiply(h.md, h.dvw, h.prod)
-    subtract(h.p, h.q, h.x)
-    multiply(c, h.xdv, h.xdv)
-    subtract(base[0], h.x, out[0])
-    multiply(e, F, h.q)
-    add(out[0], h.q, out[0])
-    add(base[1], h.dv, out[1])
-
-
 def _left_guard(top: float, guard: float, t: float) -> str:
     """The message of a member whose max|u| = top is outside its guard at time t."""
     return (f"max|u| = {top:.4g} left the guard {guard:.4g} at t={t:.6g}; "
@@ -413,12 +439,13 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     the new time t + dt, `guard` the bound on max|u|, `speed` is
     wave_speed(terms, state) and `work` is StepWork for the state's shape;
     the new state lives in the next slot of its block, pending with its
-    (t, max|u|, b, b_t).  The state is (B, nx+1), B = 1 included, and dt,
-    b_now, guard and speed are per member:
-    floats or 0-d arrays for one member, (B, 1) columns for a batch.  A CFL
-    violation raises CFLError before the step, a member outside the guard
-    BlowUpError after it; `failed` names every such member, and the input
-    state is left as it was.
+    (t, max|u|, b, b_t), and its wave speed is left in `work.speed`.  The
+    state is (B, nx+1), B = 1 included, and dt, b_now, guard and speed are
+    per member: floats or 0-d arrays for one member, (B, 1) columns for a
+    batch.  lw_step of _lw.c does the arithmetic.  A CFL violation raises
+    CFLError before the step, a member outside the guard BlowUpError after
+    it; `failed` names every such member, and the input state is left as
+    it was.
     """
     cfl = dt * speed / work.dx
     rows = _flagged(cfl > 1.0 + 1e-12)
@@ -427,50 +454,20 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
         failed = {i: f"CFL violation at t={t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}" for i in rows}
         raise CFLError(failed[rows[0]], failed)
 
-    j = work.newest
-    src = work.slots[j]
-    if state.u is not src.u:
-        src = work.take(state)
-        j = 0
-    if j == work.end:               # the pass is over: turn back
-        work.end = work.rows - j
+    src = work.newest
+    if state.u is not work.slots[src].u:
+        work.take(state)
+        src = 0
+    if src == work.end:             # the pass is over: turn back
+        work.end = work.rows - src
         work.pending.clear()
-    j += 1 if work.end > j else -1
+    j = src + (1 if work.end > src else -1)
     dst = work.slots[j]
 
-    # predictor: provisional values at (x_{j+1/2}, t + dt/2)
-    divide(dt, work.divisors, work.coef)
-    r, half_dt, dt_dx, dt_arr = work.coefs
-    pred, half = work.predictor, work.half
-    _half_step(pred, src, terms.ubar_m, terms.ubarx_m, terms.forcing_m, terms,
-               r, half_dt, (pred.vm, pred.wm), (half.v, half.w))
-    multiply(half_dt, half.v, half.u)
-    add(pred.um, half.u, half.u)
-
-    # corrector at interior nodes, coefficients at the half-time level
-    _half_step(work.corrector, half, terms.ubar_i, terms.ubarx_i, terms.forcing_i, terms,
-               dt_dx, dt_arr, (src.v_mid, src.w_mid), (dst.v_mid, dst.w_mid))
-
-    # both ends, member by member in Python floats
-    u, v, w = src.u, dst.v, dst.w
-    for i, ((a, k, ubar_0, ubar_L), b_t) in enumerate(zip(terms.ends, _members(b_now[1]))):
-        # left boundary: feedback w = k v plus extrapolated outgoing characteristic
-        c_out = a + (ubar_0 + u.item(i, 0))     # - d / lambda_-, frozen at the boundary speed
-        r0 = 2.0 * (v.item(i, 1) + c_out * w.item(i, 1)) - (v.item(i, 2) + c_out * w.item(i, 2))
-        v[i, 0] = v_0 = r0 / (1.0 + k * c_out)
-        w[i, 0] = k * v_0
-
-        # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
-        c_out = a - (ubar_L + u.item(i, -1))    # d / lambda_+, frozen at the boundary speed
-        rL = 2.0 * (v.item(i, -2) - c_out * w.item(i, -2)) - (v.item(i, -3) - c_out * w.item(i, -3))
-        v[i, -1] = b_t
-        w[i, -1] = (b_t - rL) / c_out
-
-    add(src.v, dst.v, dst.u)
-    multiply(half_dt, dst.u, dst.u)
-    add(src.u, dst.u, dst.u)
-    new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w,
-                     _row_max(absolute(dst.u, work.full)))
+    lw_step, batch = work.bind(terms)
+    work.io[0], work.io[1] = dt, b_now[1]
+    lw_step(batch, src, j)
+    new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w, _value(work.io[2]))
     # written so that NaN fails too
     rows = _flagged(np.logical_not(new.max_abs_u <= guard))
     if rows:
@@ -479,6 +476,7 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
         raise BlowUpError(failed[rows[0]], failed)
     work.newest = j
     work.pending.append((new.t, new.max_abs_u, *b_now))
+    work.speed = _value(work.io[3]) + terms.a
     return new
 
 
@@ -533,7 +531,7 @@ class _Run:
         if any(x.shape != xs.shape for x in self.initial):
             raise ValueError("initial data does not match the solver grid")
         # a supersonic profile fails here, this member alone, and not the batch's terms
-        profile_terms([(profile, params)])
+        _subsonic(profile.ubar, params.a)
         self.slot = slot                    # index into the batch and the record buffer
         self.spec = member.disturbance
         self.k, self.a = params.k, params.a
@@ -596,8 +594,8 @@ def _flush(records, slots, index, work: StepWork, terms: ProfileTerms, quad: Qua
     spare = tuple(work.spare[:, :count])
     reduced = (energy_E1(block, terms, terms.k, terms.a, quad, out=spare),
                h1_integrand(block, quad, out=spare[:2]),
-               np.maximum.reduce(absolute(block.w, spare[0]), -1, keepdims=True),
-               np.maximum.reduce(absolute(block.v, spare[0]), -1, keepdims=True))
+               np.maximum.reduce(np.absolute(block.w, spare[0]), -1, keepdims=True),
+               np.maximum.reduce(np.absolute(block.v, spare[0]), -1, keepdims=True))
     records[4:, slots, steps] = np.concatenate(reduced, -1).reshape(count, -1, 4).transpose(2, 1, 0)
     work.pending.clear()
     return records
@@ -639,7 +637,7 @@ def simulate_batch(members: list) -> list:
     state = FieldState(_column([0.0] * len(active)), xs,
                        *(np.stack([run.initial[f] for run in active]) for f in range(3)))
     terms, guard, slots, work = pack(active, state)
-    speed = wave_speed(terms, state, out=work.full)
+    speed = wave_speed(terms, state)
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
                        for run, s in zip(active, _members(speed)))
@@ -669,9 +667,9 @@ def simulate_batch(members: list) -> list:
             # a copy; the old work set goes before the survivors' is built
             state, work = _select(state, rows), None
             terms, guard, slots, work = pack(active, state)
+            speed = wave_speed(terms, state)
             ended = {}
 
-        speed = wave_speed(terms, state, out=work.full)
         dts, bs, bts = [], [], []
         for run, s in zip(active, _members(speed)):
             dt = min(run.cfl_dx / s, run.t_snap - run.t)
@@ -686,6 +684,7 @@ def simulate_batch(members: list) -> list:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
+        speed = work.speed
         steps += 1
         for row, (run, t) in enumerate(zip(active, _members(state.t))):
             run.t = t

@@ -1,9 +1,10 @@
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pipestab import dynamics, lyapunov
@@ -284,7 +285,8 @@ class TestLeanPath:
         terms = profile_terms([(profile, params)])
         rng = np.random.default_rng(5)
         for ubar, ubar_x, forcing in ((terms.ubar_m, terms.ubarx_m, terms.forcing_m),
-                                      (terms.ubar_i, terms.ubarx_i, terms.forcing_i)):
+                                      (terms.ubar[:, 1:-1], terms.ubar_x[:, 1:-1],
+                                       terms.forcing_i)):
             u, ux, ut = rng.uniform(-0.1, 0.1, (3, *ubar.shape))
             lean = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta, forcing)
             fresh = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta)
@@ -506,7 +508,7 @@ class TestBlockRecord:
                 counts.append(len(live))
                 super().__init__(state)
                 live.add(self)
-                works.append((self.rows, self.full.size))
+                works.append((self.rows, self.block[0, 0].size))
 
         members = TestBatch.MEMBERS
         # the cells of the members that start: the NaN member fails at t=0
@@ -603,12 +605,15 @@ class TestProfileTerms:
         assert terms.ubar.shape == (len(pairs), 65)
         for row, pair in enumerate(pairs):
             alone = oracles.profile_terms(*pair)
-            for name in ("ubar", "ubar_m", "ubarx_m", "ubar_i", "ubarx_i"):
-                assert getattr(terms, name)[row].tobytes() == getattr(alone, name).tobytes(), name
+            arrays = {"ubar": terms.ubar, "ubar_m": terms.ubar_m, "ubarx_m": terms.ubarx_m,
+                      "ubar_i": terms.ubar[:, 1:-1], "ubarx_i": terms.ubar_x[:, 1:-1]}
+            for name, got in arrays.items():
+                assert got[row].tobytes() == getattr(alone, name).tobytes(), name
+            assert terms.ubar_x[row].tobytes() == pair[0].ubar_x.tobytes()
             for name in ("forcing_m", "forcing_i"):
                 for got, want in zip(getattr(terms, name), getattr(alone, name), strict=True):
                     assert got[row].tobytes() == want.tobytes(), name
-            for name in ("a", "a2", "k", "theta", "theta_1_5"):
+            for name in ("a", "k"):
                 # one member's value itself, else the member's entry of a (B, 1) column
                 got, want = getattr(terms, name), getattr(alone, name)
                 if len(pairs) == 1:
@@ -616,9 +621,12 @@ class TestProfileTerms:
                 else:
                     assert got.shape == (len(pairs), 1), name
                     got = got[row, 0]
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
-            assert terms.ends[row] == alone.ends[0]
-        assert len(terms.ends) == len(pairs)
+                assert got == want, name
+            # the compiled step's a, a ** 2, k, theta and 1.5 theta
+            want = [np.asarray(getattr(alone, name)).item()
+                    for name in ("a", "a2", "k", "theta", "theta_1_5")]
+            assert terms.coefficients[:, row].tobytes() == np.array(want).tobytes()
+        assert terms.coefficients.shape == (5, len(pairs))
 
 
 class TestLeanStep:
@@ -700,13 +708,104 @@ class TestLeanStep:
     @given(st.integers(16, 48), st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_formulas_match_allocating_forms(self, n, scale, theta, seed):
+    def test_formulas_match_in_place_forms(self, n, scale, theta, seed):
+        # the definitional forms compute what the NumPy step's in-place forms did
         rng = np.random.default_rng(seed)
         u, ux, ut, ubar, ubar_x = scale * rng.uniform(-1.0, 1.0, (5, n))
-        assert f_tilde(u, ux, ut, theta).tobytes() == oracles.f_tilde(u, ux, ut, theta).tobytes()
+        assert f_tilde(u, ux, ut, theta).tobytes() == oracles.f_tilde_into(u, ux, ut, theta).tobytes()
         ubar = np.abs(ubar) * 0.4   # subsonic for a = 2
         lean = lower_order_F(u, ux, ut, ubar, ubar_x, 2.0, theta)
-        assert lean.tobytes() == oracles.lower_order_F(u, ux, ut, ubar, ubar_x, 2.0, theta).tobytes()
+        assert lean.tobytes() == oracles.lower_order_F_into(u, ux, ut, ubar, ubar_x, 2.0,
+                                                            theta).tobytes()
+
+
+def compiled_setup(physics, nx, seed, amplitude, rows):
+    """The batch's terms, the oracle's terms, a random state of len(physics)
+    members and the two work sets, whose blocks hold `rows` states a pass.
+
+    physics is a list of (a, k, theta, u0 / a)."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    pairs = physics_pairs([(a, k, theta, fraction * a) for a, k, theta, fraction in physics], xs)
+    terms = profile_terms(pairs)
+    reference_terms = oracles.stack_terms([oracles.profile_terms(*pair) for pair in pairs])
+    rng = np.random.default_rng(seed)
+    u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, len(pairs), nx + 1))
+    t = 0.25 if len(pairs) == 1 else np.full((len(pairs), 1), 0.25)
+    state = FieldState(t, xs, u, v, w)
+    with mock.patch.object(dynamics, "BLOCK_CELLS", rows * u.size):
+        works = StepWork(state), oracles.NumpyStepWork(state)
+    return terms, reference_terms, state, works, rng
+
+
+MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
+                           st.floats(0.05, 0.3))
+
+
+class TestCompiledStep:
+    """The compiled step gives what the NumPy step gave, bit for bit."""
+
+    @given(st.lists(MEMBER_PHYSICS, min_size=1, max_size=4), st.integers(16, 64),
+           st.integers(0, 2 ** 32 - 1), st.floats(1e-6, 0.1), st.integers(1, 3),
+           st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6))
+    @example([(2.0, 4.0, 0.1, 0.15)], 16, 0, 1e-3, 1, [1.0, 0.5, 1.0, 0.25, 1.0, 0.75])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_step(self, physics, nx, seed, amplitude, rows, fractions):
+        # each step takes its fraction of every member's CFL step; with rows = 1
+        # every step turns a block pass back, with 2 and 3 some do
+        terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
+            physics, nx, seed, amplitude, rows)
+        members, dx = len(physics), state.xs[1] - state.xs[0]
+        guard = column([1e3] * members)
+        compiled, reference = state, copied(state)
+        speed = wave_speed(terms, state)
+        for fraction in fractions:
+            dt = column([fraction * dx / s for s in np.ravel(speed)])
+            b_now = (column(list(rng.normal(size=members))),
+                     column(list(rng.normal(size=members))))
+            compiled = step(compiled, terms, b_now, dt, guard, speed, work)
+            reference = oracles.numpy_step(reference, reference_terms, b_now, dt, guard, speed,
+                                           reference_work)
+            assert_same_state(compiled, reference)
+            assert type(compiled.max_abs_u) is type(reference.max_abs_u)
+            # the next wave speed, as wave_speed gave it from the new state
+            assert type(work.speed) is type(speed)
+            assert np.array_equal(work.speed, wave_speed(terms, reference))
+            assert (work.newest, work.end) == (reference_work.newest, reference_work.end)
+            assert np.array_equal(np.array(work.pending), np.array(reference_work.pending))
+            speed = work.speed
+
+    def test_terms_of_another_batch_are_rejected(self):
+        # the compiled step reads the terms through raw pointers: their shapes are checked
+        physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
+        _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3, 2)
+        terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3, 2)[0]
+        dt = column([1e-3, 1e-3])
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            step(state, terms, (dt, dt), dt, column([1.0, 1.0]), column([2.5, 2.5]), work)
+
+    @pytest.mark.parametrize("field", ["u", "v", "w"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_member_fails_alone(self, field, row):
+        # a NaN in v or w reaches u within the step; only its member fails,
+        # with the NumPy step's message, and the input state is kept
+        physics = [(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.1), (1.5, 8.0, 0.6, 0.2)]
+        terms, reference_terms, state, (work, reference_work), _ = compiled_setup(
+            physics, 24, 7, 1e-3, 2)
+        getattr(state, field)[row, 12] = np.nan
+        state, before = copied(state), copied(state)
+        dx = state.xs[1] - state.xs[0]
+        speed = wave_speed(terms, state)
+        dt = column([0.5 * dx / s for s in np.ravel(speed)])
+        b_now = (column([0.0] * 3), column([1e-4] * 3))
+        guard = column([1e3] * 3)
+        with pytest.raises(BlowUpError) as compiled:
+            step(state, terms, b_now, dt, guard, speed, work)
+        with pytest.raises(BlowUpError) as reference:
+            oracles.numpy_step(copied(state), reference_terms, b_now, dt, guard, speed,
+                               reference_work)
+        assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
+        assert "max|u| = nan" in str(compiled.value)
+        assert_same_state(state, before)
 
 
 class TestSnapshotsOwnTheirArrays:
