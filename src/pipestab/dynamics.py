@@ -15,21 +15,19 @@ subsonic regime 0 < ubar+u < a this is exactly one physical and one
 numerical relation per end.
 
 The solver runs a batch of scenarios on one grid at once.  Every state
-holds one (B, nx+1) array per field, a single run's too.  Every
-per-member value (time, time step, parameters, boundary data) is a
-(B, 1) column for a batch, and a float or 0-d array for one member, so
-that no per-step ufunc of a single run takes a (1, 1) operand.  Each
-member keeps its own time step and snapshot cadence, and leaves the
-batch when it ends or fails.
+holds one (B, nx+1) array per field, a single run's too, and every
+per-member value (time, time step, boundary data, guard, wave speed,
+max|u|) is a list of B floats.  Each member keeps its own time step and
+snapshot cadence, and leaves the batch when it ends or fails.
 
 The arithmetic of `step` runs in C (`_lw.c`), as one loop per member
 instead of some seventy NumPy calls: the same IEEE operations in the same
 order, so its values are those of the NumPy form bit for bit.  The library
 is built when this module is imported, with the C compiler Python was
-built with, and cached in the package's `__pycache__`.  The new state goes
-into the next slot of a block of states held in a StepWork built once per
-batch, and the energies of the per-step record are reduced over the whole
-block at once, when it is full or a member leaves the batch.
+built with, and cached in the package's `__pycache__`.  Each new state
+goes into the next slot of a block of states held in a StepWork built
+once per batch, and the energies of the per-step record are reduced over
+the whole block at once, when it is full or a member leaves the batch.
 """
 
 from __future__ import annotations
@@ -158,55 +156,28 @@ class CFLError(SolverError):
     pass
 
 
-def _row_max(x):
-    """Max over the last axis, per member: a float for one, a (B, 1) column for a batch."""
-    top = np.maximum.reduce(x, -1)
-    return top.item() if top.size == 1 else top[:, None]
-
-
-def _members(x) -> list:
-    """Per-member values of a float (one member) or a (B, 1) column."""
-    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
-
-
-def _column(values: list):
-    """Inverse of _members: one member's value itself, else a (B, 1) column."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
-
-
-def _flagged(bad) -> list:
-    """The batch rows `bad` flags: a bool for one member, a (B, 1) column for a batch."""
-    return [row for row, flag in enumerate(_members(bad)) if flag]
-
-
 @dataclass
 class FieldState:
-    """(u, u_t, u_x) at one time: the (B, nx+1) arrays of a batch, or the
-    1-D copies of one member's arrays that a snapshot holds."""
+    """(u, u_t, u_x) at one time: the (B, nx+1) arrays of a batch, with a
+    list of the B members' times, or the 1-D copies of one member's arrays
+    and its time that a snapshot holds."""
 
-    t: float                            # per member: a (B, 1) column for a batch
+    t: list | float
     xs: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)   # u_t
     w: np.ndarray = field(repr=False)   # u_x
-    # max |u|, read by the blow-up guard and by the per-step record; computed when not given
-    max_abs_u: float = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.max_abs_u is None:
-            self.max_abs_u = _row_max(np.abs(self.u))
 
 
 def _row(state: FieldState, row: int) -> FieldState:
     """The snapshot of one member, its arrays copied out of the batch or the work set."""
-    return FieldState(_members(state.t)[row], state.xs,
+    return FieldState(state.t[row], state.xs,
                       state.u[row].copy(), state.v[row].copy(), state.w[row].copy())
 
 
 def _select(state: FieldState, rows: list) -> FieldState:
     """The members at `rows`, copied out of the batch."""
-    t = _members(state.t)
-    return FieldState(_column([t[row] for row in rows]), state.xs,
+    return FieldState([state.t[row] for row in rows], state.xs,
                       state.u[rows], state.v[rows], state.w[rows])
 
 
@@ -285,9 +256,8 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None):
 
 @dataclass(frozen=True)
 class ProfileTerms:
-    """The time-independent values `step` reads, built once per batch:
-    (B, n) profile arrays, B = 1 included, and per-member values as
-    _column gives them."""
+    """The time-independent values `step` reads, built once per batch as
+    (B, n) profile arrays, B = 1 included, and per-member coefficients."""
 
     ubar: np.ndarray        # ubar and ubar_x at the nodes
     ubar_x: np.ndarray
@@ -295,8 +265,6 @@ class ProfileTerms:
     ubarx_m: np.ndarray
     forcing_m: tuple        # stationary_forcing on the midpoints
     forcing_i: tuple        # stationary_forcing at the interior nodes
-    a: float
-    k: float
     # (5, B): each member's a, a ** 2, k, theta and 1.5 * theta, for the
     # compiled step; a ** 2 rounds as lower_order_F's, which may differ from a * a
     coefficients: np.ndarray
@@ -315,22 +283,21 @@ def profile_terms(members: list) -> ProfileTerms:
         pairs = [stationary_forcing(u, ux, p.a, p.theta) for u, ux, p in zip(ubar, ubar_x, params)]
         return tuple(map(np.stack, zip(*pairs)))
 
-    a, k = [p.a for p in params], [p.k for p in params]
-    theta = [p.theta for p in params]
-    coefficients = np.array([a, [x ** 2 for x in a], k, theta, [1.5 * x for x in theta]])
+    a, theta = [p.a for p in params], [p.theta for p in params]
+    coefficients = np.array([a, [x ** 2 for x in a], [p.k for p in params], theta,
+                             [1.5 * x for x in theta]])
     return ProfileTerms(ubar, ubar_x, ubar_m, ubarx_m, forcing(ubar_m, ubarx_m),
-                        forcing(ubar[:, 1:-1], ubar_x[:, 1:-1]), _column(a), _column(k),
-                        coefficients)
+                        forcing(ubar[:, 1:-1], ubar_x[:, 1:-1]), coefficients)
 
 
-def wave_speed(terms: ProfileTerms, state: FieldState):
-    """Fastest characteristic speed max|ubar + u| + a of a state, per member,
-    as `step` computes it for the state it returns.
+def wave_speed(terms: ProfileTerms, state: FieldState) -> list:
+    """Fastest characteristic speed max|ubar + u| + a of each member of a
+    state, as `step` computes it for the state it returns.
 
     Equal to max(|ubar + u| + a) bit for bit, since x -> fl(x + a) is
     monotone.
     """
-    return _row_max(np.abs(terms.ubar + state.u)) + terms.a
+    return (np.maximum.reduce(np.abs(terms.ubar + state.u), -1) + terms.coefficients[0]).tolist()
 
 
 class _Fields:
@@ -355,47 +322,39 @@ def _address(x: np.ndarray, shape: tuple) -> int:
     return x.ctypes.data
 
 
-def _value(x):
-    """A per-member result of the compiled step: a float for one member, a
-    (B, 1) column of its own for a batch."""
-    return x.item() if x.size == 1 else x.copy()
-
-
 class StepWork:
     """The arrays `step` works in, built once for one state shape.
 
-    `block` holds the (u, v, w) of rows + 1 states, one per slot.  `step`
-    reads the newest state and writes the next slot, in passes that run
-    from slot 0 to slot `rows` and back: a pass ends at slot `end`, and the
-    step after it turns back, so the `rows` states of one pass are the
-    block that one flush records, and no state is ever copied.  A state
-    the block does not hold is first copied into slot 0, where a pass
-    ends.  So a state `step` returns stays until a pass comes back to its
-    slot, one step later at the earliest.  `pending` holds, for each state
-    of the pass not yet recorded, the (t, max|u|, b, b_t) written with it,
-    and `spare` is the work of the flush.  `half` holds one member's
-    (u, v, w) at t + dt/2, and `io` the compiled step's per-member inputs
-    (dt, b_t) and results (max|u|, max|ubar + u|), each shaped like t.
-    `speed` is wave_speed of the state `step` returned last.
+    `block` holds the (u, v, w) of rows + 1 states, one per slot, and
+    `newest` is the slot of the newest state.  Each step writes slot
+    newest + 1 from slot `newest`, so the block fills forward in step
+    order; when its last slot is full, the caller records the block and
+    `hold` copies the newest state into slot 0, where the next block
+    starts.  `pending` holds, for each state of the block not yet recorded,
+    the (t, max|u|, b, b_t) written with it, and `spare` is the work of
+    the flush.  `half` holds one member's (u, v, w) at t + dt/2, and `io`
+    the compiled step's per-member inputs (dt, b_t) and results (max|u|,
+    max|ubar + u|).  `speed` is wave_speed of the state `step` returned
+    last.
     """
 
     def __init__(self, state: FieldState):
-        shape = state.u.shape
+        members, n = state.u.shape
         self.dx = float(state.xs[1] - state.xs[0])
         self.rows = max(1, BLOCK_CELLS // state.u.size)
-        self.block = np.empty((3, self.rows + 1, *shape))
+        self.block = np.empty((3, self.rows + 1, members, n))
         self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
-        self.newest = self.end = 0          # the slot of the newest state, of the pass's end
+        self.newest = 0
         self.pending = []
-        self.spare = np.empty((3, self.rows, *shape))
-        self.half = np.empty((3, shape[-1] - 1))
-        self.io = np.empty((4, *np.shape(state.t)))
+        self.spare = np.empty((3, self.rows, members, n))
+        self.half = np.empty((3, n - 1))
+        self.io = np.empty((4, members))
         self.speed = None
-        self.terms = self.batch = None
+        self.terms = self.batch = self.a = None
 
     def bind(self, terms: ProfileTerms):
         """lw_step and the lw_batch of this work set and `terms`, built at the
-        first step with them."""
+        first step with them; also keeps each member's a for the wave speed."""
         if terms is not self.terms:
             members, n = self.block.shape[2:]
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
@@ -406,23 +365,17 @@ class StepWork:
                 members, n, self.rows + 1, self.dx, self.block.ctypes.data,
                 self.half.ctypes.data, self.io.ctypes.data,
                 *(_address(x, shape) for x, shape in arrays))))
-            self.terms = terms
+            self.terms, self.a = terms, terms.coefficients[0].tolist()
         return self.batch
 
-    def take(self, state: FieldState) -> _Fields:
-        """Copy `state` into slot 0 as the newest state, at the end of a pass."""
+    def hold(self, state: FieldState) -> FieldState:
+        """Copy `state` into slot 0 as the newest state, with no state
+        pending; returns it as held in the block."""
         slot = self.slots[0]
         slot.u[...], slot.v[...], slot.w[...] = state.u, state.v, state.w
-        self.newest = self.end = 0
+        self.newest = 0
         self.pending.clear()
-        return slot
-
-    def hold(self, state: FieldState, b_now) -> FieldState:
-        """Take `state` as the one pending state, with its boundary data
-        b_now = (b, b_t); returns it as held in the block."""
-        slot = self.take(state)
-        self.pending.append((state.t, state.max_abs_u, *b_now))
-        return FieldState(state.t, state.xs, slot.u, slot.v, slot.w, state.max_abs_u)
+        return FieldState(state.t, state.xs, slot.u, slot.v, slot.w)
 
 
 def _left_guard(top: float, guard: float, t: float) -> str:
@@ -437,47 +390,47 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
 
     `terms` is profile_terms of the batch, b_now = (b, b_t) evaluated at
     the new time t + dt, `guard` the bound on max|u|, `speed` is
-    wave_speed(terms, state) and `work` is StepWork for the state's shape;
-    the new state lives in the next slot of its block, pending with its
-    (t, max|u|, b, b_t), and its wave speed is left in `work.speed`.  The
-    state is (B, nx+1), B = 1 included, and dt, b_now, guard and speed are
-    per member: floats or 0-d arrays for one member, (B, 1) columns for a
-    batch.  lw_step of _lw.c does the arithmetic.  A CFL violation raises
-    CFLError before the step, a member outside the guard BlowUpError after
-    it; `failed` names every such member, and the input state is left as
-    it was.
+    wave_speed(terms, state) and `work` is StepWork for the state's shape.
+    The state is (B, nx+1), B = 1 included, and b and b_t, dt, guard and
+    speed are lists of B floats.  A state that is not the newest of the
+    block, or is the newest of a full block, is first copied into slot 0
+    (`hold`).  The new state lives in the next slot, pending with its (t,
+    max|u|, b, b_t), and its wave speed is left in `work.speed`.  lw_step
+    of _lw.c does the arithmetic.  A CFL violation raises CFLError before
+    the step, a member outside the guard BlowUpError after it; `failed`
+    names every such member.  A failed step leaves its input as it was,
+    unless that input was the newest state of a full one-row block, whose
+    slot the step overwrites.
     """
-    cfl = dt * speed / work.dx
-    rows = _flagged(cfl > 1.0 + 1e-12)
-    if rows:
-        t, cfl = _members(state.t), _members(cfl)
-        failed = {i: f"CFL violation at t={t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}" for i in rows}
-        raise CFLError(failed[rows[0]], failed)
+    io, dx = work.io, work.dx
+    failed = {}
+    for i, (t_i, dt_i, speed_i, b_t) in enumerate(zip(state.t, dt, speed, b_now[1])):
+        cfl = dt_i * speed_i / dx
+        if cfl > 1.0 + 1e-12:
+            failed[i] = f"CFL violation at t={t_i:.6g}: dt*speed/dx = {cfl:.4f}"
+        io[0, i] = dt_i
+        io[1, i] = b_t
+    if failed:
+        raise CFLError(next(iter(failed.values())), failed)
 
     src = work.newest
-    if state.u is not work.slots[src].u:
-        work.take(state)
+    if src == work.rows or state.u is not work.slots[src].u:
+        work.hold(state)
         src = 0
-    if src == work.end:             # the pass is over: turn back
-        work.end = work.rows - src
-        work.pending.clear()
-    j = src + (1 if work.end > src else -1)
-    dst = work.slots[j]
-
     lw_step, batch = work.bind(terms)
-    work.io[0], work.io[1] = dt, b_now[1]
-    lw_step(batch, src, j)
-    new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w, _value(work.io[2]))
+    lw_step(batch, src, src + 1)
+    top_u, top_m = io[2:].tolist()
+    t = [t_i + dt_i for t_i, dt_i in zip(state.t, dt)]
     # written so that NaN fails too
-    rows = _flagged(np.logical_not(new.max_abs_u <= guard))
-    if rows:
-        top, t, guard = _members(new.max_abs_u), _members(new.t), _members(guard)
-        failed = {i: _left_guard(top[i], guard[i], t[i]) for i in rows}
-        raise BlowUpError(failed[rows[0]], failed)
-    work.newest = j
-    work.pending.append((new.t, new.max_abs_u, *b_now))
-    work.speed = _value(work.io[3]) + terms.a
-    return new
+    failed = {i: _left_guard(top, bound, t_i)
+              for i, (top, bound, t_i) in enumerate(zip(top_u, guard, t)) if not top <= bound}
+    if failed:
+        raise BlowUpError(next(iter(failed.values())), failed)
+    work.newest = src + 1
+    work.pending.append((t, top_u, *b_now))
+    work.speed = [top + a for top, a in zip(top_m, work.a)]
+    new = work.slots[src + 1]
+    return FieldState(t, state.xs, new.u, new.v, new.w)
 
 
 def bump_profile(xs, amplitude, center, width):
@@ -584,19 +537,15 @@ def _flush(records, slots, index, work: StepWork, terms: ProfileTerms, quad: Qua
     while index >= records.shape[2]:
         records = np.concatenate([records, np.empty_like(records)], axis=2)
     steps = np.s_[index + 1 - count:index + 1]
-    records[:4, slots, steps] = np.array(work.pending).reshape(count, 4, -1).transpose(1, 2, 0)
-    j = work.newest
-    if work.end:        # a pass up the slots: the newest state is the last
-        states = work.block[:, j + 1 - count:j + 1]
-    else:               # a pass down the slots: in step order from the top
-        states = work.block[:, j:j + count][:, ::-1]
-    block = _Fields(states)
+    records[:4, slots, steps] = np.array(work.pending).transpose(1, 2, 0)
+    block = _Fields(work.block[:, work.newest + 1 - count:work.newest + 1])
     spare = tuple(work.spare[:, :count])
-    reduced = (energy_E1(block, terms, terms.k, terms.a, quad, out=spare),
+    a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
+    reduced = (energy_E1(block, terms, k, a, quad, out=spare),
                h1_integrand(block, quad, out=spare[:2]),
                np.maximum.reduce(np.absolute(block.w, spare[0]), -1, keepdims=True),
                np.maximum.reduce(np.absolute(block.v, spare[0]), -1, keepdims=True))
-    records[4:, slots, steps] = np.concatenate(reduced, -1).reshape(count, -1, 4).transpose(2, 1, 0)
+    records[4:, slots, steps] = np.concatenate(reduced, -1).transpose(2, 1, 0)
     work.pending.clear()
     return records
 
@@ -629,21 +578,24 @@ def simulate_batch(members: list) -> list:
     def pack(active, state):
         """The terms, guards, record slots and work set of the active members."""
         slots = np.array([run.slot for run in active])
-        guard = _column([run.guard for run in active])
+        guard = [run.guard for run in active]
         terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
                                for run in active])
         return terms, guard, slots, StepWork(state)
 
-    state = FieldState(_column([0.0] * len(active)), xs,
+    state = FieldState([0.0] * len(active), xs,
                        *(np.stack([run.initial[f] for run in active]) for f in range(3)))
     terms, guard, slots, work = pack(active, state)
     speed = wave_speed(terms, state)
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
-                       for run, s in zip(active, _members(speed)))
+                       for run, s in zip(active, speed))
     records = np.empty((len(RECORDS), len(members), capacity))
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
-    state = work.hold(state, (_column([b for b, _ in b0]), _column([bt for _, bt in b0])))
+    state = work.hold(state)
+    work.pending.append((state.t, np.maximum.reduce(np.abs(state.u), -1).tolist(),
+                         [b for b, _ in b0], [bt for _, bt in b0]))
+    records = _flush(records, slots, 0, work, terms, quad)
     for row, run in enumerate(active):
         run.snapshot(_row(state, row), 0, quad)
 
@@ -652,10 +604,14 @@ def simulate_batch(members: list) -> list:
     # for those that failed
     ended = {row: None for row, run in enumerate(active) if not run.t < run.t_end - 1e-12}
     while True:
-        # record the pass when it is over, and before members leave: their
+        # record the block when it is full, and before members leave: their
         # trajectories read the records, and the others go on in a new block
-        if ended or work.newest == work.end:
+        if ended or work.newest == work.rows:
             records = _flush(records, slots, steps, work, terms, quad)
+            # the next block starts from a copy of the newest state in slot 0,
+            # made here so that a failed step cannot overwrite the state it
+            # started from, not even in a one-row block
+            state = work.hold(state)
         if ended:
             for row, error in ended.items():
                 run = active[row]
@@ -671,22 +627,21 @@ def simulate_batch(members: list) -> list:
             ended = {}
 
         dts, bs, bts = [], [], []
-        for run, s in zip(active, _members(speed)):
+        for run, s in zip(active, speed):
             dt = min(run.cfl_dx / s, run.t_snap - run.t)
             b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
             dts.append(dt)
             bs.append(b_val)
             bts.append(bt_val)
-        b_now = (_column(bs), _column(bts))
         try:
-            state = step(state, terms, b_now, _column(dts), guard, speed, work)
+            state = step(state, terms, (bs, bts), dts, guard, speed, work)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
         speed = work.speed
         steps += 1
-        for row, (run, t) in enumerate(zip(active, _members(state.t))):
+        for row, (run, t) in enumerate(zip(active, state.t)):
             run.t = t
             if t >= run.t_snap - 1e-12:
                 run.snapshot(_row(state, row), steps, quad)

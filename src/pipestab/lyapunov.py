@@ -38,20 +38,19 @@ def _trapz(y, weights):
     return np.vecdot(y, weights, keepdims=y.ndim > 1)
 
 
-def energy_E1(state, profile, k: float, a: float, quad=None, *, out=None) -> float:
+def energy_E1(state, profile, k: float, a: float, quad: Quadrature, *, out) -> float:
     """Weighted wave energy with the exponential cross term.
 
     E1 = int k[(a^2 - (ubar+u)^2) u_x^2 + u_t^2]
          - 2 exp(-x/L) [(ubar+u) u_x^2 + u_t u_x] dx
 
-    `quad` is Quadrature(state.xs), built here when not given; likewise below.
-    Also takes a batch state, with k and a as (B, 1) columns, or a block of
-    states, whose u, v and w have a further leading axis; a is squared as
-    a * a, which a float and a column round alike.  `out` is three work
-    arrays of the state's shape; fresh ones when not given, likewise below.
+    `quad` is Quadrature(state.xs), likewise below.  Also takes a batch
+    state, with k and a as (B, 1) columns, or a block of states, whose u, v
+    and w have a further leading axis; a is squared as a * a, which a float
+    and a column round alike.  `out` is three work arrays of the state's
+    shape.
     """
-    quad = quad or Quadrature(state.xs)
-    f, m, t = out or tuple(np.empty(state.u.shape) for _ in range(3))
+    f, m, t = out
     add(profile.ubar, state.u, m)
     square(state.w, t)
     square(m, f)
@@ -68,25 +67,22 @@ def energy_E1(state, profile, k: float, a: float, quad=None, *, out=None) -> flo
     return _trapz(f, quad.weights)
 
 
-def energy_classic(state, k: float, a: float, quad=None) -> float:
+def energy_classic(state, k: float, a: float, quad: Quadrature) -> float:
     """Classical wave energy k * int a^2 u_x^2 + u_t^2 dx."""
-    quad = quad or Quadrature(state.xs)
     return _trapz(k * (a ** 2 * state.w ** 2 + state.v ** 2), quad.weights)
 
 
-def grad_norm(state, quad=None) -> float:
+def grad_norm(state, quad: Quadrature) -> float:
     """int u_t^2 + u_x^2 dx."""
-    quad = quad or Quadrature(state.xs)
     return _trapz(state.v ** 2 + state.w ** 2, quad.weights)
 
 
-def h1_integrand(state, quad=None, *, out=None) -> float:
+def h1_integrand(state, quad: Quadrature, *, out) -> float:
     """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm).
 
     `out` is two work arrays of the state's shape.
     """
-    quad = quad or Quadrature(state.xs)
-    f, t = out or (np.empty(state.u.shape), np.empty(state.u.shape))
+    f, t = out
     square(state.u, f)
     square(state.v, t)
     add(f, t, f)

@@ -128,7 +128,10 @@ def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
 # solver that held a single member in 1-D arrays, so the per-step record
 # below runs one member the way that solver did.  Its terms are built
 # member by member and then stacked, as that solver built them: the rows
-# of a batch's profile_terms must equal them bit for bit.
+# of a batch's profile_terms must equal them bit for bit.  Inside, a
+# per-member value is a float for one member and a (B, 1) column for a
+# batch, as in that solver; at the interface it is a list, one float per
+# member, as `dynamics` passes it.
 
 
 def _row_max(x):
@@ -148,11 +151,9 @@ def _column(values: list):
 
 def _row(state: FieldState, row: int) -> FieldState:
     """One member of a state, its arrays copied out of the batch or the work set."""
-    if state.u.ndim == 1:
-        t, u, v, w = state.t, state.u, state.v, state.w
-    else:
-        t, u, v, w = float(state.t[row, 0]), state.u[row], state.v[row], state.w[row]
-    return FieldState(t, state.xs, u.copy(), v.copy(), w.copy())
+    u, v, w = ((state.u, state.v, state.w) if state.u.ndim == 1
+               else (state.u[row], state.v[row], state.w[row]))
+    return FieldState(state.t[row], state.xs, u.copy(), v.copy(), w.copy())
 
 
 def _select(state: FieldState, rows: list) -> FieldState:
@@ -160,8 +161,10 @@ def _select(state: FieldState, rows: list) -> FieldState:
     if state.u.ndim == 1 or len(rows) == len(state.u) > 1:
         return state
     if len(rows) == 1:
-        return _row(state, rows[0])
-    return FieldState(state.t[rows], state.xs, state.u[rows], state.v[rows], state.w[rows])
+        one = _row(state, rows[0])
+        return FieldState([one.t], one.xs, one.u, one.v, one.w)
+    return FieldState([state.t[row] for row in rows], state.xs,
+                      state.u[rows], state.v[rows], state.w[rows])
 
 
 @dataclass(frozen=True)
@@ -270,21 +273,25 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None):
     return f_tilde(m, ux + ubar_x, ut, theta) - (d / d_bar) * f_bar
 
 
-def wave_speed(terms: ProfileTerms, state: FieldState):
+def wave_speed(terms: ProfileTerms, state: FieldState) -> list:
     """Fastest characteristic speed max|ubar + u| + a of a state, per member."""
-    return _row_max(np.abs(terms.ubar + state.u) + terms.a)
+    return _members(_row_max(np.abs(terms.ubar + state.u) + terms.a))
 
 
-def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> FieldState:
-    """Advance the state by one Lax-Wendroff step of size dt.
+def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed):
+    """Advance the state by one Lax-Wendroff step of size dt; returns the
+    new state and its max|u|.
 
     `terms` is profile_terms of the run, b_now = (b, b_t) evaluated at the
     new time t + dt, `guard` the bound on max|u| and `speed` is
-    wave_speed(terms, state).  For a batch, `terms` comes from stack_terms,
-    and dt, b_now, guard and speed are (B, 1) columns.  A CFL violation
-    raises CFLError before the step, a member outside the guard
-    BlowUpError after it; `failed` names every such member.
+    wave_speed(terms, state).  For a batch, `terms` comes from stack_terms.
+    The state's t, dt, b and b_t, guard, speed and the max|u| returned are
+    lists, one float per member.  A CFL violation raises CFLError before
+    the step, a member outside the guard BlowUpError after it; `failed`
+    names every such member.
     """
+    t, dt, guard, speed = map(_column, (state.t, dt, guard, speed))
+    b_now = tuple(map(_column, b_now))
     a, a2, k, theta = terms.a, terms.a2, terms.k, terms.theta
     xs = state.xs
     dx = xs[1] - xs[0]
@@ -294,7 +301,7 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> Fie
 
     cfl = dt * speed / dx
     _fail(CFLError, cfl > 1.0 + 1e-12, lambda i: (
-        f"CFL violation at t={_members(state.t)[i]:.6g}: dt*speed/dx = {_members(cfl)[i]:.4f}"))
+        f"CFL violation at t={_members(t)[i]:.6g}: dt*speed/dx = {_members(cfl)[i]:.4f}"))
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
     um = 0.5 * (u[lo] + u[hi])
@@ -348,12 +355,13 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed) -> Fie
 
     u_new = u + 0.5 * dt * (v + v_new)
 
-    new = FieldState(t=state.t + dt, xs=xs, u=u_new, v=v_new, w=w_new)
+    new = FieldState(t=_members(t + dt), xs=xs, u=u_new, v=v_new, w=w_new)
+    max_u = _row_max(np.abs(u_new))
     # written so that NaN fails too
-    _fail(BlowUpError, np.logical_not(new.max_abs_u <= guard), lambda i: (
-        f"max|u| = {_members(new.max_abs_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
-        f"at t={_members(new.t)[i]:.6g}; the run left the regime of validity"))
-    return new
+    _fail(BlowUpError, np.logical_not(max_u <= guard), lambda i: (
+        f"max|u| = {_members(max_u)[i]:.4g} left the guard {_members(guard)[i]:.4g} "
+        f"at t={new.t[i]:.6g}; the run left the regime of validity"))
+    return new, _members(max_u)
 
 
 # The per-step record that the block record replaced: every step's E1, H1
@@ -401,20 +409,19 @@ def simulate_batch_per_step(members: list) -> list:
         run.records = {}
         run.terms = profile_terms(members[run.slot].profile, members[run.slot].params)
 
-    def record(state, bs, bts):
-        for row, (run, t, top) in enumerate(zip(active, _members(state.t),
-                                                _members(state.max_abs_u))):
+    def record(state, max_u, bs, bts):
+        for row, (run, t, top) in enumerate(zip(active, state.t, max_u)):
             u, v, w = ((state.u, state.v, state.w) if state.u.ndim == 1
                        else (state.u[row], state.v[row], state.w[row]))
             _per_step_record(run, u, v, w, t, top, bs[row], bts[row], quad)
 
     rows = list(range(len(active)))
-    state = _select(FieldState(np.zeros((len(active), 1)), xs,
+    state = _select(FieldState([0.0] * len(active), xs,
                                *(np.stack([run.initial[f] for run in active]) for f in range(3))),
                     rows)
-    terms, guard = stack_terms([run.terms for run in active]), _column([r.guard for r in active])
+    terms, guard = stack_terms([run.terms for run in active]), [r.guard for r in active]
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
-    record(state, [b for b, _ in b0], [bt for _, bt in b0])
+    record(state, _members(_row_max(np.abs(state.u))), [b for b, _ in b0], [bt for _, bt in b0])
     for row, run in enumerate(active):
         run.snapshot(_row(state, row), 0, quad)
 
@@ -431,26 +438,26 @@ def simulate_batch_per_step(members: list) -> list:
                 return results
             state = _select(state, rows)
             terms = stack_terms([run.terms for run in active])
-            guard = _column([run.guard for run in active])
+            guard = [run.guard for run in active]
             ended = {}
 
         speed = wave_speed(terms, state)
         dts, bs, bts = [], [], []
-        for run, s in zip(active, _members(speed)):
+        for run, s in zip(active, speed):
             dt = min(run.cfl_dx / s, run.t_snap - run.t)
             b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
             dts.append(dt)
             bs.append(b_val)
             bts.append(bt_val)
         try:
-            state = step(state, terms, (_column(bs), _column(bts)), _column(dts), guard, speed)
+            state, max_u = step(state, terms, (bs, bts), dts, guard, speed)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
         steps += 1
-        record(state, bs, bts)
-        for row, (run, t) in enumerate(zip(active, _members(state.t))):
+        record(state, max_u, bs, bts)
+        for row, (run, t) in enumerate(zip(active, state.t)):
             run.t = t
             if t >= run.t_snap - 1e-12:
                 run.snapshot(_row(state, row), steps, quad)
@@ -569,11 +576,10 @@ class NumpyStepWork(StepWork):
         self.predictor = _Half(buf.reshape(_Half.ROWS, members, n - 1))
         self.corrector = _Half(buf[:rows * (n - 2)].reshape(_Half.ROWS, members, n - 2))
         # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, each
-        # shaped like t: 0-d for one member, a (B, 1) column for a batch
-        column = np.shape(state.t)
-        self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, *(1 for _ in column)))
-        self.coef = np.empty((4, *column))
-        self.coefs = tuple(self.coef[i, ...] for i in range(4))
+        # a (B, 1) column
+        self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, 1, 1))
+        self.coef = np.empty((4, members, 1))
+        self.coefs = tuple(self.coef)
         self.full = np.empty(shape)
 
 
@@ -603,26 +609,21 @@ def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileT
 def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
                work: NumpyStepWork) -> FieldState:
     """`dynamics.step` in NumPy calls, in a NumpyStepWork."""
-    cfl = dt * speed / work.dx
-    rows = dynamics._flagged(cfl > 1.0 + 1e-12)
+    cfl = [dt_i * speed_i / work.dx for dt_i, speed_i in zip(dt, speed)]
+    rows = [i for i, x in enumerate(cfl) if x > 1.0 + 1e-12]
     if rows:
-        t, cfl = _members(state.t), _members(cfl)
-        failed = {i: f"CFL violation at t={t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}" for i in rows}
+        failed = {i: f"CFL violation at t={state.t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}"
+                  for i in rows}
         raise CFLError(failed[rows[0]], failed)
 
     j = work.newest
-    src = work.slots[j]
-    if state.u is not src.u:
-        src = work.take(state)
+    if j == work.rows or state.u is not work.slots[j].u:
+        work.hold(state)
         j = 0
-    if j == work.end:               # the pass is over: turn back
-        work.end = work.rows - j
-        work.pending.clear()
-    j += 1 if work.end > j else -1
-    dst = work.slots[j]
+    src, dst = work.slots[j], work.slots[j + 1]
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
-    divide(dt, work.divisors, work.coef)
+    divide(np.array(dt)[:, None], work.divisors, work.coef)
     r, half_dt, dt_dx, dt_arr = work.coefs
     pred, half = work.predictor, work.half
     _half_step(pred, src, terms.ubar_m, terms.ubarx_m, terms.forcing_m, terms,
@@ -636,7 +637,7 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
 
     # both ends, member by member in Python floats
     u, v, w = src.u, dst.v, dst.w
-    for i, ((a, k, ubar_0, ubar_L), b_t) in enumerate(zip(terms.ends, _members(b_now[1]))):
+    for i, ((a, k, ubar_0, ubar_L), b_t) in enumerate(zip(terms.ends, b_now[1])):
         # left boundary: feedback w = k v plus extrapolated outgoing characteristic
         c_out = a + (ubar_0 + u.item(i, 0))     # - d / lambda_-, frozen at the boundary speed
         r0 = 2.0 * (v.item(i, 1) + c_out * w.item(i, 1)) - (v.item(i, 2) + c_out * w.item(i, 2))
@@ -652,14 +653,13 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     add(src.v, dst.v, dst.u)
     multiply(half_dt, dst.u, dst.u)
     add(src.u, dst.u, dst.u)
-    new = FieldState(state.t + dt, state.xs, dst.u, dst.v, dst.w,
-                     dynamics._row_max(absolute(dst.u, work.full)))
+    t = [t_i + dt_i for t_i, dt_i in zip(state.t, dt)]
+    top = np.maximum.reduce(absolute(dst.u, work.full), -1).tolist()
     # written so that NaN fails too
-    rows = dynamics._flagged(np.logical_not(new.max_abs_u <= guard))
+    rows = [i for i, (x, bound) in enumerate(zip(top, guard)) if not x <= bound]
     if rows:
-        top, t, guard = _members(new.max_abs_u), _members(new.t), _members(guard)
         failed = {i: dynamics._left_guard(top[i], guard[i], t[i]) for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
-    work.newest = j
-    work.pending.append((new.t, new.max_abs_u, *b_now))
-    return new
+    work.newest = j + 1
+    work.pending.append((t, top, *b_now))
+    return FieldState(t, state.xs, dst.u, dst.v, dst.w)

@@ -14,7 +14,7 @@ from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, M
                                SolverConfig, SolverError, StepWork, bump_profile, f_tilde,
                                lower_order_F, profile_terms, simulate, simulate_batch, step,
                                wave_speed)
-from pipestab.lyapunov import energy_classic, energy_E1, grad_norm, h1_integrand
+from pipestab.lyapunov import Quadrature, energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
 import oracles
@@ -28,12 +28,12 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
     return params, profile, xs
 
 
-def advance(state, params, profile, dt, guard=None):
+def advance(state, params, profile, dt, guard=None, work=None):
     """One step of a one-member (1, nx+1) state without disturbance; the
-    guard defaults to the sound speed."""
+    guard defaults to the sound speed, the work set to a new one."""
     terms = profile_terms([(profile, params)])
-    return step(state, terms, (0.0, 0.0), dt, params.a if guard is None else guard,
-                wave_speed(terms, state), StepWork(state))
+    return step(state, terms, ([0.0], [0.0]), [dt], [params.a if guard is None else guard],
+                wave_speed(terms, state), work or StepWork(state))
 
 
 class TestLowerOrderTerms:
@@ -120,14 +120,14 @@ class TestStep:
     def test_cfl_violation_raises(self):
         params, profile, xs = make_setup()
         zeros = np.zeros((1, len(xs)))
-        state = FieldState(t=0.0, xs=xs, u=zeros, v=zeros.copy(), w=zeros.copy())
+        state = FieldState(t=[0.0], xs=xs, u=zeros, v=zeros.copy(), w=zeros.copy())
         with pytest.raises(CFLError):
             advance(state, params, profile, dt=1.0)
 
     def test_blowup_guard_raises(self):
         params, profile, xs = make_setup()
         u = np.full((1, len(xs)), 0.2)
-        state = FieldState(t=0.0, xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
+        state = FieldState(t=[0.0], xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
         with pytest.raises(BlowUpError):
             advance(state, params, profile, dt=1e-4, guard=0.1)
 
@@ -136,21 +136,22 @@ class TestStep:
         params, profile, xs = make_setup()
         u = np.zeros((1, len(xs)))
         u[0, len(xs) // 2] = np.nan
-        state = FieldState(t=0.25, xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
+        state = FieldState(t=[0.25], xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
         with pytest.raises(BlowUpError, match=r"t=0\.2501"):
             advance(state, params, profile, dt=1e-4)
 
     def test_feedback_closure_exact(self):
-        # the left boundary enforces w = k v to machine precision; the
-        # stepped state carries its own max|u|
+        # the left boundary enforces w = k v to machine precision; each
+        # step records its new state's own max|u|
         params, profile, xs = make_setup()
         phi, dphi = bump_profile(xs, 1e-3, 0.5, 0.2)
-        state = FieldState(t=0.0, xs=xs, u=phi[None], v=np.zeros((1, len(xs))), w=dphi[None])
+        state = FieldState(t=[0.0], xs=xs, u=phi[None], v=np.zeros((1, len(xs))), w=dphi[None])
         dx = xs[1] - xs[0]
+        work = StepWork(state)
         for _ in range(20):
-            state = advance(state, params, profile, dt=0.4 * dx / (params.a + 1.0))
+            state = advance(state, params, profile, 0.4 * dx / (params.a + 1.0), work=work)
+            assert work.pending[-1][1] == [float(np.max(np.abs(state.u)))]
         assert state.w[0, 0] == params.k * state.v[0, 0]
-        assert state.max_abs_u == float(np.max(np.abs(state.u)))
 
 
 class TestSimulate:
@@ -297,12 +298,13 @@ class TestLeanPath:
     def test_recorded_integrals_match_interval_trapezoid(self, amplitude, center, width):
         # the same integrands, integrated interval by interval instead of by weights
         params, profile, xs, traj = bump_run(amplitude, center, width)
+        quad, work = Quadrature(xs), np.empty((3, len(xs)))
         lean_trapz = lyapunov._trapz
         lyapunov._trapz = lambda y, weights: trapz_intervals(y, xs)
         try:
             for state, j in zip(traj.states, traj.snap_index):
-                e1 = energy_E1(state, profile, params.k, params.a)
-                h1 = h1_integrand(state)
+                e1 = energy_E1(state, profile, params.k, params.a, quad, out=work)
+                h1 = h1_integrand(state, quad, out=work[:2])
                 assert abs(traj.series["E1"][j] - e1) <= 1e-13 * abs(e1)
                 assert abs(traj.series["h1"][j] - h1) <= 1e-13 * abs(h1)
         finally:
@@ -311,10 +313,11 @@ class TestLeanPath:
     @given(*bump_args)
     @settings(max_examples=5, deadline=None)
     def test_snapshot_energies_match_states(self, amplitude, center, width):
-        params, _, _, traj = bump_run(amplitude, center, width)
+        params, _, xs, traj = bump_run(amplitude, center, width)
+        quad = Quadrature(xs)
         for i, state in enumerate(traj.states):
-            assert traj.series["E_classic"][i] == energy_classic(state, params.k, params.a)
-            assert traj.series["grad"][i] == grad_norm(state)
+            assert traj.series["E_classic"][i] == energy_classic(state, params.k, params.a, quad)
+            assert traj.series["grad"][i] == grad_norm(state, quad)
 
 
 # a sound speed whose a ** 2 (C pow) and a * a round apart, so that a batch,
@@ -495,6 +498,26 @@ class TestBlockRecord:
             # the block that grew the records began within them
             assert any(first < capacity for first, capacity in grown)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_member_ends_on_the_blocks_last_slot(self, monkeypatch, size):
+        # the block holds as many steps as the first member to end takes, so
+        # that member's last step fills the block's last slot: that flush
+        # records the full block, and any other member goes on in a new one
+        members = TestBatch.MEMBERS[:size]
+        last = min(len(solo(member).times) - 1 for member in members)
+        flushes = []    # (step index, newest slot, rows, pending states)
+        flush = dynamics._flush
+
+        def watched(records, slots, index, work, *args):
+            flushes.append((index, work.newest, work.rows, len(work.pending)))
+            return flush(records, slots, index, work, *args)
+
+        monkeypatch.setattr(dynamics, "_flush", watched)
+        monkeypatch.setattr(dynamics, "BLOCK_CELLS", last * size * (members[0].config.nx + 1))
+        assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
+        assert flushes[:2] == [(0, 0, last, 1), (last, last, last, last)]
+        assert len(flushes) == size + 1
+
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_repack_builds_its_work_set_alone(self, monkeypatch, extra):
         # a re-pack frees the old work set before it builds the survivors',
@@ -530,9 +553,9 @@ class TestBlockRecord:
     @pytest.mark.parametrize("count", [1, 8])
     def test_block_bytes_within_budget(self, nx, count):
         shape = (count, nx + 1)
-        t = 0.0 if count == 1 else np.zeros((count, 1))
         xs = np.linspace(0.0, 1.0, nx + 1)
-        work = StepWork(FieldState(t, xs, np.zeros(shape), np.zeros(shape), np.zeros(shape)))
+        work = StepWork(FieldState([0.0] * count, xs, np.zeros(shape), np.zeros(shape),
+                                   np.zeros(shape)))
         cells = int(np.prod(shape))
         # as many steps as the budget holds, and one when a state alone exceeds it
         assert work.rows == max(1, BLOCK_CELLS // cells)
@@ -568,23 +591,17 @@ def lean_setup(nx, physics, seed, amplitude):
     u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, *terms.ubar.shape))
     j = nx // 3
     u[..., j:j + 2] = -1.5 * terms.ubar[..., j:j + 2]
-    t = 0.25 if len(physics) == 1 else np.full((len(physics), 1), 0.25)
-    return terms, reference, FieldState(t=t, xs=xs, u=u, v=v, w=w), rng
-
-
-def column(values):
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+    return terms, reference, FieldState([0.25] * len(physics), xs, u, v, w), rng
 
 
 def assert_same_state(lean, reference):
-    assert np.array_equal(lean.t, reference.t)
+    assert lean.t == reference.t
     for name in ("u", "v", "w"):
         assert getattr(lean, name).tobytes() == getattr(reference, name).tobytes(), name
-    assert np.array_equal(lean.max_abs_u, reference.max_abs_u, equal_nan=True)
 
 
 def copied(state):
-    return FieldState(np.copy(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
+    return FieldState(list(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
 
 
 PHYSICS_LISTS = [
@@ -613,16 +630,8 @@ class TestProfileTerms:
             for name in ("forcing_m", "forcing_i"):
                 for got, want in zip(getattr(terms, name), getattr(alone, name), strict=True):
                     assert got[row].tobytes() == want.tobytes(), name
-            for name in ("a", "k"):
-                # one member's value itself, else the member's entry of a (B, 1) column
-                got, want = getattr(terms, name), getattr(alone, name)
-                if len(pairs) == 1:
-                    assert type(got) is type(want), name
-                else:
-                    assert got.shape == (len(pairs), 1), name
-                    got = got[row, 0]
-                assert got == want, name
-            # the compiled step's a, a ** 2, k, theta and 1.5 theta
+            # the compiled step's a, a ** 2, k, theta and 1.5 theta, which _flush
+            # and wave_speed read too
             want = [np.asarray(getattr(alone, name)).item()
                     for name in ("a", "a2", "k", "theta", "theta_1_5")]
             assert terms.coefficients[:, row].tobytes() == np.array(want).tobytes()
@@ -642,16 +651,14 @@ class TestLeanStep:
         lean, reference = state, copied(state)
         for _ in range(3):   # the first step copies the state in, the others write the block
             speed = wave_speed(terms, lean)
-            # a float for one member here, a (1, 1) column from the oracle
-            assert np.array_equal(np.ravel(speed),
-                                  np.ravel(oracles.wave_speed(reference_terms, reference)))
-            dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
-            b_now = (column(list(rng.normal(size=len(physics)))),
-                     column(list(rng.normal(size=len(physics)))))
-            guard = column([1e3] * len(physics))
+            assert speed == oracles.wave_speed(reference_terms, reference)
+            dt = [f * dx / s for f, s in zip(fractions, speed)]
+            b_now = (list(rng.normal(size=len(physics))), list(rng.normal(size=len(physics))))
+            guard = [1e3] * len(physics)
             lean = step(lean, terms, b_now, dt, guard, speed, work)
-            reference = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
+            reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
             assert_same_state(lean, reference)
+            assert work.pending[-1] == (reference.t, max_u, *b_now)
 
     @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]))
     @settings(max_examples=20, deadline=None)
@@ -659,10 +666,10 @@ class TestLeanStep:
         terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
         work = StepWork(state)
         dx = state.xs[1] - state.xs[0]
-        b_now = (column([0.0] * len(physics)), column([0.0] * len(physics)))
-        big = column([1e3] * len(physics))
+        b_now = ([0.0] * len(physics), [0.0] * len(physics))
+        big = [1e3] * len(physics)
         speed = wave_speed(terms, state)
-        held = step(state, terms, b_now, 0.5 * dx / speed, big, speed, work)
+        held = step(state, terms, b_now, [0.5 * dx / s for s in speed], big, speed, work)
         before = copied(held)
         speed = wave_speed(terms, held)
         # the last member fails: by its time step or by its guard
@@ -672,19 +679,19 @@ class TestLeanStep:
             fractions[-1] = 1.5
         else:
             guards[-1] = 1e-3
-        dt = column([f * dx / s for f, s in zip(fractions, np.ravel(speed))])
+        dt = [f * dx / s for f, s in zip(fractions, speed)]
         error = CFLError if failure == "cfl" else BlowUpError
         with pytest.raises(error) as lean:
-            step(held, terms, b_now, dt, column(guards), speed, work)
+            step(held, terms, b_now, dt, guards, speed, work)
         with pytest.raises(error) as reference:
-            oracles.step(before, reference_terms, b_now, dt, column(guards), speed)
+            oracles.step(before, reference_terms, b_now, dt, guards, speed)
         assert lean.value.failed == reference.value.failed == {
             len(physics) - 1: str(reference.value)}
         assert_same_state(held, before)
         # and the work set steps on from the state it kept
-        dt = column([0.5 * dx / s for s in np.ravel(speed)])
+        dt = [0.5 * dx / s for s in speed]
         assert_same_state(step(held, terms, b_now, dt, big, speed, work),
-                          oracles.step(before, reference_terms, b_now, dt, big, speed))
+                          oracles.step(before, reference_terms, b_now, dt, big, speed)[0])
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
                   elements=st.floats(-1e6, 1e6)),
@@ -692,18 +699,18 @@ class TestLeanStep:
     @settings(max_examples=100, deadline=None)
     def test_wave_speed_is_the_max_plus_a(self, u, speeds, nan_row):
         # max|ubar + u| + a equals max(|ubar + u| + a) exactly, per batch row,
-        # a row holding NaN included; row 0 alone stands for one member
+        # a row holding NaN included; row 0 alone stands for one member, which
+        # the oracle holds in floats
         rows, n = u.shape
         ubar = np.linspace(0.1, 0.4, n)
         if nan_row < rows:
             u[nan_row, n // 2] = np.nan
-        one = u[:1]
-        cases = [(SimpleNamespace(ubar=ubar[None], a=speeds[0]), FieldState(0.0, ubar, one, one, one)),
-                 (SimpleNamespace(ubar=np.tile(ubar, (rows, 1)), a=np.array(speeds[:rows])[:, None]),
-                  FieldState(np.zeros((rows, 1)), ubar, u, u, u))]
-        for terms, state in cases:
+        for rows, a in ((1, speeds[0]), (rows, np.array(speeds[:rows])[:, None])):
+            terms = SimpleNamespace(ubar=np.tile(ubar, (rows, 1)), a=a,
+                                    coefficients=np.array([speeds[:rows]]))
+            state = FieldState([0.0] * rows, ubar, u[:rows], u[:rows], u[:rows])
             lean, reference = wave_speed(terms, state), oracles.wave_speed(terms, state)
-            assert np.asarray(lean).tobytes() == np.asarray(reference).tobytes()
+            assert np.array(lean).tobytes() == np.array(reference).tobytes()
 
     @given(st.integers(16, 48), st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
            st.integers(0, 2 ** 32 - 1))
@@ -721,7 +728,7 @@ class TestLeanStep:
 
 def compiled_setup(physics, nx, seed, amplitude, rows):
     """The batch's terms, the oracle's terms, a random state of len(physics)
-    members and the two work sets, whose blocks hold `rows` states a pass.
+    members and the two work sets, whose blocks hold `rows` states.
 
     physics is a list of (a, k, theta, u0 / a)."""
     xs = np.linspace(0.0, 1.0, nx + 1)
@@ -730,8 +737,7 @@ def compiled_setup(physics, nx, seed, amplitude, rows):
     reference_terms = oracles.stack_terms([oracles.profile_terms(*pair) for pair in pairs])
     rng = np.random.default_rng(seed)
     u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, len(pairs), nx + 1))
-    t = 0.25 if len(pairs) == 1 else np.full((len(pairs), 1), 0.25)
-    state = FieldState(t, xs, u, v, w)
+    state = FieldState([0.25] * len(pairs), xs, u, v, w)
     with mock.patch.object(dynamics, "BLOCK_CELLS", rows * u.size):
         works = StepWork(state), oracles.NumpyStepWork(state)
     return terms, reference_terms, state, works, rng
@@ -751,27 +757,25 @@ class TestCompiledStep:
     @settings(max_examples=60, deadline=None)
     def test_matches_numpy_step(self, physics, nx, seed, amplitude, rows, fractions):
         # each step takes its fraction of every member's CFL step; with rows = 1
-        # every step turns a block pass back, with 2 and 3 some do
+        # every step after the first starts a new block from slot 0, with 2 and
+        # 3 some do
         terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
             physics, nx, seed, amplitude, rows)
         members, dx = len(physics), state.xs[1] - state.xs[0]
-        guard = column([1e3] * members)
+        guard = [1e3] * members
         compiled, reference = state, copied(state)
         speed = wave_speed(terms, state)
         for fraction in fractions:
-            dt = column([fraction * dx / s for s in np.ravel(speed)])
-            b_now = (column(list(rng.normal(size=members))),
-                     column(list(rng.normal(size=members))))
+            dt = [fraction * dx / s for s in speed]
+            b_now = (list(rng.normal(size=members)), list(rng.normal(size=members)))
             compiled = step(compiled, terms, b_now, dt, guard, speed, work)
             reference = oracles.numpy_step(reference, reference_terms, b_now, dt, guard, speed,
                                            reference_work)
             assert_same_state(compiled, reference)
-            assert type(compiled.max_abs_u) is type(reference.max_abs_u)
-            # the next wave speed, as wave_speed gave it from the new state
-            assert type(work.speed) is type(speed)
-            assert np.array_equal(work.speed, wave_speed(terms, reference))
-            assert (work.newest, work.end) == (reference_work.newest, reference_work.end)
-            assert np.array_equal(np.array(work.pending), np.array(reference_work.pending))
+            # the next wave speed, as wave_speed gives it from the new state
+            assert work.speed == wave_speed(terms, reference)
+            assert work.newest == reference_work.newest
+            assert work.pending == reference_work.pending
             speed = work.speed
 
     def test_terms_of_another_batch_are_rejected(self):
@@ -779,9 +783,9 @@ class TestCompiledStep:
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
         _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3, 2)
         terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3, 2)[0]
-        dt = column([1e-3, 1e-3])
+        dt = [1e-3, 1e-3]
         with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-            step(state, terms, (dt, dt), dt, column([1.0, 1.0]), column([2.5, 2.5]), work)
+            step(state, terms, (dt, dt), dt, [1.0, 1.0], [2.5, 2.5], work)
 
     @pytest.mark.parametrize("field", ["u", "v", "w"])
     @pytest.mark.parametrize("row", [0, 2])
@@ -795,9 +799,9 @@ class TestCompiledStep:
         state, before = copied(state), copied(state)
         dx = state.xs[1] - state.xs[0]
         speed = wave_speed(terms, state)
-        dt = column([0.5 * dx / s for s in np.ravel(speed)])
-        b_now = (column([0.0] * 3), column([1e-4] * 3))
-        guard = column([1e3] * 3)
+        dt = [0.5 * dx / s for s in speed]
+        b_now = ([0.0] * 3, [1e-4] * 3)
+        guard = [1e3] * 3
         with pytest.raises(BlowUpError) as compiled:
             step(state, terms, b_now, dt, guard, speed, work)
         with pytest.raises(BlowUpError) as reference:

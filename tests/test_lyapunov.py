@@ -18,6 +18,11 @@ def const_state(xs, u=0.0, v=0.0, w=0.0):
                       v=np.full_like(xs, v), w=np.full_like(xs, w))
 
 
+def e1_of(state, profile, k, a):
+    """energy_E1 of one state, as the run calls it."""
+    return energy_E1(state, profile, k, a, Quadrature(state.xs), out=np.empty((3, len(state.xs))))
+
+
 class TestPointwiseEnergies:
     params = PipeParams(L=1.0, a=2.0, theta=0.0, k=3.0)
 
@@ -29,7 +34,7 @@ class TestPointwiseEnergies:
         # u = w = 0, v = c: E1 = k L c^2, exactly (constant integrand)
         c = 0.7
         state = const_state(self.xs, v=c)
-        assert energy_E1(state, self.profile, 3.0, 2.0) == pytest.approx(
+        assert e1_of(state, self.profile, 3.0, 2.0) == pytest.approx(
             3.0 * 1.0 * c ** 2, rel=1e-14)
 
     def test_e1_pure_gradient(self):
@@ -38,17 +43,19 @@ class TestPointwiseEnergies:
         c, m, k, a, L = 0.3, 0.5, 3.0, 2.0, 1.0
         state = const_state(self.xs, w=c)
         expected = k * (a ** 2 - m ** 2) * L * c ** 2 - 2.0 * m * c ** 2 * L * (1 - math.exp(-1))
-        assert energy_E1(state, self.profile, k, a) == pytest.approx(expected, rel=1e-7)
+        assert e1_of(state, self.profile, k, a) == pytest.approx(expected, rel=1e-7)
 
     def test_classic_energy_hand_value(self):
         # k = a = 1, v = w = 1 on [0, 1]: integral of (1 + 1) = 2
         state = const_state(self.xs, v=1.0, w=1.0)
-        assert energy_classic(state, 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert energy_classic(state, 1.0, 1.0, Quadrature(self.xs)) == pytest.approx(2.0, rel=1e-14)
 
     def test_grad_and_h1(self):
         state = const_state(self.xs, u=1.0, v=2.0, w=3.0)
-        assert grad_norm(state) == pytest.approx(4.0 + 9.0, rel=1e-14)
-        assert h1_integrand(state) == pytest.approx(1.0 + 4.0 + 9.0, rel=1e-14)
+        quad = Quadrature(self.xs)
+        assert grad_norm(state, quad) == pytest.approx(4.0 + 9.0, rel=1e-14)
+        assert h1_integrand(state, quad, out=np.empty((2, len(self.xs)))) == pytest.approx(
+            1.0 + 4.0 + 9.0, rel=1e-14)
 
 
 class TestQuadrature:
@@ -151,7 +158,8 @@ class TestEquivalence:
     def sandwich(self, state):
         """E1 and whether each of the three inequalities holds."""
         quad, c, L = Quadrature(self.xs), self.const, self.params.L
-        e1 = energy_E1(state, self.profile, self.params.k, self.params.a, quad)
+        e1 = energy_E1(state, self.profile, self.params.k, self.params.a, quad,
+                       out=np.empty((3, len(self.xs))))
         g = grad_norm(state, quad)
         wg = _trapz(state.v ** 2 + (1.0 + 2.0 * L ** 2) * state.w ** 2, quad.weights)
         return e1, (c.M1 * g <= e1 + self.slack, e1 <= c.K2 * g + self.slack,
