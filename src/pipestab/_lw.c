@@ -1,17 +1,49 @@
-/* One two-step Lax-Wendroff (Richtmyer) step of a batch, as one loop.
+/* The time loop of `pipestab.dynamics`, and the boundary disturbance b(t).
  *
- * `lw_step` does the arithmetic of `pipestab.dynamics.step`: the time-step
- * coefficients, the predictor, the corrector, both boundary closures, the
- * u update, and each member's max|u| and max|ubar + u|.  Every value is
- * computed by the same IEEE operations, in the same order, as the NumPy
- * form of the step in tests/oracles.py, so the results are equal bit for
- * bit.  That holds only when the compiler neither contracts a * b + c into
- * a fused multiply-add nor reorders arithmetic: build with
- * -ffp-contract=off and without -ffast-math.  The callers check shapes,
- * dtypes and contiguity before they pass pointers.
+ * `lw_advance` takes two-step Lax-Wendroff (Richtmyer) steps of a batch,
+ * one after another, from a slot of its block of states.  Per step and
+ * member it computes the time step min(cfl_dx / speed, t_snap - t), the
+ * disturbance b and b_t at t + dt, the CFL test, the predictor, the
+ * corrector, both boundary closures, the u update, the guard test on
+ * max|u|, t + dt, the next wave speed max|ubar + u| + a, and the step's
+ * (t, max|u|, b, b_t) record.  It returns to Python only when
+ *
+ *   - the block is full,
+ *   - a member reaches its next snapshot time or its t_end, or
+ *   - a member fails the CFL test (before the step) or its guard (after
+ *     it): no member takes that step, and each failed member's status,
+ *     value and time are left in `io` for its message.
+ *
+ * `lw_sample_b` is the disturbance alone, which `disturbance.sample_b`
+ * calls.
+ *
+ * Every value is computed by the same IEEE operations, in the same order,
+ * as the Python and NumPy forms kept in tests/oracles.py, so the results
+ * are equal bit for bit.  That holds only when the compiler neither
+ * contracts a * b + c into a fused multiply-add nor reorders arithmetic,
+ * and calls libm's pow, exp, sin and cos as Python's ** and math module
+ * do, instead of folding pow(x, 2.0) into x * x or sin and cos into
+ * sincos: build with -ffp-contract=off -fno-builtin and without
+ * -ffast-math.  The callers check shapes, dtypes and contiguity before
+ * they pass pointers.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+
+/* The rows of io, as dynamics.IO names them: each member's loop state, the
+ * outcome of a step it failed, then its disturbance. */
+enum { T, T_SNAP, T_END, CFL_DX, GUARD, SPEED, DT, TOP, STATUS, VALUE, AT, DISTURBANCE };
+
+/* The values of STATUS. */
+enum { RUNNING, CFL_FAILED, GUARD_FAILED };
+
+/* The parameters of a disturbance, as DisturbanceSpec.parameters orders them;
+ * FAMILY is an index into disturbance.FAMILIES. */
+enum { FAMILY, AMPLITUDE, FREQUENCY, GAMMA, T_PERIOD, PHASE, T_OFF };
+enum { ZERO, DECAYING_BURST, COMPACT_BURST };
+
+#define PI 3.141592653589793    /* math.pi */
 
 typedef struct {
     long members;               /* B */
@@ -20,7 +52,8 @@ typedef struct {
     double dx;
     double *block;              /* (3, slots, B, n): u, v, w of every slot */
     double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member */
-    double *io;                 /* (4, B): dt, b_t in; max|u|, max|ubar + u| out */
+    double *io;                 /* (rows of dynamics.IO, B) */
+    double *record;             /* (4, slots, B): t, max|u|, b, b_t of every slot */
     const double *coefficients; /* (5, B): a, a^2, k, theta, 1.5 theta */
     const double *ubar;         /* (B, n) at the nodes */
     const double *ubar_x;
@@ -32,10 +65,92 @@ typedef struct {
     const double *f_bar_i;
 } lw_batch;
 
+/* |x|, as fabs gives it; -fno-builtin would make fabs a call. */
+static double magnitude(double x)
+{
+    union { double value; uint64_t bits; } u = {x};
+    u.bits &= ~((uint64_t)1 << 63);
+    return u.value;
+}
+
 /* The max of np.maximum.reduce: NaN as soon as one value is NaN. */
 static double nan_max(double top, double x)
 {
     return (x > top || x != x) ? x : top;
+}
+
+/* Quintic smoothstep s(p) on [0, 1] and its first two derivatives: 0 with
+ * flat derivatives for p <= 0, 1 with flat derivatives for p >= 1. */
+static void smoothstep(double p, double out[3])
+{
+    if (p <= 0.0) {
+        out[0] = out[1] = out[2] = 0.0;
+    } else if (p >= 1.0) {
+        out[0] = 1.0;
+        out[1] = out[2] = 0.0;
+    } else {
+        out[0] = pow(p, 3.0) * (10.0 + p * (-15.0 + 6.0 * p));
+        out[1] = 30.0 * pow(p, 2.0) * (1.0 + p * (-2.0 + p));
+        out[2] = 60.0 * p * (1.0 + p * (-3.0 + 2.0 * p));
+    }
+}
+
+/* (b, b_t, b_tt) at time t >= 0 of the disturbance whose parameters are
+ * p[0], p[stride], ...: a decaying carrier A e^(-gamma t) sin(2 pi f t +
+ * phase), switched on by a smoothstep over the ramp T_period / 2, so that
+ * b, b_t and b_tt vanish at t = 0.  A compact burst is switched off by a
+ * second smoothstep over [t_off - ramp, t_off] and is zero from t_off on.
+ */
+static void disturbance(const double *p, long stride, double t, double out[3])
+{
+    const double family = p[FAMILY * stride], A = p[AMPLITUDE * stride];
+    out[0] = out[1] = out[2] = 0.0;
+    if (family == ZERO || A == 0.0)
+        return;
+
+    const double ramp = 0.5 * p[T_PERIOD * stride];
+    double on[3];
+    smoothstep(t / ramp, on);
+    const double s = on[0], ds = on[1] / ramp, dds = on[2] / pow(ramp, 2.0);
+
+    const double g_amp = p[GAMMA * stride];
+    const double om = 2.0 * PI * p[FREQUENCY * stride];
+    const double ph = p[PHASE * stride];
+    const double e = exp(-g_amp * t);
+    const double sn = sin(om * t + ph);
+    const double cs = cos(om * t + ph);
+    const double g = e * sn;
+    const double dg = e * (-g_amp * sn + om * cs);
+    const double ddg = e * ((pow(g_amp, 2.0) - pow(om, 2.0)) * sn - 2.0 * g_amp * om * cs);
+
+    double b = A * s * g;
+    double bt = A * (ds * g + s * dg);
+    double btt = A * (dds * g + 2.0 * ds * dg + s * ddg);
+
+    if (family == COMPACT_BURST) {
+        /* C^2 cutoff descending on [t_off - ramp, t_off], identically zero after */
+        const double t_off = p[T_OFF * stride];
+        if (t >= t_off)
+            return;
+        const double r0 = t_off - ramp;
+        if (t > r0) {
+            double off[3];
+            smoothstep((t - r0) / ramp, off);
+            const double c = 1.0 - off[0], dc = -off[1] / ramp, ddc = -off[2] / pow(ramp, 2.0);
+            const double b0 = b, bt0 = bt;
+            b = b0 * c;
+            bt = bt0 * c + b0 * dc;
+            btt = btt * c + 2.0 * bt0 * dc + b0 * ddc;
+        }
+    }
+    out[0] = b;
+    out[1] = bt;
+    out[2] = btt;
+}
+
+void lw_sample_b(const double *parameters, double t, double *out)
+{
+    disturbance(parameters, 1, t, out);
 }
 
 /* One half of a step over `cells` cells, from the cell averages of (u, v, w),
@@ -63,7 +178,7 @@ static void half_step(long cells, const double *u, const double *v, const double
 
         /* F = F~(m, wm + ubar_x, vm) - (d / d_bar) f_bar */
         double x = wm + ubar_x[j];
-        double abs_m = fabs(m);
+        double abs_m = magnitude(m);
         double two_m = 2.0 * m;
         double f = -2.0 * vm * x;
         f = f - two_m * (x * x);
@@ -81,54 +196,115 @@ static void half_step(long cells, const double *u, const double *v, const double
     }
 }
 
-void lw_step(const lw_batch *batch, long src, long dst)
+/* Member i's step of size dt from slot src to slot dst, with the boundary
+ * value b_t; sets *top_u to the new max|u| and *top_m to its max|ubar + u|. */
+static void lw_step(const lw_batch *batch, long i, long src, long dst, double dt, double b_t,
+                    double *top_u, double *top_m)
 {
     const long B = batch->members, n = batch->n;
     const long state = B * n, field = batch->slots * state;
     double *uh = batch->half, *vh = uh + (n - 1), *wh = vh + (n - 1);
+    const double *coef = batch->coefficients + i;
+    const double a = coef[0], a2 = coef[B], k = coef[2 * B];
+    const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
+    const double half_dt = dt / 2.0;
+    const double *ubar = batch->ubar + i * n, *ubar_x = batch->ubar_x + i * n;
+    const double *u = batch->block + src * state + i * n, *v = u + field, *w = v + field;
+    double *un = batch->block + dst * state + i * n, *vn = un + field, *wn = vn + field;
 
-    for (long i = 0; i < B; i++) {
-        const double *coef = batch->coefficients + i;
-        const double a = coef[0], a2 = coef[B], k = coef[2 * B];
-        const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
-        const double dt = batch->io[i], b_t = batch->io[B + i];
-        const double half_dt = dt / 2.0;
-        const double *ubar = batch->ubar + i * n, *ubar_x = batch->ubar_x + i * n;
-        const double *u = batch->block + src * state + i * n, *v = u + field, *w = v + field;
-        double *un = batch->block + dst * state + i * n, *vn = un + field, *wn = vn + field;
+    /* predictor: provisional values at (x_{j+1/2}, t + dt/2) */
+    half_step(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
+              batch->d_bar_m + i * (n - 1), batch->f_bar_m + i * (n - 1),
+              a2, theta, theta_1_5, dt / (2.0 * batch->dx), half_dt,
+              NULL, NULL, uh, vh, wh);
 
-        /* predictor: provisional values at (x_{j+1/2}, t + dt/2) */
-        half_step(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
-                  batch->d_bar_m + i * (n - 1), batch->f_bar_m + i * (n - 1),
-                  a2, theta, theta_1_5, dt / (2.0 * batch->dx), half_dt,
-                  NULL, NULL, uh, vh, wh);
+    /* corrector at interior nodes, coefficients at the half-time level */
+    half_step(n - 2, uh, vh, wh, ubar + 1, ubar_x + 1,
+              batch->d_bar_i + i * (n - 2), batch->f_bar_i + i * (n - 2),
+              a2, theta, theta_1_5, dt / batch->dx, dt,
+              v + 1, w + 1, NULL, vn + 1, wn + 1);
 
-        /* corrector at interior nodes, coefficients at the half-time level */
-        half_step(n - 2, uh, vh, wh, ubar + 1, ubar_x + 1,
-                  batch->d_bar_i + i * (n - 2), batch->f_bar_i + i * (n - 2),
-                  a2, theta, theta_1_5, dt / batch->dx, dt,
-                  v + 1, w + 1, NULL, vn + 1, wn + 1);
+    /* left boundary: feedback w = k v plus extrapolated outgoing characteristic */
+    double c_out = a + (ubar[0] + u[0]);       /* - d / lambda_-, frozen at the boundary speed */
+    double r = 2.0 * (vn[1] + c_out * wn[1]) - (vn[2] + c_out * wn[2]);
+    vn[0] = r / (1.0 + k * c_out);
+    wn[0] = k * vn[0];
 
-        /* left boundary: feedback w = k v plus extrapolated outgoing characteristic */
-        double c_out = a + (ubar[0] + u[0]);       /* - d / lambda_-, frozen at the boundary speed */
-        double r = 2.0 * (vn[1] + c_out * wn[1]) - (vn[2] + c_out * wn[2]);
-        vn[0] = r / (1.0 + k * c_out);
-        wn[0] = k * vn[0];
+    /* right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic */
+    c_out = a - (ubar[n - 1] + u[n - 1]);      /* d / lambda_+, frozen at the boundary speed */
+    r = 2.0 * (vn[n - 2] - c_out * wn[n - 2]) - (vn[n - 3] - c_out * wn[n - 3]);
+    vn[n - 1] = b_t;
+    wn[n - 1] = (b_t - r) / c_out;
 
-        /* right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic */
-        c_out = a - (ubar[n - 1] + u[n - 1]);      /* d / lambda_+, frozen at the boundary speed */
-        r = 2.0 * (vn[n - 2] - c_out * wn[n - 2]) - (vn[n - 3] - c_out * wn[n - 3]);
-        vn[n - 1] = b_t;
-        wn[n - 1] = (b_t - r) / c_out;
-
-        /* u at t + dt, its max|u| for the guard and max|ubar + u| for the next wave speed */
-        double top_u = -1.0, top_m = -1.0;
-        for (long j = 0; j < n; j++) {
-            un[j] = u[j] + half_dt * (v[j] + vn[j]);
-            top_u = nan_max(top_u, fabs(un[j]));
-            top_m = nan_max(top_m, fabs(ubar[j] + un[j]));
-        }
-        batch->io[2 * B + i] = top_u;
-        batch->io[3 * B + i] = top_m;
+    /* u at t + dt, its max|u| for the guard and max|ubar + u| for the next wave speed */
+    double max_u = -1.0, max_m = -1.0;
+    for (long j = 0; j < n; j++) {
+        un[j] = u[j] + half_dt * (v[j] + vn[j]);
+        max_u = nan_max(max_u, magnitude(un[j]));
+        max_m = nan_max(max_m, magnitude(ubar[j] + un[j]));
     }
+    *top_u = max_u;
+    *top_m = max_m;
+}
+
+long lw_advance(const lw_batch *batch, long src)
+{
+    const long B = batch->members, slots = batch->slots;
+    double *io = batch->io;
+    double *t = io + T * B, *dt = io + DT * B, *speed = io + SPEED * B, *top = io + TOP * B;
+    double *status = io + STATUS * B, *value = io + VALUE * B, *at = io + AT * B;
+    const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
+    const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B;
+    const double *a = batch->coefficients;
+
+    for (long i = 0; i < B; i++)
+        status[i] = RUNNING;
+    for (long dst = src + 1; dst < slots; dst++) {
+        double *rec_t = batch->record + dst * B, *rec_u = rec_t + slots * B;
+        double *rec_b = rec_u + slots * B, *rec_bt = rec_b + slots * B;
+        int failed = 0, stop = dst == slots - 1;
+
+        /* the time step, clipped to land on the next snapshot time; every
+         * member passes the CFL test before any member steps */
+        for (long i = 0; i < B; i++) {
+            const double x = cfl_dx[i] / speed[i], y = t_snap[i] - t[i];
+            dt[i] = y < x ? y : x;                  /* Python's min(x, y) */
+            const double cfl = dt[i] * speed[i] / batch->dx;
+            if (cfl > 1.0 + 1e-12) {
+                status[i] = CFL_FAILED;
+                value[i] = cfl;
+                at[i] = t[i];
+                failed = 1;
+            }
+        }
+        if (failed)
+            return dst - 1 - src;
+
+        for (long i = 0; i < B; i++) {
+            double b[3];
+            rec_t[i] = t[i] + dt[i];
+            disturbance(io + DISTURBANCE * B + i, B, rec_t[i], b);
+            rec_b[i] = b[0];
+            rec_bt[i] = b[1];
+            lw_step(batch, i, dst - 1, dst, dt[i], b[1], rec_u + i, top + i);
+            if (!(rec_u[i] <= guard[i])) {          /* written so that NaN fails too */
+                status[i] = GUARD_FAILED;
+                value[i] = rec_u[i];
+                at[i] = rec_t[i];
+                failed = 1;
+            }
+        }
+        if (failed)
+            return dst - 1 - src;
+
+        for (long i = 0; i < B; i++) {
+            t[i] = rec_t[i];
+            speed[i] = top[i] + a[i];
+            if (t[i] >= t_snap[i] - 1e-12 || !(t[i] < t_end[i] - 1e-12))
+                stop = 1;
+        }
+        if (stop)
+            return dst - src;
+    }
+    return 0;       /* src was the block's last slot */
 }

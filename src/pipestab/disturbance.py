@@ -5,12 +5,15 @@ at x = L.  Each family here is a closed-form C^2 expression with exact
 analytic derivatives, built so that b(0) = b'(0) = b''(0) = 0 (the
 compatibility requirement of the solver) and so that the achievable
 exponential certificate is analytically controllable: the windowed
-integral of b^2 + b_t^2 decays like exp(-2*gamma*t).
+integral of b^2 + b_t^2 decays like exp(-2*gamma*t).  The formula is
+compiled, in `_lw.c`, because the time loop of `dynamics` evaluates it at
+every step; `sample_b` calls it.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,6 +26,8 @@ from .lyapunov import windowed_series
 from .stationary import require
 
 FAMILIES = ("zero", "decaying_burst", "compact_burst")
+# The values of a DisturbanceSpec that _lw.c reads, in its order
+PARAMETERS = ("family", "amplitude", "frequency", "gamma", "T_period", "phase", "t_off")
 
 # NumPy's default_rng(seed) without importing numpy.random, which would
 # bring in `secrets` and OpenSSL's hashlib (about 6 MiB per process).
@@ -131,62 +136,28 @@ class DisturbanceSpec:
             return 0.0
         return 2.0 * math.pi * _first_uniform(int(self.seed))
 
-
-def _smoothstep(p: float) -> tuple[float, float, float]:
-    """Quintic smoothstep on [0, 1] with vanishing value/slope/curvature at 0.
-
-    Returns (s, s', s'') with respect to p; s == 1 with flat derivatives
-    for p >= 1.
-    """
-    if p <= 0.0:
-        return 0.0, 0.0, 0.0
-    if p >= 1.0:
-        return 1.0, 0.0, 0.0
-    s = p ** 3 * (10.0 + p * (-15.0 + 6.0 * p))
-    ds = 30.0 * p ** 2 * (1.0 + p * (-2.0 + p))
-    dds = 60.0 * p * (1.0 + p * (-3.0 + 2.0 * p))
-    return s, ds, dds
+    @cached_property
+    def parameters(self) -> tuple:
+        """The values named by PARAMETERS, as floats; the family is its index in FAMILIES."""
+        return (float(FAMILIES.index(self.family)), *(float(getattr(self, name))
+                                                      for name in PARAMETERS[1:]))
 
 
 def sample_b(spec: DisturbanceSpec, t: float) -> tuple[float, float, float]:
-    """Evaluate (b, b_t, b_tt) at time t >= 0 with exact derivatives."""
+    """Evaluate (b, b_t, b_tt) at time t >= 0 with exact derivatives.
+
+    A quintic smoothstep switches the decaying carrier
+    A exp(-gamma t) sin(2 pi f t + phase) on over the ramp T_period / 2; a
+    compact burst is switched off by a second one over [t_off - ramp,
+    t_off] and is zero from t_off on.  The zero family, and amplitude 0,
+    give zeros.  Computed by lw_sample_b of the compiled library.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if spec.family == "zero" or spec.amplitude == 0.0:
-        return 0.0, 0.0, 0.0
-
-    ramp = 0.5 * spec.T_period
-    s, ds, dds = _smoothstep(t / ramp)
-    ds /= ramp
-    dds /= ramp ** 2
-
-    g_amp = spec.gamma
-    om = 2.0 * math.pi * spec.frequency
-    ph = spec.phase
-    e = math.exp(-g_amp * t)
-    sn = math.sin(om * t + ph)
-    cs = math.cos(om * t + ph)
-    g = e * sn
-    dg = e * (-g_amp * sn + om * cs)
-    ddg = e * ((g_amp ** 2 - om ** 2) * sn - 2.0 * g_amp * om * cs)
-
-    A = spec.amplitude
-    b = A * s * g
-    bt = A * (ds * g + s * dg)
-    btt = A * (dds * g + 2.0 * ds * dg + s * ddg)
-
-    if spec.family == "compact_burst":
-        # C^2 cutoff descending on [t_off - ramp, t_off], identically zero after
-        if t >= spec.t_off:
-            return 0.0, 0.0, 0.0
-        r0 = spec.t_off - ramp
-        if t > r0:
-            c, dc, ddc = _smoothstep((t - r0) / ramp)
-            c, dc, ddc = 1.0 - c, -dc / ramp, -ddc / ramp ** 2
-            b, bt, btt = (b * c,
-                          bt * c + b * dc,
-                          btt * c + 2.0 * bt * dc + b * ddc)
-    return b, bt, btt
+    from .dynamics import step_library     # dynamics imports this module
+    out = (ctypes.c_double * 3)()
+    step_library().lw_sample_b((ctypes.c_double * len(PARAMETERS))(*spec.parameters), t, out)
+    return tuple(out)
 
 
 # the relative slack of the noise claim: it passes when W(t) <= (1 + slack) C_nu exp(-nu t)

@@ -16,18 +16,22 @@ numerical relation per end.
 
 The solver runs a batch of scenarios on one grid at once.  Every state
 holds one (B, nx+1) array per field, a single run's too, and every
-per-member value (time, time step, boundary data, guard, wave speed,
-max|u|) is a list of B floats.  Each member keeps its own time step and
+per-member value (time, boundary data, guard, wave speed) is a list of B
+floats or a row of B values.  Each member keeps its own time step and
 snapshot cadence, and leaves the batch when it ends or fails.
 
-The arithmetic of `step` runs in C (`_lw.c`), as one loop per member
-instead of some seventy NumPy calls: the same IEEE operations in the same
-order, so its values are those of the NumPy form bit for bit.  The library
-is built when this module is imported, with the C compiler Python was
-built with, and cached in the package's `__pycache__`.  Each new state
-goes into the next slot of a block of states held in a StepWork built
-once per batch, and the energies of the per-step record are reduced over
-the whole block at once, when it is full or a member leaves the batch.
+The time loop runs in C (`_lw.c`): one call of `step` takes step after
+step, each member's time step, disturbance, CFL test, Lax-Wendroff
+arithmetic, guard test and wave speed included, and returns only when the
+block of states it writes is full, a member reaches a snapshot time or
+its t_end, or a member fails.  It performs the same IEEE operations in the
+same order as the Python and NumPy forms it replaced, so its values are
+theirs bit for bit.  The library is built when this module is imported,
+with the C compiler Python was built with, and cached in the package's
+`__pycache__`.  Each new state goes into the next slot of a block of
+states held in a StepWork built once per batch, and the energies of the
+per-step record are reduced over the whole block at once, when it is full
+or a member leaves the batch.
 """
 
 from __future__ import annotations
@@ -45,16 +49,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disturbance import DisturbanceSpec, sample_b
+from .disturbance import PARAMETERS, DisturbanceSpec, sample_b
 from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile, require
 
 
 # How _lw.c is compiled.  -ffp-contract=off, and no -march and no fast-math,
 # so that no a * b + c becomes a fused multiply-add and nothing is reordered:
-# each operation rounds as the NumPy ufunc that it replaces does.
+# each operation rounds as the NumPy ufunc or Python float operation that it
+# replaces does.  -fno-builtin, so that pow, exp, sin and cos are libm's, as
+# Python's ** and math functions call them: GCC would fold pow(x, 2.0) into
+# x * x, and a sin and cos of one argument into sincos.
 _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
-            "-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared"]
+            "-O2", "-std=c99", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
 
 
 class _Batch(ctypes.Structure):
@@ -63,13 +70,13 @@ class _Batch(ctypes.Structure):
     _fields_ = [("members", ctypes.c_long), ("n", ctypes.c_long), ("slots", ctypes.c_long),
                 ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
-            "block", "half", "io", "coefficients", "ubar", "ubar_x", "ubar_m", "ubarx_m",
+            "block", "half", "io", "record", "coefficients", "ubar", "ubar_x", "ubar_m", "ubarx_m",
             "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i")]
 
 
 def _compile(source: Path, target) -> None:
     import subprocess       # only here: a run that loads a cached build does not pay its import
-    command = [*_COMPILE, "-o", str(target), str(source)]
+    command = [*_COMPILE, "-o", str(target), str(source), "-lm"]
     try:
         subprocess.run(command, check=True, capture_output=True, text=True)
     except OSError as exc:
@@ -79,12 +86,12 @@ def _compile(source: Path, target) -> None:
         reason = errors[0] if errors else f"exit code {exc.returncode}"
     else:
         return
-    raise OSError(f"cannot build the compiled Lax-Wendroff step: `{' '.join(_COMPILE)}` "
+    raise OSError(f"cannot build the compiled time loop: `{' '.join(_COMPILE)}` "
                   f"failed ({reason}); running a scenario needs a C compiler")
 
 
 def _load_library():
-    """The compiled step, built at most once per C source, compile command and
+    """The compiled time loop, built at most once per C source, compile command and
     platform: its name in the package's __pycache__ holds two checksums of
     all three (zlib's, which NumPy has imported already; hashlib would load
     OpenSSL, about 3.6 MB).  A build is written to a temporary file and
@@ -117,8 +124,11 @@ def _load_library():
 
 
 def _declare(lib):
-    lib.lw_step.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long, ctypes.c_long)
-    lib.lw_step.restype = None
+    lib.lw_advance.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long)
+    lib.lw_advance.restype = ctypes.c_long
+    double = ctypes.POINTER(ctypes.c_double)
+    lib.lw_sample_b.argtypes = (double, ctypes.c_double, double)
+    lib.lw_sample_b.restype = None
     return lib
 
 
@@ -129,7 +139,7 @@ except OSError as exc:      # raised when a step runs: the verbs that run none s
 
 
 def step_library():
-    """The compiled step; raises the OSError that kept it from being built or loaded."""
+    """The compiled time loop; raises the OSError that kept it from being built or loaded."""
     if isinstance(_LW, OSError):
         raise OSError(str(_LW))
     return _LW
@@ -269,6 +279,12 @@ class ProfileTerms:
     # compiled step; a ** 2 rounds as lower_order_F's, which may differ from a * a
     coefficients: np.ndarray
 
+    def take(self, rows: list) -> ProfileTerms:
+        """The terms of the members at `rows`, copied out of these."""
+        return ProfileTerms(self.ubar[rows], self.ubar_x[rows], self.ubar_m[rows],
+                            self.ubarx_m[rows], tuple(x[rows] for x in self.forcing_m),
+                            tuple(x[rows] for x in self.forcing_i), self.coefficients.take(rows, 1))
+
 
 def profile_terms(members: list) -> ProfileTerms:
     """The terms of a batch of (profile, params) pairs on one grid."""
@@ -322,6 +338,17 @@ def _address(x: np.ndarray, shape: tuple) -> int:
     return x.ctypes.data
 
 
+# The rows of StepWork.io, in the order _lw.c reads them: each member's loop
+# state (its time, next snapshot time, t_end, CFL number times dx, guard,
+# wave speed, last time step and last max|ubar + u|), the outcome of a
+# step it failed (status, the CFL number or max|u|, the time), then its
+# disturbance (DisturbanceSpec.parameters).
+IO = ("t", "t_snap", "t_end", "cfl_dx", "guard", "speed", "dt", "top", "status", "value", "at",
+      *PARAMETERS)
+# The values of io's status row that name a failed step
+CFL_FAILED, GUARD_FAILED = 1.0, 2.0
+
+
 class StepWork:
     """The arrays `step` works in, built once for one state shape.
 
@@ -330,12 +357,11 @@ class StepWork:
     newest + 1 from slot `newest`, so the block fills forward in step
     order; when its last slot is full, the caller records the block and
     `hold` copies the newest state into slot 0, where the next block
-    starts.  `pending` holds, for each state of the block not yet recorded,
-    the (t, max|u|, b, b_t) written with it, and `spare` is the work of
-    the flush.  `half` holds one member's (u, v, w) at t + dt/2, and `io`
-    the compiled step's per-member inputs (dt, b_t) and results (max|u|,
-    max|ubar + u|).  `speed` is wave_speed of the state `step` returned
-    last.
+    starts.  `record` holds the (t, max|u|, b, b_t) of each slot's state,
+    and the states from slot `unrecorded` to `newest` are not recorded
+    yet; `spare` is the work of the flush.  `half` holds one member's (u,
+    v, w) at t + dt/2.  `io` holds lw_advance's per-member values, one row
+    per name of IO, and `values` maps each name to its row.
     """
 
     def __init__(self, state: FieldState):
@@ -345,36 +371,45 @@ class StepWork:
         self.block = np.empty((3, self.rows + 1, members, n))
         self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
         self.newest = 0
-        self.pending = []
+        self.unrecorded = 0
+        self.record = np.empty((4, self.rows + 1, members))
         self.spare = np.empty((3, self.rows, members, n))
         self.half = np.empty((3, n - 1))
-        self.io = np.empty((4, members))
-        self.speed = None
-        self.terms = self.batch = self.a = None
+        self.io = np.zeros((len(IO), members))
+        self.values = dict(zip(IO, self.io))
+        self.terms = self.batch = None
+
+    def load(self, disturbances: list, **values):
+        """Set each member's inputs to lw_advance: its DisturbanceSpec, and
+        for each name of IO given (speed, guard, cfl_dx, t_snap, t_end) its
+        value, one per member."""
+        for name, column in values.items():
+            self.values[name][:] = column
+        self.io[IO.index(PARAMETERS[0]):] = np.transpose([d.parameters for d in disturbances])
 
     def bind(self, terms: ProfileTerms):
-        """lw_step and the lw_batch of this work set and `terms`, built at the
-        first step with them; also keeps each member's a for the wave speed."""
+        """lw_advance and the lw_batch of this work set and `terms`, built at
+        the first call with them."""
         if terms is not self.terms:
             members, n = self.block.shape[2:]
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
-            self.batch = (step_library().lw_step, ctypes.byref(_Batch(
+            self.batch = (step_library().lw_advance, ctypes.byref(_Batch(
                 members, n, self.rows + 1, self.dx, self.block.ctypes.data,
-                self.half.ctypes.data, self.io.ctypes.data,
+                self.half.ctypes.data, self.io.ctypes.data, self.record.ctypes.data,
                 *(_address(x, shape) for x, shape in arrays))))
-            self.terms, self.a = terms, terms.coefficients[0].tolist()
+            self.terms = terms
         return self.batch
 
     def hold(self, state: FieldState) -> FieldState:
-        """Copy `state` into slot 0 as the newest state, with no state
-        pending; returns it as held in the block."""
+        """Copy `state` into slot 0 as the newest state, recorded; returns it
+        as held in the block."""
         slot = self.slots[0]
         slot.u[...], slot.v[...], slot.w[...] = state.u, state.v, state.w
         self.newest = 0
-        self.pending.clear()
+        self.unrecorded = 1
         return FieldState(state.t, state.xs, slot.u, slot.v, slot.w)
 
 
@@ -384,53 +419,56 @@ def _left_guard(top: float, guard: float, t: float) -> str:
             "the run left the regime of validity")
 
 
-def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
-         work: StepWork) -> FieldState:
-    """Advance the state by one Lax-Wendroff step of size dt.
-
-    `terms` is profile_terms of the batch, b_now = (b, b_t) evaluated at
-    the new time t + dt, `guard` the bound on max|u|, `speed` is
-    wave_speed(terms, state) and `work` is StepWork for the state's shape.
-    The state is (B, nx+1), B = 1 included, and b and b_t, dt, guard and
-    speed are lists of B floats.  A state that is not the newest of the
-    block, or is the newest of a full block, is first copied into slot 0
-    (`hold`).  The new state lives in the next slot, pending with its (t,
-    max|u|, b, b_t), and its wave speed is left in `work.speed`.  lw_step
-    of _lw.c does the arithmetic.  A CFL violation raises CFLError before
-    the step, a member outside the guard BlowUpError after it; `failed`
-    names every such member.  A failed step leaves its input as it was,
-    unless that input was the newest state of a full one-row block, whose
-    slot the step overwrites.
-    """
-    io, dx = work.io, work.dx
+def _failure(work: StepWork) -> SolverError:
+    """The error of the step that lw_advance found failed: `failed` names
+    each failed member, with the message a run of it alone gives."""
+    status, value, at, guard = (work.values[name].tolist()
+                                for name in ("status", "value", "at", "guard"))
     failed = {}
-    for i, (t_i, dt_i, speed_i, b_t) in enumerate(zip(state.t, dt, speed, b_now[1])):
-        cfl = dt_i * speed_i / dx
-        if cfl > 1.0 + 1e-12:
-            failed[i] = f"CFL violation at t={t_i:.6g}: dt*speed/dx = {cfl:.4f}"
-        io[0, i] = dt_i
-        io[1, i] = b_t
-    if failed:
-        raise CFLError(next(iter(failed.values())), failed)
+    for row, (code, x, t, bound) in enumerate(zip(status, value, at, guard)):
+        if code == CFL_FAILED:
+            failed[row] = f"CFL violation at t={t:.6g}: dt*speed/dx = {x:.4f}"
+        elif code == GUARD_FAILED:
+            failed[row] = _left_guard(x, bound, t)
+    error = CFLError if CFL_FAILED in status else BlowUpError
+    return error(next(iter(failed.values())), failed)
 
+
+def step(state: FieldState, terms: ProfileTerms, work: StepWork) -> FieldState:
+    """Advance the state by Lax-Wendroff steps, in one call of lw_advance.
+
+    `terms` is profile_terms of the batch and `work` is StepWork for the
+    state's shape, whose `load` set each member's disturbance, guard on
+    max|u|, CFL number times dx, next snapshot time, t_end and wave speed
+    (wave_speed(terms, state) for a state not stepped by it).  Each member
+    steps by min(cfl_dx / speed, t_snap - t), so that it lands on its
+    snapshot time; its boundary data are sample_b at the new time.  The
+    steps go on until the block is full, or a member reaches its t_snap
+    (to 1e-12) or its t_end: the returned state is the newest of the
+    block, and each step's (t, max|u|, b, b_t) is in `work.record`.  A
+    state that is not the newest of the block, or is the newest of a full
+    block, is first copied into slot 0 (`hold`).
+
+    A CFL violation fails a member before the step, a member outside its
+    guard fails after it, and then no member takes that step.  When the
+    call's first step fails, `step` raises CFLError or BlowUpError, whose
+    `failed` names every such member, and leaves its input as it was
+    (unless that input was the newest state of a full one-row block, whose
+    slot the step overwrites).  When a later step fails, `step` returns
+    the state before it, and the next call fails at its first step.
+    """
     src = work.newest
     if src == work.rows or state.u is not work.slots[src].u:
         work.hold(state)
         src = 0
-    lw_step, batch = work.bind(terms)
-    lw_step(batch, src, src + 1)
-    top_u, top_m = io[2:].tolist()
-    t = [t_i + dt_i for t_i, dt_i in zip(state.t, dt)]
-    # written so that NaN fails too
-    failed = {i: _left_guard(top, bound, t_i)
-              for i, (top, bound, t_i) in enumerate(zip(top_u, guard, t)) if not top <= bound}
-    if failed:
-        raise BlowUpError(next(iter(failed.values())), failed)
-    work.newest = src + 1
-    work.pending.append((t, top_u, *b_now))
-    work.speed = [top + a for top, a in zip(top_m, work.a)]
-    new = work.slots[src + 1]
-    return FieldState(t, state.xs, new.u, new.v, new.w)
+    lw_advance, batch = work.bind(terms)
+    work.values["t"][:] = state.t
+    count = lw_advance(batch, src)
+    if not count:
+        raise _failure(work)
+    work.newest = src + count
+    new = work.slots[work.newest]
+    return FieldState(work.values["t"].tolist(), state.xs, new.u, new.v, new.w)
 
 
 def bump_profile(xs, amplitude, center, width):
@@ -500,7 +538,6 @@ class _Run:
                                   "finite at t=0; the run cannot start")
         self.cfl_dx = config.cfl * float(xs[1] - xs[0])
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
-        self.t = 0.0
         self.t_snap = 0.0                   # the next snapshot time
         self.n_snap = 0                     # snapshots taken
         self.states, self.snap_index, self.E_classic, self.grad = [], [], [], []
@@ -524,29 +561,29 @@ class _Run:
 
 
 def _flush(records, slots, index, work: StepWork, terms: ProfileTerms, quad: Quadrature):
-    """Record the pending states of `work`, the newest of which is step `index`.
+    """Record the unrecorded states of `work`, the newest of which is step `index`.
 
-    Their (t, max|u|, b, b_t) are copied as `step` wrote them; E1, the H1
-    integrand, max|u_x| and max|u_t| are reduced over the block at once.
+    Their (t, max|u|, b, b_t) are copied as lw_advance wrote them; E1, the
+    H1 integrand, max|u_x| and max|u_t| are reduced over the block at once.
     `slots` are the members' rows of `records`; returns the records, grown
     when they are too short.
     """
-    count = len(work.pending)
-    if not count:
+    first, last = work.unrecorded, work.newest + 1
+    if first == last:
         return records
     while index >= records.shape[2]:
         records = np.concatenate([records, np.empty_like(records)], axis=2)
-    steps = np.s_[index + 1 - count:index + 1]
-    records[:4, slots, steps] = np.array(work.pending).transpose(1, 2, 0)
-    block = _Fields(work.block[:, work.newest + 1 - count:work.newest + 1])
-    spare = tuple(work.spare[:, :count])
+    steps = np.s_[index + first - last + 1:index + 1]
+    records[:4, slots, steps] = work.record[:, first:last].transpose(0, 2, 1)
+    block = _Fields(work.block[:, first:last])
+    spare = tuple(work.spare[:, :last - first])
     a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
     reduced = (energy_E1(block, terms, k, a, quad, out=spare),
                h1_integrand(block, quad, out=spare[:2]),
                np.maximum.reduce(np.absolute(block.w, spare[0]), -1, keepdims=True),
                np.maximum.reduce(np.absolute(block.v, spare[0]), -1, keepdims=True))
     records[4:, slots, steps] = np.concatenate(reduced, -1).transpose(2, 1, 0)
-    work.pending.clear()
+    work.unrecorded = last
     return records
 
 
@@ -575,34 +612,38 @@ def simulate_batch(members: list) -> list:
     if not active:
         return results
 
-    def pack(active, state):
-        """The terms, guards, record slots and work set of the active members."""
-        slots = np.array([run.slot for run in active])
-        guard = [run.guard for run in active]
-        terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
-                               for run in active])
-        return terms, guard, slots, StepWork(state)
+    def pack(active, state, speed):
+        """The record slots and the work set of the active members, at `state`
+        and wave speeds `speed`."""
+        work = StepWork(state)
+        work.load([run.spec for run in active], speed=speed,
+                  **{name: [getattr(run, name) for run in active]
+                     for name in ("guard", "cfl_dx", "t_snap", "t_end")})
+        return np.array([run.slot for run in active]), work
 
     state = FieldState([0.0] * len(active), xs,
                        *(np.stack([run.initial[f] for run in active]) for f in range(3)))
-    terms, guard, slots, work = pack(active, state)
+    for row, run in enumerate(active):
+        run.snapshot(_row(state, row), 0, quad)
+    terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
+                           for run in active])
     speed = wave_speed(terms, state)
     # the records of every member, grown should a member outrun the estimate
     capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
                        for run, s in zip(active, speed))
     records = np.empty((len(RECORDS), len(members), capacity))
-    b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
+    slots, work = pack(active, state, speed)
     state = work.hold(state)
-    work.pending.append((state.t, np.maximum.reduce(np.abs(state.u), -1).tolist(),
-                         [b for b, _ in b0], [bt for _, bt in b0]))
+    b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
+    work.record[:, 0] = (state.t, np.maximum.reduce(np.abs(state.u), -1),
+                         [b for b, _ in b0], [bt for _, bt in b0])
+    work.unrecorded = 0
     records = _flush(records, slots, 0, work, terms, quad)
-    for row, run in enumerate(active):
-        run.snapshot(_row(state, row), 0, quad)
 
     steps = 0
     # batch row -> None for the members that reached their t_end, the error
     # for those that failed
-    ended = {row: None for row, run in enumerate(active) if not run.t < run.t_end - 1e-12}
+    ended = {row: None for row, run in enumerate(active) if not 0.0 < run.t_end - 1e-12}
     while True:
         # record the block when it is full, and before members leave: their
         # trajectories read the records, and the others go on in a new block
@@ -620,31 +661,25 @@ def simulate_batch(members: list) -> list:
             active = [active[row] for row in rows]
             if not active:
                 return results
-            # a copy; the old work set goes before the survivors' is built
-            state, work = _select(state, rows), None
-            terms, guard, slots, work = pack(active, state)
-            speed = wave_speed(terms, state)
+            # copies; the old work set goes before the survivors' is built
+            state, terms, speed = _select(state, rows), terms.take(rows), work.values["speed"][rows]
+            work = None
+            slots, work = pack(active, state, speed)
             ended = {}
 
-        dts, bs, bts = [], [], []
-        for run, s in zip(active, speed):
-            dt = min(run.cfl_dx / s, run.t_snap - run.t)
-            b_val, bt_val, _ = sample_b(run.spec, run.t + dt)
-            dts.append(dt)
-            bs.append(b_val)
-            bts.append(bt_val)
+        start = work.newest
         try:
-            state = step(state, terms, (bs, bts), dts, guard, speed, work)
+            state = step(state, terms, work)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
-        speed = work.speed
-        steps += 1
+        steps += work.newest - start
+        t_snap = work.values["t_snap"]
         for row, (run, t) in enumerate(zip(active, state.t)):
-            run.t = t
             if t >= run.t_snap - 1e-12:
                 run.snapshot(_row(state, row), steps, quad)
+                t_snap[row] = run.t_snap
             if not t < run.t_end - 1e-12:
                 ended[row] = None
 

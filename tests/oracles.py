@@ -1,11 +1,12 @@
 """Independent oracles shared by the test modules."""
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from pipestab.disturbance import NOISE_REL_SLACK, sample_b
+from pipestab.disturbance import NOISE_REL_SLACK, DisturbanceSpec
 from numpy import absolute, add, divide, multiply, square, subtract
 
 from pipestab import dynamics
@@ -13,6 +14,67 @@ from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, S
                                Trajectory, _Run, stationary_forcing)
 from pipestab.lyapunov import Quadrature
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
+
+
+# The closed form of the disturbance in Python floats, as `disturbance`
+# computed it before the time loop was compiled: the compiled b(t) must
+# give its b, b_t and b_tt bit for bit.
+
+def _smoothstep(p: float) -> tuple[float, float, float]:
+    """Quintic smoothstep on [0, 1] with vanishing value/slope/curvature at 0.
+
+    Returns (s, s', s'') with respect to p; s == 1 with flat derivatives
+    for p >= 1.
+    """
+    if p <= 0.0:
+        return 0.0, 0.0, 0.0
+    if p >= 1.0:
+        return 1.0, 0.0, 0.0
+    s = p ** 3 * (10.0 + p * (-15.0 + 6.0 * p))
+    ds = 30.0 * p ** 2 * (1.0 + p * (-2.0 + p))
+    dds = 60.0 * p * (1.0 + p * (-3.0 + 2.0 * p))
+    return s, ds, dds
+
+
+def sample_b(spec: DisturbanceSpec, t: float) -> tuple[float, float, float]:
+    """Evaluate (b, b_t, b_tt) at time t >= 0 with exact derivatives."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if spec.family == "zero" or spec.amplitude == 0.0:
+        return 0.0, 0.0, 0.0
+
+    ramp = 0.5 * spec.T_period
+    s, ds, dds = _smoothstep(t / ramp)
+    ds /= ramp
+    dds /= ramp ** 2
+
+    g_amp = spec.gamma
+    om = 2.0 * math.pi * spec.frequency
+    ph = spec.phase
+    e = math.exp(-g_amp * t)
+    sn = math.sin(om * t + ph)
+    cs = math.cos(om * t + ph)
+    g = e * sn
+    dg = e * (-g_amp * sn + om * cs)
+    ddg = e * ((g_amp ** 2 - om ** 2) * sn - 2.0 * g_amp * om * cs)
+
+    A = spec.amplitude
+    b = A * s * g
+    bt = A * (ds * g + s * dg)
+    btt = A * (dds * g + 2.0 * ds * dg + s * ddg)
+
+    if spec.family == "compact_burst":
+        # C^2 cutoff descending on [t_off - ramp, t_off], identically zero after
+        if t >= spec.t_off:
+            return 0.0, 0.0, 0.0
+        r0 = spec.t_off - ramp
+        if t > r0:
+            c, dc, ddc = _smoothstep((t - r0) / ramp)
+            c, dc, ddc = 1.0 - c, -dc / ramp, -ddc / ramp ** 2
+            b, bt, btt = (b * c,
+                          bt * c + b * dc,
+                          btt * c + 2.0 * bt * dc + b * ddc)
+    return b, bt, btt
 
 
 def lower_order_F_expanded(u, ux, ut, ubar, ubar_x, a, theta):
@@ -406,7 +468,7 @@ def simulate_batch_per_step(members: list) -> list:
     if not active:
         return results
     for run in active:
-        run.records = {}
+        run.t, run.records = 0.0, {}
         run.terms = profile_terms(members[run.slot].profile, members[run.slot].params)
 
     def record(state, max_u, bs, bts):
@@ -661,5 +723,5 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
         failed = {i: dynamics._left_guard(top[i], guard[i], t[i]) for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
     work.newest = j + 1
-    work.pending.append((t, top, *b_now))
+    work.record[:, j + 1] = (t, top, *b_now)
     return FieldState(t, state.xs, dst.u, dst.v, dst.w)

@@ -37,9 +37,12 @@ def load_tracer():
 
 
 def test_traced_batch_counts_only_live_members(tmp_path):
-    # Members of one batch finish at different steps (u0 sets the wave speed);
-    # a finished member is not stepped, so the cells the traced step updates
-    # are exactly each member's own steps times its grid size.
+    # Members of one batch finish at different steps (u0 sets the wave speed).
+    # The traced `step` is one call of the compiled loop, which returns at
+    # every step where a member reaches a snapshot time or its t_end (these
+    # runs fit one block); a finished member is not stepped, so each call
+    # counts the cells of the members still running.  `sample_b` is called
+    # once per member, at t = 0.
     import numpy as np
 
     from pipestab import cli, dynamics
@@ -56,13 +59,18 @@ def test_traced_batch_counts_only_live_members(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(text)
     base = ScenarioConfig.from_file(path)
-    steps = [len(dynamics.simulate(*cli._member(base.replace(**{"stationary.u0": u0}))).times) - 1
+    alone = [dynamics.simulate(*cli._member(base.replace(**{"stationary.u0": u0})))
              for u0 in (0.2, 0.4)]
+    steps = [len(traj.times) - 1 for traj in alone]
     assert steps[0] != steps[1]
+    # one block holds the steps of both members until the first ends, and
+    # one those of the other after it
+    assert min(steps) <= dynamics.BLOCK_CELLS // (2 * (40 + 1))
+    assert max(steps) - min(steps) <= dynamics.BLOCK_CELLS // (40 + 1)
 
     for argv, runs in ((["sweep", str(path), "--set", "stationary.u0=0.2,0.4",
-                         "--out", str(tmp_path / "sweep.csv")], steps),
-                       (["run", str(path)], steps[:1])):
+                         "--out", str(tmp_path / "sweep.csv")], alone),
+                       (["run", str(path)], alone[:1])):
         tracer = load_tracer()()
         tracer.install(pipestab)
         try:
@@ -70,8 +78,13 @@ def test_traced_batch_counts_only_live_members(tmp_path):
         finally:
             tracer.uninstall()
         assert code == 0
-        assert tracer.counters["cell_updates"] == sum(runs) * (40 + 1)
-        sample_b = tracer.names.index("disturbance.sample_b")
-        assert int(np.count_nonzero(np.asarray(tracer.name_ix) == sample_b)) == sum(
-            n + 1 for n in runs)
+        # the steps at which the loop returns, and the members running at each
+        returns = sorted({int(j) for traj in runs for j in traj.snap_index[1:]})
+        running = sum(len(traj.times) - 1 >= j for traj in runs for j in returns)
+        assert len(returns) > 4 * (len(runs) - 1)
+        spans = np.asarray(tracer.name_ix)
+        for name, count in (("dynamics.step", len(returns)),
+                            ("disturbance.sample_b", len(runs))):
+            assert int(np.count_nonzero(spans == tracer.names.index(name))) == count, name
+        assert tracer.counters["cell_updates"] == running * (40 + 1)
     assert "error" not in (tmp_path / "sweep.csv").read_text()

@@ -110,7 +110,8 @@ def test_unwritable_cache_builds_privately(tmp_path):
 
 
 def test_compile_flags_keep_numpy_rounding():
-    # no fused multiply-add and no reordering, on any machine
-    assert {"-O2", "-std=c99", "-ffp-contract=off"} <= set(dynamics._COMPILE)
+    # no fused multiply-add and no reordering, on any machine, and libm's
+    # pow, exp, sin and cos, as Python calls them
+    assert {"-O2", "-std=c99", "-ffp-contract=off", "-fno-builtin"} <= set(dynamics._COMPILE)
     assert not any(f.startswith("-march") or "fast-math" in f or f == "-Ofast"
                    for f in dynamics._COMPILE)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pipestab.disturbance import DisturbanceSpec, sample_b, verify_noise_bound
+from pipestab.disturbance import FAMILIES, DisturbanceSpec, sample_b, verify_noise_bound
+
+import oracles
 
 
 def sample_trace(spec, t_end, n):
@@ -105,6 +107,33 @@ class TestSampleB:
 
     def test_numpy_integer_seed(self):
         assert DisturbanceSpec(seed=np.uint64(3)).phase == DisturbanceSpec(seed=3).phase
+
+    @given(st.sampled_from(FAMILIES), st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+           st.floats(-5.0, 5.0), st.floats(0.0, 3.0), st.floats(0.05, 4.0),
+           st.one_of(st.just(0), st.integers(1, 2 ** 64)), st.floats(0.01, 20.0),
+           st.sampled_from(["ramp", "p=1", "after ramp", "cutoff", "t_off", "after t_off"]),
+           st.floats(0.0, 1.0))
+    # ramp ** 2, gamma ** 2 and (2 pi f) ** 2 each round apart from x * x:
+    # compiled without -fno-builtin, pow(x, 2.0) would become x * x
+    @example("decaying_burst", 1.5, 4.133, 2.759, 2.759, 0, 20.0, "ramp", 0.5)
+    @example("compact_burst", -0.5, 4.133, 2.759, 2.759, 7, 3.0, "cutoff", 0.25)
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_matches_closed_form(self, family, amplitude, frequency, gamma, T_period,
+                                          seed, t_off, where, fraction):
+        # the compiled b(t) is the Python closed form bit for bit: inside the
+        # switch-on ramp, at its end (p = 1) and after it, inside the compact
+        # burst's cutoff [t_off - ramp, t_off), at t_off and after it
+        spec = DisturbanceSpec(family=family, amplitude=amplitude, frequency=frequency,
+                               gamma=gamma, T_period=T_period, seed=seed, t_off=t_off)
+        ramp = 0.5 * T_period
+        t = {"ramp": fraction * ramp, "p=1": ramp, "after ramp": ramp + 10.0 * fraction,
+             "cutoff": max(0.0, t_off - ramp) + fraction * min(ramp, t_off),
+             "t_off": t_off, "after t_off": t_off + 10.0 * fraction}[where]
+        if where == "p=1":
+            assert t / ramp == 1.0
+        got, want = sample_b(spec, t), oracles.sample_b(spec, t)
+        assert got == want
+        assert np.array(got).tobytes() == np.array(want).tobytes()   # zeros keep their sign
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

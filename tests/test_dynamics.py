@@ -1,3 +1,4 @@
+import math
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from pipestab import dynamics, lyapunov
 from pipestab.certificate import f_bound_constant
-from pipestab.disturbance import DisturbanceSpec
+from pipestab.disturbance import FAMILIES, DisturbanceSpec
 from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, Member,
                                SolverConfig, SolverError, StepWork, bump_profile, f_tilde,
                                lower_order_F, profile_terms, simulate, simulate_batch, step,
@@ -29,11 +30,15 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
 
 
 def advance(state, params, profile, dt, guard=None, work=None):
-    """One step of a one-member (1, nx+1) state without disturbance; the
-    guard defaults to the sound speed, the work set to a new one."""
+    """One step of a one-member (1, nx+1) state without disturbance, to its
+    snapshot time t + dt; the guard defaults to the sound speed, the work
+    set to a new one."""
     terms = profile_terms([(profile, params)])
-    return step(state, terms, ([0.0], [0.0]), [dt], [params.a if guard is None else guard],
-                wave_speed(terms, state), work or StepWork(state))
+    work = work or StepWork(state)
+    work.load([DisturbanceSpec()], speed=wave_speed(terms, state), cfl_dx=[math.inf],
+              t_snap=[state.t[0] + dt], t_end=[math.inf],
+              guard=[params.a if guard is None else guard])
+    return step(state, terms, work)
 
 
 class TestLowerOrderTerms:
@@ -132,12 +137,15 @@ class TestStep:
             advance(state, params, profile, dt=1e-4, guard=0.1)
 
     def test_nan_state_raises_at_its_step(self):
-        # every comparison with NaN is False, so the guard must be written to fail on it
+        # every comparison with NaN is False, so the guard must be written to
+        # fail on it; the NaN is put in v, which reaches u within the step,
+        # so that the wave speed, which reads u, and the time step stay finite
         params, profile, xs = make_setup()
         u = np.zeros((1, len(xs)))
-        u[0, len(xs) // 2] = np.nan
-        state = FieldState(t=[0.25], xs=xs, u=u, v=np.zeros_like(u), w=np.zeros_like(u))
-        with pytest.raises(BlowUpError, match=r"t=0\.2501"):
+        v = np.zeros_like(u)
+        v[0, len(xs) // 2] = np.nan
+        state = FieldState(t=[0.25], xs=xs, u=u, v=v, w=np.zeros_like(u))
+        with pytest.raises(BlowUpError, match=r"max\|u\| = nan .* at t=0\.2501"):
             advance(state, params, profile, dt=1e-4)
 
     def test_feedback_closure_exact(self):
@@ -150,7 +158,7 @@ class TestStep:
         work = StepWork(state)
         for _ in range(20):
             state = advance(state, params, profile, 0.4 * dx / (params.a + 1.0), work=work)
-            assert work.pending[-1][1] == [float(np.max(np.abs(state.u)))]
+            assert work.record[1, work.newest].tolist() == [float(np.max(np.abs(state.u)))]
         assert state.w[0, 0] == params.k * state.v[0, 0]
 
 
@@ -464,32 +472,50 @@ def cfl_member():
     return member
 
 
+def watch_flushes(monkeypatch) -> list:
+    """A list that receives, for each _flush call from now on, its (step
+    index, newest slot, rows, states it records, records capacity before
+    it, records capacity after it)."""
+    flushes = []
+    flush = dynamics._flush
+
+    def watched(records, slots, index, work, *args):
+        seen = (index, work.newest, work.rows, work.newest + 1 - work.unrecorded)
+        out = flush(records, slots, index, work, *args)
+        flushes.append((*seen, records.shape[2], out.shape[2]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_flush", watched)
+    return flushes
+
+
 class TestBlockRecord:
     """Records reduced per block of steps are the per-step records, bit for bit."""
 
     # members that end at their own steps, fail by blow-up, fail at t=0 by a
-    # NaN in v, and outgrow the record estimate (TestBatch), and one that
-    # fails by CFL
-    BATCHES = [TestBatch.MEMBERS, [cfl_member(), *TestBatch.MEMBERS[:2]]]
+    # NaN in v, and outgrow the record estimate (TestBatch); one that fails
+    # by CFL; and one that leaves its guard beside one that goes on
+    BATCHES = [TestBatch.MEMBERS, [cfl_member(), *TestBatch.MEMBERS[:2]],
+               [TestBatch.MEMBERS[3], TestBatch.MEMBERS[0]]]
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 400])     # 400: a whole run in one block
+    # 0: BLOCK_CELLS below one state, a one-row block; 400: a whole run in one block
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 400])
     def test_series_match_per_step_record(self, monkeypatch, rows):
+        flushes = watch_flushes(monkeypatch)
         grown = []      # (first step of the flush, records capacity before it)
-        flush = dynamics._flush
-
-        def watched(records, slots, index, work, *args):
-            first = index + 1 - len(work.pending)
-            out = flush(records, slots, index, work, *args)
-            if out.shape[2] > records.shape[2]:
-                grown.append((first, records.shape[2]))
-            return out
-
-        monkeypatch.setattr(dynamics, "_flush", watched)
         for members in self.BATCHES:
             cells = len(members) * (members[0].config.nx + 1)
             monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * cells)
+            flushes.clear()
             assert_same_results(simulate_batch(members),
                                 oracles.simulate_batch_per_step(members))
+            grown += [(index + 1 - count, before)
+                      for index, _, _, count, before, after in flushes if after > before]
+            if rows == 400 and members is self.BATCHES[2]:
+                # the guard fails first, in the block's middle: the flush
+                # before the re-pack records a part of the block
+                index, newest, block_rows, count = flushes[1][:4]
+                assert 0 < newest == count < block_rows
             monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * (members[0].config.nx + 1))
             for member in members:
                 assert_same_results([solo(member)], oracles.simulate_batch_per_step([member]))
@@ -502,21 +528,18 @@ class TestBlockRecord:
     def test_member_ends_on_the_blocks_last_slot(self, monkeypatch, size):
         # the block holds as many steps as the first member to end takes, so
         # that member's last step fills the block's last slot: that flush
-        # records the full block, and any other member goes on in a new one
+        # records the full block, and any other member goes on in a new one;
+        # its snapshots fall in the block's middle
         members = TestBatch.MEMBERS[:size]
-        last = min(len(solo(member).times) - 1 for member in members)
-        flushes = []    # (step index, newest slot, rows, pending states)
-        flush = dynamics._flush
-
-        def watched(records, slots, index, work, *args):
-            flushes.append((index, work.newest, work.rows, len(work.pending)))
-            return flush(records, slots, index, work, *args)
-
-        monkeypatch.setattr(dynamics, "_flush", watched)
+        alone = [solo(member) for member in members]
+        last = min(len(traj.times) - 1 for traj in alone)
+        flushes = watch_flushes(monkeypatch)
         monkeypatch.setattr(dynamics, "BLOCK_CELLS", last * size * (members[0].config.nx + 1))
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        assert flushes[:2] == [(0, 0, last, 1), (last, last, last, last)]
+        assert [flush[:4] for flush in flushes[:2]] == [(0, 0, last, 1), (last, last, last, last)]
         assert len(flushes) == size + 1
+        first = next(traj for traj in alone if len(traj.times) - 1 == last)
+        assert 0 < first.snap_index[1] < last
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_repack_builds_its_work_set_alone(self, monkeypatch, extra):
@@ -544,10 +567,19 @@ class TestBlockRecord:
         for rows, size in works:
             assert rows == max(1, dynamics.BLOCK_CELLS // size)
 
-    def test_cfl_member_fails_mid_run(self):
+    def test_cfl_member_fails_mid_run(self, monkeypatch):
         error = solo(cfl_member())
         assert isinstance(error, CFLError)
         assert 0.03 < float(str(error).split("t=")[1].split(":")[0]) < 0.1
+        # beside a member that goes on, the failure comes in the first block's
+        # middle: the flush before the re-pack records a part of the block
+        members = [cfl_member(), TestBatch.MEMBERS[0]]
+        flushes = watch_flushes(monkeypatch)
+        results = simulate_batch(members)
+        assert_same_results(results, oracles.simulate_batch_per_step(members))
+        assert type(results[0]) is CFLError and str(results[0]) == str(error)
+        index, newest, rows, count = flushes[1][:4]
+        assert 0 < newest == count == index < rows
 
     @pytest.mark.parametrize("nx", [100, 400, 3200])
     @pytest.mark.parametrize("count", [1, 8])
@@ -604,6 +636,34 @@ def copied(state):
     return FieldState(list(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
 
 
+def disturbances(rng, count):
+    """`count` disturbances of drawn family, parameters and seed, whose
+    compact bursts switch off near t = 0.25, where the states start."""
+    return [DisturbanceSpec(family=str(rng.choice(FAMILIES)), amplitude=rng.normal(),
+                            frequency=rng.uniform(0.5, 3.0), gamma=rng.uniform(0.0, 1.0),
+                            T_period=rng.uniform(0.1, 1.0), seed=int(rng.integers(0, 1000)),
+                            t_off=rng.uniform(0.2, 0.4))
+            for _ in range(count)]
+
+
+def time_steps(work, state):
+    """Each member's step from `state` as lw_advance takes it: min(cfl_dx / speed, t_snap - t)."""
+    values = [work.values[name].tolist() for name in ("cfl_dx", "speed", "t_snap")]
+    return [min(c / s, t_snap - t) for c, s, t_snap, t in zip(*values, state.t)]
+
+
+def boundary(specs, state, dt):
+    """The oracle's (b, b_t) of each member at t + dt."""
+    b = [oracles.sample_b(spec, t + d)[:2] for spec, t, d in zip(specs, state.t, dt)]
+    return [x for x, _ in b], [x for _, x in b]
+
+
+def slot(work, j, xs):
+    """The state in slot j of the block, with the times recorded with it."""
+    fields = work.slots[j]
+    return FieldState(work.record[0, j].tolist(), xs, fields.u, fields.v, fields.w)
+
+
 PHYSICS_LISTS = [
     [(2.0, 4.0, 0.1, 0.3)],
     [(ODD_A, 6.0, 0.0, 0.25)],
@@ -636,6 +696,16 @@ class TestProfileTerms:
                     for name in ("a", "a2", "k", "theta", "theta_1_5")]
             assert terms.coefficients[:, row].tobytes() == np.array(want).tobytes()
         assert terms.coefficients.shape == (5, len(pairs))
+        # a re-pack takes the survivors' rows, as if it built their terms
+        rows = list(range(len(pairs)))[::-2]
+
+        def arrays(terms):
+            return [terms.ubar, terms.ubar_x, terms.ubar_m, terms.ubarx_m, *terms.forcing_m,
+                    *terms.forcing_i, terms.coefficients]
+
+        taken, built = terms.take(rows), profile_terms([pairs[row] for row in rows])
+        for got, want in zip(arrays(taken), arrays(built), strict=True):
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestLeanStep:
@@ -645,53 +715,73 @@ class TestLeanStep:
            st.floats(1e-6, 1.0), st.lists(st.floats(0.05, 0.99), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
+        # two calls of a two-row block: the first copies the state in, the
+        # second starts a new block from the full one; each member steps by
+        # its own fraction of its CFL step
         terms, reference_terms, state, rng = lean_setup(nx, physics, seed, amplitude)
-        work = StepWork(state)
-        dx = state.xs[1] - state.xs[0]
+        members, dx = len(physics), state.xs[1] - state.xs[0]
+        with mock.patch.object(dynamics, "BLOCK_CELLS", 2 * state.u.size):
+            work = StepWork(state)
+        specs, guard, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
+        work.load(specs, speed=wave_speed(terms, state), guard=guard,
+                  cfl_dx=[f * dx for f in fractions[:members]], t_snap=never, t_end=never)
         lean, reference = state, copied(state)
-        for _ in range(3):   # the first step copies the state in, the others write the block
-            speed = wave_speed(terms, lean)
-            assert speed == oracles.wave_speed(reference_terms, reference)
-            dt = [f * dx / s for f, s in zip(fractions, speed)]
-            b_now = (list(rng.normal(size=len(physics))), list(rng.normal(size=len(physics))))
-            guard = [1e3] * len(physics)
-            lean = step(lean, terms, b_now, dt, guard, speed, work)
-            reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
+        for _ in range(2):
+            lean = step(lean, terms, work)
+            assert work.newest == 2
+            for j in (1, 2):
+                speed = oracles.wave_speed(reference_terms, reference)
+                dt = [min(f * dx / s, math.inf) for f, s in zip(fractions, speed)]
+                b_now = boundary(specs, reference, dt)
+                reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
+                assert_same_state(slot(work, j, state.xs), reference)
+                assert work.record[:, j].tolist() == [reference.t, max_u, *b_now]
             assert_same_state(lean, reference)
-            assert work.pending[-1] == (reference.t, max_u, *b_now)
+            assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
 
     @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]))
     @settings(max_examples=20, deadline=None)
     def test_failed_step_leaves_its_input(self, physics, seed, failure):
         terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
         work = StepWork(state)
-        dx = state.xs[1] - state.xs[0]
-        b_now = ([0.0] * len(physics), [0.0] * len(physics))
-        big = [1e3] * len(physics)
-        speed = wave_speed(terms, state)
-        held = step(state, terms, b_now, [0.5 * dx / s for s in speed], big, speed, work)
+        members, dx = len(physics), state.xs[1] - state.xs[0]
+        specs, big, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
+
+        def landing(state):
+            # each member's snapshot time half a CFL step ahead: one step reaches it
+            return [t + 0.5 * dx / s for t, s in zip(state.t, work.values["speed"].tolist())]
+
+        work.load(specs, speed=wave_speed(terms, state), guard=big, cfl_dx=[dx] * members,
+                  t_end=never)
+        work.load(specs, t_snap=landing(state))
+        held = step(state, terms, work)
+        assert work.newest == 1
         before = copied(held)
         speed = wave_speed(terms, held)
+        assert work.values["speed"].tolist() == speed
         # the last member fails: by its time step or by its guard
-        fractions = [0.5] * len(physics)
-        guards = [1e3] * len(physics)
+        fractions = [0.5] * members
+        guards = [1e3] * members
         if failure == "cfl":
             fractions[-1] = 1.5
         else:
             guards[-1] = 1e-3
-        dt = [f * dx / s for f, s in zip(fractions, speed)]
         error = CFLError if failure == "cfl" else BlowUpError
+        work.load(specs, guard=guards, cfl_dx=[f * dx for f in fractions], t_snap=never)
+        dt = time_steps(work, held)
         with pytest.raises(error) as lean:
-            step(held, terms, b_now, dt, guards, speed, work)
+            step(held, terms, work)
         with pytest.raises(error) as reference:
-            oracles.step(before, reference_terms, b_now, dt, guards, speed)
+            oracles.step(before, reference_terms, boundary(specs, before, dt), dt, guards, speed)
         assert lean.value.failed == reference.value.failed == {
-            len(physics) - 1: str(reference.value)}
+            members - 1: str(reference.value)}
         assert_same_state(held, before)
         # and the work set steps on from the state it kept
-        dt = [0.5 * dx / s for s in speed]
-        assert_same_state(step(held, terms, b_now, dt, big, speed, work),
-                          oracles.step(before, reference_terms, b_now, dt, big, speed)[0])
+        work.load(specs, guard=big, cfl_dx=[dx] * members, t_snap=landing(held))
+        dt = time_steps(work, held)
+        assert_same_state(step(held, terms, work),
+                          oracles.step(before, reference_terms, boundary(specs, before, dt), dt,
+                                       big, speed)[0])
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
                   elements=st.floats(-1e6, 1e6)),
@@ -748,7 +838,7 @@ MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0
 
 
 class TestCompiledStep:
-    """The compiled step gives what the NumPy step gave, bit for bit."""
+    """The compiled loop gives what the NumPy step gave, step by step, bit for bit."""
 
     @given(st.lists(MEMBER_PHYSICS, min_size=1, max_size=4), st.integers(16, 64),
            st.integers(0, 2 ** 32 - 1), st.floats(1e-6, 0.1), st.integers(1, 3),
@@ -756,36 +846,51 @@ class TestCompiledStep:
     @example([(2.0, 4.0, 0.1, 0.15)], 16, 0, 1e-3, 1, [1.0, 0.5, 1.0, 0.25, 1.0, 0.75])
     @settings(max_examples=60, deadline=None)
     def test_matches_numpy_step(self, physics, nx, seed, amplitude, rows, fractions):
-        # each step takes its fraction of every member's CFL step; with rows = 1
-        # every step after the first starts a new block from slot 0, with 2 and
-        # 3 some do
+        # each member steps by its own fraction of its CFL step and is clipped
+        # to land on a snapshot time, after which it steps on; a call returns
+        # when the block is full or a member lands.  With rows = 1 every call
+        # after the first starts a new block from slot 0, with 2 and 3 some do
         terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
             physics, nx, seed, amplitude, rows)
         members, dx = len(physics), state.xs[1] - state.xs[0]
-        guard = [1e3] * members
-        compiled, reference = state, copied(state)
+        specs, guard = disturbances(rng, members), [1e3] * members
         speed = wave_speed(terms, state)
-        for fraction in fractions:
-            dt = [fraction * dx / s for s in speed]
-            b_now = (list(rng.normal(size=members)), list(rng.normal(size=members)))
-            compiled = step(compiled, terms, b_now, dt, guard, speed, work)
-            reference = oracles.numpy_step(reference, reference_terms, b_now, dt, guard, speed,
-                                           reference_work)
+        work.load(specs, speed=speed, guard=guard, cfl_dx=[f * dx for f in fractions[:members]],
+                  t_snap=[t + 2.5 * f * dx / s for t, f, s in zip(state.t, fractions[::-1], speed)],
+                  t_end=[math.inf] * members)
+        compiled, reference = state, copied(state)
+        taken = 0
+        while taken < 6:
+            start = 0 if taken == 0 or work.newest == work.rows else work.newest
+            compiled = step(compiled, terms, work)
+            for _ in range(work.newest - start):
+                speed = oracles.wave_speed(reference_terms, reference)
+                dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
+                    work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
+                    reference.t)]
+                reference = oracles.numpy_step(reference, reference_terms,
+                                               boundary(specs, reference, dt), dt, guard, speed,
+                                               reference_work)
             assert_same_state(compiled, reference)
-            # the next wave speed, as wave_speed gives it from the new state
-            assert work.speed == wave_speed(terms, reference)
             assert work.newest == reference_work.newest
-            assert work.pending == reference_work.pending
-            speed = work.speed
+            recorded = np.s_[:, start + 1:work.newest + 1]
+            assert work.record[recorded].tobytes() == reference_work.record[recorded].tobytes()
+            # the next wave speed, as wave_speed gives it from the new state
+            assert work.values["speed"].tolist() == wave_speed(terms, reference)
+            # the call went on until the block was full or a member landed
+            t_snap = work.values["t_snap"]
+            landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
+            assert work.newest == work.rows or any(landed)
+            t_snap[landed] = math.inf
+            taken += work.newest - start
 
     def test_terms_of_another_batch_are_rejected(self):
-        # the compiled step reads the terms through raw pointers: their shapes are checked
+        # the compiled loop reads the terms through raw pointers: their shapes are checked
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
         _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3, 2)
         terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3, 2)[0]
-        dt = [1e-3, 1e-3]
         with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-            step(state, terms, (dt, dt), dt, [1.0, 1.0], [2.5, 2.5], work)
+            step(state, terms, work)
 
     @pytest.mark.parametrize("field", ["u", "v", "w"])
     @pytest.mark.parametrize("row", [0, 2])
@@ -793,20 +898,21 @@ class TestCompiledStep:
         # a NaN in v or w reaches u within the step; only its member fails,
         # with the NumPy step's message, and the input state is kept
         physics = [(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.1), (1.5, 8.0, 0.6, 0.2)]
-        terms, reference_terms, state, (work, reference_work), _ = compiled_setup(
+        terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
             physics, 24, 7, 1e-3, 2)
         getattr(state, field)[row, 12] = np.nan
         state, before = copied(state), copied(state)
         dx = state.xs[1] - state.xs[0]
+        specs, guard, never = disturbances(rng, 3), [1e3] * 3, [math.inf] * 3
         speed = wave_speed(terms, state)
-        dt = [0.5 * dx / s for s in speed]
-        b_now = ([0.0] * 3, [1e-4] * 3)
-        guard = [1e3] * 3
+        work.load(specs, speed=speed, guard=guard, cfl_dx=[0.5 * dx] * 3, t_snap=never,
+                  t_end=never)
         with pytest.raises(BlowUpError) as compiled:
-            step(state, terms, b_now, dt, guard, speed, work)
+            step(state, terms, work)
+        dt = time_steps(work, state)
         with pytest.raises(BlowUpError) as reference:
-            oracles.numpy_step(copied(state), reference_terms, b_now, dt, guard, speed,
-                               reference_work)
+            oracles.numpy_step(copied(state), reference_terms, boundary(specs, state, dt), dt,
+                               guard, speed, reference_work)
         assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
         assert "max|u| = nan" in str(compiled.value)
         assert_same_state(state, before)
