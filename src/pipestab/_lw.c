@@ -1,14 +1,16 @@
 /* The time loop of `pipestab.dynamics`, and the boundary disturbance b(t).
  *
  * `lw_advance` takes two-step Lax-Wendroff (Richtmyer) steps of a batch,
- * one after another, from a slot of its block of states.  Per step and
- * member it computes the time step min(cfl_dx / speed, t_snap - t), the
- * disturbance b and b_t at t + dt, the CFL test, the predictor, the
+ * one after another, each from one of its two states into the other.  Per
+ * step and member it computes the time step min(cfl_dx / speed, t_snap -
+ * t), the disturbance b and b_t at t + dt, the CFL test, the predictor, the
  * corrector, both boundary closures, the u update, the guard test on
  * max|u|, t + dt, the next wave speed max|ubar + u| + a, and the step's
- * (t, max|u|, b, b_t) record.  It returns to Python only when
+ * record: (t, max|u|, b, b_t, max|u_x|, max|u_t|) and the E1 and H1
+ * integrands of the new state, whose trapezoid sums the caller takes.  It
+ * returns to Python only when
  *
- *   - the block is full,
+ *   - the record is full,
  *   - a member reaches its next snapshot time or its t_end, or
  *   - a member fails the CFL test (before the step) or its guard (after
  *     it): no member takes that step, and each failed member's status,
@@ -18,8 +20,9 @@
  * calls.
  *
  * Every value is computed by the same IEEE operations, in the same order,
- * as the Python and NumPy forms kept in tests/oracles.py, so the results
- * are equal bit for bit.  That holds only when the compiler neither
+ * as the Python and NumPy forms kept in tests/oracles.py and in
+ * `lyapunov.energy_E1` and `h1_integrand`, so the results are equal bit
+ * for bit.  That holds only when the compiler neither
  * contracts a * b + c into a fused multiply-add nor reorders arithmetic,
  * and calls libm's pow, exp, sin and cos as Python's ** and math module
  * do, instead of folding pow(x, 2.0) into x * x or sin and cos into
@@ -48,12 +51,14 @@ enum { ZERO, DECAYING_BURST, COMPACT_BURST };
 typedef struct {
     long members;               /* B */
     long n;                     /* grid nodes per member */
-    long slots;                 /* states the block holds */
+    long rows;                  /* steps the record holds */
     double dx;
-    double *block;              /* (3, slots, B, n): u, v, w of every slot */
+    double *states;             /* (2, 3, B, n): u, v, w of the two states */
     double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member */
     double *io;                 /* (rows of dynamics.IO, B) */
-    double *record;             /* (4, slots, B): t, max|u|, b, b_t of every slot */
+    double *record;             /* (6, rows, B): t, max|u|, b, b_t, max|u_x|, max|u_t| */
+    double *integrand;          /* (2, rows, B, n): the E1 and H1 integrands */
+    const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
     const double *coefficients; /* (5, B): a, a^2, k, theta, 1.5 theta */
     const double *ubar;         /* (B, n) at the nodes */
     const double *ubar_x;
@@ -196,21 +201,22 @@ static void half_step(long cells, const double *u, const double *v, const double
     }
 }
 
-/* Member i's step of size dt from slot src to slot dst, with the boundary
- * value b_t; sets *top_u to the new max|u| and *top_m to its max|ubar + u|. */
-static void lw_step(const lw_batch *batch, long i, long src, long dst, double dt, double b_t,
-                    double *top_u, double *top_m)
+/* Member i's step of size dt from state src into the other, with the
+ * boundary value b_t, recorded in row `row`; sets *top_m to the new state's
+ * max|ubar + u|. */
+static void lw_step(const lw_batch *batch, long i, long src, long row, double dt, double b_t,
+                    double *top_m)
 {
-    const long B = batch->members, n = batch->n;
-    const long state = B * n, field = batch->slots * state;
+    const long B = batch->members, n = batch->n, rows = batch->rows;
+    const long field = B * n, state = 3 * field;
     double *uh = batch->half, *vh = uh + (n - 1), *wh = vh + (n - 1);
     const double *coef = batch->coefficients + i;
     const double a = coef[0], a2 = coef[B], k = coef[2 * B];
     const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
     const double half_dt = dt / 2.0;
     const double *ubar = batch->ubar + i * n, *ubar_x = batch->ubar_x + i * n;
-    const double *u = batch->block + src * state + i * n, *v = u + field, *w = v + field;
-    double *un = batch->block + dst * state + i * n, *vn = un + field, *wn = vn + field;
+    const double *u = batch->states + src * state + i * n, *v = u + field, *w = v + field;
+    double *un = batch->states + (1 - src) * state + i * n, *vn = un + field, *wn = vn + field;
 
     /* predictor: provisional values at (x_{j+1/2}, t + dt/2) */
     half_step(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
@@ -236,20 +242,34 @@ static void lw_step(const lw_batch *batch, long i, long src, long dst, double dt
     vn[n - 1] = b_t;
     wn[n - 1] = (b_t - r) / c_out;
 
-    /* u at t + dt, its max|u| for the guard and max|ubar + u| for the next wave speed */
-    double max_u = -1.0, max_m = -1.0;
+    /* u at t + dt, then the new state's record: the E1 integrand
+     * k [(a^2 - m^2) u_x^2 + u_t^2] - 2 exp(-x/L) [m u_x^2 + u_t u_x], m = ubar + u,
+     * with a squared as a * a, the H1 integrand u^2 + u_t^2 + u_x^2, max|u| for
+     * the guard, max|u_x|, max|u_t| and max|m| for the next wave speed */
+    double *record = batch->record + row * B + i, *e1 = batch->integrand + (row * B + i) * n;
+    double *h1 = e1 + rows * field;
+    const double a_a = a * a;
+    double max_u = -1.0, max_ux = -1.0, max_ut = -1.0, max_m = -1.0;
     for (long j = 0; j < n; j++) {
-        un[j] = u[j] + half_dt * (v[j] + vn[j]);
-        max_u = nan_max(max_u, magnitude(un[j]));
-        max_m = nan_max(max_m, magnitude(ubar[j] + un[j]));
+        const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
+        const double m = ubar[j] + uj, w2 = wj * wj;
+        un[j] = uj;
+        e1[j] = k * ((a_a - m * m) * w2 + vj * vj) - batch->two_decay[j] * (m * w2 + vj * wj);
+        h1[j] = (uj * uj + vj * vj) + w2;
+        max_u = nan_max(max_u, magnitude(uj));
+        max_ux = nan_max(max_ux, magnitude(wj));
+        max_ut = nan_max(max_ut, magnitude(vj));
+        max_m = nan_max(max_m, magnitude(m));
     }
-    *top_u = max_u;
+    record[rows * B] = max_u;
+    record[4 * rows * B] = max_ux;
+    record[5 * rows * B] = max_ut;
     *top_m = max_m;
 }
 
-long lw_advance(const lw_batch *batch, long src)
+long lw_advance(const lw_batch *batch, long src, long filled)
 {
-    const long B = batch->members, slots = batch->slots;
+    const long B = batch->members, rows = batch->rows;
     double *io = batch->io;
     double *t = io + T * B, *dt = io + DT * B, *speed = io + SPEED * B, *top = io + TOP * B;
     double *status = io + STATUS * B, *value = io + VALUE * B, *at = io + AT * B;
@@ -259,10 +279,10 @@ long lw_advance(const lw_batch *batch, long src)
 
     for (long i = 0; i < B; i++)
         status[i] = RUNNING;
-    for (long dst = src + 1; dst < slots; dst++) {
-        double *rec_t = batch->record + dst * B, *rec_u = rec_t + slots * B;
-        double *rec_b = rec_u + slots * B, *rec_bt = rec_b + slots * B;
-        int failed = 0, stop = dst == slots - 1;
+    for (long row = filled; row < rows; row++, src = 1 - src) {
+        double *rec_t = batch->record + row * B, *rec_u = rec_t + rows * B;
+        double *rec_b = rec_u + rows * B, *rec_bt = rec_b + rows * B;
+        int failed = 0, stop = row == rows - 1;
 
         /* the time step, clipped to land on the next snapshot time; every
          * member passes the CFL test before any member steps */
@@ -278,7 +298,7 @@ long lw_advance(const lw_batch *batch, long src)
             }
         }
         if (failed)
-            return dst - 1 - src;
+            return row - filled;
 
         for (long i = 0; i < B; i++) {
             double b[3];
@@ -286,7 +306,7 @@ long lw_advance(const lw_batch *batch, long src)
             disturbance(io + DISTURBANCE * B + i, B, rec_t[i], b);
             rec_b[i] = b[0];
             rec_bt[i] = b[1];
-            lw_step(batch, i, dst - 1, dst, dt[i], b[1], rec_u + i, top + i);
+            lw_step(batch, i, src, row, dt[i], b[1], top + i);
             if (!(rec_u[i] <= guard[i])) {          /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
                 value[i] = rec_u[i];
@@ -295,7 +315,7 @@ long lw_advance(const lw_batch *batch, long src)
             }
         }
         if (failed)
-            return dst - 1 - src;
+            return row - filled;
 
         for (long i = 0; i < B; i++) {
             t[i] = rec_t[i];
@@ -304,7 +324,7 @@ long lw_advance(const lw_batch *batch, long src)
                 stop = 1;
         }
         if (stop)
-            return dst - src;
+            return row + 1 - filled;
     }
-    return 0;       /* src was the block's last slot */
+    return 0;       /* the record was full */
 }

@@ -22,16 +22,16 @@ snapshot cadence, and leaves the batch when it ends or fails.
 
 The time loop runs in C (`_lw.c`): one call of `step` takes step after
 step, each member's time step, disturbance, CFL test, Lax-Wendroff
-arithmetic, guard test and wave speed included, and returns only when the
-block of states it writes is full, a member reaches a snapshot time or
-its t_end, or a member fails.  It performs the same IEEE operations in the
-same order as the Python and NumPy forms it replaced, so its values are
-theirs bit for bit.  The library is built when this module is imported,
-with the C compiler Python was built with, and cached in the package's
-`__pycache__`.  Each new state goes into the next slot of a block of
-states held in a StepWork built once per batch, and the energies of the
-per-step record are reduced over the whole block at once, when it is full
-or a member leaves the batch.
+arithmetic, guard test, wave speed and per-step record included, and
+returns only when the block of records it writes is full, a member
+reaches a snapshot time or its t_end, or a member fails.  It performs the
+same IEEE operations in the same order as the Python and NumPy forms it
+replaced, so its values are theirs bit for bit.  The library is built when
+this module is imported, with the C compiler Python was built with, and
+cached in the package's `__pycache__`.  A StepWork built once per batch
+holds two states, which the steps write in turn, and the block of
+records; `_flush` copies the block into the run's records and sums its
+energy integrands, when it is full or a member leaves the batch.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .disturbance import PARAMETERS, DisturbanceSpec, sample_b
-from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
+from .lyapunov import Quadrature, _trapz, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile, require
 
 
@@ -67,11 +67,11 @@ _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
 class _Batch(ctypes.Structure):
     """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
 
-    _fields_ = [("members", ctypes.c_long), ("n", ctypes.c_long), ("slots", ctypes.c_long),
+    _fields_ = [("members", ctypes.c_long), ("n", ctypes.c_long), ("rows", ctypes.c_long),
                 ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
-            "block", "half", "io", "record", "coefficients", "ubar", "ubar_x", "ubar_m", "ubarx_m",
-            "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i")]
+            "states", "half", "io", "record", "integrand", "two_decay", "coefficients", "ubar",
+            "ubar_x", "ubar_m", "ubarx_m", "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i")]
 
 
 def _compile(source: Path, target) -> None:
@@ -124,7 +124,7 @@ def _load_library():
 
 
 def _declare(lib):
-    lib.lw_advance.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long)
+    lib.lw_advance.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long, ctypes.c_long)
     lib.lw_advance.restype = ctypes.c_long
     double = ctypes.POINTER(ctypes.c_double)
     lib.lw_sample_b.argtypes = (double, ctypes.c_double, double)
@@ -250,16 +250,15 @@ def stationary_forcing(ubar, ubar_x, a, theta):
     return _subsonic(ubar, a), f_tilde(ubar, ubar_x, 0.0, theta)
 
 
-def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta, forcing=None):
+def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta):
     """Lower-order term of the perturbation equation, definitional form.
 
     F = F~(u+ubar, u_x+ubar_x, u_t)
         - [(a^2 - (ubar+u)^2)/(a^2 - ubar^2)] * F~(ubar, ubar_x, 0).
 
-    `forcing` is stationary_forcing(ubar, ubar_x, a, theta), computed here
-    when not given.  `step` computes F with these operations, in this order.
+    `half_step` in _lw.c computes F with these operations, in this order.
     """
-    d_bar, f_bar = forcing if forcing is not None else stationary_forcing(ubar, ubar_x, a, theta)
+    d_bar, f_bar = stationary_forcing(ubar, ubar_x, a, theta)
     m = ubar + u
     return f_tilde(m, ux + ubar_x, ut, theta) - ((a ** 2 - m ** 2) / d_bar) * f_bar
 
@@ -316,17 +315,9 @@ def wave_speed(terms: ProfileTerms, state: FieldState) -> list:
     return (np.maximum.reduce(np.abs(terms.ubar + state.u), -1) + terms.coefficients[0]).tolist()
 
 
-class _Fields:
-    """(u, v, w) as the rows of one array: a (3, B, n) state, or the states
-    of a block, with the step axis after the first."""
-
-    def __init__(self, uvw):
-        self.u, self.v, self.w = uvw
-
-
-# The cells (members x grid nodes) of the states in one block: a block
-# holds max(1, BLOCK_CELLS // cells of a state) steps' states, so that it
-# and the flush's work take about 6 * 8 * BLOCK_CELLS bytes.
+# The cells (members x grid nodes) of the integrands in one block: a block
+# holds the records of max(1, BLOCK_CELLS // cells of a state) steps, whose
+# two integrands take about 2 * 8 * BLOCK_CELLS bytes (256 KiB).
 BLOCK_CELLS = 16_384
 
 
@@ -352,28 +343,27 @@ CFL_FAILED, GUARD_FAILED = 1.0, 2.0
 class StepWork:
     """The arrays `step` works in, built once for one state shape.
 
-    `block` holds the (u, v, w) of rows + 1 states, one per slot, and
-    `newest` is the slot of the newest state.  Each step writes slot
-    newest + 1 from slot `newest`, so the block fills forward in step
-    order; when its last slot is full, the caller records the block and
-    `hold` copies the newest state into slot 0, where the next block
-    starts.  `record` holds the (t, max|u|, b, b_t) of each slot's state,
-    and the states from slot `unrecorded` to `newest` are not recorded
-    yet; `spare` is the work of the flush.  `half` holds one member's (u,
-    v, w) at t + dt/2.  `io` holds lw_advance's per-member values, one row
-    per name of IO, and `values` maps each name to its row.
+    `states` holds the (u, v, w) of two states, and `views` their (u, v,
+    w) arrays: each step writes the state it does not read, so a failed
+    step leaves the one it started from.  The first `filled` of the block's
+    `rows` steps are recorded, each in its row of `record`, its (t, max|u|,
+    b, b_t, max|u_x|, max|u_t|), and of `integrand`, its E1 and H1
+    integrands (energy_E1 and h1_integrand before their trapezoid sums,
+    which `_flush` takes with `quad`).  `half` holds one member's (u, v, w)
+    at t + dt/2.  `io` holds lw_advance's per-member values, one row per
+    name of IO, and `values` maps each name to its row.
     """
 
     def __init__(self, state: FieldState):
         members, n = state.u.shape
         self.dx = float(state.xs[1] - state.xs[0])
+        self.quad = Quadrature(state.xs)
         self.rows = max(1, BLOCK_CELLS // state.u.size)
-        self.block = np.empty((3, self.rows + 1, members, n))
-        self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
-        self.newest = 0
-        self.unrecorded = 0
-        self.record = np.empty((4, self.rows + 1, members))
-        self.spare = np.empty((3, self.rows, members, n))
+        self.states = np.empty((2, 3, members, n))
+        self.views = [tuple(fields) for fields in self.states]
+        self.filled = 0
+        self.record = np.empty((6, self.rows, members))
+        self.integrand = np.empty((2, self.rows, members, n))
         self.half = np.empty((3, n - 1))
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
@@ -391,26 +381,18 @@ class StepWork:
         """lw_advance and the lw_batch of this work set and `terms`, built at
         the first call with them."""
         if terms is not self.terms:
-            members, n = self.block.shape[2:]
+            members, n = self.states.shape[2:]
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
             self.batch = (step_library().lw_advance, ctypes.byref(_Batch(
-                members, n, self.rows + 1, self.dx, self.block.ctypes.data,
-                self.half.ctypes.data, self.io.ctypes.data, self.record.ctypes.data,
+                members, n, self.rows, self.dx, *(x.ctypes.data for x in (
+                    self.states, self.half, self.io, self.record, self.integrand,
+                    self.quad.two_decay)),
                 *(_address(x, shape) for x, shape in arrays))))
             self.terms = terms
         return self.batch
-
-    def hold(self, state: FieldState) -> FieldState:
-        """Copy `state` into slot 0 as the newest state, recorded; returns it
-        as held in the block."""
-        slot = self.slots[0]
-        slot.u[...], slot.v[...], slot.w[...] = state.u, state.v, state.w
-        self.newest = 0
-        self.unrecorded = 1
-        return FieldState(state.t, state.xs, slot.u, slot.v, slot.w)
 
 
 def _left_guard(top: float, guard: float, t: float) -> str:
@@ -442,33 +424,30 @@ def step(state: FieldState, terms: ProfileTerms, work: StepWork) -> FieldState:
     max|u|, CFL number times dx, next snapshot time, t_end and wave speed
     (wave_speed(terms, state) for a state not stepped by it).  Each member
     steps by min(cfl_dx / speed, t_snap - t), so that it lands on its
-    snapshot time; its boundary data are sample_b at the new time.  The
-    steps go on until the block is full, or a member reaches its t_snap
-    (to 1e-12) or its t_end: the returned state is the newest of the
-    block, and each step's (t, max|u|, b, b_t) is in `work.record`.  A
-    state that is not the newest of the block, or is the newest of a full
-    block, is first copied into slot 0 (`hold`).
+    snapshot time; its boundary data are sample_b at the new time.  A
+    state that is not one of `work`'s is first copied into it.  The steps
+    go on until the block's record is full, or a member reaches its t_snap
+    (to 1e-12) or its t_end: the returned state is the newest, and each
+    step is recorded in the next row of `work` (`filled` counts them).
+    The block must have room: `_flush` empties a full one.
 
     A CFL violation fails a member before the step, a member outside its
     guard fails after it, and then no member takes that step.  When the
     call's first step fails, `step` raises CFLError or BlowUpError, whose
-    `failed` names every such member, and leaves its input as it was
-    (unless that input was the newest state of a full one-row block, whose
-    slot the step overwrites).  When a later step fails, `step` returns
-    the state before it, and the next call fails at its first step.
+    `failed` names every such member, and leaves its input as it was.
+    When a later step fails, `step` returns the state before it, and the
+    next call fails at its first step.
     """
-    src = work.newest
-    if src == work.rows or state.u is not work.slots[src].u:
-        work.hold(state)
-        src = 0
+    src = 1 if state.u is work.views[1][0] else 0
+    if state.u is not work.views[src][0]:
+        work.states[0] = state.u, state.v, state.w
     lw_advance, batch = work.bind(terms)
     work.values["t"][:] = state.t
-    count = lw_advance(batch, src)
+    count = lw_advance(batch, src, work.filled)
     if not count:
         raise _failure(work)
-    work.newest = src + count
-    new = work.slots[work.newest]
-    return FieldState(work.values["t"].tolist(), state.xs, new.u, new.v, new.w)
+    work.filled += count
+    return FieldState(work.values["t"].tolist(), state.xs, *work.views[(src + count) % 2])
 
 
 def bump_profile(xs, amplitude, center, width):
@@ -506,8 +485,8 @@ class Member(NamedTuple):
 
 
 # the per-step records, in the order of the record buffer's first axis:
-# the four that `step` writes, then the four that _flush reduces
-RECORDS = ("t", "max_u", "b", "b_t", "E1", "h1", "max_ux", "max_ut")
+# the six that `step` writes, then the two integrals that _flush takes
+RECORDS = ("t", "max_u", "b", "b_t", "max_ux", "max_ut", "E1", "h1")
 
 
 class _Run:
@@ -560,30 +539,23 @@ class _Run:
                           snap_index=np.asarray(self.snap_index))
 
 
-def _flush(records, slots, index, work: StepWork, terms: ProfileTerms, quad: Quadrature):
-    """Record the unrecorded states of `work`, the newest of which is step `index`.
+def _flush(records, slots, index, work: StepWork):
+    """Record the steps that `work` holds, the last of which is step `index`,
+    and empty its block.
 
-    Their (t, max|u|, b, b_t) are copied as lw_advance wrote them; E1, the
-    H1 integrand, max|u_x| and max|u_t| are reduced over the block at once.
-    `slots` are the members' rows of `records`; returns the records, grown
-    when they are too short.
+    Their first six records are copied as lw_advance wrote them, and E1 and
+    the H1 integrand are the trapezoid sums of their integrands.  `slots`
+    are the members' rows of `records`; returns the records, grown when
+    they are too short.
     """
-    first, last = work.unrecorded, work.newest + 1
-    if first == last:
-        return records
+    filled = work.filled
     while index >= records.shape[2]:
         records = np.concatenate([records, np.empty_like(records)], axis=2)
-    steps = np.s_[index + first - last + 1:index + 1]
-    records[:4, slots, steps] = work.record[:, first:last].transpose(0, 2, 1)
-    block = _Fields(work.block[:, first:last])
-    spare = tuple(work.spare[:, :last - first])
-    a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
-    reduced = (energy_E1(block, terms, k, a, quad, out=spare),
-               h1_integrand(block, quad, out=spare[:2]),
-               np.maximum.reduce(np.absolute(block.w, spare[0]), -1, keepdims=True),
-               np.maximum.reduce(np.absolute(block.v, spare[0]), -1, keepdims=True))
-    records[4:, slots, steps] = np.concatenate(reduced, -1).transpose(2, 1, 0)
-    work.unrecorded = last
+    steps = np.s_[index + 1 - filled:index + 1]
+    records[:6, slots, steps] = work.record[:, :filled].transpose(0, 2, 1)
+    records[6:, slots, steps] = _trapz(work.integrand[:, :filled],
+                                       work.quad.weights).transpose(0, 2, 1)
+    work.filled = 0
     return records
 
 
@@ -633,12 +605,11 @@ def simulate_batch(members: list) -> list:
                        for run, s in zip(active, speed))
     records = np.empty((len(RECORDS), len(members), capacity))
     slots, work = pack(active, state, speed)
-    state = work.hold(state)
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
-    work.record[:, 0] = (state.t, np.maximum.reduce(np.abs(state.u), -1),
-                         [b for b, _ in b0], [bt for _, bt in b0])
-    work.unrecorded = 0
-    records = _flush(records, slots, 0, work, terms, quad)
+    top_u, top_ux, top_ut = (np.maximum.reduce(np.abs(x), -1) for x in (state.u, state.w, state.v))
+    a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
+    records[:, slots, 0] = (state.t, top_u, [b for b, _ in b0], [bt for _, bt in b0], top_ux,
+                            top_ut, energy_E1(state, terms, k, a, quad), h1_integrand(state, quad))
 
     steps = 0
     # batch row -> None for the members that reached their t_end, the error
@@ -647,12 +618,8 @@ def simulate_batch(members: list) -> list:
     while True:
         # record the block when it is full, and before members leave: their
         # trajectories read the records, and the others go on in a new block
-        if ended or work.newest == work.rows:
-            records = _flush(records, slots, steps, work, terms, quad)
-            # the next block starts from a copy of the newest state in slot 0,
-            # made here so that a failed step cannot overwrite the state it
-            # started from, not even in a one-row block
-            state = work.hold(state)
+        if ended or work.filled == work.rows:
+            records = _flush(records, slots, steps, work)
         if ended:
             for row, error in ended.items():
                 run = active[row]
@@ -667,14 +634,14 @@ def simulate_batch(members: list) -> list:
             slots, work = pack(active, state, speed)
             ended = {}
 
-        start = work.newest
+        start = work.filled
         try:
             state = step(state, terms, work)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
-        steps += work.newest - start
+        steps += work.filled - start
         t_snap = work.values["t_snap"]
         for row, (run, t) in enumerate(zip(active, state.t)):
             if t >= run.t_snap - 1e-12:

@@ -9,7 +9,7 @@ trapezoid, so the window sees full time resolution.
 from __future__ import annotations
 
 import numpy as np
-from numpy import add, multiply, square, subtract
+from numpy import add, multiply, subtract
 
 
 class Quadrature:
@@ -29,42 +29,30 @@ class Quadrature:
 
 
 def _trapz(y, weights):
-    """int y dx over the last axis: a float for one member, a (..., 1) column
-    for a batch of rows or a block of batches.
+    """int y dx over the last axis: a float for one member, one per row for
+    a batch of rows or a block of batches.
 
     np.vecdot takes one dot product per row, not one matrix product, so
     that each row's sum is bit for bit np.dot of that row alone.
     """
-    return np.vecdot(y, weights, keepdims=y.ndim > 1)
+    return np.vecdot(y, weights)
 
 
-def energy_E1(state, profile, k: float, a: float, quad: Quadrature, *, out) -> float:
+def energy_E1(state, profile, k: float, a: float, quad: Quadrature) -> float:
     """Weighted wave energy with the exponential cross term.
 
     E1 = int k[(a^2 - (ubar+u)^2) u_x^2 + u_t^2]
          - 2 exp(-x/L) [(ubar+u) u_x^2 + u_t u_x] dx
 
     `quad` is Quadrature(state.xs), likewise below.  Also takes a batch
-    state, with k and a as (B, 1) columns, or a block of states, whose u, v
-    and w have a further leading axis; a is squared as a * a, which a float
-    and a column round alike.  `out` is three work arrays of the state's
-    shape.
+    state, with k and a as (B, 1) columns; a is squared as a * a, which a
+    float and a column round alike.  `lw_step` in _lw.c computes the
+    integrand of every step with these operations, in this order.
     """
-    f, m, t = out
-    add(profile.ubar, state.u, m)
-    square(state.w, t)
-    square(m, f)
-    subtract(a * a, f, f)
-    multiply(f, t, f)
-    multiply(m, t, m)
-    square(state.v, t)
-    add(f, t, f)
-    multiply(k, f, f)
-    multiply(state.v, state.w, t)
-    add(m, t, m)
-    multiply(quad.two_decay, m, m)
-    subtract(f, m, f)
-    return _trapz(f, quad.weights)
+    m = profile.ubar + state.u
+    w2 = state.w ** 2
+    return _trapz(k * ((a * a - m ** 2) * w2 + state.v ** 2)
+                  - quad.two_decay * (m * w2 + state.v * state.w), quad.weights)
 
 
 def energy_classic(state, k: float, a: float, quad: Quadrature) -> float:
@@ -77,18 +65,10 @@ def grad_norm(state, quad: Quadrature) -> float:
     return _trapz(state.v ** 2 + state.w ** 2, quad.weights)
 
 
-def h1_integrand(state, quad: Quadrature, *, out) -> float:
-    """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm).
-
-    `out` is two work arrays of the state's shape.
-    """
-    f, t = out
-    square(state.u, f)
-    square(state.v, t)
-    add(f, t, f)
-    square(state.w, t)
-    add(f, t, f)
-    return _trapz(f, quad.weights)
+def h1_integrand(state, quad: Quadrature) -> float:
+    """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm);
+    `lw_step` in _lw.c computes its integrand with these operations."""
+    return _trapz((state.u ** 2 + state.v ** 2) + state.w ** 2, quad.weights)
 
 
 # Window starts per np.interp call in `windowed_series`: fewer than the

@@ -622,16 +622,16 @@ class _Half:
 
 
 class NumpyStepWork(StepWork):
-    """StepWork with the slot views and temporaries of the NumPy step: the
+    """StepWork with the state views and temporaries of the NumPy step: the
     predictor's temporaries are n - 1 wide, the corrector's are n - 2 wide
     views of the leading elements of the same buffer; `full` is work of
-    the state's shape."""
+    the state's shape.  The step records (t, max|u|, b, b_t) alone."""
 
     def __init__(self, state: FieldState):
         super().__init__(state)
         shape = state.u.shape
         members, n = shape
-        self.slots = [_Fields(self.block[:, j]) for j in range(self.rows + 1)]
+        self.fields = [_Fields(uvw) for uvw in self.states]
         self.half = _Fields(np.empty((3, members, n - 1)))   # (u, v, w) at t + dt/2
         rows = _Half.ROWS * members
         buf = np.empty(rows * (n - 1))
@@ -678,11 +678,10 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
                   for i in rows}
         raise CFLError(failed[rows[0]], failed)
 
-    j = work.newest
-    if j == work.rows or state.u is not work.slots[j].u:
-        work.hold(state)
-        j = 0
-    src, dst = work.slots[j], work.slots[j + 1]
+    j = 1 if state.u is work.fields[1].u else 0
+    if state.u is not work.fields[j].u:
+        work.states[0] = state.u, state.v, state.w
+    src, dst = work.fields[j], work.fields[1 - j]
 
     # predictor: provisional values at (x_{j+1/2}, t + dt/2)
     divide(np.array(dt)[:, None], work.divisors, work.coef)
@@ -722,6 +721,6 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     if rows:
         failed = {i: dynamics._left_guard(top[i], guard[i], t[i]) for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
-    work.newest = j + 1
-    work.record[:, j + 1] = (t, top, *b_now)
+    work.record[:4, work.filled] = (t, top, *b_now)
+    work.filled += 1
     return FieldState(t, state.xs, dst.u, dst.v, dst.w)

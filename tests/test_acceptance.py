@@ -174,8 +174,7 @@ def test_criterion_05_energy_equivalence(burst_run, zero_run):
             if np.any(m < 0) or np.any(m > params.a / 2) or c.M1 <= 0:
                 continue
             quad = Quadrature(state.xs)
-            e1 = energy_E1(state, run["profile"], params.k, params.a, quad,
-                           out=np.empty((3, len(state.xs))))
+            e1 = energy_E1(state, run["profile"], params.k, params.a, quad)
             g = grad_norm(state, quad)
             wg = _trapz(state.v ** 2 + (1.0 + 2.0 * params.L ** 2) * state.w ** 2, quad.weights)
             checked += 1

@@ -115,3 +115,12 @@ def test_compile_flags_keep_numpy_rounding():
     assert {"-O2", "-std=c99", "-ffp-contract=off", "-fno-builtin"} <= set(dynamics._COMPILE)
     assert not any(f.startswith("-march") or "fast-math" in f or f == "-Ofast"
                    for f in dynamics._COMPILE)
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # a parameter or variable the loop no longer reads, or any other warning,
+    # fails here rather than going unseen in the cached build
+    command = [*dynamics._COMPILE, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_lw.so"),
+               str(PACKAGE / "_lw.c"), "-lm"]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

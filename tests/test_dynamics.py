@@ -158,7 +158,7 @@ class TestStep:
         work = StepWork(state)
         for _ in range(20):
             state = advance(state, params, profile, 0.4 * dx / (params.a + 1.0), work=work)
-            assert work.record[1, work.newest].tolist() == [float(np.max(np.abs(state.u)))]
+            assert work.record[1, work.filled - 1].tolist() == [float(np.max(np.abs(state.u)))]
         assert state.w[0, 0] == params.k * state.v[0, 0]
 
 
@@ -297,7 +297,7 @@ class TestLeanPath:
                                       (terms.ubar[:, 1:-1], terms.ubar_x[:, 1:-1],
                                        terms.forcing_i)):
             u, ux, ut = rng.uniform(-0.1, 0.1, (3, *ubar.shape))
-            lean = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta, forcing)
+            lean = oracles.lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta, forcing)
             fresh = lower_order_F(u, ux, ut, ubar, ubar_x, params.a, params.theta)
             assert lean.tobytes() == fresh.tobytes()
 
@@ -306,13 +306,13 @@ class TestLeanPath:
     def test_recorded_integrals_match_interval_trapezoid(self, amplitude, center, width):
         # the same integrands, integrated interval by interval instead of by weights
         params, profile, xs, traj = bump_run(amplitude, center, width)
-        quad, work = Quadrature(xs), np.empty((3, len(xs)))
+        quad = Quadrature(xs)
         lean_trapz = lyapunov._trapz
         lyapunov._trapz = lambda y, weights: trapz_intervals(y, xs)
         try:
             for state, j in zip(traj.states, traj.snap_index):
-                e1 = energy_E1(state, profile, params.k, params.a, quad, out=work)
-                h1 = h1_integrand(state, quad, out=work[:2])
+                e1 = energy_E1(state, profile, params.k, params.a, quad)
+                h1 = h1_integrand(state, quad)
                 assert abs(traj.series["E1"][j] - e1) <= 1e-13 * abs(e1)
                 assert abs(traj.series["h1"][j] - h1) <= 1e-13 * abs(h1)
         finally:
@@ -474,14 +474,14 @@ def cfl_member():
 
 def watch_flushes(monkeypatch) -> list:
     """A list that receives, for each _flush call from now on, its (step
-    index, newest slot, rows, states it records, records capacity before
-    it, records capacity after it)."""
+    index, steps it records, rows, records capacity before it, records
+    capacity after it)."""
     flushes = []
     flush = dynamics._flush
 
-    def watched(records, slots, index, work, *args):
-        seen = (index, work.newest, work.rows, work.newest + 1 - work.unrecorded)
-        out = flush(records, slots, index, work, *args)
+    def watched(records, slots, index, work):
+        seen = (index, work.filled, work.rows)
+        out = flush(records, slots, index, work)
         flushes.append((*seen, records.shape[2], out.shape[2]))
         return out
 
@@ -510,12 +510,12 @@ class TestBlockRecord:
             assert_same_results(simulate_batch(members),
                                 oracles.simulate_batch_per_step(members))
             grown += [(index + 1 - count, before)
-                      for index, _, _, count, before, after in flushes if after > before]
+                      for index, count, _, before, after in flushes if after > before]
             if rows == 400 and members is self.BATCHES[2]:
                 # the guard fails first, in the block's middle: the flush
                 # before the re-pack records a part of the block
-                index, newest, block_rows, count = flushes[1][:4]
-                assert 0 < newest == count < block_rows
+                index, count, block_rows = flushes[0][:3]
+                assert 0 < count < block_rows
             monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * (members[0].config.nx + 1))
             for member in members:
                 assert_same_results([solo(member)], oracles.simulate_batch_per_step([member]))
@@ -527,17 +527,18 @@ class TestBlockRecord:
     @pytest.mark.parametrize("size", [1, 2])
     def test_member_ends_on_the_blocks_last_slot(self, monkeypatch, size):
         # the block holds as many steps as the first member to end takes, so
-        # that member's last step fills the block's last slot: that flush
-        # records the full block, and any other member goes on in a new one;
-        # its snapshots fall in the block's middle
+        # that member's last step fills the block's last row: the first
+        # flush records the full block, and any other member goes on in a
+        # new one, which the second flush records; its snapshots fall in the
+        # block's middle
         members = TestBatch.MEMBERS[:size]
         alone = [solo(member) for member in members]
         last = min(len(traj.times) - 1 for traj in alone)
         flushes = watch_flushes(monkeypatch)
         monkeypatch.setattr(dynamics, "BLOCK_CELLS", last * size * (members[0].config.nx + 1))
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        assert [flush[:4] for flush in flushes[:2]] == [(0, 0, last, 1), (last, last, last, last)]
-        assert len(flushes) == size + 1
+        assert flushes[0][:3] == (last, last, last)
+        assert len(flushes) == size
         first = next(traj for traj in alone if len(traj.times) - 1 == last)
         assert 0 < first.snap_index[1] < last
 
@@ -554,7 +555,7 @@ class TestBlockRecord:
                 counts.append(len(live))
                 super().__init__(state)
                 live.add(self)
-                works.append((self.rows, self.block[0, 0].size))
+                works.append((self.rows, self.states[0, 0].size))
 
         members = TestBatch.MEMBERS
         # the cells of the members that start: the NaN member fails at t=0
@@ -578,8 +579,8 @@ class TestBlockRecord:
         results = simulate_batch(members)
         assert_same_results(results, oracles.simulate_batch_per_step(members))
         assert type(results[0]) is CFLError and str(results[0]) == str(error)
-        index, newest, rows, count = flushes[1][:4]
-        assert 0 < newest == count == index < rows
+        index, count, rows = flushes[0][:3]
+        assert 0 < count == index < rows
 
     @pytest.mark.parametrize("nx", [100, 400, 3200])
     @pytest.mark.parametrize("count", [1, 8])
@@ -590,12 +591,13 @@ class TestBlockRecord:
                                    np.zeros(shape)))
         cells = int(np.prod(shape))
         # as many steps as the budget holds, and one when a state alone exceeds it
-        assert work.rows == max(1, BLOCK_CELLS // cells)
-        assert work.rows * cells <= max(BLOCK_CELLS, cells)
-        # the rows + 1 slots of the block and the flush's work
-        block_bytes = work.block.nbytes + work.spare.nbytes
-        assert block_bytes == 8 * cells * (6 * work.rows + 3)
-        assert block_bytes <= 8 * (6 * max(BLOCK_CELLS, cells) + 3 * cells)
+        rows = {(100, 1): 162, (100, 8): 20, (400, 1): 40, (400, 8): 5, (3200, 1): 5,
+                (3200, 8): 1}[nx, count]
+        assert work.rows == rows == max(1, BLOCK_CELLS // cells)
+        # two states of (u, v, w), two integrands and six records per step
+        assert work.states.nbytes == 8 * 6 * cells
+        assert work.integrand.nbytes == 8 * 2 * rows * cells
+        assert work.record.nbytes == 8 * 6 * rows * count
 
 
 def physics_pairs(physics, xs):
@@ -658,10 +660,11 @@ def boundary(specs, state, dt):
     return [x for x, _ in b], [x for _, x in b]
 
 
-def slot(work, j, xs):
-    """The state in slot j of the block, with the times recorded with it."""
-    fields = work.slots[j]
-    return FieldState(work.record[0, j].tolist(), xs, fields.u, fields.v, fields.w)
+def stepped(work, j, xs):
+    """The state of the j-th step recorded in the block, j = 1, 2, with the
+    times recorded with it: the steps write the two states in turn, from a
+    state held in the first."""
+    return FieldState(work.record[0, j - 1].tolist(), xs, *work.views[j % 2])
 
 
 PHYSICS_LISTS = [
@@ -716,8 +719,8 @@ class TestLeanStep:
     @settings(max_examples=40, deadline=None)
     def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
         # two calls of a two-row block: the first copies the state in, the
-        # second starts a new block from the full one; each member steps by
-        # its own fraction of its CFL step
+        # second starts from the newest state once the full block is
+        # emptied; each member steps by its own fraction of its CFL step
         terms, reference_terms, state, rng = lean_setup(nx, physics, seed, amplitude)
         members, dx = len(physics), state.xs[1] - state.xs[0]
         with mock.patch.object(dynamics, "BLOCK_CELLS", 2 * state.u.size):
@@ -727,23 +730,30 @@ class TestLeanStep:
                   cfl_dx=[f * dx for f in fractions[:members]], t_snap=never, t_end=never)
         lean, reference = state, copied(state)
         for _ in range(2):
+            work.filled = 0     # as _flush leaves it
             lean = step(lean, terms, work)
-            assert work.newest == 2
+            assert work.filled == 2
             for j in (1, 2):
                 speed = oracles.wave_speed(reference_terms, reference)
                 dt = [min(f * dx / s, math.inf) for f, s in zip(fractions, speed)]
                 b_now = boundary(specs, reference, dt)
                 reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
-                assert_same_state(slot(work, j, state.xs), reference)
-                assert work.record[:, j].tolist() == [reference.t, max_u, *b_now]
+                assert_same_state(stepped(work, j, state.xs), reference)
+                assert work.record[:4, j - 1].tolist() == [reference.t, max_u, *b_now]
             assert_same_state(lean, reference)
             assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
 
-    @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]))
+    @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]),
+           st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_failed_step_leaves_its_input(self, physics, seed, failure):
+    def test_failed_step_leaves_its_input(self, physics, seed, failure, one_row):
+        # the failing call's input is the newest state of the work set; with
+        # BLOCK_CELLS below one state, a one-row block, its step filled the
+        # block, and the failing step starts the block over
         terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
-        work = StepWork(state)
+        cells = state.u.size - 1 if one_row else BLOCK_CELLS
+        with mock.patch.object(dynamics, "BLOCK_CELLS", cells):
+            work = StepWork(state)
         members, dx = len(physics), state.xs[1] - state.xs[0]
         specs, big, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
 
@@ -755,7 +765,9 @@ class TestLeanStep:
                   t_end=never)
         work.load(specs, t_snap=landing(state))
         held = step(state, terms, work)
-        assert work.newest == 1
+        assert work.filled == 1 and (work.rows == 1) == one_row
+        if one_row:
+            work.filled = 0     # as _flush leaves a full block
         before = copied(held)
         speed = wave_speed(terms, held)
         assert work.values["speed"].tolist() == speed
@@ -849,9 +861,13 @@ class TestCompiledStep:
         # each member steps by its own fraction of its CFL step and is clipped
         # to land on a snapshot time, after which it steps on; a call returns
         # when the block is full or a member lands.  With rows = 1 every call
-        # after the first starts a new block from slot 0, with 2 and 3 some do
+        # after the first steps into an emptied block, with 2 and 3 some do.
+        # Each step's record holds max|u_x|, max|u_t| and the E1 and H1
+        # integrands of the state it made, as the energy functionals give them
         terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
             physics, nx, seed, amplitude, rows)
+        quad = Quadrature(state.xs)
+        a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
         members, dx = len(physics), state.xs[1] - state.xs[0]
         specs, guard = disturbances(rng, members), [1e3] * members
         speed = wave_speed(terms, state)
@@ -861,9 +877,11 @@ class TestCompiledStep:
         compiled, reference = state, copied(state)
         taken = 0
         while taken < 6:
-            start = 0 if taken == 0 or work.newest == work.rows else work.newest
+            if work.filled == work.rows:
+                work.filled = reference_work.filled = 0     # as _flush leaves them
+            start = work.filled
             compiled = step(compiled, terms, work)
-            for _ in range(work.newest - start):
+            for row in range(start, work.filled):
                 speed = oracles.wave_speed(reference_terms, reference)
                 dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
                     work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
@@ -871,18 +889,23 @@ class TestCompiledStep:
                 reference = oracles.numpy_step(reference, reference_terms,
                                                boundary(specs, reference, dt), dt, guard, speed,
                                                reference_work)
+                tops = [np.max(np.abs(x), -1) for x in (reference.w, reference.v)]
+                assert work.record[4:, row].tobytes() == np.array(tops).tobytes()
+                energies = [energy_E1(reference, terms, k, a, quad), h1_integrand(reference, quad)]
+                assert (np.vecdot(work.integrand[:, row], quad.weights).tobytes()
+                        == np.array(energies).tobytes())
             assert_same_state(compiled, reference)
-            assert work.newest == reference_work.newest
-            recorded = np.s_[:, start + 1:work.newest + 1]
+            assert work.filled == reference_work.filled
+            recorded = np.s_[:4, start:work.filled]
             assert work.record[recorded].tobytes() == reference_work.record[recorded].tobytes()
             # the next wave speed, as wave_speed gives it from the new state
             assert work.values["speed"].tolist() == wave_speed(terms, reference)
             # the call went on until the block was full or a member landed
             t_snap = work.values["t_snap"]
             landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
-            assert work.newest == work.rows or any(landed)
+            assert work.filled == work.rows or any(landed)
             t_snap[landed] = math.inf
-            taken += work.newest - start
+            taken += work.filled - start
 
     def test_terms_of_another_batch_are_rejected(self):
         # the compiled loop reads the terms through raw pointers: their shapes are checked
