@@ -5,38 +5,37 @@
  * step and member it computes the time step min(cfl_dx / speed, t_snap -
  * t), the disturbance b and b_t at t + dt, the CFL test, the predictor, the
  * corrector, both boundary closures, the u update, the guard test on
- * max|u|, t + dt, the next wave speed max|ubar + u| + a, and the step's
- * record: (t, max|u|, b, b_t, max|u_x|, max|u_t|) and the E1 and H1
- * integrands of the new state, whose trapezoid sums the caller takes.  It
- * returns to Python only when
- *
- *   - the record is full,
- *   - a member reaches its next snapshot time or its t_end, or
- *   - a member fails the CFL test (before the step) or its guard (after
- *     it): no member takes that step, and each failed member's status,
- *     value and time are left in `io` for its message.
- *
- * `lw_sample_b` is the disturbance alone, which `disturbance.sample_b`
- * calls.
+ * max|u|, t + dt, the next wave speed max|ubar + u| + a, and writes the
+ * step's records into the run's records at the step's index and the
+ * member's slot: t, max|u|, b, b_t, max|u_x|, max|u_t| and the E1 and H1
+ * integrals of the new state.  It returns to Python only when the records
+ * are full, a member reaches its next snapshot time or its t_end, or a
+ * member fails the CFL test (before the step) or its guard (after it):
+ * then no member takes that step, and each failed member's status, value
+ * and time are left in `io` for its message.  `lw_sample_b` is the
+ * disturbance alone, which `disturbance.sample_b` calls.
  *
  * Every value is computed by the same IEEE operations, in the same order,
  * as the Python and NumPy forms kept in tests/oracles.py and in
- * `lyapunov.energy_E1` and `h1_integrand`, so the results are equal bit
- * for bit.  That holds only when the compiler neither
- * contracts a * b + c into a fused multiply-add nor reorders arithmetic,
- * and calls libm's pow, exp, sin and cos as Python's ** and math module
- * do, instead of folding pow(x, 2.0) into x * x or sin and cos into
- * sincos: build with -ffp-contract=off -fno-builtin and without
- * -ffast-math.  The callers check shapes, dtypes and contiguity before
- * they pass pointers.
+ * `lyapunov.energy_E1` and `h1_integrand`, whose sums `lyapunov._dot`
+ * adds node after node, as here; so the results are equal bit for bit.
+ * That holds only when the compiler neither contracts a * b + c into a
+ * fused multiply-add nor reorders arithmetic, and calls libm's pow, exp,
+ * sin and cos as Python's ** and math module do, instead of folding
+ * pow(x, 2.0) into x * x or sin and cos into sincos: build with
+ * -ffp-contract=off -fno-builtin and without -ffast-math.  The callers
+ * check shapes, dtypes, contiguity and indices before they pass pointers.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
 /* The rows of io, as dynamics.IO names them: each member's loop state, the
- * outcome of a step it failed, then its disturbance. */
-enum { T, T_SNAP, T_END, CFL_DX, GUARD, SPEED, DT, TOP, STATUS, VALUE, AT, DISTURBANCE };
+ * outcome of a step it failed, its slot, then its disturbance. */
+enum { T, T_SNAP, T_END, CFL_DX, GUARD, SPEED, DT, TOP, STATUS, VALUE, AT, SLOT, DISTURBANCE };
+
+/* The records of a step, as dynamics.RECORDS names them. */
+enum { R_T, R_MAX_U, R_B, R_B_T, R_MAX_UX, R_MAX_UT, R_E1, R_H1 };
 
 /* The values of STATUS. */
 enum { RUNNING, CFL_FAILED, GUARD_FAILED };
@@ -51,13 +50,13 @@ enum { ZERO, DECAYING_BURST, COMPACT_BURST };
 typedef struct {
     long members;               /* B */
     long n;                     /* grid nodes per member */
-    long rows;                  /* steps the record holds */
+    long runs;                  /* slots of the records */
+    long capacity;              /* steps the records hold */
     double dx;
     double *states;             /* (2, 3, B, n): u, v, w of the two states */
     double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member */
     double *io;                 /* (rows of dynamics.IO, B) */
-    double *record;             /* (6, rows, B): t, max|u|, b, b_t, max|u_x|, max|u_t| */
-    double *integrand;          /* (2, rows, B, n): the E1 and H1 integrands */
+    const double *weights;      /* (n,): the trapezoid weights */
     const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
     const double *coefficients; /* (5, B): a, a^2, k, theta, 1.5 theta */
     const double *ubar;         /* (B, n) at the nodes */
@@ -68,6 +67,7 @@ typedef struct {
     const double *f_bar_m;
     const double *d_bar_i;      /* (B, n - 2): stationary forcing at the interior nodes */
     const double *f_bar_i;
+    double *records;            /* (8, runs, capacity): dynamics.RECORDS by slot and step */
 } lw_batch;
 
 /* |x|, as fabs gives it; -fno-builtin would make fabs a call. */
@@ -202,12 +202,12 @@ static void half_step(long cells, const double *u, const double *v, const double
 }
 
 /* Member i's step of size dt from state src into the other, with the
- * boundary value b_t, recorded in row `row`; sets *top_m to the new state's
- * max|ubar + u|. */
-static void lw_step(const lw_batch *batch, long i, long src, long row, double dt, double b_t,
-                    double *top_m)
+ * boundary value b_t; writes the new state's max|u|, max|u_x|, max|u_t|, E1
+ * and H1 to its records at rec, `stride` apart, and its max|ubar + u| to *top_m. */
+static void lw_step(const lw_batch *batch, long i, long src, double dt, double b_t,
+                    double *rec, long stride, double *top_m)
 {
-    const long B = batch->members, n = batch->n, rows = batch->rows;
+    const long B = batch->members, n = batch->n;
     const long field = B * n, state = 3 * field;
     double *uh = batch->half, *vh = uh + (n - 1), *wh = vh + (n - 1);
     const double *coef = batch->coefficients + i;
@@ -242,47 +242,50 @@ static void lw_step(const lw_batch *batch, long i, long src, long row, double dt
     vn[n - 1] = b_t;
     wn[n - 1] = (b_t - r) / c_out;
 
-    /* u at t + dt, then the new state's record: the E1 integrand
-     * k [(a^2 - m^2) u_x^2 + u_t^2] - 2 exp(-x/L) [m u_x^2 + u_t u_x], m = ubar + u,
-     * with a squared as a * a, the H1 integrand u^2 + u_t^2 + u_x^2, max|u| for
-     * the guard, max|u_x|, max|u_t| and max|m| for the next wave speed */
-    double *record = batch->record + row * B + i, *e1 = batch->integrand + (row * B + i) * n;
-    double *h1 = e1 + rows * field;
-    const double a_a = a * a;
+    /* u at t + dt, then the new state's records: the integrals, summed from
+     * -0.0 so that an all -0.0 sum is np.cumsum's too, of k [(a^2 - m^2) u_x^2
+     * + u_t^2] - 2 exp(-x/L) [m u_x^2 + u_t u_x], m = ubar + u, with a squared
+     * as a * a (E1), and of u^2 + u_t^2 + u_x^2 (H1); max|u| for the guard,
+     * max|u_x|, max|u_t|, and max|m| for the next wave speed */
+    const double a_a = a * a, *weights = batch->weights;
+    double e1 = -0.0, h1 = -0.0;
     double max_u = -1.0, max_ux = -1.0, max_ut = -1.0, max_m = -1.0;
     for (long j = 0; j < n; j++) {
         const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
         const double m = ubar[j] + uj, w2 = wj * wj;
         un[j] = uj;
-        e1[j] = k * ((a_a - m * m) * w2 + vj * vj) - batch->two_decay[j] * (m * w2 + vj * wj);
-        h1[j] = (uj * uj + vj * vj) + w2;
+        e1 += (k * ((a_a - m * m) * w2 + vj * vj) - batch->two_decay[j] * (m * w2 + vj * wj))
+              * weights[j];
+        h1 += ((uj * uj + vj * vj) + w2) * weights[j];
         max_u = nan_max(max_u, magnitude(uj));
         max_ux = nan_max(max_ux, magnitude(wj));
         max_ut = nan_max(max_ut, magnitude(vj));
         max_m = nan_max(max_m, magnitude(m));
     }
-    record[rows * B] = max_u;
-    record[4 * rows * B] = max_ux;
-    record[5 * rows * B] = max_ut;
+    rec[R_MAX_U * stride] = max_u;
+    rec[R_MAX_UX * stride] = max_ux;
+    rec[R_MAX_UT * stride] = max_ut;
+    rec[R_E1 * stride] = e1;
+    rec[R_H1 * stride] = h1;
     *top_m = max_m;
 }
 
-long lw_advance(const lw_batch *batch, long src, long filled)
+/* Steps the batch from state src, recording the first step at `index`;
+ * returns the steps it took, 0 when the first fails. */
+long lw_advance(const lw_batch *batch, long src, long index)
 {
-    const long B = batch->members, rows = batch->rows;
+    const long B = batch->members, capacity = batch->capacity, stride = batch->runs * capacity;
     double *io = batch->io;
     double *t = io + T * B, *dt = io + DT * B, *speed = io + SPEED * B, *top = io + TOP * B;
     double *status = io + STATUS * B, *value = io + VALUE * B, *at = io + AT * B;
     const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
-    const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B;
+    const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B, *slot = io + SLOT * B;
     const double *a = batch->coefficients;
 
     for (long i = 0; i < B; i++)
         status[i] = RUNNING;
-    for (long row = filled; row < rows; row++, src = 1 - src) {
-        double *rec_t = batch->record + row * B, *rec_u = rec_t + rows * B;
-        double *rec_b = rec_u + rows * B, *rec_bt = rec_b + rows * B;
-        int failed = 0, stop = row == rows - 1;
+    for (long step = index; step < capacity; step++, src = 1 - src) {
+        int failed = 0, stop = 0;
 
         /* the time step, clipped to land on the next snapshot time; every
          * member passes the CFL test before any member steps */
@@ -298,33 +301,33 @@ long lw_advance(const lw_batch *batch, long src, long filled)
             }
         }
         if (failed)
-            return row - filled;
+            return step - index;
 
         for (long i = 0; i < B; i++) {
-            double b[3];
-            rec_t[i] = t[i] + dt[i];
-            disturbance(io + DISTURBANCE * B + i, B, rec_t[i], b);
-            rec_b[i] = b[0];
-            rec_bt[i] = b[1];
-            lw_step(batch, i, src, row, dt[i], b[1], top + i);
-            if (!(rec_u[i] <= guard[i])) {          /* written so that NaN fails too */
+            double *rec = batch->records + (long)slot[i] * capacity + step, b[3];
+            rec[R_T * stride] = t[i] + dt[i];
+            disturbance(io + DISTURBANCE * B + i, B, rec[R_T * stride], b);
+            rec[R_B * stride] = b[0];
+            rec[R_B_T * stride] = b[1];
+            lw_step(batch, i, src, dt[i], b[1], rec, stride, top + i);
+            if (!(rec[R_MAX_U * stride] <= guard[i])) {     /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
-                value[i] = rec_u[i];
-                at[i] = rec_t[i];
+                value[i] = rec[R_MAX_U * stride];
+                at[i] = rec[R_T * stride];
                 failed = 1;
             }
         }
         if (failed)
-            return row - filled;
+            return step - index;
 
         for (long i = 0; i < B; i++) {
-            t[i] = rec_t[i];
+            t[i] += dt[i];
             speed[i] = top[i] + a[i];
             if (t[i] >= t_snap[i] - 1e-12 || !(t[i] < t_end[i] - 1e-12))
                 stop = 1;
         }
         if (stop)
-            return row + 1 - filled;
+            return step + 1 - index;
     }
-    return 0;       /* the record was full */
+    return capacity - index;        /* the records are full */
 }

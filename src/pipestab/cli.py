@@ -63,6 +63,19 @@ def _member(cfg: ScenarioConfig) -> Member:
     return Member(params, profile, cfg.disturbance_spec(), solver, *cfg.initial_arrays(xs))
 
 
+def _check_outputs(cfg: ScenarioConfig):
+    """Fail before a scenario is simulated, not after, when one of its output
+    paths cannot be written; leaves no file that was not there."""
+    for key in ("output.csv_path", "output.report_path"):
+        existed = os.path.exists(cfg[key])
+        try:
+            open(cfg[key], "a").close()
+        except OSError as exc:
+            raise OSError(f"cannot write `{key}` = {cfg[key]!r}: {exc.strerror}") from None
+        if not existed:
+            os.unlink(cfg[key])
+
+
 def _evaluate(cfg: ScenarioConfig, member: Member, traj):
     """Certify one simulated scenario, write its CSV and reports, return the report."""
     params, profile, spec = member.params, member.profile, member.disturbance
@@ -100,8 +113,9 @@ def execute_run(cfg: ScenarioConfig):
     """Run one scenario end to end and return its certificate report.
 
     Writes the CSV and the text/JSON certificate reports to the
-    configured paths.
+    configured paths, which it checks first.
     """
+    _check_outputs(cfg)
     member = _member(cfg)
     return _evaluate(cfg, member, simulate(*member))
 
@@ -204,6 +218,7 @@ def _run_batch(cfgs: list, ids: list, results: list):
     members = {}
     for i in ids:
         try:
+            _check_outputs(cfgs[i])
             members[i] = _member(cfgs[i])
         except RUN_ERRORS as exc:
             results[i] = exc

@@ -142,18 +142,22 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        values = {}
+        values, lines = {}, {}      # key -> its value, and the line that gave it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-            key, _, val = line.partition("=")
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in lines:
+                raise ConfigError(f"line {lineno}: `{key}` is given again, after line "
+                                  f"{lines[key]}; give each key once")
             try:
-                values[key.strip()] = _parse_value(key.strip(), val.strip())
+                values[key] = _parse_value(key, val)
             except ConfigError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
+            lines[key] = lineno
         return cls(values)
 
     @classmethod

@@ -22,16 +22,16 @@ snapshot cadence, and leaves the batch when it ends or fails.
 
 The time loop runs in C (`_lw.c`): one call of `step` takes step after
 step, each member's time step, disturbance, CFL test, Lax-Wendroff
-arithmetic, guard test, wave speed and per-step record included, and
-returns only when the block of records it writes is full, a member
-reaches a snapshot time or its t_end, or a member fails.  It performs the
-same IEEE operations in the same order as the Python and NumPy forms it
-replaced, so its values are theirs bit for bit.  The library is built when
-this module is imported, with the C compiler Python was built with, and
-cached in the package's `__pycache__`.  A StepWork built once per batch
-holds two states, which the steps write in turn, and the block of
-records; `_flush` copies the block into the run's records and sums its
-energy integrands, when it is full or a member leaves the batch.
+arithmetic, guard test, wave speed and the E1 and H1 integrals included,
+writes every step's RECORDS into the run's records, and returns only when
+the records are full, a member reaches a snapshot time or its t_end, or a
+member fails.  It performs the same IEEE operations in the same order as
+the Python and NumPy forms it replaced, so its values are theirs bit for
+bit, and sums each integral node after node, in the order of
+`lyapunov._dot`.  The library is built when this module is imported,
+with the C compiler Python was built with, and cached in the package's
+`__pycache__`.  A StepWork built once per batch holds two states, which
+the steps write in turn.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .disturbance import PARAMETERS, DisturbanceSpec, sample_b
-from .lyapunov import Quadrature, _trapz, energy_E1, energy_classic, grad_norm, h1_integrand
+from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile, require
 
 
@@ -67,11 +67,11 @@ _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
 class _Batch(ctypes.Structure):
     """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
 
-    _fields_ = [("members", ctypes.c_long), ("n", ctypes.c_long), ("rows", ctypes.c_long),
-                ("dx", ctypes.c_double)] + [
+    _fields_ = [(name, ctypes.c_long) for name in ("members", "n", "runs", "capacity")] + [
+        ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
-            "states", "half", "io", "record", "integrand", "two_decay", "coefficients", "ubar",
-            "ubar_x", "ubar_m", "ubarx_m", "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i")]
+            "states", "half", "io", "weights", "two_decay", "coefficients", "ubar", "ubar_x",
+            "ubar_m", "ubarx_m", "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i", "records")]
 
 
 def _compile(source: Path, target) -> None:
@@ -315,12 +315,6 @@ def wave_speed(terms: ProfileTerms, state: FieldState) -> list:
     return (np.maximum.reduce(np.abs(terms.ubar + state.u), -1) + terms.coefficients[0]).tolist()
 
 
-# The cells (members x grid nodes) of the integrands in one block: a block
-# holds the records of max(1, BLOCK_CELLS // cells of a state) steps, whose
-# two integrands take about 2 * 8 * BLOCK_CELLS bytes (256 KiB).
-BLOCK_CELLS = 16_384
-
-
 def _address(x: np.ndarray, shape: tuple) -> int:
     """The address of a float64 C-contiguous array of the given shape, for _lw.c."""
     if x.shape != shape or x.dtype != np.float64 or not x.flags.c_contiguous:
@@ -331,11 +325,11 @@ def _address(x: np.ndarray, shape: tuple) -> int:
 
 # The rows of StepWork.io, in the order _lw.c reads them: each member's loop
 # state (its time, next snapshot time, t_end, CFL number times dx, guard,
-# wave speed, last time step and last max|ubar + u|), the outcome of a
-# step it failed (status, the CFL number or max|u|, the time), then its
-# disturbance (DisturbanceSpec.parameters).
+# wave speed, last time step and last max|ubar + u|), the outcome of a step
+# it failed (status, the CFL number or max|u|, the time), its slot in the
+# records, then its disturbance (DisturbanceSpec.parameters).
 IO = ("t", "t_snap", "t_end", "cfl_dx", "guard", "speed", "dt", "top", "status", "value", "at",
-      *PARAMETERS)
+      "slot", *PARAMETERS)
 # The values of io's status row that name a failed step
 CFL_FAILED, GUARD_FAILED = 1.0, 2.0
 
@@ -345,52 +339,46 @@ class StepWork:
 
     `states` holds the (u, v, w) of two states, and `views` their (u, v,
     w) arrays: each step writes the state it does not read, so a failed
-    step leaves the one it started from.  The first `filled` of the block's
-    `rows` steps are recorded, each in its row of `record`, its (t, max|u|,
-    b, b_t, max|u_x|, max|u_t|), and of `integrand`, its E1 and H1
-    integrands (energy_E1 and h1_integrand before their trapezoid sums,
-    which `_flush` takes with `quad`).  `half` holds one member's (u, v, w)
-    at t + dt/2.  `io` holds lw_advance's per-member values, one row per
-    name of IO, and `values` maps each name to its row.
+    step leaves the one it started from.  `half` holds one member's (u, v,
+    w) at t + dt/2.  `io` holds lw_advance's per-member values, one row per
+    name of IO, and `values` maps each name to its row; a member's slot
+    starts as its batch row.  `taken` is the number of steps the last call
+    of `step` took.
     """
 
     def __init__(self, state: FieldState):
         members, n = state.u.shape
         self.dx = float(state.xs[1] - state.xs[0])
         self.quad = Quadrature(state.xs)
-        self.rows = max(1, BLOCK_CELLS // state.u.size)
         self.states = np.empty((2, 3, members, n))
         self.views = [tuple(fields) for fields in self.states]
-        self.filled = 0
-        self.record = np.empty((6, self.rows, members))
-        self.integrand = np.empty((2, self.rows, members, n))
         self.half = np.empty((3, n - 1))
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
+        self.values["slot"][:] = range(members)
+        self.taken = 0
         self.terms = self.batch = None
 
     def load(self, disturbances: list, **values):
-        """Set each member's inputs to lw_advance: its DisturbanceSpec, and
-        for each name of IO given (speed, guard, cfl_dx, t_snap, t_end) its
-        value, one per member."""
+        """Set each member's inputs to lw_advance: its DisturbanceSpec, and its
+        value of each name of IO given (speed, guard, cfl_dx, t_snap, t_end, slot)."""
         for name, column in values.items():
             self.values[name][:] = column
         self.io[IO.index(PARAMETERS[0]):] = np.transpose([d.parameters for d in disturbances])
 
     def bind(self, terms: ProfileTerms):
         """lw_advance and the lw_batch of this work set and `terms`, built at
-        the first call with them."""
+        the first call with them; `step` sets the records' fields."""
         if terms is not self.terms:
             members, n = self.states.shape[2:]
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
-            self.batch = (step_library().lw_advance, ctypes.byref(_Batch(
-                members, n, self.rows, self.dx, *(x.ctypes.data for x in (
-                    self.states, self.half, self.io, self.record, self.integrand,
-                    self.quad.two_decay)),
-                *(_address(x, shape) for x, shape in arrays))))
+            self.batch = (step_library().lw_advance, _Batch(
+                members, n, 0, 0, self.dx, *(x.ctypes.data for x in (
+                    self.states, self.half, self.io, self.quad.weights, self.quad.two_decay)),
+                *(_address(x, shape) for x, shape in arrays)))
             self.terms = terms
         return self.batch
 
@@ -416,20 +404,22 @@ def _failure(work: StepWork) -> SolverError:
     return error(next(iter(failed.values())), failed)
 
 
-def step(state: FieldState, terms: ProfileTerms, work: StepWork) -> FieldState:
+def step(state: FieldState, terms: ProfileTerms, work: StepWork, records: np.ndarray,
+         index: int) -> FieldState:
     """Advance the state by Lax-Wendroff steps, in one call of lw_advance.
 
     `terms` is profile_terms of the batch and `work` is StepWork for the
     state's shape, whose `load` set each member's disturbance, guard on
-    max|u|, CFL number times dx, next snapshot time, t_end and wave speed
-    (wave_speed(terms, state) for a state not stepped by it).  Each member
-    steps by min(cfl_dx / speed, t_snap - t), so that it lands on its
-    snapshot time; its boundary data are sample_b at the new time.  A
-    state that is not one of `work`'s is first copied into it.  The steps
-    go on until the block's record is full, or a member reaches its t_snap
-    (to 1e-12) or its t_end: the returned state is the newest, and each
-    step is recorded in the next row of `work` (`filled` counts them).
-    The block must have room: `_flush` empties a full one.
+    max|u|, CFL number times dx, next snapshot time, t_end, wave speed
+    (wave_speed(terms, state) for a state not stepped by it) and slot.
+    Each member steps by min(cfl_dx / speed, t_snap - t), so that it lands
+    on its snapshot time; its boundary data are sample_b at the new time.
+    A state that is not one of `work`'s is first copied into it.  The
+    steps go on until `records` is full, or a member reaches its t_snap
+    (to 1e-12) or its t_end: the returned state is the newest.  The steps
+    are recorded from step `index` on, each member's in its slot of
+    `records`, a C-contiguous float64 array of shape (len(RECORDS),
+    slots, capacity) with index < capacity; `work.taken` counts them.
 
     A CFL violation fails a member before the step, a member outside its
     guard fails after it, and then no member takes that step.  When the
@@ -438,16 +428,20 @@ def step(state: FieldState, terms: ProfileTerms, work: StepWork) -> FieldState:
     When a later step fails, `step` returns the state before it, and the
     next call fails at its first step.
     """
+    runs, capacity = records.shape[1:]
+    if not (0 <= index < capacity and work.values["slot"].max() < runs):
+        raise ValueError(f"step {index} or a slot lies outside records of shape {records.shape}")
     src = 1 if state.u is work.views[1][0] else 0
     if state.u is not work.views[src][0]:
         work.states[0] = state.u, state.v, state.w
     lw_advance, batch = work.bind(terms)
+    batch.records = _address(records, (len(RECORDS), runs, capacity))
+    batch.runs, batch.capacity = runs, capacity
     work.values["t"][:] = state.t
-    count = lw_advance(batch, src, work.filled)
-    if not count:
+    work.taken = lw_advance(batch, src, index)
+    if not work.taken:
         raise _failure(work)
-    work.filled += count
-    return FieldState(work.values["t"].tolist(), state.xs, *work.views[(src + count) % 2])
+    return FieldState(work.values["t"].tolist(), state.xs, *work.views[(src + work.taken) % 2])
 
 
 def bump_profile(xs, amplitude, center, width):
@@ -484,8 +478,7 @@ class Member(NamedTuple):
     initial_w: np.ndarray | None = None
 
 
-# the per-step records, in the order of the record buffer's first axis:
-# the six that `step` writes, then the two integrals that _flush takes
+# the per-step records that `step` writes, in the order of the records' first axis
 RECORDS = ("t", "max_u", "b", "b_t", "max_ux", "max_ut", "E1", "h1")
 
 
@@ -502,7 +495,7 @@ class _Run:
             raise ValueError("initial data does not match the solver grid")
         # a supersonic profile fails here, this member alone, and not the batch's terms
         _subsonic(profile.ubar, params.a)
-        self.slot = slot                    # index into the batch and the record buffer
+        self.slot = slot                    # index into the members and the records
         self.spec = member.disturbance
         self.k, self.a = params.k, params.a
         self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
@@ -539,24 +532,11 @@ class _Run:
                           snap_index=np.asarray(self.snap_index))
 
 
-def _flush(records, slots, index, work: StepWork):
-    """Record the steps that `work` holds, the last of which is step `index`,
-    and empty its block.
-
-    Their first six records are copied as lw_advance wrote them, and E1 and
-    the H1 integrand are the trapezoid sums of their integrands.  `slots`
-    are the members' rows of `records`; returns the records, grown when
-    they are too short.
-    """
-    filled = work.filled
-    while index >= records.shape[2]:
-        records = np.concatenate([records, np.empty_like(records)], axis=2)
-    steps = np.s_[index + 1 - filled:index + 1]
-    records[:6, slots, steps] = work.record[:, :filled].transpose(0, 2, 1)
-    records[6:, slots, steps] = _trapz(work.integrand[:, :filled],
-                                       work.quad.weights).transpose(0, 2, 1)
-    work.filled = 0
-    return records
+def _capacity(active: list, speed: list) -> int:
+    """The steps the run's records hold at first: each member's steps at its
+    initial wave speed and its snapshots, 5% to spare; then they double."""
+    return 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
+                   for run, s in zip(active, speed))
 
 
 def simulate_batch(members: list) -> list:
@@ -585,13 +565,12 @@ def simulate_batch(members: list) -> list:
         return results
 
     def pack(active, state, speed):
-        """The record slots and the work set of the active members, at `state`
-        and wave speeds `speed`."""
+        """The work set of the active members, at `state` and wave speeds `speed`."""
         work = StepWork(state)
         work.load([run.spec for run in active], speed=speed,
                   **{name: [getattr(run, name) for run in active]
-                     for name in ("guard", "cfl_dx", "t_snap", "t_end")})
-        return np.array([run.slot for run in active]), work
+                     for name in ("guard", "cfl_dx", "t_snap", "t_end", "slot")})
+        return work
 
     state = FieldState([0.0] * len(active), xs,
                        *(np.stack([run.initial[f] for run in active]) for f in range(3)))
@@ -600,26 +579,20 @@ def simulate_batch(members: list) -> list:
     terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
                            for run in active])
     speed = wave_speed(terms, state)
-    # the records of every member, grown should a member outrun the estimate
-    capacity = 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
-                       for run, s in zip(active, speed))
-    records = np.empty((len(RECORDS), len(members), capacity))
-    slots, work = pack(active, state, speed)
+    records = np.empty((len(RECORDS), len(members), _capacity(active, speed)))
+    work = pack(active, state, speed)
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
     top_u, top_ux, top_ut = (np.maximum.reduce(np.abs(x), -1) for x in (state.u, state.w, state.v))
     a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
-    records[:, slots, 0] = (state.t, top_u, [b for b, _ in b0], [bt for _, bt in b0], top_ux,
-                            top_ut, energy_E1(state, terms, k, a, quad), h1_integrand(state, quad))
+    records[:, [run.slot for run in active], 0] = (
+        state.t, top_u, [b for b, _ in b0], [bt for _, bt in b0], top_ux, top_ut,
+        energy_E1(state, terms, k, a, quad), h1_integrand(state, quad))
 
     steps = 0
     # batch row -> None for the members that reached their t_end, the error
     # for those that failed
     ended = {row: None for row, run in enumerate(active) if not 0.0 < run.t_end - 1e-12}
     while True:
-        # record the block when it is full, and before members leave: their
-        # trajectories read the records, and the others go on in a new block
-        if ended or work.filled == work.rows:
-            records = _flush(records, slots, steps, work)
         if ended:
             for row, error in ended.items():
                 run = active[row]
@@ -631,17 +604,18 @@ def simulate_batch(members: list) -> list:
             # copies; the old work set goes before the survivors' is built
             state, terms, speed = _select(state, rows), terms.take(rows), work.values["speed"][rows]
             work = None
-            slots, work = pack(active, state, speed)
+            work = pack(active, state, speed)
             ended = {}
 
-        start = work.filled
+        if steps + 1 == records.shape[2]:
+            records = np.concatenate([records, np.empty_like(records)], axis=2)
         try:
-            state = step(state, terms, work)
+            state = step(state, terms, work, records, steps + 1)
         except SolverError as exc:
             ended = {row: type(exc)(message) for row, message in exc.failed.items()}
             continue
 
-        steps += work.filled - start
+        steps += work.taken
         t_snap = work.values["t_snap"]
         for row, (run, t) in enumerate(zip(active, state.t)):
             if t >= run.t_snap - 1e-12:

@@ -1,7 +1,8 @@
 """Energy functionals for the closed-loop pipe flow and decay-rate fitting.
 
-All spatial integrals are composite trapezoid on the solver grid, taken
-as a dot product with the grid's precomputed weights (`Quadrature`); the
+All spatial integrals are composite trapezoid on the solver grid, the
+integrand times the grid's precomputed weights (`Quadrature`) summed in
+order (`_dot`), as the compiled time loop sums them; the
 moving-window energies integrate the per-step series in time, again by
 trapezoid, so the window sees full time resolution.
 """
@@ -15,7 +16,7 @@ from numpy import add, multiply, subtract
 class Quadrature:
     """The time-independent weights of the spatial integrals on one grid.
 
-    `weights` are the composite-trapezoid weights, so int y dx = y @ weights;
+    `weights` are the composite-trapezoid weights, so int y dx = _dot(y, weights);
     `decay` is the cross-term weight exp(-x/L) of E1 and `two_decay` is
     2 exp(-x/L), the factor E1 multiplies by.
     """
@@ -28,14 +29,15 @@ class Quadrature:
         self.two_decay = 2.0 * self.decay
 
 
-def _trapz(y, weights):
-    """int y dx over the last axis: a float for one member, one per row for
-    a batch of rows or a block of batches.
-
-    np.vecdot takes one dot product per row, not one matrix product, so
-    that each row's sum is bit for bit np.dot of that row alone.
+def _dot(x, y, out=None):
+    """The sum of x * y over the last axis, added term after term from the
+    first, as `lw_step` in _lw.c adds its integrals: a float for 1-D
+    operands, one per row otherwise.  np.dot adds in the order of the BLAS
+    kernel that NumPy picks for the CPU.  `out`, of the products' shape,
+    receives the products and their running sums; a fresh array if None.
     """
-    return np.vecdot(y, weights)
+    out = multiply(x, y, out)
+    return np.cumsum(out, axis=-1, out=out).take(-1, axis=-1)
 
 
 def energy_E1(state, profile, k: float, a: float, quad: Quadrature) -> float:
@@ -46,29 +48,29 @@ def energy_E1(state, profile, k: float, a: float, quad: Quadrature) -> float:
 
     `quad` is Quadrature(state.xs), likewise below.  Also takes a batch
     state, with k and a as (B, 1) columns; a is squared as a * a, which a
-    float and a column round alike.  `lw_step` in _lw.c computes the
-    integrand of every step with these operations, in this order.
+    float and a column round alike.  `lw_step` in _lw.c computes E1 of
+    every step with these operations, in this order, its sum included.
     """
     m = profile.ubar + state.u
     w2 = state.w ** 2
-    return _trapz(k * ((a * a - m ** 2) * w2 + state.v ** 2)
-                  - quad.two_decay * (m * w2 + state.v * state.w), quad.weights)
+    return _dot(k * ((a * a - m ** 2) * w2 + state.v ** 2)
+                - quad.two_decay * (m * w2 + state.v * state.w), quad.weights)
 
 
 def energy_classic(state, k: float, a: float, quad: Quadrature) -> float:
     """Classical wave energy k * int a^2 u_x^2 + u_t^2 dx."""
-    return _trapz(k * (a ** 2 * state.w ** 2 + state.v ** 2), quad.weights)
+    return _dot(k * (a ** 2 * state.w ** 2 + state.v ** 2), quad.weights)
 
 
 def grad_norm(state, quad: Quadrature) -> float:
     """int u_t^2 + u_x^2 dx."""
-    return _trapz(state.v ** 2 + state.w ** 2, quad.weights)
+    return _dot(state.v ** 2 + state.w ** 2, quad.weights)
 
 
 def h1_integrand(state, quad: Quadrature) -> float:
     """int u^2 + u_x^2 + u_t^2 dx (the spatial part of the windowed H1 norm);
-    `lw_step` in _lw.c computes its integrand with these operations."""
-    return _trapz((state.u ** 2 + state.v ** 2) + state.w ** 2, quad.weights)
+    `lw_step` in _lw.c computes it with these operations, its sum included."""
+    return _dot((state.u ** 2 + state.v ** 2) + state.w ** 2, quad.weights)
 
 
 # Window starts per np.interp call in `windowed_series`: fewer than the
@@ -130,11 +132,12 @@ def fit_decay_rate(series, times, window=None):
     t_mean, y_mean = times.mean(), y.mean()
     x = subtract(times, t_mean)
     subtract(y, y_mean, y)
-    slope = np.vecdot(x, y) / np.vecdot(x, x)
-    ss_tot = float(np.vecdot(y, y))
+    products = np.empty_like(x)
+    slope = _dot(x, y, products) / _dot(x, x, products)
+    ss_tot = float(_dot(y, y, products))
     # the residuals y - slope x, in x
     multiply(slope, x, x)
     subtract(y, x, x)
-    r2 = 1.0 - float(np.vecdot(x, x)) / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - float(_dot(x, x, products)) / ss_tot if ss_tot > 0 else 1.0
     return {"rate": -float(slope), "intercept": float(y_mean - slope * t_mean),
             "r_squared": r2, "n_excluded": n_excluded}

@@ -94,6 +94,16 @@ def lower_order_F_expanded(u, ux, ut, ubar, ubar_x, a, theta):
             * (2.0 * ubar * ubar_x ** 2 + 1.5 * theta * ubar ** 2 * ubar_x))
 
 
+def ordered_sum(terms) -> float:
+    """The terms added one after another from -0.0, in Python floats: the
+    order of every integral the program takes.  (Not `sum`, which
+    compensates float sums from Python 3.12 on.)"""
+    total = -0.0
+    for x in terms:
+        total += x
+    return total
+
+
 def trapz_intervals(y, x):
     """Composite trapezoid summed interval by interval from the grid spacing."""
     y = np.asarray(y, dtype=float)
@@ -426,17 +436,18 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed):
     return new, _members(max_u)
 
 
-# The per-step record that the block record replaced: every step's E1, H1
-# integrand and maxima taken from that step's state alone, member by
-# member, each integral one np.dot, in the loop `simulate_batch` ran
-# before, stepping with the allocating step above.
+# The per-step record of the loop `simulate_batch` ran before its loop was
+# compiled: every step's E1, H1 integral and maxima taken from that step's
+# state alone, member by member, each integral an ordered sum in Python
+# floats, stepping with the allocating step above.
 
 def _per_step_record(run, u, v, w, t, max_u, b, b_t, quad):
     m = run.terms.ubar + u
     w2 = w ** 2
     e1 = run.k * ((run.a * run.a - m ** 2) * w2 + v ** 2) - (2.0 * quad.decay) * (m * w2 + v * w)
     h1 = (u ** 2 + v ** 2) + w ** 2
-    values = (t, float(np.dot(e1, quad.weights)), float(np.dot(h1, quad.weights)), max_u,
+    values = (t, ordered_sum((e1 * quad.weights).tolist()),
+              ordered_sum((h1 * quad.weights).tolist()), max_u,
               float(np.max(np.abs(w))), float(np.max(np.abs(v))), b, b_t)
     for name, value in zip(("t", "E1", "h1", "max_u", "max_ux", "max_ut", "b", "b_t"), values):
         run.records.setdefault(name, []).append(value)
@@ -625,7 +636,7 @@ class NumpyStepWork(StepWork):
     """StepWork with the state views and temporaries of the NumPy step: the
     predictor's temporaries are n - 1 wide, the corrector's are n - 2 wide
     views of the leading elements of the same buffer; `full` is work of
-    the state's shape.  The step records (t, max|u|, b, b_t) alone."""
+    the state's shape."""
 
     def __init__(self, state: FieldState):
         super().__init__(state)
@@ -669,8 +680,10 @@ def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileT
 
 
 def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
-               work: NumpyStepWork) -> FieldState:
-    """`dynamics.step` in NumPy calls, in a NumpyStepWork."""
+               work: NumpyStepWork, records, index: int) -> FieldState:
+    """One step of `dynamics.step` in NumPy calls, in a NumpyStepWork; it
+    records the (t, max|u|, b, b_t) of each member, alone, at `index` of
+    its batch row of `records`."""
     cfl = [dt_i * speed_i / work.dx for dt_i, speed_i in zip(dt, speed)]
     rows = [i for i, x in enumerate(cfl) if x > 1.0 + 1e-12]
     if rows:
@@ -721,6 +734,5 @@ def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
     if rows:
         failed = {i: dynamics._left_guard(top[i], guard[i], t[i]) for i in rows}
         raise BlowUpError(failed[rows[0]], failed)
-    work.record[:4, work.filled] = (t, top, *b_now)
-    work.filled += 1
+    records[:4, :, index] = (t, top, *b_now)
     return FieldState(t, state.xs, dst.u, dst.v, dst.w)

@@ -23,7 +23,7 @@ from pipestab.cli import main
 from pipestab.config import ScenarioConfig
 from pipestab.disturbance import DisturbanceSpec, sample_b, verify_noise_bound
 from pipestab.dynamics import SolverConfig, bump_profile, lower_order_F, simulate
-from pipestab.lyapunov import (Quadrature, _trapz, energy_E1, fit_decay_rate, grad_norm,
+from pipestab.lyapunov import (Quadrature, _dot, energy_E1, fit_decay_rate, grad_norm,
                                windowed_series)
 from pipestab.stationary import PipeParams, _minus_w_minus1, build_stationary, critical_length
 
@@ -176,7 +176,7 @@ def test_criterion_05_energy_equivalence(burst_run, zero_run):
             quad = Quadrature(state.xs)
             e1 = energy_E1(state, run["profile"], params.k, params.a, quad)
             g = grad_norm(state, quad)
-            wg = _trapz(state.v ** 2 + (1.0 + 2.0 * params.L ** 2) * state.w ** 2, quad.weights)
+            wg = _dot(state.v ** 2 + (1.0 + 2.0 * params.L ** 2) * state.w ** 2, quad.weights)
             checked += 1
             all_ok = (all_ok and c.M1 * g <= e1 + slack and e1 <= c.K2 * g + slack
                       and wg <= c.K1 * e1 + slack)

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -87,6 +88,25 @@ class TestRun:
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["output.csv_path", "output.report_path"])
+    @pytest.mark.parametrize("where", ["absent_dir", "empty"])
+    def test_unwritable_output_fails_before_running(self, tmp_path, capsys, monkeypatch,
+                                                    key, where):
+        # a path in a directory that does not exist, or an empty path, which
+        # names the current directory: exit 1 naming the key, with nothing
+        # simulated and no file left behind
+        def refuse(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.chdir(tmp_path)
+        path = str(tmp_path / "absent_dir" / "out") if where == "absent_dir" else ""
+        cfg = write_cfg(tmp_path, **{key: path})
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write `{key}` = {path!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
 
     def test_boundary_columns_are_the_snapshot_ends(self, tmp_path):
         # the feedback law u_x(t, 0) = k u_t(t, 0) holds exactly at every row,
@@ -317,6 +337,28 @@ class TestSweep:
         for name in ("run_000.csv", "report_000.txt", "report_000.txt.json"):
             assert (sweep_dir / name).read_bytes() == (solo_dir / name).read_bytes(), name
 
+    def test_unwritable_output_row_not_simulated(self, tmp_path, monkeypatch):
+        # a scenario whose CSV cannot be written gets its error row, and the
+        # batch simulates the others alone
+        simulated = []
+        batch = cli.simulate_batch
+
+        def counted(members):
+            simulated.append(len(members))
+            return batch(members)
+
+        monkeypatch.setattr(cli, "simulate_batch", counted)
+        cfg = write_cfg(tmp_path)
+        bad = tmp_path / "absent_dir" / "run.csv"
+        assert main(["sweep", str(cfg), "--set", f"output.csv_path={tmp_path / 'run.csv'},{bad}",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert "error" not in rows[1]
+        assert rows[2].endswith(f"error: cannot write `output.csv_path` = "
+                                f"'{tmp_path / 'absent_dir' / 'run_001.csv'}': "
+                                "No such file or directory")
+        assert simulated == [1]
+
     def test_unwritable_summary_fails_before_running(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "absent_dir" / "sweep.csv"
@@ -437,6 +479,29 @@ def test_seeded_run_leaves_numpy_random_unimported(tmp_path, verb):
         # only a sweep of several batches forks; importing multiprocessing alone
         # adds about 0.75 MB to the peak RSS of a single run
         assert forks == "False"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel for the CPU, and np.dot sums in that
+    # kernel's order; the program takes every sum in its own order, so that
+    # the oldest x86-64 kernel (Prescott) writes what the default one writes
+    config = Path(__file__).resolve().parent.parent / "configs" / "certified.cfg"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for kernel in ("", "Prescott"):
+        folder = tmp_path / (kernel or "default")
+        folder.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel)
+        if not kernel:
+            del env["OPENBLAS_CORETYPE"]
+        done = subprocess.run([sys.executable, "-m", "pipestab.cli", "run", str(config)],
+                              cwd=folder, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append([done.stdout] + [(folder / name).read_bytes() for name in (
+            "certified.csv", "certified_report.txt", "certified_report.txt.json")])
+    assert outputs[0] == outputs[1]
 
 
 class TestUnreadableConfig:

@@ -55,6 +55,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             ScenarioConfig.from_text("pipe.a 3.0\n")
 
+    def test_repeated_key(self):
+        # no line silently wins over an earlier one, as no --set does
+        with pytest.raises(ConfigError, match=r"^line 4: `pipe.a` is given again, after line 2;"):
+            ScenarioConfig.from_text("pipe.L = 1.0\npipe.a = 2.0\n# again\n pipe.a=3.0\n")
+
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "scenario.cfg"
         cfg = ScenarioConfig({"pipe.theta": 0.1})

@@ -1,7 +1,6 @@
 import math
 import weakref
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from pipestab import dynamics, lyapunov
 from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import FAMILIES, DisturbanceSpec
-from pipestab.dynamics import (BLOCK_CELLS, BlowUpError, CFLError, FieldState, Member,
+from pipestab.dynamics import (IO, RECORDS, BlowUpError, CFLError, FieldState, Member,
                                SolverConfig, SolverError, StepWork, bump_profile, f_tilde,
                                lower_order_F, profile_terms, simulate, simulate_batch, step,
                                wave_speed)
@@ -29,16 +28,21 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
     return params, profile, xs
 
 
-def advance(state, params, profile, dt, guard=None, work=None):
+def records_of(members: int, capacity: int) -> np.ndarray:
+    """Records of `members` slots and `capacity` steps, for `step`."""
+    return np.empty((len(RECORDS), members, capacity))
+
+
+def advance(state, params, profile, dt, guard=None, work=None, records=None):
     """One step of a one-member (1, nx+1) state without disturbance, to its
-    snapshot time t + dt; the guard defaults to the sound speed, the work
-    set to a new one."""
+    snapshot time t + dt, recorded at index 1 of `records`; the guard
+    defaults to the sound speed, the work set and the records to new ones."""
     terms = profile_terms([(profile, params)])
     work = work or StepWork(state)
     work.load([DisturbanceSpec()], speed=wave_speed(terms, state), cfl_dx=[math.inf],
               t_snap=[state.t[0] + dt], t_end=[math.inf],
               guard=[params.a if guard is None else guard])
-    return step(state, terms, work)
+    return step(state, terms, work, records_of(1, 2) if records is None else records, 1)
 
 
 class TestLowerOrderTerms:
@@ -155,10 +159,11 @@ class TestStep:
         phi, dphi = bump_profile(xs, 1e-3, 0.5, 0.2)
         state = FieldState(t=[0.0], xs=xs, u=phi[None], v=np.zeros((1, len(xs))), w=dphi[None])
         dx = xs[1] - xs[0]
-        work = StepWork(state)
+        work, records = StepWork(state), records_of(1, 2)
         for _ in range(20):
-            state = advance(state, params, profile, 0.4 * dx / (params.a + 1.0), work=work)
-            assert work.record[1, work.filled - 1].tolist() == [float(np.max(np.abs(state.u)))]
+            state = advance(state, params, profile, 0.4 * dx / (params.a + 1.0), work=work,
+                            records=records)
+            assert records[1, :, 1].tolist() == [float(np.max(np.abs(state.u)))]
         assert state.w[0, 0] == params.k * state.v[0, 0]
 
 
@@ -307,8 +312,8 @@ class TestLeanPath:
         # the same integrands, integrated interval by interval instead of by weights
         params, profile, xs, traj = bump_run(amplitude, center, width)
         quad = Quadrature(xs)
-        lean_trapz = lyapunov._trapz
-        lyapunov._trapz = lambda y, weights: trapz_intervals(y, xs)
+        lean_dot = lyapunov._dot
+        lyapunov._dot = lambda y, weights: trapz_intervals(y, xs)
         try:
             for state, j in zip(traj.states, traj.snap_index):
                 e1 = energy_E1(state, profile, params.k, params.a, quad)
@@ -316,7 +321,7 @@ class TestLeanPath:
                 assert abs(traj.series["E1"][j] - e1) <= 1e-13 * abs(e1)
                 assert abs(traj.series["h1"][j] - h1) <= 1e-13 * abs(h1)
         finally:
-            lyapunov._trapz = lean_trapz
+            lyapunov._dot = lean_dot
 
     @given(*bump_args)
     @settings(max_examples=5, deadline=None)
@@ -387,10 +392,14 @@ class TestBatch:
         batch_member(u0=0.3, amplitude=0.3, seed=2, t_end=0.4),         # speeds up: outgrows
     ]                                                                    # the record estimate
 
-    def test_members_bitwise_equal_to_single_runs(self):
+    def test_members_bitwise_equal_to_single_runs(self, monkeypatch):
         assert ODD_A ** 2 != ODD_A * ODD_A
         alone = [solo(m) for m in self.MEMBERS]
+        calls = watch_calls(monkeypatch)
         batched = simulate_batch(self.MEMBERS)
+        # the last member outruns the records' first estimate, which doubles
+        assert calls[-1][2] > calls[0][2]
+        assert_grown_when_full(calls, calls[0][2])
         steps = {len(t.times) for t in alone if not isinstance(t, Exception)}
         assert len(steps) == 5      # every member that finishes ends at its own step
         assert_same_results(batched, alone)
@@ -472,25 +481,36 @@ def cfl_member():
     return member
 
 
-def watch_flushes(monkeypatch) -> list:
-    """A list that receives, for each _flush call from now on, its (step
-    index, steps it records, rows, records capacity before it, records
-    capacity after it)."""
-    flushes = []
-    flush = dynamics._flush
+def watch_calls(monkeypatch) -> list:
+    """A list that receives, for each call of `step` from now on, its [first
+    step index, steps taken (0 when it raised), records capacity]."""
+    calls = []
+    step = dynamics.step
 
-    def watched(records, slots, index, work):
-        seen = (index, work.filled, work.rows)
-        out = flush(records, slots, index, work)
-        flushes.append((*seen, records.shape[2], out.shape[2]))
-        return out
+    def watched(state, terms, work, records, index):
+        calls.append([index, 0, records.shape[2]])
+        new = step(state, terms, work, records, index)
+        calls[-1][1] = work.taken
+        return new
 
-    monkeypatch.setattr(dynamics, "_flush", watched)
-    return flushes
+    monkeypatch.setattr(dynamics, "step", watched)
+    return calls
+
+
+def assert_grown_when_full(calls, capacity):
+    """The records of one simulate_batch start with room for `capacity`
+    steps, and double when, and only when, a call filled them."""
+    assert calls[0][2] == capacity
+    for (index, taken, room), following in zip(calls, calls[1:]):
+        full = index + taken == room
+        assert following[2] == (2 * room if full else room)
+        if full:
+            assert following[0] == room
 
 
 class TestBlockRecord:
-    """Records reduced per block of steps are the per-step records, bit for bit."""
+    """The records the compiled loop writes into the run's records are the
+    per-step records, bit for bit, however the calls fill and grow them."""
 
     # members that end at their own steps, fail by blow-up, fail at t=0 by a
     # NaN in v, and outgrow the record estimate (TestBatch); one that fails
@@ -498,89 +518,89 @@ class TestBlockRecord:
     BATCHES = [TestBatch.MEMBERS, [cfl_member(), *TestBatch.MEMBERS[:2]],
                [TestBatch.MEMBERS[3], TestBatch.MEMBERS[0]]]
 
-    # 0: BLOCK_CELLS below one state, a one-row block; 400: a whole run in one block
-    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 400])
-    def test_series_match_per_step_record(self, monkeypatch, rows):
-        flushes = watch_flushes(monkeypatch)
-        grown = []      # (first step of the flush, records capacity before it)
+    # the records start with room for 2 + spare steps, the t = 0 row's
+    # included, and fill and double time and again; with 400 every run fits
+    @pytest.mark.parametrize("spare", [0, 1, 2, 3, 400])
+    def test_series_match_per_step_record(self, monkeypatch, spare):
+        calls = watch_calls(monkeypatch)
+        monkeypatch.setattr(dynamics, "_capacity", lambda active, speed: 2 + spare)
+        filled = 0      # calls that filled the records
         for members in self.BATCHES:
-            cells = len(members) * (members[0].config.nx + 1)
-            monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * cells)
-            flushes.clear()
-            assert_same_results(simulate_batch(members),
-                                oracles.simulate_batch_per_step(members))
-            grown += [(index + 1 - count, before)
-                      for index, count, _, before, after in flushes if after > before]
-            if rows == 400 and members is self.BATCHES[2]:
-                # the guard fails first, in the block's middle: the flush
-                # before the re-pack records a part of the block
-                index, count, block_rows = flushes[0][:3]
-                assert 0 < count < block_rows
-            monkeypatch.setattr(dynamics, "BLOCK_CELLS", rows * (members[0].config.nx + 1))
+            calls.clear()
+            results = simulate_batch(members)
+            assert_same_results(results, oracles.simulate_batch_per_step(members))
+            assert_grown_when_full(calls, 2 + spare)
+            filled += sum(index + taken == room for index, taken, room in calls)
+            if spare == 400 and members is self.BATCHES[2]:
+                # the guard fails in a call's middle: that call returns the
+                # steps before the failure, and the next fails at its first
+                failing = next(i for i, (_, taken, _) in enumerate(calls) if not taken)
+                (index, taken, _), (first, _, _) = calls[failing - 1], calls[failing]
+                assert taken > 0 and index + taken == first
+                assert first - 1 not in results[1].snap_index
             for member in members:
                 assert_same_results([solo(member)], oracles.simulate_batch_per_step([member]))
-        assert grown
-        if rows == 400:
-            # the block that grew the records began within them
-            assert any(first < capacity for first, capacity in grown)
+        assert (filled == 0) == (spare == 400)
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_member_ends_on_the_blocks_last_slot(self, monkeypatch, size):
-        # the block holds as many steps as the first member to end takes, so
-        # that member's last step fills the block's last row: the first
-        # flush records the full block, and any other member goes on in a
-        # new one, which the second flush records; its snapshots fall in the
-        # block's middle
+        # the records hold as many steps as the first member to end takes, so
+        # that member's last step fills their last slot: that call returns
+        # for both, and any other member goes on in records of twice the
+        # room; the member's snapshots fall in between
         members = TestBatch.MEMBERS[:size]
         alone = [solo(member) for member in members]
         last = min(len(traj.times) - 1 for traj in alone)
-        flushes = watch_flushes(monkeypatch)
-        monkeypatch.setattr(dynamics, "BLOCK_CELLS", last * size * (members[0].config.nx + 1))
+        calls = watch_calls(monkeypatch)
+        monkeypatch.setattr(dynamics, "_capacity", lambda active, speed: last + 1)
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        assert flushes[0][:3] == (last, last, last)
-        assert len(flushes) == size
+        assert_grown_when_full(calls, last + 1)
+        ends = [index + taken - 1 for index, taken, _ in calls]
+        assert ends.count(last) == 1
+        assert len(calls) - ends.index(last) == size
         first = next(traj for traj in alone if len(traj.times) - 1 == last)
         assert 0 < first.snap_index[1] < last
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_repack_builds_its_work_set_alone(self, monkeypatch, extra):
-        # a re-pack frees the old work set before it builds the survivors',
-        # whose block holds as many steps as BLOCK_CELLS allows; extra = 1
-        # leaves BLOCK_CELLS one cell short of 3 batch states, and extra = -1
-        # gives the first block one batch state
-        live, counts, works = weakref.WeakSet(), [], []
+        # a re-pack frees the old work set before it builds the survivors';
+        # the records start with room for 2 + extra steps, and with extra =
+        # -1 the t = 0 row fills them before the first step
+        live, counts, sizes = weakref.WeakSet(), [], []
 
         class Watched(StepWork):
             def __init__(self, state):
                 counts.append(len(live))
                 super().__init__(state)
                 live.add(self)
-                works.append((self.rows, self.states[0, 0].size))
+                sizes.append(len(state.u))
 
         members = TestBatch.MEMBERS
-        # the cells of the members that start: the NaN member fails at t=0
-        cells = (len(members) - 1) * (members[0].config.nx + 1)
+        calls = watch_calls(monkeypatch)
         monkeypatch.setattr(dynamics, "StepWork", Watched)
-        monkeypatch.setattr(dynamics, "BLOCK_CELLS", 2 * cells + extra * (cells - 1))
+        monkeypatch.setattr(dynamics, "_capacity", lambda active, speed: 2 + extra)
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
         assert counts == [0] * 6    # the first work set, and one per member that ends before the last
-        assert works[0] == ({-1: 1, 0: 2, 1: 2}[extra], cells)
-        for rows, size in works:
-            assert rows == max(1, dynamics.BLOCK_CELLS // size)
+        # the NaN member fails at t=0, and the others end one at a time
+        assert sizes == [6, 5, 4, 3, 2, 1]
+        assert calls[0][2] == (2 if extra == -1 else 2 + extra)
+        assert_grown_when_full(calls, calls[0][2])
 
     def test_cfl_member_fails_mid_run(self, monkeypatch):
         error = solo(cfl_member())
         assert isinstance(error, CFLError)
         assert 0.03 < float(str(error).split("t=")[1].split(":")[0]) < 0.1
-        # beside a member that goes on, the failure comes in the first block's
-        # middle: the flush before the re-pack records a part of the block
+        # beside a member that goes on: the CFL member lands on a snapshot
+        # at every step, so each call takes one step, until one fails at it
         members = [cfl_member(), TestBatch.MEMBERS[0]]
-        flushes = watch_flushes(monkeypatch)
+        calls = watch_calls(monkeypatch)
         results = simulate_batch(members)
         assert_same_results(results, oracles.simulate_batch_per_step(members))
         assert type(results[0]) is CFLError and str(results[0]) == str(error)
-        index, count, rows = flushes[0][:3]
-        assert 0 < count == index < rows
+        failing = next(i for i, (_, taken, _) in enumerate(calls) if not taken)
+        capacity = calls[0][2]
+        assert calls[:failing + 1] == [[j + 1, 1, capacity] for j in range(failing)] + [
+            [failing + 1, 0, capacity]]
 
     @pytest.mark.parametrize("nx", [100, 400, 3200])
     @pytest.mark.parametrize("count", [1, 8])
@@ -590,14 +610,16 @@ class TestBlockRecord:
         work = StepWork(FieldState([0.0] * count, xs, np.zeros(shape), np.zeros(shape),
                                    np.zeros(shape)))
         cells = int(np.prod(shape))
-        # as many steps as the budget holds, and one when a state alone exceeds it
-        rows = {(100, 1): 162, (100, 8): 20, (400, 1): 40, (400, 8): 5, (3200, 1): 5,
-                (3200, 8): 1}[nx, count]
-        assert work.rows == rows == max(1, BLOCK_CELLS // cells)
-        # two states of (u, v, w), two integrands and six records per step
+        # two states of (u, v, w), one member's (u, v, w) at the half step,
+        # the per-member values, and the three weights of the grid: the
+        # records are the run's, and no step is held apart from them
         assert work.states.nbytes == 8 * 6 * cells
-        assert work.integrand.nbytes == 8 * 2 * rows * cells
-        assert work.record.nbytes == 8 * 6 * rows * count
+        assert work.half.nbytes == 8 * 3 * nx
+        assert work.io.nbytes == 8 * len(IO) * count
+        held = [x for x in vars(work).values() if isinstance(x, np.ndarray)]
+        held += [x for x in vars(work.quad).values() if isinstance(x, np.ndarray)]
+        assert sum(x.nbytes for x in held) == 8 * (6 * cells + 3 * nx + len(IO) * count
+                                                   + 3 * (nx + 1))
 
 
 def physics_pairs(physics, xs):
@@ -660,11 +682,11 @@ def boundary(specs, state, dt):
     return [x for x, _ in b], [x for _, x in b]
 
 
-def stepped(work, j, xs):
-    """The state of the j-th step recorded in the block, j = 1, 2, with the
-    times recorded with it: the steps write the two states in turn, from a
-    state held in the first."""
-    return FieldState(work.record[0, j - 1].tolist(), xs, *work.views[j % 2])
+def stepped(work, records, j, xs):
+    """The state of the step recorded at index j = 1, 2 of a call from index
+    1, with the times recorded with it: the steps write the two states in
+    turn, from a state held in the first."""
+    return FieldState(records[0, :, j].tolist(), xs, *work.views[j % 2])
 
 
 PHYSICS_LISTS = [
@@ -693,8 +715,8 @@ class TestProfileTerms:
             for name in ("forcing_m", "forcing_i"):
                 for got, want in zip(getattr(terms, name), getattr(alone, name), strict=True):
                     assert got[row].tobytes() == want.tobytes(), name
-            # the compiled step's a, a ** 2, k, theta and 1.5 theta, which _flush
-            # and wave_speed read too
+            # the compiled step's a, a ** 2, k, theta and 1.5 theta, which the
+            # t = 0 record and wave_speed read too
             want = [np.asarray(getattr(alone, name)).item()
                     for name in ("a", "a2", "k", "theta", "theta_1_5")]
             assert terms.coefficients[:, row].tobytes() == np.array(want).tobytes()
@@ -718,28 +740,26 @@ class TestLeanStep:
            st.floats(1e-6, 1.0), st.lists(st.floats(0.05, 0.99), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
-        # two calls of a two-row block: the first copies the state in, the
-        # second starts from the newest state once the full block is
-        # emptied; each member steps by its own fraction of its CFL step
+        # two calls into records of 3 steps from index 1, which each call
+        # fills: the first copies the state in, the second starts from the
+        # newest state; each member steps by its own fraction of its CFL step
         terms, reference_terms, state, rng = lean_setup(nx, physics, seed, amplitude)
         members, dx = len(physics), state.xs[1] - state.xs[0]
-        with mock.patch.object(dynamics, "BLOCK_CELLS", 2 * state.u.size):
-            work = StepWork(state)
+        work, records = StepWork(state), records_of(members, 3)
         specs, guard, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
         work.load(specs, speed=wave_speed(terms, state), guard=guard,
                   cfl_dx=[f * dx for f in fractions[:members]], t_snap=never, t_end=never)
         lean, reference = state, copied(state)
         for _ in range(2):
-            work.filled = 0     # as _flush leaves it
-            lean = step(lean, terms, work)
-            assert work.filled == 2
+            lean = step(lean, terms, work, records, 1)
+            assert work.taken == 2
             for j in (1, 2):
                 speed = oracles.wave_speed(reference_terms, reference)
                 dt = [min(f * dx / s, math.inf) for f, s in zip(fractions, speed)]
                 b_now = boundary(specs, reference, dt)
                 reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
-                assert_same_state(stepped(work, j, state.xs), reference)
-                assert work.record[:4, j - 1].tolist() == [reference.t, max_u, *b_now]
+                assert_same_state(stepped(work, records, j, state.xs), reference)
+                assert records[:4, :, j].tolist() == [reference.t, max_u, *b_now]
             assert_same_state(lean, reference)
             assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
 
@@ -748,13 +768,13 @@ class TestLeanStep:
     @settings(max_examples=20, deadline=None)
     def test_failed_step_leaves_its_input(self, physics, seed, failure, one_row):
         # the failing call's input is the newest state of the work set; with
-        # BLOCK_CELLS below one state, a one-row block, its step filled the
-        # block, and the failing step starts the block over
+        # one_row, records of one step after the t = 0 row, its step filled
+        # them, and the failing step is the first of records grown to twice
+        # the room, else the next of the same records
         terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
-        cells = state.u.size - 1 if one_row else BLOCK_CELLS
-        with mock.patch.object(dynamics, "BLOCK_CELLS", cells):
-            work = StepWork(state)
+        work = StepWork(state)
         members, dx = len(physics), state.xs[1] - state.xs[0]
+        records = records_of(members, 2 if one_row else 8)
         specs, big, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
 
         def landing(state):
@@ -764,10 +784,10 @@ class TestLeanStep:
         work.load(specs, speed=wave_speed(terms, state), guard=big, cfl_dx=[dx] * members,
                   t_end=never)
         work.load(specs, t_snap=landing(state))
-        held = step(state, terms, work)
-        assert work.filled == 1 and (work.rows == 1) == one_row
+        held = step(state, terms, work, records, 1)
+        assert work.taken == 1
         if one_row:
-            work.filled = 0     # as _flush leaves a full block
+            records = np.concatenate([records, np.empty_like(records)], axis=2)
         before = copied(held)
         speed = wave_speed(terms, held)
         assert work.values["speed"].tolist() == speed
@@ -782,7 +802,7 @@ class TestLeanStep:
         work.load(specs, guard=guards, cfl_dx=[f * dx for f in fractions], t_snap=never)
         dt = time_steps(work, held)
         with pytest.raises(error) as lean:
-            step(held, terms, work)
+            step(held, terms, work, records, 2)
         with pytest.raises(error) as reference:
             oracles.step(before, reference_terms, boundary(specs, before, dt), dt, guards, speed)
         assert lean.value.failed == reference.value.failed == {
@@ -791,7 +811,7 @@ class TestLeanStep:
         # and the work set steps on from the state it kept
         work.load(specs, guard=big, cfl_dx=[dx] * members, t_snap=landing(held))
         dt = time_steps(work, held)
-        assert_same_state(step(held, terms, work),
+        assert_same_state(step(held, terms, work, records, 2),
                           oracles.step(before, reference_terms, boundary(specs, before, dt), dt,
                                        big, speed)[0])
 
@@ -828,9 +848,9 @@ class TestLeanStep:
                                                             theta).tobytes()
 
 
-def compiled_setup(physics, nx, seed, amplitude, rows):
+def compiled_setup(physics, nx, seed, amplitude):
     """The batch's terms, the oracle's terms, a random state of len(physics)
-    members and the two work sets, whose blocks hold `rows` states.
+    members and the two work sets.
 
     physics is a list of (a, k, theta, u0 / a)."""
     xs = np.linspace(0.0, 1.0, nx + 1)
@@ -840,9 +860,7 @@ def compiled_setup(physics, nx, seed, amplitude, rows):
     rng = np.random.default_rng(seed)
     u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, len(pairs), nx + 1))
     state = FieldState([0.25] * len(pairs), xs, u, v, w)
-    with mock.patch.object(dynamics, "BLOCK_CELLS", rows * u.size):
-        works = StepWork(state), oracles.NumpyStepWork(state)
-    return terms, reference_terms, state, works, rng
+    return terms, reference_terms, state, (StepWork(state), oracles.NumpyStepWork(state)), rng
 
 
 MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
@@ -860,12 +878,14 @@ class TestCompiledStep:
     def test_matches_numpy_step(self, physics, nx, seed, amplitude, rows, fractions):
         # each member steps by its own fraction of its CFL step and is clipped
         # to land on a snapshot time, after which it steps on; a call returns
-        # when the block is full or a member lands.  With rows = 1 every call
-        # after the first steps into an emptied block, with 2 and 3 some do.
-        # Each step's record holds max|u_x|, max|u_t| and the E1 and H1
-        # integrands of the state it made, as the energy functionals give them
+        # when the records are full or a member lands.  They start with room
+        # for `rows` steps after the t = 0 row and double when full, as in
+        # simulate_batch: with rows = 1 every call fills them until a member
+        # lands.  Each step's records hold max|u_x|, max|u_t| and the E1 and
+        # H1 integrals of the state it made, as the energy functionals give
+        # them, bit for bit
         terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
-            physics, nx, seed, amplitude, rows)
+            physics, nx, seed, amplitude)
         quad = Quadrature(state.xs)
         a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
         members, dx = len(physics), state.xs[1] - state.xs[0]
@@ -875,45 +895,60 @@ class TestCompiledStep:
                   t_snap=[t + 2.5 * f * dx / s for t, f, s in zip(state.t, fractions[::-1], speed)],
                   t_end=[math.inf] * members)
         compiled, reference = state, copied(state)
-        taken = 0
-        while taken < 6:
-            if work.filled == work.rows:
-                work.filled = reference_work.filled = 0     # as _flush leaves them
-            start = work.filled
-            compiled = step(compiled, terms, work)
-            for row in range(start, work.filled):
+        records = records_of(members, 1 + rows)
+        reference_records = np.empty_like(records)
+        start = 1
+        while start < 7:
+            if start == records.shape[2]:
+                records, reference_records = (np.concatenate([x, np.empty_like(x)], axis=2)
+                                              for x in (records, reference_records))
+            compiled = step(compiled, terms, work, records, start)
+            end = start + work.taken
+            for index in range(start, end):
                 speed = oracles.wave_speed(reference_terms, reference)
                 dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
                     work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
                     reference.t)]
                 reference = oracles.numpy_step(reference, reference_terms,
                                                boundary(specs, reference, dt), dt, guard, speed,
-                                               reference_work)
+                                               reference_work, reference_records, index)
                 tops = [np.max(np.abs(x), -1) for x in (reference.w, reference.v)]
-                assert work.record[4:, row].tobytes() == np.array(tops).tobytes()
+                assert records[4:6, :, index].tobytes() == np.array(tops).tobytes()
                 energies = [energy_E1(reference, terms, k, a, quad), h1_integrand(reference, quad)]
-                assert (np.vecdot(work.integrand[:, row], quad.weights).tobytes()
-                        == np.array(energies).tobytes())
+                assert records[6:, :, index].tobytes() == np.array(energies).tobytes()
             assert_same_state(compiled, reference)
-            assert work.filled == reference_work.filled
-            recorded = np.s_[:4, start:work.filled]
-            assert work.record[recorded].tobytes() == reference_work.record[recorded].tobytes()
+            recorded = np.s_[:4, :, start:end]
+            assert records[recorded].tobytes() == reference_records[recorded].tobytes()
             # the next wave speed, as wave_speed gives it from the new state
             assert work.values["speed"].tolist() == wave_speed(terms, reference)
-            # the call went on until the block was full or a member landed
+            # the call went on until the records were full or a member landed
             t_snap = work.values["t_snap"]
             landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
-            assert work.filled == work.rows or any(landed)
+            assert end == records.shape[2] or any(landed)
             t_snap[landed] = math.inf
-            taken += work.filled - start
+            start = end
 
     def test_terms_of_another_batch_are_rejected(self):
         # the compiled loop reads the terms through raw pointers: their shapes are checked
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3, 2)
-        terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3, 2)[0]
+        _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3)
+        terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3)[0]
         with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-            step(state, terms, work)
+            step(state, terms, work, records_of(2, 2), 1)
+
+    def test_records_out_of_reach_are_rejected(self):
+        # the compiled loop writes the records through a raw pointer: a step
+        # index or a slot outside them, or records of another layout, is refused
+        physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
+        terms, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3)
+        records = records_of(2, 4)
+        for bad, index in ((records, 4), (records, -1), (records_of(1, 4), 1), (records[:7], 1),
+                           (records[:, :, :3], 1), (records.astype(np.float32), 1)):
+            with pytest.raises(ValueError):
+                step(state, terms, work, bad, index)
+        work.load([DisturbanceSpec()] * 2, slot=[0, 2])
+        with pytest.raises(ValueError, match="outside records of shape"):
+            step(state, terms, work, records, 1)
 
     @pytest.mark.parametrize("field", ["u", "v", "w"])
     @pytest.mark.parametrize("row", [0, 2])
@@ -922,7 +957,7 @@ class TestCompiledStep:
         # with the NumPy step's message, and the input state is kept
         physics = [(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.1), (1.5, 8.0, 0.6, 0.2)]
         terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
-            physics, 24, 7, 1e-3, 2)
+            physics, 24, 7, 1e-3)
         getattr(state, field)[row, 12] = np.nan
         state, before = copied(state), copied(state)
         dx = state.xs[1] - state.xs[0]
@@ -931,11 +966,11 @@ class TestCompiledStep:
         work.load(specs, speed=speed, guard=guard, cfl_dx=[0.5 * dx] * 3, t_snap=never,
                   t_end=never)
         with pytest.raises(BlowUpError) as compiled:
-            step(state, terms, work)
+            step(state, terms, work, records_of(3, 2), 1)
         dt = time_steps(work, state)
         with pytest.raises(BlowUpError) as reference:
             oracles.numpy_step(copied(state), reference_terms, boundary(specs, state, dt), dt,
-                               guard, speed, reference_work)
+                               guard, speed, reference_work, records_of(3, 2), 1)
         assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
         assert "max|u| = nan" in str(compiled.value)
         assert_same_state(state, before)
