@@ -25,10 +25,18 @@
  * pow(x, 2.0) into x * x or sin and cos into sincos: build with
  * -ffp-contract=off -fno-builtin and without -ffast-math.  The callers
  * check shapes, dtypes, contiguity and indices before they pass pointers.
+ *
+ * The three per-node loops of a step (`predictor`, `corrector`, `finish`)
+ * are element-wise, branch-free and restrict-qualified, so that the
+ * compiler vectorises them; the sums and maxima over the nodes are taken
+ * in a serial loop after `finish`.  A vector lane adds, multiplies and
+ * divides with the rounding of the scalar operation, so the vector width
+ * changes no bit.  With GCC on x86-64 Linux each kernel is built twice,
+ * for AVX2 and for the baseline ISA, and the loader picks the clone the
+ * CPU runs (`CLONES`); the AVX2 target has no FMA, and contraction is off.
  */
 #include <math.h>
 #include <stddef.h>
-#include <stdint.h>
 
 /* The rows of io, as dynamics.IO names them: each member's loop state, the
  * outcome of a step it failed, its slot, then its disturbance. */
@@ -47,6 +55,14 @@ enum { ZERO, DECAYING_BURST, COMPACT_BURST };
 
 #define PI 3.141592653589793    /* math.pi */
 
+/* The per-node kernels' clones: one built for AVX2, one for the baseline ISA,
+ * chosen at load time, so that a cached build runs on any x86-64 CPU. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONES
+#endif
+
 typedef struct {
     long members;               /* B */
     long n;                     /* grid nodes per member */
@@ -54,7 +70,8 @@ typedef struct {
     long capacity;              /* steps the records hold */
     double dx;
     double *states;             /* (2, 3, B, n): u, v, w of the two states */
-    double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member */
+    double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member,
+                                   then its integrals' terms */
     double *io;                 /* (rows of dynamics.IO, B) */
     const double *weights;      /* (n,): the trapezoid weights */
     const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
@@ -69,14 +86,6 @@ typedef struct {
     const double *f_bar_i;
     double *records;            /* (8, runs, capacity): dynamics.RECORDS by slot and step */
 } lw_batch;
-
-/* |x|, as fabs gives it; -fno-builtin would make fabs a call. */
-static double magnitude(double x)
-{
-    union { double value; uint64_t bits; } u = {x};
-    u.bits &= ~((uint64_t)1 << 63);
-    return u.value;
-}
 
 /* The max of np.maximum.reduce: NaN as soon as one value is NaN. */
 static double nan_max(double top, double x)
@@ -158,46 +167,94 @@ void lw_sample_b(const double *parameters, double t, double *out)
     disturbance(parameters, 1, t, out);
 }
 
-/* One half of a step over `cells` cells, from the cell averages of (u, v, w),
- * which hold cells + 1 values:
+/* The v of one cell at the end of a half step, from the averages (um, vm,
+ * wm) and the differences (dv, dw) of (u, v, w) over the cell:
  *
- *     out_v = base_v - c (2 m dv - d dw) + e F,   out_w = base_w + c dv,
+ *     base_v - c (2 m dv - d dw) + e F,
  *
- * with m = ubar + u, d = a^2 - m^2 and F the lower-order term; base_v and
- * base_w are the averages themselves when NULL.  When out_u is given it
- * receives um + e out_v.
+ * with m = ubar + um, d = a^2 - m^2 and the lower-order term
+ * F = F~(m, wm + ubar_x, vm) - (d / d_bar) f_bar.  __builtin_fabs clears
+ * the sign bit, as fabs does, where -fno-builtin would make fabs a call.
  */
-static void half_step(long cells, const double *u, const double *v, const double *w,
-                      const double *ubar, const double *ubar_x,
-                      const double *d_bar, const double *f_bar,
-                      double a2, double theta, double theta_1_5, double c, double e,
-                      const double *base_v, const double *base_w,
-                      double *out_u, double *out_v, double *out_w)
+static inline double half_step_v(double base_v, double um, double vm, double wm,
+                                 double dv, double dw, double ubar, double ubar_x,
+                                 double d_bar, double f_bar, double a2, double theta,
+                                 double theta_1_5, double c, double e)
+{
+    double m = ubar + um;
+    double d = a2 - m * m;
+    double x = wm + ubar_x;
+    double abs_m = __builtin_fabs(m);
+    double two_m = 2.0 * m;
+    double f = -2.0 * vm * x;
+    f = f - two_m * (x * x);
+    f = f - theta_1_5 * m * abs_m * x;
+    f = f - theta * abs_m * vm;
+    f = f - d / d_bar * f_bar;
+    return base_v - c * (two_m * dv - d * dw) + e * f;
+}
+
+/* The predictor over `cells` cells, from (u, v, w) at its cells + 1 nodes:
+ * each cell's v from its own averages, w = wm + c dv and u = um + e v. */
+static CLONES void predictor(long cells, const double *restrict u, const double *restrict v,
+                             const double *restrict w, const double *restrict ubar,
+                             const double *restrict ubar_x, const double *restrict d_bar,
+                             const double *restrict f_bar, double a2, double theta,
+                             double theta_1_5, double c, double e, double *restrict out_u,
+                             double *restrict out_v, double *restrict out_w)
 {
     for (long j = 0; j < cells; j++) {
-        double um = 0.5 * (u[j] + u[j + 1]);
-        double vm = 0.5 * (v[j] + v[j + 1]);
-        double wm = 0.5 * (w[j] + w[j + 1]);
-        double m = ubar[j] + um;
-        double d = a2 - m * m;
-
-        /* F = F~(m, wm + ubar_x, vm) - (d / d_bar) f_bar */
-        double x = wm + ubar_x[j];
-        double abs_m = magnitude(m);
-        double two_m = 2.0 * m;
-        double f = -2.0 * vm * x;
-        f = f - two_m * (x * x);
-        f = f - theta_1_5 * m * abs_m * x;
-        f = f - theta * abs_m * vm;
-        f = f - d / d_bar[j] * f_bar[j];
-
-        double dv = v[j + 1] - v[j];
-        double dw = w[j + 1] - w[j];
-        double out = (base_v ? base_v[j] : vm) - c * (two_m * dv - d * dw) + e * f;
+        const double um = 0.5 * (u[j] + u[j + 1]);
+        const double vm = 0.5 * (v[j] + v[j + 1]);
+        const double wm = 0.5 * (w[j] + w[j + 1]);
+        const double dv = v[j + 1] - v[j];
+        const double out = half_step_v(vm, um, vm, wm, dv, w[j + 1] - w[j], ubar[j], ubar_x[j],
+                                       d_bar[j], f_bar[j], a2, theta, theta_1_5, c, e);
         out_v[j] = out;
-        out_w[j] = (base_w ? base_w[j] : wm) + c * dv;
-        if (out_u)
-            out_u[j] = um + e * out;
+        out_w[j] = wm + c * dv;
+        out_u[j] = um + e * out;
+    }
+}
+
+/* The corrector over `cells` cells, from the half-step values at their
+ * cells + 1 ends: v from base_v, w = base_w + c dv. */
+static CLONES void corrector(long cells, const double *restrict u, const double *restrict v,
+                             const double *restrict w, const double *restrict ubar,
+                             const double *restrict ubar_x, const double *restrict d_bar,
+                             const double *restrict f_bar, double a2, double theta,
+                             double theta_1_5, double c, double e,
+                             const double *restrict base_v, const double *restrict base_w,
+                             double *restrict out_v, double *restrict out_w)
+{
+    for (long j = 0; j < cells; j++) {
+        const double um = 0.5 * (u[j] + u[j + 1]);
+        const double vm = 0.5 * (v[j] + v[j + 1]);
+        const double wm = 0.5 * (w[j] + w[j + 1]);
+        const double dv = v[j + 1] - v[j];
+        out_v[j] = half_step_v(base_v[j], um, vm, wm, dv, w[j + 1] - w[j], ubar[j], ubar_x[j],
+                               d_bar[j], f_bar[j], a2, theta, theta_1_5, c, e);
+        out_w[j] = base_w[j] + c * dv;
+    }
+}
+
+/* u at t + dt over n nodes, u + half_dt (v + vn), and each node's terms of
+ * the new state's integrals: of k [(a^2 - m^2) u_x^2 + u_t^2] - 2 exp(-x/L)
+ * [m u_x^2 + u_t u_x], m = ubar + u, with a squared as a * a (E1), and of
+ * u^2 + u_t^2 + u_x^2 (H1), each times its trapezoid weight. */
+static CLONES void finish(long n, const double *restrict u, const double *restrict v,
+                          const double *restrict vn, const double *restrict wn,
+                          const double *restrict ubar, const double *restrict two_decay,
+                          const double *restrict weights, double k, double a_a, double half_dt,
+                          double *restrict un, double *restrict e1_terms,
+                          double *restrict h1_terms)
+{
+    for (long j = 0; j < n; j++) {
+        const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
+        const double m = ubar[j] + uj, w2 = wj * wj;
+        un[j] = uj;
+        e1_terms[j] = (k * ((a_a - m * m) * w2 + vj * vj) - two_decay[j] * (m * w2 + vj * wj))
+                      * weights[j];
+        h1_terms[j] = ((uj * uj + vj * vj) + w2) * weights[j];
     }
 }
 
@@ -219,16 +276,14 @@ static void lw_step(const lw_batch *batch, long i, long src, double dt, double b
     double *un = batch->states + (1 - src) * state + i * n, *vn = un + field, *wn = vn + field;
 
     /* predictor: provisional values at (x_{j+1/2}, t + dt/2) */
-    half_step(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
+    predictor(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
               batch->d_bar_m + i * (n - 1), batch->f_bar_m + i * (n - 1),
-              a2, theta, theta_1_5, dt / (2.0 * batch->dx), half_dt,
-              NULL, NULL, uh, vh, wh);
+              a2, theta, theta_1_5, dt / (2.0 * batch->dx), half_dt, uh, vh, wh);
 
     /* corrector at interior nodes, coefficients at the half-time level */
-    half_step(n - 2, uh, vh, wh, ubar + 1, ubar_x + 1,
+    corrector(n - 2, uh, vh, wh, ubar + 1, ubar_x + 1,
               batch->d_bar_i + i * (n - 2), batch->f_bar_i + i * (n - 2),
-              a2, theta, theta_1_5, dt / batch->dx, dt,
-              v + 1, w + 1, NULL, vn + 1, wn + 1);
+              a2, theta, theta_1_5, dt / batch->dx, dt, v + 1, w + 1, vn + 1, wn + 1);
 
     /* left boundary: feedback w = k v plus extrapolated outgoing characteristic */
     double c_out = a + (ubar[0] + u[0]);       /* - d / lambda_-, frozen at the boundary speed */
@@ -242,25 +297,23 @@ static void lw_step(const lw_batch *batch, long i, long src, double dt, double b
     vn[n - 1] = b_t;
     wn[n - 1] = (b_t - r) / c_out;
 
-    /* u at t + dt, then the new state's records: the integrals, summed from
-     * -0.0 so that an all -0.0 sum is np.cumsum's too, of k [(a^2 - m^2) u_x^2
-     * + u_t^2] - 2 exp(-x/L) [m u_x^2 + u_t u_x], m = ubar + u, with a squared
-     * as a * a (E1), and of u^2 + u_t^2 + u_x^2 (H1); max|u| for the guard,
-     * max|u_x|, max|u_t|, and max|m| for the next wave speed */
-    const double a_a = a * a, *weights = batch->weights;
+    /* u at t + dt and the integrals' terms, into the spent half step (3 (n - 1)
+     * >= 2 n values); then the new state's records in node order: the
+     * integrals, summed from -0.0 so that an all -0.0 sum is np.cumsum's
+     * too; max|u| for the guard, max|u_x|, max|u_t|, and max|m| for the next
+     * wave speed */
+    double *e1_terms = batch->half, *h1_terms = e1_terms + n;
+    finish(n, u, v, vn, wn, ubar, batch->two_decay, batch->weights, k, a * a, half_dt,
+           un, e1_terms, h1_terms);
     double e1 = -0.0, h1 = -0.0;
     double max_u = -1.0, max_ux = -1.0, max_ut = -1.0, max_m = -1.0;
     for (long j = 0; j < n; j++) {
-        const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
-        const double m = ubar[j] + uj, w2 = wj * wj;
-        un[j] = uj;
-        e1 += (k * ((a_a - m * m) * w2 + vj * vj) - batch->two_decay[j] * (m * w2 + vj * wj))
-              * weights[j];
-        h1 += ((uj * uj + vj * vj) + w2) * weights[j];
-        max_u = nan_max(max_u, magnitude(uj));
-        max_ux = nan_max(max_ux, magnitude(wj));
-        max_ut = nan_max(max_ut, magnitude(vj));
-        max_m = nan_max(max_m, magnitude(m));
+        e1 += e1_terms[j];
+        h1 += h1_terms[j];
+        max_u = nan_max(max_u, __builtin_fabs(un[j]));
+        max_ux = nan_max(max_ux, __builtin_fabs(wn[j]));
+        max_ut = nan_max(max_ut, __builtin_fabs(vn[j]));
+        max_m = nan_max(max_m, __builtin_fabs(ubar[j] + un[j]));
     }
     rec[R_MAX_U * stride] = max_u;
     rec[R_MAX_UX * stride] = max_ux;

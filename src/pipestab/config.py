@@ -50,7 +50,10 @@ SCHEMA: dict[str, tuple] = {
     "pipe.L": (float, 1.0, None, None),
     "pipe.a": (float, 1.0, None, None),
     "pipe.theta": (float, 0.0, None, None),
-    "feedback.k": (float, 2.0, None, None),
+    # the certificate's Cg holds a^2 k^2, and Python's k ** 2 raises OverflowError
+    # beyond k = 1.3e154: an overflow to +inf would make the certified bound vacuous
+    "feedback.k": (float, 2.0, "feedback.k <= 1e150 and feedback.k * pipe.a <= 1e150",
+                   lambda v: v["feedback.k"] <= 1e150 and v["feedback.k"] * v["pipe.a"] <= 1e150),
     "stationary.u0": (float, 0.25, "0 < stationary.u0 < pipe.a",
                       lambda v: 0 < v["stationary.u0"] < v["pipe.a"]),
     "disturbance.family": (str, "zero", None, None),

@@ -54,14 +54,16 @@ from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integ
 from .stationary import PipeParams, StationaryProfile, require
 
 
-# How _lw.c is compiled.  -ffp-contract=off, and no -march and no fast-math,
-# so that no a * b + c becomes a fused multiply-add and nothing is reordered:
-# each operation rounds as the NumPy ufunc or Python float operation that it
+# How _lw.c is compiled.  -ffp-contract=off, and no fast-math, so that no
+# a * b + c becomes a fused multiply-add and nothing is reordered: each
+# operation rounds as the NumPy ufunc or Python float operation that it
 # replaces does.  -fno-builtin, so that pow, exp, sin and cos are libm's, as
 # Python's ** and math functions call them: GCC would fold pow(x, 2.0) into
-# x * x, and a sin and cos of one argument into sincos.
+# x * x, and a sin and cos of one argument into sincos.  -O3 vectorises the
+# per-node loops, and no -march: the cache key does not name the CPU, so the
+# source picks the vector ISA itself, at load time (CLONES in _lw.c).
 _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
-            "-O2", "-std=c99", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+            "-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
 
 
 class _Batch(ctypes.Structure):
@@ -256,7 +258,7 @@ def lower_order_F(u, ux, ut, ubar, ubar_x, a, theta):
     F = F~(u+ubar, u_x+ubar_x, u_t)
         - [(a^2 - (ubar+u)^2)/(a^2 - ubar^2)] * F~(ubar, ubar_x, 0).
 
-    `half_step` in _lw.c computes F with these operations, in this order.
+    `half_step_v` in _lw.c computes F with these operations, in this order.
     """
     d_bar, f_bar = stationary_forcing(ubar, ubar_x, a, theta)
     m = ubar + u
@@ -340,7 +342,7 @@ class StepWork:
     `states` holds the (u, v, w) of two states, and `views` their (u, v,
     w) arrays: each step writes the state it does not read, so a failed
     step leaves the one it started from.  `half` holds one member's (u, v,
-    w) at t + dt/2.  `io` holds lw_advance's per-member values, one row per
+    w) at t + dt/2, then its nodes' terms of E1 and H1.  `io` holds lw_advance's per-member values, one row per
     name of IO, and `values` maps each name to its row; a member's slot
     starts as its batch row.  `taken` is the number of steps the last call
     of `step` took.

@@ -1,17 +1,25 @@
 """Building the compiled step: a missing compiler is an error of the verbs
-that step, and the cached library follows its C source.
+that step, the cached library follows its C source, and the loop's
+vectorised kernels give the baseline build's values bit for bit.
 
-Each test runs the package from a copy in tmp_path, whose __pycache__
-starts empty, in a fresh interpreter.
+The tests that run the command line run the package from a copy in
+tmp_path, whose __pycache__ starts empty, in a fresh interpreter.
 """
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from pipestab import dynamics
+from pipestab.disturbance import DisturbanceSpec
+from pipestab.stationary import PipeParams, build_stationary
 
 PACKAGE = Path(dynamics.__file__).resolve().parent
 
@@ -111,10 +119,12 @@ def test_unwritable_cache_builds_privately(tmp_path):
 
 def test_compile_flags_keep_numpy_rounding():
     # no fused multiply-add and no reordering, on any machine, and libm's
-    # pow, exp, sin and cos, as Python calls them
-    assert {"-O2", "-std=c99", "-ffp-contract=off", "-fno-builtin"} <= set(dynamics._COMPILE)
+    # pow, exp, sin and cos, as Python calls them; the vector ISA is chosen
+    # by the kernels' clones alone, at load time
+    assert {"-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin"} <= set(dynamics._COMPILE)
     assert not any(f.startswith("-march") or "fast-math" in f or f == "-Ofast"
                    for f in dynamics._COMPILE)
+    assert not any(f.startswith(("-mavx", "-mfma")) for f in dynamics._COMPILE)
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -124,3 +134,110 @@ def test_source_compiles_without_warnings(tmp_path):
                str(PACKAGE / "_lw.c"), "-lm"]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# the kernels of _lw.c, each with one per-node loop
+KERNELS = ("predictor", "corrector", "finish")
+CLONES = '#define CLONES __attribute__((target_clones("avx2", "default")))\n'
+
+
+def compiler_macros() -> set:
+    """The names the C compiler of dynamics._COMPILE predefines."""
+    proc = subprocess.run([*dynamics._COMPILE, "-dM", "-E", "-x", "c", os.devnull],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("#define ")}
+
+
+def is_gcc(macros: set) -> bool:
+    return "__GNUC__" in macros and "__clang__" not in macros
+
+
+def baseline_source(tmp_path: Path) -> Path:
+    """A copy of _lw.c whose kernels are built for the baseline ISA alone."""
+    source = (PACKAGE / "_lw.c").read_text()
+    assert source.count(CLONES) == 1       # else the copy would still be cloned
+    copy = tmp_path / "_lw_baseline.c"
+    copy.write_text(source.replace(CLONES, "#define CLONES\n"))
+    return copy
+
+
+def build(source: Path, target: Path, *flags) -> str:
+    """Compiles `source` as dynamics does; returns the compiler's diagnostics."""
+    proc = subprocess.run([*dynamics._COMPILE, *flags, "-o", str(target), str(source), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_kernels_stay_vectorised(tmp_path):
+    # control flow or possible aliasing in a kernel's loop stops GCC
+    # vectorising it: that fails here, not unseen in the run time
+    macros = compiler_macros()
+    if not is_gcc(macros):
+        pytest.skip("the compiler is not GCC, whose -fopt-info-vec reports are read here")
+    lines = (PACKAGE / "_lw.c").read_text().splitlines()
+    loops = {}          # kernel -> line number of its loop
+    for name in KERNELS:
+        head = next(i for i, line in enumerate(lines) if f" void {name}(" in line)
+        loops[name] = next(i for i in range(head, len(lines)) if "for (" in lines[i]) + 1
+
+    def widths(source: Path) -> dict:
+        """kernel -> the vector widths in bytes GCC reports its loop vectorised with."""
+        report = build(source, tmp_path / "_lw.so", "-fopt-info-vec-optimized")
+        found = {name: set() for name in KERNELS}
+        for match in re.finditer(r":(\d+):\d+: optimized: loop vectorized using (\d+) byte",
+                                 report):
+            for name, line in loops.items():
+                if int(match[1]) == line:
+                    found[name].add(int(match[2]))
+        return found
+
+    assert all(widths(baseline_source(tmp_path)).values())
+    if {"__x86_64__", "__linux__"} <= macros:       # where CLONES makes an AVX2 clone
+        assert all(32 in found for found in widths(PACKAGE / "_lw.c").values())
+
+
+def has_avx2() -> bool:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return any(line.startswith("flags") and "avx2" in line.split() for line in cpuinfo.splitlines())
+
+
+def test_baseline_build_equals_dispatched_build(tmp_path, monkeypatch):
+    # the AVX2 clones that this CPU runs give the baseline ISA's values
+    macros = compiler_macros()
+    if not (is_gcc(macros) and {"__x86_64__", "__linux__"} <= macros):
+        pytest.skip("the kernels are cloned only by GCC on x86-64 Linux")
+    if not has_avx2():
+        pytest.skip("this CPU has no AVX2, so the dispatched build runs the baseline clone")
+    library = tmp_path / "_lw_baseline.so"
+    build(baseline_source(tmp_path), library)
+
+    nx = 61         # n, n - 1 and n - 2 nodes leave remainders for every vector width
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    config = dynamics.SolverConfig(nx=nx, t_end=0.6, snapshot_dt=0.2)
+    members = []
+    for bump, amplitude, k in ((1e-3, 0.0, 4.0), (0.0, 1e-3, 2.5)):
+        params = PipeParams(L=1.0, a=2.0, theta=0.1, k=k)
+        phi, dphi = dynamics.bump_profile(xs, bump, 0.5, 0.2)
+        spec = DisturbanceSpec(family="decaying_burst", amplitude=amplitude, frequency=1.0,
+                               gamma=0.5, T_period=0.2, seed=3)
+        members.append(dynamics.Member(params, build_stationary(params, 0.3, xs), spec, config,
+                                       phi, -2.0 * dphi, dphi))
+    dispatched = dynamics.simulate_batch(members)
+    monkeypatch.setattr(dynamics, "_LW", dynamics._declare(ctypes.CDLL(str(library))))
+    baseline = dynamics.simulate_batch(members)
+
+    for got, want in zip(baseline, dispatched, strict=True):
+        assert len(want.times) > 50
+        assert got.times.tobytes() == want.times.tobytes()
+        for name in want.series:
+            assert got.series[name].tobytes() == want.series[name].tobytes(), name
+        for name in want.boundary:
+            assert got.boundary[name].tobytes() == want.boundary[name].tobytes(), name
+        for s1, s2 in zip(got.states, want.states, strict=True):
+            assert [x.tobytes() for x in (s1.u, s1.v, s1.w)] == [
+                x.tobytes() for x in (s2.u, s2.v, s2.w)]

@@ -248,6 +248,16 @@ class TestSweep:
         assert "error" in rows[1]
         assert "error" not in rows[2]
 
+    def test_overflowing_gain_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "feedback.k=4,1e308",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: invalid value for `feedback.k`" in rows[2]
+
     def test_non_finite_value_recorded_not_fatal(self, tmp_path):
         cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst"})
         out = tmp_path / "sweep.csv"
@@ -568,6 +578,8 @@ SNAPSHOTS_BEYOND_MEMORY = {"disturbance.T_period": 1e-8, "solver.t_end": 2e-8,
 @pytest.mark.parametrize("key,text", [
     pytest.param("solver.nx", "1" + "0" * 400, id="solver.nx-beyond-float-range"),
     ("solver.nx", "64.5"), ("pipe.L", "nan"), ("feedback.k", "-1"), ("disturbance.C_nu", "0"),
+    # finite, but the certificate's k ** 2 would overflow
+    pytest.param("feedback.k", "1e200", id="feedback.k-certificate-overflow"),
     # snapshots of 72.8 TiB: rejected before anything is allocated
     pytest.param("solver.nx", SNAPSHOTS_BEYOND_MEMORY, id="solver.nx-snapshots-beyond-memory"),
 ])
