@@ -19,6 +19,8 @@
  * as the Python and NumPy forms kept in tests/oracles.py and in
  * `lyapunov.energy_E1` and `h1_integrand`, whose sums `lyapunov._dot`
  * adds node after node, as here; so the results are equal bit for bit.
+ * The maxima alone are taken in another order, which gives the same
+ * result, as `maxima` says.
  * That holds only when the compiler neither contracts a * b + c into a
  * fused multiply-add nor reorders arithmetic, and calls libm's pow, exp,
  * sin and cos as Python's ** and math module do, instead of folding
@@ -26,14 +28,17 @@
  * -ffp-contract=off -fno-builtin and without -ffast-math.  The callers
  * check shapes, dtypes, contiguity and indices before they pass pointers.
  *
- * The three per-node loops of a step (`predictor`, `corrector`, `finish`)
- * are element-wise, branch-free and restrict-qualified, so that the
- * compiler vectorises them; the sums and maxima over the nodes are taken
- * in a serial loop after `finish`.  A vector lane adds, multiplies and
- * divides with the rounding of the scalar operation, so the vector width
- * changes no bit.  With GCC on x86-64 Linux each kernel is built twice,
- * for AVX2 and for the baseline ISA, and the loader picks the clone the
- * CPU runs (`CLONES`); the AVX2 target has no FMA, and contraction is off.
+ * The per-node kernels of a step (`predictor`, `corrector`, `finish` and
+ * `maxima`) are branch-free and restrict-qualified, so that the compiler
+ * vectorises them: the first three element-wise, `maxima` in independent
+ * lanes.  The E1 and H1 sums are added in a serial loop after `finish`, in
+ * node order; when the new state holds a NaN, the maxima are taken again
+ * in node order (`nan_maxima`), so that the same NaN comes out.  A vector
+ * lane adds, multiplies, divides and compares with the rounding of the
+ * scalar operation, so the vector width changes no bit.  With GCC on
+ * x86-64 Linux each kernel is built twice, for AVX2 and for the baseline
+ * ISA, and the loader picks the clone the CPU runs (`CLONES`); the AVX2
+ * target has no FMA, and contraction is off.
  */
 #include <math.h>
 #include <stddef.h>
@@ -86,12 +91,6 @@ typedef struct {
     const double *f_bar_i;
     double *records;            /* (8, runs, capacity): dynamics.RECORDS by slot and step */
 } lw_batch;
-
-/* The max of np.maximum.reduce: NaN as soon as one value is NaN. */
-static double nan_max(double top, double x)
-{
-    return (x > top || x != x) ? x : top;
-}
 
 /* Quintic smoothstep s(p) on [0, 1] and its first two derivatives: 0 with
  * flat derivatives for p <= 0, 1 with flat derivatives for p >= 1. */
@@ -258,6 +257,67 @@ static CLONES void finish(long n, const double *restrict u, const double *restri
     }
 }
 
+/* max|u|, max|u_x|, max|u_t| and max|ubar + u| over n >= 1 nodes, into
+ * top[0..3], where no value is NaN.  A maximum of magnitudes that are not
+ * NaN is the same in any order, and no smaller than +0.0, so each is taken
+ * in LANES independent lanes that start at +0.0, and the lanes are folded
+ * at the end; the tail of n % LANES nodes goes to lane 0.  The lane loop
+ * is the one the compiler vectorises; unrolled first, it would only be
+ * vectorised in part. */
+enum { LANES = 8 };
+static CLONES void maxima(long n, const double *restrict u, const double *restrict ux,
+                          const double *restrict ut, const double *restrict ubar,
+                          double *restrict top)
+{
+    double lane[4][LANES] = {{0.0}};
+    const long body = n - n % LANES;
+    for (long j = 0; j < body; j += LANES) {
+#pragma GCC unroll 1
+        for (long l = 0; l < LANES; l++) {
+            const double x0 = __builtin_fabs(u[j + l]), x1 = __builtin_fabs(ux[j + l]);
+            const double x2 = __builtin_fabs(ut[j + l]);
+            const double x3 = __builtin_fabs(ubar[j + l] + u[j + l]);
+            lane[0][l] = x0 > lane[0][l] ? x0 : lane[0][l];
+            lane[1][l] = x1 > lane[1][l] ? x1 : lane[1][l];
+            lane[2][l] = x2 > lane[2][l] ? x2 : lane[2][l];
+            lane[3][l] = x3 > lane[3][l] ? x3 : lane[3][l];
+        }
+    }
+    for (long j = body; j < n; j++) {
+        const double x0 = __builtin_fabs(u[j]), x1 = __builtin_fabs(ux[j]);
+        const double x2 = __builtin_fabs(ut[j]), x3 = __builtin_fabs(ubar[j] + u[j]);
+        lane[0][0] = x0 > lane[0][0] ? x0 : lane[0][0];
+        lane[1][0] = x1 > lane[1][0] ? x1 : lane[1][0];
+        lane[2][0] = x2 > lane[2][0] ? x2 : lane[2][0];
+        lane[3][0] = x3 > lane[3][0] ? x3 : lane[3][0];
+    }
+    for (long r = 0; r < 4; r++) {
+        top[r] = lane[r][0];
+        for (long l = 1; l < LANES; l++)
+            top[r] = lane[r][l] > top[r] ? lane[r][l] : top[r];
+    }
+}
+
+/* The max of np.maximum.reduce: NaN as soon as one value is NaN. */
+static double nan_max(double top, double x)
+{
+    return (x > top || x != x) ? x : top;
+}
+
+/* The maxima of `maxima` where a value may be NaN: taken in node order, so
+ * that the NaN the serial reduction gives is the one that comes out. */
+static void nan_maxima(long n, const double *u, const double *ux, const double *ut,
+                       const double *ubar, double *top)
+{
+    top[0] = top[1] = top[2] = top[3] = -1.0;
+    for (long j = 0; j < n; j++) {
+        top[0] = nan_max(top[0], __builtin_fabs(u[j]));
+        top[1] = nan_max(top[1], __builtin_fabs(ux[j]));
+        top[2] = nan_max(top[2], __builtin_fabs(ut[j]));
+        top[3] = nan_max(top[3], __builtin_fabs(ubar[j] + u[j]));
+    }
+}
+
 /* Member i's step of size dt from state src into the other, with the
  * boundary value b_t; writes the new state's max|u|, max|u_x|, max|u_t|, E1
  * and H1 to its records at rec, `stride` apart, and its max|ubar + u| to *top_m. */
@@ -298,29 +358,32 @@ static void lw_step(const lw_batch *batch, long i, long src, double dt, double b
     wn[n - 1] = (b_t - r) / c_out;
 
     /* u at t + dt and the integrals' terms, into the spent half step (3 (n - 1)
-     * >= 2 n values); then the new state's records in node order: the
-     * integrals, summed from -0.0 so that an all -0.0 sum is np.cumsum's
-     * too; max|u| for the guard, max|u_x|, max|u_t|, and max|m| for the next
+     * >= 2 n values); then the new state's records: the integrals, summed
+     * in node order from -0.0 so that an all -0.0 sum is np.cumsum's too;
+     * max|u| for the guard, max|u_x|, max|u_t|, and max|m| for the next
      * wave speed */
     double *e1_terms = batch->half, *h1_terms = e1_terms + n;
     finish(n, u, v, vn, wn, ubar, batch->two_decay, batch->weights, k, a * a, half_dt,
            un, e1_terms, h1_terms);
-    double e1 = -0.0, h1 = -0.0;
-    double max_u = -1.0, max_ux = -1.0, max_ut = -1.0, max_m = -1.0;
+    double e1 = -0.0, h1 = -0.0, top[4];
     for (long j = 0; j < n; j++) {
         e1 += e1_terms[j];
         h1 += h1_terms[j];
-        max_u = nan_max(max_u, __builtin_fabs(un[j]));
-        max_ux = nan_max(max_ux, __builtin_fabs(wn[j]));
-        max_ut = nan_max(max_ut, __builtin_fabs(vn[j]));
-        max_m = nan_max(max_m, __builtin_fabs(ubar[j] + un[j]));
     }
-    rec[R_MAX_U * stride] = max_u;
-    rec[R_MAX_UX * stride] = max_ux;
-    rec[R_MAX_UT * stride] = max_ut;
+    /* Each term of h1 is a sum of squares times a positive weight: never
+     * NaN, and never inf - inf in the sum, unless some u, v or w is NaN.  So
+     * h1 is NaN exactly when the new state holds a NaN (ubar is finite),
+     * and only then do the maxima depend on the nodes' order. */
+    if (h1 == h1)
+        maxima(n, un, wn, vn, ubar, top);
+    else
+        nan_maxima(n, un, wn, vn, ubar, top);
+    rec[R_MAX_U * stride] = top[0];
+    rec[R_MAX_UX * stride] = top[1];
+    rec[R_MAX_UT * stride] = top[2];
     rec[R_E1 * stride] = e1;
     rec[R_H1 * stride] = h1;
-    *top_m = max_m;
+    *top_m = top[3];
 }
 
 /* Steps the batch from state src, recording the first step at `index`;

@@ -61,7 +61,12 @@ SCHEMA: dict[str, tuple] = {
     "disturbance.f": (float, 1.0, None, None),
     "disturbance.gamma": (float, 1.0, None, None),
     "disturbance.nu": (float, 1.0, None, None),
-    "disturbance.C_nu": (float, 1.0, None, None),
+    # Cg is C_nu times (4/3) e a^2 k^2 plus a term below 1/(2e), which is 0 unless
+    # a^2 k^2 > 4/3; so this rule keeps Cg below 4e300, where a +inf would make the
+    # certified bound vacuous.  The feedback.k rule, checked first, keeps the square finite
+    "disturbance.C_nu": (float, 1.0, "disturbance.C_nu * (feedback.k * pipe.a) ** 2 <= 1e300",
+                         lambda v: v["disturbance.C_nu"] * (v["feedback.k"] * v["pipe.a"]) ** 2
+                         <= 1e300),
     "disturbance.T_period": (float, 1.0, None, None),
     "disturbance.seed": (int, 0, None, None),
     "initial.family": (str, "zero", "initial.family in {zero, bump}",

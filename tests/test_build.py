@@ -136,8 +136,8 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# the kernels of _lw.c, each with one per-node loop
-KERNELS = ("predictor", "corrector", "finish")
+# the kernels of _lw.c, each with the index of its vectorised loop among its `for` loops
+KERNELS = {"predictor": 0, "corrector": 0, "finish": 0, "maxima": 1}
 CLONES = '#define CLONES __attribute__((target_clones("avx2", "default")))\n'
 
 
@@ -178,9 +178,9 @@ def test_kernels_stay_vectorised(tmp_path):
         pytest.skip("the compiler is not GCC, whose -fopt-info-vec reports are read here")
     lines = (PACKAGE / "_lw.c").read_text().splitlines()
     loops = {}          # kernel -> line number of its loop
-    for name in KERNELS:
+    for name, nth in KERNELS.items():
         head = next(i for i, line in enumerate(lines) if f" void {name}(" in line)
-        loops[name] = next(i for i in range(head, len(lines)) if "for (" in lines[i]) + 1
+        loops[name] = [i for i in range(head, len(lines)) if "for (" in lines[i]][nth] + 1
 
     def widths(source: Path) -> dict:
         """kernel -> the vector widths in bytes GCC reports its loop vectorised with."""
@@ -206,8 +206,34 @@ def has_avx2() -> bool:
     return any(line.startswith("flags") and "avx2" in line.split() for line in cpuinfo.splitlines())
 
 
+def nan_step(members: list) -> list:
+    """The bytes of one step of `members` from their initial data, with NaNs
+    put in u and w of each member after its wave speed is taken, in the
+    maxima kernel's lanes for member 0 and in its tail for member 1: the
+    records, io and the state that the failed step wrote.  The NaNs are
+    np.nan alike: where two NaNs meet in one operation, the one that comes
+    out follows the operand order of the instruction, which the AVX2 and
+    baseline forms may differ in."""
+    xs = members[0].profile.xs
+    terms = dynamics.profile_terms([(m.profile, m.params) for m in members])
+    state = dynamics.FieldState([0.0] * len(members), xs,
+                                *(np.array([m[f] for m in members]) for f in (4, 5, 6)))
+    work = dynamics.StepWork(state)
+    never = [np.inf] * len(members)
+    work.load([m.disturbance for m in members], speed=dynamics.wave_speed(terms, state),
+              guard=[1.0] * len(members), cfl_dx=[0.45 * (xs[1] - xs[0])] * len(members),
+              t_snap=never, t_end=never)
+    for row, node in enumerate((20, len(xs) - 4)):
+        state.u[row, node] = state.w[row, node + 1] = np.nan
+    records = np.zeros((len(dynamics.RECORDS), len(members), 2))
+    with pytest.raises(dynamics.BlowUpError, match="max[|]u[|] = nan "):
+        dynamics.step(state, terms, work, records, 1)
+    return [records.tobytes(), work.io.tobytes(), work.states[1].tobytes()]
+
+
 def test_baseline_build_equals_dispatched_build(tmp_path, monkeypatch):
-    # the AVX2 clones that this CPU runs give the baseline ISA's values
+    # the AVX2 clones that this CPU runs give the baseline ISA's values, and
+    # so does the serial rescan of a step that makes a NaN
     macros = compiler_macros()
     if not (is_gcc(macros) and {"__x86_64__", "__linux__"} <= macros):
         pytest.skip("the kernels are cloned only by GCC on x86-64 Linux")
@@ -227,9 +253,10 @@ def test_baseline_build_equals_dispatched_build(tmp_path, monkeypatch):
                                gamma=0.5, T_period=0.2, seed=3)
         members.append(dynamics.Member(params, build_stationary(params, 0.3, xs), spec, config,
                                        phi, -2.0 * dphi, dphi))
-    dispatched = dynamics.simulate_batch(members)
+    dispatched, dispatched_nan = dynamics.simulate_batch(members), nan_step(members)
     monkeypatch.setattr(dynamics, "_LW", dynamics._declare(ctypes.CDLL(str(library))))
     baseline = dynamics.simulate_batch(members)
+    assert nan_step(members) == dispatched_nan
 
     for got, want in zip(baseline, dispatched, strict=True):
         assert len(want.times) > 50

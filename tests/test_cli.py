@@ -258,6 +258,16 @@ class TestSweep:
         assert "error" not in rows[1]
         assert "error: invalid value for `feedback.k`" in rows[2]
 
+    def test_overflowing_envelope_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", "disturbance.C_nu=1e-6,1e307",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: invalid value for `disturbance.C_nu`" in rows[2]
+
     def test_non_finite_value_recorded_not_fatal(self, tmp_path):
         cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst"})
         out = tmp_path / "sweep.csv"
@@ -580,6 +590,8 @@ SNAPSHOTS_BEYOND_MEMORY = {"disturbance.T_period": 1e-8, "solver.t_end": 2e-8,
     ("solver.nx", "64.5"), ("pipe.L", "nan"), ("feedback.k", "-1"), ("disturbance.C_nu", "0"),
     # finite, but the certificate's k ** 2 would overflow
     pytest.param("feedback.k", "1e200", id="feedback.k-certificate-overflow"),
+    # finite, but the certificate's Cg = ... * C_nu would overflow to +inf
+    pytest.param("disturbance.C_nu", "1e307", id="disturbance.C_nu-certificate-overflow"),
     # snapshots of 72.8 TiB: rejected before anything is allocated
     pytest.param("solver.nx", SNAPSHOTS_BEYOND_MEMORY, id="solver.nx-snapshots-beyond-memory"),
 ])

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pipestab.certificate import compute_constants
 from pipestab.config import (MAX_SNAPSHOT_CELLS, MAX_SNAPSHOTS, MAX_STEPS, SCHEMA, ConfigError,
                              ScenarioConfig)
 
@@ -155,6 +156,23 @@ class TestLibraryCallers:
     def test_numbers_are_stored_as_their_key_type(self):
         cfg = ScenarioConfig({"pipe.a": 2, "disturbance.seed": np.uint64(3)})
         assert type(cfg["pipe.a"]) is float and type(cfg["disturbance.seed"]) is int
+
+    @given(st.floats(1e-3, 1e4), st.floats(1e-3, 1e160), st.floats(1e-300, 1e308))
+    @example(2.0, 4.0, 1e300 / 64)         # on the bound
+    @example(2.0, 4.0, 1e307)              # finite, but Cg overflows
+    @example(1e4, 1e146, 1e-8)             # k a on the feedback.k bound
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_config_has_a_finite_cg(self, a, k, C_nu):
+        # an infinite Cg would make the certified bound vacuous: the rules on
+        # feedback.k and disturbance.C_nu reject every config that gives one
+        try:
+            cfg = ScenarioConfig({"pipe.a": a, "feedback.k": k, "disturbance.C_nu": C_nu,
+                                  "stationary.u0": a / 4, "solver.nx": 16, "solver.t_end": 2.0})
+        except ConfigError as exc:
+            assert "`feedback.k`" in str(exc) or "`disturbance.C_nu`" in str(exc)
+            return
+        constants = compute_constants(cfg.pipe_params(), 0.6, 1.0, C_nu)
+        assert math.isfinite(constants.Cg)
 
 
 # any value of any type a caller may pass: floats (NaN, infinities, subnormals

@@ -867,6 +867,40 @@ MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0
                            st.floats(0.05, 0.3))
 
 
+def serial_max(values) -> float:
+    """The max of |x| over `values` as _lw.c's nan_max takes it, in node order
+    from -1.0: NaN as soon as one value is NaN, and then the last NaN."""
+    top = -1.0
+    for x in values.tolist():
+        if abs(x) > top or x != x:
+            top = abs(x)
+    return top
+
+
+def quiet_nan(payload: int) -> float:
+    """A quiet NaN that carries `payload`, so that which NaN comes out shows."""
+    return float(np.array(0x7FF8000000000000 | payload, dtype=np.uint64).view(np.float64))
+
+
+def load_two(work, terms, state, rng):
+    """Loads two members: drawn disturbances, guard 1e3, half the CFL step, no
+    snapshot time or t_end, and the wave speeds of `state`."""
+    never = [math.inf] * 2
+    work.load(disturbances(rng, 2), speed=wave_speed(terms, state), guard=[1e3] * 2,
+              cfl_dx=[0.5 * (state.xs[1] - state.xs[0])] * 2, t_snap=never, t_end=never)
+
+
+def stepped_maxima(work, records, terms, row) -> tuple:
+    """The recorded max|u|, max|u_x|, max|u_t| and max|ubar + u| of `row` after
+    a call of `step` from index 1 whose state was not one of work's, and
+    serial_max of the state that the step wrote; each as float64 bytes."""
+    u, v, w = (x[row] for x in work.views[1])
+    got = [*records[[RECORDS.index(name) for name in ("max_u", "max_ux", "max_ut")], row, 1],
+           work.values["top"][row]]
+    want = [serial_max(x) for x in (u, w, v, terms.ubar[row] + u)]
+    return np.array(got).tobytes(), np.array(want).tobytes()
+
+
 class TestCompiledStep:
     """The compiled loop gives what the NumPy step gave, step by step, bit for bit."""
 
@@ -974,6 +1008,62 @@ class TestCompiledStep:
         assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
         assert "max|u| = nan" in str(compiled.value)
         assert_same_state(state, before)
+
+    # nx = 60: the maxima kernel's 8 lanes take nodes 0-55 and its tail 56-60
+    @pytest.mark.parametrize("node", [20, 57], ids=["body", "tail"])
+    def test_nan_maxima_are_taken_in_node_order(self, node):
+        # a NaN in the new state makes the step take its maxima again in node
+        # order: the member fails its guard at that step, and the records hold
+        # the NaN that the serial maximum gives, the last one, not the first
+        physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
+        terms, _, state, (work, _), rng = compiled_setup(physics, 60, 7, 1e-3)
+        load_two(work, terms, state, rng)
+        state.u[1, node], state.w[1, node + 1] = quiet_nan(5), quiet_nan(9)
+        records = records_of(2, 2)
+        with pytest.raises(BlowUpError) as failed:
+            step(state, terms, work, records, 1)
+        assert list(failed.value.failed) == [1]
+        assert str(failed.value).startswith("max|u| = nan ")
+        assert f"at t={records[0, 1, 1]:.6g};" in str(failed.value)
+        for row in (0, 1):
+            got, want = stepped_maxima(work, records, terms, row)
+            assert got == want
+        # the NaNs lie in the part of the nodes named, and differ
+        where = np.isnan(np.array(work.views[1])[:, 1]).nonzero()[1]
+        assert (where < 56).all() if node < 56 else (where >= 56).all()
+        u = work.views[1][0][1]
+        nans = np.abs(u[np.isnan(u)])
+        assert nans[-1].tobytes() != nans[0].tobytes()
+
+    def test_infinite_maxima_without_nan(self):
+        # each member's boundary closure divides by zero: the left one of member
+        # 0 makes u, v and w -inf at x = 0, and it fails its guard; the right
+        # one of member 1 makes w +inf at x = L.  No NaN, so the lanes'
+        # maxima stand, and are the serial ones
+        physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
+        terms, _, state, (work, _), rng = compiled_setup(physics, 60, 7, 1e-3)
+        (a0, k0), a1 = physics[0][:2], physics[1][0]
+        ubar_0, ubar_1 = terms.ubar[0, 0], terms.ubar[1, -1]
+        u0, u1 = -1.0 / k0 - a0 - ubar_0, a1 - ubar_1
+        while 1.0 + k0 * (a0 + (ubar_0 + u0)) != 0.0:      # 1 + k c_out at x = 0
+            u0 = math.nextafter(u0, math.inf)
+        while a1 - (ubar_1 + u1) != 0.0:                    # c_out at x = L
+            u1 = math.nextafter(u1, math.inf)
+        state.u[0, 0], state.u[1, -1] = u0, u1
+        load_two(work, terms, state, rng)
+        records = records_of(2, 2)
+        with pytest.raises(BlowUpError, match=r"^max\|u\| = inf ") as failed:
+            step(state, terms, work, records, 1)
+        assert list(failed.value.failed) == [0]
+        new = np.array(work.views[1])
+        assert not np.isnan(new).any()
+        assert [np.isinf(x[0]).nonzero()[0].tolist() for x in new] == [[0]] * 3
+        assert [x.tolist() for x in np.isinf(new[:, 1]).nonzero()] == [[2], [60]]
+        assert (new[0, 0, 0], new[2, 1, 60]) == (-math.inf, math.inf)
+        for row in (0, 1):
+            got, want = stepped_maxima(work, records, terms, row)
+            assert got == want
+        assert records[RECORDS.index("max_ux"), :, 1].tolist() == [math.inf] * 2
 
 
 class TestSnapshotsOwnTheirArrays:
