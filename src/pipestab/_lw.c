@@ -39,9 +39,26 @@
  * x86-64 Linux each kernel is built twice, for AVX2 and for the baseline
  * ISA, and the loader picks the clone the CPU runs (`CLONES`); the AVX2
  * target has no FMA, and contraction is off.
+ *
+ * A batch with `threads` = 2 splits each member's step at node m = `split`
+ * between the calling thread, which takes nodes [0, m), and one helper
+ * thread, which takes [m, n); lw_advance starts the helper and joins it
+ * before it returns, so no thread outlives a call.  Each part runs the
+ * same kernels on its own nodes and computes the cells its corrector
+ * reads, so the parts need no barrier between predictor and corrector.
+ * The caller sums its nodes' terms from -0.0 and hands over its partial
+ * sums; the helper adds its nodes' terms to them, so each sum keeps node
+ * order.  The maxima of the two parts are folded, which is exact; the
+ * NaN rescan reads the whole member.  Only the caller writes records,
+ * tests the guard and decides to stop.  So a split step gives the bits of
+ * an unsplit one.
  */
+#define _GNU_SOURCE     /* pthreads, sched_yield and CPU affinity, under -std=c99 */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
+#include <stdlib.h>
 
 /* The rows of io, as dynamics.IO names them: each member's loop state, the
  * outcome of a step it failed, its slot, then its disturbance. */
@@ -73,10 +90,12 @@ typedef struct {
     long n;                     /* grid nodes per member */
     long runs;                  /* slots of the records */
     long capacity;              /* steps the records hold */
+    long threads;               /* 2: split each member's step at node `split` */
+    long split;                 /* m, with 3 <= m <= n - 3 */
     double dx;
     double *states;             /* (2, 3, B, n): u, v, w of the two states */
-    double *half;               /* (3, n - 1): u, v, w at t + dt/2 of one member,
-                                   then its integrals' terms */
+    double *half;               /* one member's u, v, w at t + dt/2 on the cells,
+                                   and its nodes' terms of E1 and H1: see lw_part */
     double *io;                 /* (rows of dynamics.IO, B) */
     const double *weights;      /* (n,): the trapezoid weights */
     const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
@@ -318,15 +337,33 @@ static void nan_maxima(long n, const double *u, const double *ux, const double *
     }
 }
 
-/* Member i's step of size dt from state src into the other, with the
- * boundary value b_t; writes the new state's max|u|, max|u_x|, max|u_t|, E1
- * and H1 to its records at rec, `stride` apart, and its max|ubar + u| to *top_m. */
-static void lw_step(const lw_batch *batch, long i, long src, double dt, double b_t,
-                    double *rec, long stride, double *top_m)
+/* Nodes [lo, hi) of member i's step from state src into the other, the
+ * step recorded at `step`: its time step is io's DT and its boundary value
+ * b_t its record's.  Computes the predictor on the cells that these
+ * nodes' corrector reads, the corrector, the boundary closures at the
+ * ends of the grid in [lo, hi), and u at t + dt and the nodes' terms of
+ * the integrals.
+ *
+ * half holds three rows of cells, u, v and w, and then the terms: those
+ * of E1 of node j at j, of H1 at n + j, where the step no longer reads.
+ * With one thread its rows are n - 1 long.  With two they are n long, and
+ * a part with lo > 0 computes the cell lo - 1 itself, which the part
+ * before computes too, and keeps cell c at c + 1 of its row: so each part
+ * keeps its cells and its nodes' terms at [lo, hi) of rows u and v, and
+ * the two parts write no value in common, nor one the other reads. */
+static void lw_part(const lw_batch *batch, long i, long src, long step, long lo, long hi)
 {
     const long B = batch->members, n = batch->n;
-    const long field = B * n, state = 3 * field;
-    double *uh = batch->half, *vh = uh + (n - 1), *wh = vh + (n - 1);
+    const long field = B * n, state = 3 * field, stride = batch->runs * batch->capacity;
+    const double dt = batch->io[DT * B + i];
+    const double b_t = batch->records[(long)batch->io[SLOT * B + i] * batch->capacity + step
+                                      + R_B_T * stride];
+    const long shift = lo > 0;
+    const long c0 = lo - shift, c1 = hi < n ? hi : n - 1;          /* cells [c0, c1) */
+    const long j0 = lo > 1 ? lo : 1, j1 = hi < n - 1 ? hi : n - 1;  /* interior nodes [j0, j1) */
+    const long row = batch->threads == 2 ? n : n - 1;
+    double *uh = batch->half + shift, *vh = uh + row, *wh = vh + row;
+    double *e1_terms = batch->half, *h1_terms = e1_terms + n;
     const double *coef = batch->coefficients + i;
     const double a = coef[0], a2 = coef[B], k = coef[2 * B];
     const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
@@ -336,67 +373,197 @@ static void lw_step(const lw_batch *batch, long i, long src, double dt, double b
     double *un = batch->states + (1 - src) * state + i * n, *vn = un + field, *wn = vn + field;
 
     /* predictor: provisional values at (x_{j+1/2}, t + dt/2) */
-    predictor(n - 1, u, v, w, batch->ubar_m + i * (n - 1), batch->ubarx_m + i * (n - 1),
-              batch->d_bar_m + i * (n - 1), batch->f_bar_m + i * (n - 1),
-              a2, theta, theta_1_5, dt / (2.0 * batch->dx), half_dt, uh, vh, wh);
+    const long mid = i * (n - 1) + c0;
+    predictor(c1 - c0, u + c0, v + c0, w + c0, batch->ubar_m + mid, batch->ubarx_m + mid,
+              batch->d_bar_m + mid, batch->f_bar_m + mid, a2, theta, theta_1_5,
+              dt / (2.0 * batch->dx), half_dt, uh + c0, vh + c0, wh + c0);
 
     /* corrector at interior nodes, coefficients at the half-time level */
-    corrector(n - 2, uh, vh, wh, ubar + 1, ubar_x + 1,
-              batch->d_bar_i + i * (n - 2), batch->f_bar_i + i * (n - 2),
-              a2, theta, theta_1_5, dt / batch->dx, dt, v + 1, w + 1, vn + 1, wn + 1);
+    const long inner = i * (n - 2) + j0 - 1;
+    corrector(j1 - j0, uh + j0 - 1, vh + j0 - 1, wh + j0 - 1, ubar + j0, ubar_x + j0,
+              batch->d_bar_i + inner, batch->f_bar_i + inner, a2, theta, theta_1_5,
+              dt / batch->dx, dt, v + j0, w + j0, vn + j0, wn + j0);
 
-    /* left boundary: feedback w = k v plus extrapolated outgoing characteristic */
-    double c_out = a + (ubar[0] + u[0]);       /* - d / lambda_-, frozen at the boundary speed */
-    double r = 2.0 * (vn[1] + c_out * wn[1]) - (vn[2] + c_out * wn[2]);
-    vn[0] = r / (1.0 + k * c_out);
-    wn[0] = k * vn[0];
+    double c_out, r;
+    if (lo == 0) {
+        /* left boundary: feedback w = k v plus extrapolated outgoing characteristic */
+        c_out = a + (ubar[0] + u[0]);       /* - d / lambda_-, frozen at the boundary speed */
+        r = 2.0 * (vn[1] + c_out * wn[1]) - (vn[2] + c_out * wn[2]);
+        vn[0] = r / (1.0 + k * c_out);
+        wn[0] = k * vn[0];
+    }
+    if (hi == n) {
+        /* right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic */
+        c_out = a - (ubar[n - 1] + u[n - 1]);      /* d / lambda_+, frozen at the boundary speed */
+        r = 2.0 * (vn[n - 2] - c_out * wn[n - 2]) - (vn[n - 3] - c_out * wn[n - 3]);
+        vn[n - 1] = b_t;
+        wn[n - 1] = (b_t - r) / c_out;
+    }
 
-    /* right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic */
-    c_out = a - (ubar[n - 1] + u[n - 1]);      /* d / lambda_+, frozen at the boundary speed */
-    r = 2.0 * (vn[n - 2] - c_out * wn[n - 2]) - (vn[n - 3] - c_out * wn[n - 3]);
-    vn[n - 1] = b_t;
-    wn[n - 1] = (b_t - r) / c_out;
+    finish(hi - lo, u + lo, v + lo, vn + lo, wn + lo, ubar + lo, batch->two_decay + lo,
+           batch->weights + lo, k, a * a, half_dt, un + lo, e1_terms + lo, h1_terms + lo);
+}
 
-    /* u at t + dt and the integrals' terms, into the spent half step (3 (n - 1)
-     * >= 2 n values); then the new state's records: the integrals, summed
-     * in node order from -0.0 so that an all -0.0 sum is np.cumsum's too;
-     * max|u| for the guard, max|u_x|, max|u_t|, and max|m| for the next
-     * wave speed */
-    double *e1_terms = batch->half, *h1_terms = e1_terms + n;
-    finish(n, u, v, vn, wn, ubar, batch->two_decay, batch->weights, k, a * a, half_dt,
-           un, e1_terms, h1_terms);
-    double e1 = -0.0, h1 = -0.0, top[4];
-    for (long j = 0; j < n; j++) {
+/* max|u|, max|u_x|, max|u_t| and max|ubar + u| over nodes [lo, hi) of member
+ * i's new state, the one that the step from state src wrote, into top,
+ * where no value is NaN. */
+static void part_maxima(const lw_batch *batch, long i, long src, long lo, long hi, double *top)
+{
+    const long n = batch->n, field = batch->members * n;
+    const double *un = batch->states + (1 - src) * 3 * field + i * n + lo;
+    maxima(hi - lo, un, un + 2 * field, un + field, batch->ubar + i * n + lo, top);
+}
+
+/* Adds the E1 and H1 terms of nodes [lo, hi), node after node, to sums[0]
+ * and sums[1]: the sums of a step start from -0.0, so that an all -0.0
+ * sum is np.cumsum's too. */
+static void add_terms(const lw_batch *batch, long lo, long hi, double *sums)
+{
+    const double *e1_terms = batch->half, *h1_terms = e1_terms + batch->n;
+    double e1 = sums[0], h1 = sums[1];
+    for (long j = lo; j < hi; j++) {
         e1 += e1_terms[j];
         h1 += h1_terms[j];
     }
-    /* Each term of h1 is a sum of squares times a positive weight: never
-     * NaN, and never inf - inf in the sum, unless some u, v or w is NaN.  So
-     * h1 is NaN exactly when the new state holds a NaN (ubar is finite),
-     * and only then do the maxima depend on the nodes' order. */
-    if (h1 == h1)
-        maxima(n, un, wn, vn, ubar, top);
-    else
-        nan_maxima(n, un, wn, vn, ubar, top);
+    sums[0] = e1;
+    sums[1] = h1;
+}
+
+/* What a step leaves of one member for its records: the E1 and H1 sums,
+ * then max|u|, max|u_x|, max|u_t| and max|ubar + u| of nodes [0, m), then
+ * those of [m, n) when the step is split. */
+enum { E1_SUM, H1_SUM, TOP_0, TOP_1 = TOP_0 + 4, SHARE = TOP_1 + 4 };
+
+/* Writes member i's records of the step at `step` from what its parts left
+ * in x, and its max|ubar + u| to io's TOP.  Each term of h1 is a sum of
+ * squares times a positive weight: never NaN, and never inf - inf in the
+ * sum, unless some u, v or w is NaN.  So h1 is NaN exactly when the new
+ * state holds a NaN (ubar is finite), and only then do the maxima depend
+ * on the nodes' order: then they are taken again, in node order. */
+static void record(const lw_batch *batch, long i, long src, long step, double *x)
+{
+    const long B = batch->members, n = batch->n, stride = batch->runs * batch->capacity;
+    const long field = B * n, dst = (1 - src) * 3 * field + i * n;
+    double *rec = batch->records + (long)batch->io[SLOT * B + i] * batch->capacity + step;
+    double *top = x + TOP_0;
+    if (!(x[H1_SUM] == x[H1_SUM]))
+        nan_maxima(n, batch->states + dst, batch->states + dst + 2 * field,
+                   batch->states + dst + field, batch->ubar + i * n, top);
     rec[R_MAX_U * stride] = top[0];
     rec[R_MAX_UX * stride] = top[1];
     rec[R_MAX_UT * stride] = top[2];
-    rec[R_E1 * stride] = e1;
-    rec[R_H1 * stride] = h1;
-    *top_m = top[3];
+    rec[R_E1 * stride] = x[E1_SUM];
+    rec[R_H1 * stride] = x[H1_SUM];
+    batch->io[TOP * B + i] = top[3];
 }
 
-/* Steps the batch from state src, recording the first step at `index`;
- * returns the steps it took, 0 when the first fails. */
-long lw_advance(const lw_batch *batch, long src, long index)
+/* What the two threads of split steps share.  Each counter only grows,
+ * and one thread writes it: the caller counts the steps it started in
+ * `go`, and the members whose nodes [0, m) it summed in `partials`; the
+ * helper counts the members whose steps it finished in `done`, on a cache
+ * line of its own.  A value written before a counter is stored is seen by
+ * the thread that has loaded that count. */
+typedef struct {
+    const lw_batch *batch;
+    double *share;          /* (B, SHARE): each member's sums and maxima */
+    long src, step;         /* the state the step reads, and its record */
+    int quit;               /* set before the last `go`: the helper returns */
+#ifdef __linux__
+    int placed;             /* the helper was started on the others of `cpus` */
+    cpu_set_t cpus;         /* the CPUs the caller may run on */
+#endif
+    long go, partials;
+    char line[64];
+    long done;
+} lw_pair;
+
+/* Pauses that a wait spins for before it yields the CPU at each test. */
+enum { SPINS = 1024 };
+
+static void publish(long *counter, long count)
 {
-    const long B = batch->members, capacity = batch->capacity, stride = batch->runs * capacity;
+    __atomic_store_n(counter, count, __ATOMIC_RELEASE);
+}
+
+static void wait_for(long *counter, long count)
+{
+    for (long spin = 0; __atomic_load_n(counter, __ATOMIC_ACQUIRE) < count; spin++) {
+        if (spin >= SPINS)
+            sched_yield();
+#if defined(__x86_64__) || defined(__i386__)
+        else
+            __builtin_ia32_pause();
+#endif
+    }
+}
+
+/* The helper thread: nodes [m, n) of each member of each step the caller
+ * starts, their sums continued from the caller's sums of [0, m), so that
+ * each sum keeps node order. */
+static void *helper(void *arg)
+{
+    lw_pair *pair = arg;
+    const lw_batch *batch = pair->batch;
+    const long B = batch->members, n = batch->n, m = batch->split;
+#ifdef __linux__
+    if (pair->placed)
+        pthread_setaffinity_np(pthread_self(), sizeof pair->cpus, &pair->cpus);
+#endif
+    for (long started = 1, done = 0;; started++) {
+        wait_for(&pair->go, started);
+        if (pair->quit)
+            return NULL;
+        for (long i = 0; i < B; i++) {
+            double *x = pair->share + SHARE * i;
+            lw_part(batch, i, pair->src, pair->step, m, n);
+            part_maxima(batch, i, pair->src, m, n, x + TOP_1);
+            wait_for(&pair->partials, ++done);
+            add_terms(batch, m, n, x);
+            publish(&pair->done, done);
+        }
+    }
+}
+
+/* Starts the helper thread.  On Linux, where this thread may run on more
+ * than one CPU, on another CPU than this thread's: a new thread starts on
+ * its creator's CPU, and the scheduler took up to a second to move it
+ * while both threads spun there.  Once running, the helper takes this
+ * thread's CPUs, so that the scheduler may move it as any other thread. */
+static int start_helper(pthread_t *thread, lw_pair *pair)
+{
+#ifdef __linux__
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr) != 0)
+        return 0;
+    const int here = sched_getcpu();
+    if (here >= 0 && sched_getaffinity(0, sizeof pair->cpus, &pair->cpus) == 0
+        && CPU_COUNT(&pair->cpus) > 1 && CPU_ISSET(here, &pair->cpus)) {
+        cpu_set_t other = pair->cpus;
+        CPU_CLR(here, &other);
+        pair->placed = pthread_attr_setaffinity_np(&attr, sizeof other, &other) == 0;
+    }
+    const int started = pthread_create(thread, &attr, helper, pair) == 0;
+    pthread_attr_destroy(&attr);
+    return started;
+#else
+    return pthread_create(thread, NULL, helper, pair) == 0;
+#endif
+}
+
+/* The steps of lw_advance; with `pair`, each member's step is split at
+ * node m between this thread, which takes [0, m), and the helper. */
+static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
+{
+    const long B = batch->members, n = batch->n, capacity = batch->capacity;
+    const long stride = batch->runs * capacity, m = pair ? batch->split : n;
     double *io = batch->io;
     double *t = io + T * B, *dt = io + DT * B, *speed = io + SPEED * B, *top = io + TOP * B;
     double *status = io + STATUS * B, *value = io + VALUE * B, *at = io + AT * B;
     const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
     const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B, *slot = io + SLOT * B;
     const double *a = batch->coefficients;
+    double own[SHARE];
+    long partials = 0;
 
     for (long i = 0; i < B; i++)
         status[i] = RUNNING;
@@ -425,7 +592,34 @@ long lw_advance(const lw_batch *batch, long src, long index)
             disturbance(io + DISTURBANCE * B + i, B, rec[R_T * stride], b);
             rec[R_B * stride] = b[0];
             rec[R_B_T * stride] = b[1];
-            lw_step(batch, i, src, dt[i], b[1], rec, stride, top + i);
+        }
+        if (pair) {
+            pair->src = src;
+            pair->step = step;
+            publish(&pair->go, pair->go + 1);
+        }
+        for (long i = 0; i < B; i++) {
+            double *x = pair ? pair->share + SHARE * i : own;
+            x[E1_SUM] = x[H1_SUM] = -0.0;
+            lw_part(batch, i, src, step, 0, m);
+            add_terms(batch, 0, m, x);
+            if (pair)
+                publish(&pair->partials, ++partials);
+            part_maxima(batch, i, src, 0, m, x + TOP_0);
+            if (!pair)
+                record(batch, i, src, step, x);
+        }
+        if (pair) {
+            wait_for(&pair->done, partials);
+            for (long i = 0; i < B; i++) {      /* the maxima of both parts: exact in any order */
+                double *x = pair->share + SHARE * i;
+                for (long r = 0; r < 4; r++)
+                    x[TOP_0 + r] = x[TOP_1 + r] > x[TOP_0 + r] ? x[TOP_1 + r] : x[TOP_0 + r];
+                record(batch, i, src, step, x);
+            }
+        }
+        for (long i = 0; i < B; i++) {
+            double *rec = batch->records + (long)slot[i] * capacity + step;
             if (!(rec[R_MAX_U * stride] <= guard[i])) {     /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
                 value[i] = rec[R_MAX_U * stride];
@@ -446,4 +640,26 @@ long lw_advance(const lw_batch *batch, long src, long index)
             return step + 1 - index;
     }
     return capacity - index;        /* the records are full */
+}
+
+/* Steps the batch from state src, recording the first step at `index`;
+ * returns the steps it took, 0 when the first fails.  With `threads` 2, a
+ * helper thread takes nodes [split, n) of each member's step, and is joined
+ * before the call returns; where it cannot be started, the steps run on
+ * this thread alone. */
+long lw_advance(const lw_batch *batch, long src, long index)
+{
+    lw_pair pair = {.batch = batch};
+    pthread_t thread;
+    int split = batch->threads == 2
+                && (pair.share = malloc(SHARE * batch->members * sizeof(double))) != NULL
+                && start_helper(&thread, &pair);
+    const long taken = advance(batch, src, index, split ? &pair : NULL);
+    if (split) {
+        pair.quit = 1;
+        publish(&pair.go, pair.go + 1);
+        pthread_join(thread, NULL);
+    }
+    free(pair.share);
+    return taken;
 }

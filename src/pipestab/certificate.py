@@ -152,6 +152,11 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
     if constants.delta <= 0:
         raise ValueError(
             f"decay certificate undefined: delta = nu - mu = {constants.delta:.6g} <= 0")
+    gap_term = constants.Cg / constants.delta
+    if not math.isfinite(gap_term):     # a bracket of inf would certify any run
+        raise ValueError(f"decay certificate vacuous: Cg / (nu - mu) overflows; "
+                         f"`disturbance.nu` = {constants.nu!r} lies too close above "
+                         f"mu = {constants.mu!r}")
     times = np.asarray(times, dtype=float)
     E_series = np.asarray(E_series, dtype=float)
     H_series = np.asarray(H_series, dtype=float)
@@ -161,7 +166,7 @@ def verify_decay_bounds(times, E_series, H_series, constants: TheoremConstants,
     first = np.searchsorted(times, T_period - 1e-12)
     times, E_series, H_series = times[first:], E_series[first:], H_series[first:]
 
-    bracket = E_Tp + constants.Cg / constants.delta
+    bracket = E_Tp + gap_term
     bound = np.subtract(times, T_period)
     multiply(-constants.mu, bound, bound)
     np.exp(bound, bound)

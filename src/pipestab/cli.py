@@ -113,11 +113,12 @@ def execute_run(cfg: ScenarioConfig):
     """Run one scenario end to end and return its certificate report.
 
     Writes the CSV and the text/JSON certificate reports to the
-    configured paths, which it checks first.
+    configured paths, which it checks first.  The simulation may use two
+    threads where this process may run on two CPUs (dynamics.simulate_batch).
     """
     _check_outputs(cfg)
     member = _member(cfg)
-    return _evaluate(cfg, member, simulate(*member))
+    return _evaluate(cfg, member, simulate(*member, threads=min(2, _usable_cpus())))
 
 
 def _usable_cpus() -> int:
@@ -146,6 +147,11 @@ def _shares(cfgs: list, cpus: int) -> list:
     return [batches[j::procs] for j in range(procs)]
 
 
+def _thread_budget(cpus: int, procs: int) -> int:
+    """The threads a batch may use in each of `procs` processes on `cpus` CPUs."""
+    return min(2, max(1, cpus // procs))
+
+
 def execute_runs(cfgs: list) -> list:
     """Run scenarios end to end, batching those that share a grid, on every CPU.
 
@@ -155,7 +161,9 @@ def execute_runs(cfgs: list) -> list:
     one batch is cut into the smallest multiple of P near-equal batches,
     and the batches are dealt round-robin into P shares: this process runs
     the first share, and one forked process per other share runs that
-    share, sends its results through a pipe and exits.
+    share, sends its results through a pipe and exits.  Each batch may use
+    _thread_budget(CPUs, P) threads (dynamics.simulate_batch); no thread
+    outlives a batch's step, so each fork copies a single-threaded process.
 
     Returns, per config, its report or the error (one of RUN_ERRORS)
     that ended that scenario; the others are not affected.  Raises
@@ -163,7 +171,9 @@ def execute_runs(cfgs: list) -> list:
     no worker outlives the call.
     """
     step_library()      # without it no batch can run: fail before any worker starts
-    shares = _shares(cfgs, _usable_cpus() if hasattr(os, "fork") else 1)
+    cpus = _usable_cpus()
+    shares = _shares(cfgs, cpus if hasattr(os, "fork") else 1)
+    threads = _thread_budget(cpus, len(shares))
     if len(shares) > 1:
         # imported only here: the import alone adds about 0.75 MB to the
         # peak RSS of a run that never forks
@@ -174,12 +184,12 @@ def execute_runs(cfgs: list) -> list:
     try:
         for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_run_share, args=(cfgs, share, sender))
+            worker = context.Process(target=_run_share, args=(cfgs, share, threads, sender))
             worker.start()
             sender.close()
             workers.append((worker, receiver, share))
         for ids in shares[0]:
-            _run_batch(cfgs, ids, results)
+            _run_batch(cfgs, ids, threads, results)
         for worker, receiver, share in workers:
             try:
                 for i, result in receiver.recv().items():
@@ -198,18 +208,19 @@ def execute_runs(cfgs: list) -> list:
     return results
 
 
-def _run_share(cfgs: list, share: list, sender):
+def _run_share(cfgs: list, share: list, threads: int, sender):
     """The body of a worker process: run the batches of `share` and send
     {index: report or error} through `sender`."""
     results = [None] * len(cfgs)
     for ids in share:
-        _run_batch(cfgs, ids, results)
+        _run_batch(cfgs, ids, threads, results)
     sender.send({i: results[i] for ids in share for i in ids})
     sender.close()
 
 
-def _run_batch(cfgs: list, ids: list, results: list):
-    """Simulate cfgs[i] for i in ids as one batch; store each result at i.
+def _run_batch(cfgs: list, ids: list, threads: int, results: list):
+    """Simulate cfgs[i] for i in ids as one batch on at most `threads`
+    threads; store each result at i.
 
     A function of its own, so that one batch's trajectories are freed
     before the next batch runs.  `execute_runs` calls it in this process
@@ -224,7 +235,7 @@ def _run_batch(cfgs: list, ids: list, results: list):
             results[i] = exc
     if not members:
         return
-    for (i, member), traj in zip(members.items(), simulate_batch(list(members.values()))):
+    for (i, member), traj in zip(members.items(), simulate_batch(list(members.values()), threads)):
         if isinstance(traj, Exception):
             results[i] = traj
             continue

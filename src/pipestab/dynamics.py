@@ -31,7 +31,10 @@ bit, and sums each integral node after node, in the order of
 `lyapunov._dot`.  The library is built when this module is imported,
 with the C compiler Python was built with, and cached in the package's
 `__pycache__`.  A StepWork built once per batch holds two states, which
-the steps write in turn.
+the steps write in turn.  Given two threads, a batch on a grid of at
+least SPLIT_NODES nodes splits each step between the calling thread and a
+helper thread that each call of the loop starts and joins, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -62,14 +65,22 @@ from .stationary import PipeParams, StationaryProfile, require
 # x * x, and a sin and cos of one argument into sincos.  -O3 vectorises the
 # per-node loops, and no -march: the cache key does not name the CPU, so the
 # source picks the vector ISA itself, at load time (CLONES in _lw.c).
+# -pthread for the helper thread of a split step.
 _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
-            "-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared"]
+            "-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin", "-pthread", "-fPIC",
+            "-shared"]
+
+# The fewest grid nodes (solver.nx + 1) at which a batch given two threads
+# splits each member's step between them: below it, the two threads' hand-off
+# per step costs more than half a step saves (see README, "Cost of a step").
+SPLIT_NODES = 641
 
 
 class _Batch(ctypes.Structure):
     """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
 
-    _fields_ = [(name, ctypes.c_long) for name in ("members", "n", "runs", "capacity")] + [
+    _fields_ = [(name, ctypes.c_long) for name in (
+        "members", "n", "runs", "capacity", "threads", "split")] + [
         ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
             "states", "half", "io", "weights", "two_decay", "coefficients", "ubar", "ubar_x",
@@ -342,19 +353,28 @@ class StepWork:
     `states` holds the (u, v, w) of two states, and `views` their (u, v,
     w) arrays: each step writes the state it does not read, so a failed
     step leaves the one it started from.  `half` holds one member's (u, v,
-    w) at t + dt/2, then its nodes' terms of E1 and H1.  `io` holds lw_advance's per-member values, one row per
-    name of IO, and `values` maps each name to its row; a member's slot
-    starts as its batch row.  `taken` is the number of steps the last call
-    of `step` took.
+    w) at t + dt/2 on the cells, then its nodes' terms of E1 and H1; with
+    two threads its rows are n long, so that each part has its own.  `io`
+    holds lw_advance's per-member values, one row per name of IO, and
+    `values` maps each name to its row; a member's slot starts as its batch
+    row.  `taken` is the number of steps the last call of `step` took.
+
+    With `threads` = 2, each call of lw_advance starts a helper thread and
+    joins it before it returns, and each member's step is split at node
+    `split` (n // 2 unless set before the first step): the calling thread
+    takes the nodes before it, the helper the rest.  Each part computes
+    the cells it reads, and the helper continues the integrals' sums from
+    the caller's, so the values are those of one thread bit for bit.
     """
 
-    def __init__(self, state: FieldState):
+    def __init__(self, state: FieldState, threads: int = 1):
         members, n = state.u.shape
         self.dx = float(state.xs[1] - state.xs[0])
         self.quad = Quadrature(state.xs)
         self.states = np.empty((2, 3, members, n))
         self.views = [tuple(fields) for fields in self.states]
-        self.half = np.empty((3, n - 1))
+        self.half = np.empty((3, n if threads == 2 else n - 1))
+        self.threads, self.split = threads, n // 2
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
         self.values["slot"][:] = range(members)
@@ -373,12 +393,14 @@ class StepWork:
         the first call with them; `step` sets the records' fields."""
         if terms is not self.terms:
             members, n = self.states.shape[2:]
+            if self.threads == 2 and not 3 <= self.split <= n - 3:
+                raise ValueError(f"a step of {n} nodes cannot be split at node {self.split}")
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
             self.batch = (step_library().lw_advance, _Batch(
-                members, n, 0, 0, self.dx, *(x.ctypes.data for x in (
+                members, n, 0, 0, self.threads, self.split, self.dx, *(x.ctypes.data for x in (
                     self.states, self.half, self.io, self.quad.weights, self.quad.two_decay)),
                 *(_address(x, shape) for x, shape in arrays)))
             self.terms = terms
@@ -541,14 +563,16 @@ def _capacity(active: list, speed: list) -> int:
                    for run, s in zip(active, speed))
 
 
-def simulate_batch(members: list) -> list:
+def simulate_batch(members: list, threads: int = 1) -> list:
     """Run scenarios that share one grid (solver.nx and pipe.L) as one batch.
 
     Returns one result per member: its Trajectory, or the error that ended
     it, which is the error `simulate` raises for that member alone.  Each
     member steps with its own CFL time step, clipped to land exactly on its
     own snapshot cadence, and leaves the batch when it reaches its t_end or
-    fails; the others carry on.  Deterministic for fixed members.
+    fails; the others carry on.  Deterministic for fixed members.  Given
+    `threads` = 2 on a grid of at least SPLIT_NODES nodes, each step is
+    split between two threads (StepWork), with the same values.
     """
     grids = {(m.config.nx, m.params.L) for m in members}
     if len(grids) != 1:
@@ -556,6 +580,7 @@ def simulate_batch(members: list) -> list:
     nx, L = grids.pop()
     xs = np.linspace(0.0, L, nx + 1)
     quad = Quadrature(xs)
+    threads = 2 if threads >= 2 and len(xs) >= SPLIT_NODES else 1
     results = [None] * len(members)
     active = []
     for slot, member in enumerate(members):
@@ -568,7 +593,7 @@ def simulate_batch(members: list) -> list:
 
     def pack(active, state, speed):
         """The work set of the active members, at `state` and wave speeds `speed`."""
-        work = StepWork(state)
+        work = StepWork(state, threads)
         work.load([run.spec for run in active], speed=speed,
                   **{name: [getattr(run, name) for run in active]
                      for name in ("guard", "cfl_dx", "t_snap", "t_end", "slot")})
@@ -629,15 +654,16 @@ def simulate_batch(members: list) -> list:
 
 def simulate(params: PipeParams, profile: StationaryProfile,
              disturbance: DisturbanceSpec, config: SolverConfig,
-             initial_u=None, initial_v=None, initial_w=None) -> Trajectory:
+             initial_u=None, initial_v=None, initial_w=None, threads: int = 1) -> Trajectory:
     """Run the closed-loop system on [0, t_end]: a batch of one member.
 
-    Deterministic for a fixed configuration.  The time step is recomputed
-    every step from the CFL condition and clipped to land exactly on the
-    snapshot cadence, so output times are exact multiples of snapshot_dt.
+    Deterministic for a fixed configuration, whatever `threads`
+    (simulate_batch).  The time step is recomputed every step from the CFL
+    condition and clipped to land exactly on the snapshot cadence, so
+    output times are exact multiples of snapshot_dt.
     """
     (result,) = simulate_batch([Member(params, profile, disturbance, config,
-                                       initial_u, initial_v, initial_w)])
+                                       initial_u, initial_v, initial_w)], threads)
     if isinstance(result, Exception):
         raise result
     return result

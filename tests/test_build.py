@@ -120,8 +120,10 @@ def test_unwritable_cache_builds_privately(tmp_path):
 def test_compile_flags_keep_numpy_rounding():
     # no fused multiply-add and no reordering, on any machine, and libm's
     # pow, exp, sin and cos, as Python calls them; the vector ISA is chosen
-    # by the kernels' clones alone, at load time
-    assert {"-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin"} <= set(dynamics._COMPILE)
+    # by the kernels' clones alone, at load time; -pthread for the helper
+    # thread of a split step
+    assert {"-O3", "-std=c99", "-ffp-contract=off", "-fno-builtin",
+            "-pthread"} <= set(dynamics._COMPILE)
     assert not any(f.startswith("-march") or "fast-math" in f or f == "-Ofast"
                    for f in dynamics._COMPILE)
     assert not any(f.startswith(("-mavx", "-mfma")) for f in dynamics._COMPILE)
@@ -206,19 +208,20 @@ def has_avx2() -> bool:
     return any(line.startswith("flags") and "avx2" in line.split() for line in cpuinfo.splitlines())
 
 
-def nan_step(members: list) -> list:
+def nan_step(members: list, threads: int = 1) -> list:
     """The bytes of one step of `members` from their initial data, with NaNs
     put in u and w of each member after its wave speed is taken, in the
     maxima kernel's lanes for member 0 and in its tail for member 1: the
     records, io and the state that the failed step wrote.  The NaNs are
     np.nan alike: where two NaNs meet in one operation, the one that comes
     out follows the operand order of the instruction, which the AVX2 and
-    baseline forms may differ in."""
+    baseline forms may differ in.  With `threads` = 2 the step is split at
+    node 31, after member 0's NaN and before member 1's."""
     xs = members[0].profile.xs
     terms = dynamics.profile_terms([(m.profile, m.params) for m in members])
     state = dynamics.FieldState([0.0] * len(members), xs,
                                 *(np.array([m[f] for m in members]) for f in (4, 5, 6)))
-    work = dynamics.StepWork(state)
+    work = dynamics.StepWork(state, threads)
     never = [np.inf] * len(members)
     work.load([m.disturbance for m in members], speed=dynamics.wave_speed(terms, state),
               guard=[1.0] * len(members), cfl_dx=[0.45 * (xs[1] - xs[0])] * len(members),
@@ -233,7 +236,9 @@ def nan_step(members: list) -> list:
 
 def test_baseline_build_equals_dispatched_build(tmp_path, monkeypatch):
     # the AVX2 clones that this CPU runs give the baseline ISA's values, and
-    # so does the serial rescan of a step that makes a NaN
+    # so does the serial rescan of a step that makes a NaN; and a step split
+    # between two threads, whose parts start at other offsets of the
+    # vectorised loops, gives them too
     macros = compiler_macros()
     if not (is_gcc(macros) and {"__x86_64__", "__linux__"} <= macros):
         pytest.skip("the kernels are cloned only by GCC on x86-64 Linux")
@@ -254,11 +259,15 @@ def test_baseline_build_equals_dispatched_build(tmp_path, monkeypatch):
         members.append(dynamics.Member(params, build_stationary(params, 0.3, xs), spec, config,
                                        phi, -2.0 * dphi, dphi))
     dispatched, dispatched_nan = dynamics.simulate_batch(members), nan_step(members)
+    monkeypatch.setattr(dynamics, "SPLIT_NODES", nx + 1)
+    runs = [dynamics.simulate_batch(members, threads=2)]
+    assert nan_step(members, threads=2) == dispatched_nan
     monkeypatch.setattr(dynamics, "_LW", dynamics._declare(ctypes.CDLL(str(library))))
-    baseline = dynamics.simulate_batch(members)
+    runs += [dynamics.simulate_batch(members), dynamics.simulate_batch(members, threads=2)]
     assert nan_step(members) == dispatched_nan
+    assert nan_step(members, threads=2) == dispatched_nan
 
-    for got, want in zip(baseline, dispatched, strict=True):
+    for got, want in (pair for run in runs for pair in zip(run, dispatched, strict=True)):
         assert len(want.times) > 50
         assert got.times.tobytes() == want.times.tobytes()
         for name in want.series:

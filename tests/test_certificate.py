@@ -238,6 +238,16 @@ class TestDecayBounds:
             verify_decay_bounds(times, np.zeros_like(times), np.zeros_like(times),
                                 c, 1.0, self.params.L)
 
+    def test_overflowing_rate_gap_term_raises(self):
+        # nu one ulp above mu: Cg / (nu - mu) is +inf, and so would the bracket be
+        mu = self.constants().mu
+        c = self.constants(nu=math.nextafter(mu, 1.0), C_nu=1e298)
+        assert 0 < c.delta and math.isfinite(c.Cg)
+        times = np.linspace(1.0, 5.0, 401)
+        with pytest.raises(ValueError, match="vacuous.*`disturbance.nu`"):
+            verify_decay_bounds(times, np.zeros_like(times), np.zeros_like(times),
+                                c, 1.0, self.params.L)
+
 
 class TestReport:
     params = PipeParams(L=1.0, a=2.0, theta=0.1, k=4.0)

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from pipestab import cli
+from pipestab.certificate import compute_constants
 from pipestab.cli import CSV_HEADER, _member, main
 from pipestab.config import ScenarioConfig
 from pipestab.dynamics import simulate
+from pipestab.stationary import PipeParams
 
 
 def write_cfg(tmp_path, name="scenario.cfg", **overrides):
@@ -268,6 +270,16 @@ class TestSweep:
         assert "error" not in rows[1]
         assert "error: invalid value for `disturbance.C_nu`" in rows[2]
 
+    def test_vacuous_certificate_recorded_not_fatal(self, tmp_path):
+        cfg = write_cfg(tmp_path, **{"disturbance.C_nu": 1e298})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--set", f"disturbance.nu=1.0,{VACUOUS_NU}",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert "error" not in rows[1]
+        assert "error: decay certificate vacuous" in rows[2] and "`disturbance.nu`" in rows[2]
+
     def test_non_finite_value_recorded_not_fatal(self, tmp_path):
         cfg = write_cfg(tmp_path, **{"disturbance.family": "decaying_burst"})
         out = tmp_path / "sweep.csv"
@@ -363,9 +375,9 @@ class TestSweep:
         simulated = []
         batch = cli.simulate_batch
 
-        def counted(members):
+        def counted(members, *args):
             simulated.append(len(members))
-            return batch(members)
+            return batch(members, *args)
 
         monkeypatch.setattr(cli, "simulate_batch", counted)
         cfg = write_cfg(tmp_path)
@@ -457,10 +469,10 @@ class TestSweepProcesses:
     def test_failing_share_here_stops_the_worker(self, tmp_path, monkeypatch):
         parent, run_batch = os.getpid(), cli._run_batch
 
-        def failing(cfgs, ids, results):
+        def failing(*args):
             if os.getpid() == parent:
                 raise RuntimeError("failed here")
-            run_batch(cfgs, ids, results)
+            run_batch(*args)
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_run_batch", failing)
@@ -541,6 +553,21 @@ class TestUnreadableConfig:
         assert err.startswith("error: ")
         assert str(path) in err
         assert "Traceback" not in err
+
+
+# nu one ulp above mu = 1 / (4 e L k) of write_cfg's pipe: with C_nu = 1e298,
+# Cg / (nu - mu) overflows, and a bracket of inf would certify any run
+VACUOUS_NU = repr(math.nextafter(compute_constants(
+    PipeParams(L=1.0, a=2.0, theta=0.1, k=4.0), 0.6, 1.0, 1.0).mu, 1.0))
+
+
+def test_vacuous_certificate_exit_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"disturbance.nu": VACUOUS_NU, "disturbance.C_nu": 1e298})
+    assert main(["run", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: decay certificate vacuous") and "`disturbance.nu`" in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "stationary"])

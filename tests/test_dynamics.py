@@ -569,9 +569,9 @@ class TestBlockRecord:
         live, counts, sizes = weakref.WeakSet(), [], []
 
         class Watched(StepWork):
-            def __init__(self, state):
+            def __init__(self, state, *args):
                 counts.append(len(live))
-                super().__init__(state)
+                super().__init__(state, *args)
                 live.add(self)
                 sizes.append(len(state.u))
 
