@@ -10,9 +10,8 @@ from .certificate import (CertificateReport, TheoremConstants, assemble_report,
                           verify_decay_bounds)
 from .config import ConfigError, ScenarioConfig
 from .disturbance import DisturbanceSpec, sample_b, verify_noise_bound
-from .dynamics import (BlowUpError, CFLError, FieldState, SolverConfig,
-                       Trajectory, bump_profile, f_tilde, lower_order_F,
-                       simulate, step)
+from .dynamics import (BlowUpError, CFLError, FieldState, SolverConfig, Trajectory,
+                       bump_profile, simulate, step)
 from .lyapunov import energy_E1, energy_classic, fit_decay_rate, windowed_series
 from .stationary import PipeParams, StationaryProfile, build_stationary, critical_length
 

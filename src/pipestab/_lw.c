@@ -40,25 +40,25 @@
  * ISA, and the loader picks the clone the CPU runs (`CLONES`); the AVX2
  * target has no FMA, and contraction is off.
  *
- * A batch with `threads` = 2 splits each member's step at node m = `split`
- * between the calling thread, which takes nodes [0, m), and one helper
- * thread, which takes [m, n); lw_advance starts the helper and joins it
- * before it returns, so no thread outlives a call.  Each part runs the
- * same kernels on its own nodes and computes the cells its corrector
- * reads, so the parts need no barrier between predictor and corrector.
- * The caller sums its nodes' terms from -0.0 and hands over its partial
- * sums; the helper adds its nodes' terms to them, so each sum keeps node
- * order.  The maxima of the two parts are folded, which is exact; the
- * NaN rescan reads the whole member.  Only the caller writes records,
- * tests the guard and decides to stop.  So a split step gives the bits of
- * an unsplit one.
+ * A batch whose `split` m is less than n splits each member's step at
+ * node m between the calling thread, which takes nodes [0, m), and one
+ * helper thread, which takes [m, n); lw_advance starts the helper and
+ * joins it before it returns, so no thread outlives a call.  With m = n
+ * the calling thread takes every node, in the same member loop.  Each
+ * part runs the same kernels on its own nodes and computes the cells its
+ * corrector reads, so the parts need no barrier between predictor and
+ * corrector.  The caller sums its nodes' terms from -0.0 and hands over
+ * its partial sums; the helper adds its nodes' terms to them, so each sum
+ * keeps node order.  The maxima of the two parts are folded, which is
+ * exact; the NaN rescan reads the whole member.  Only the caller writes
+ * records, tests the guard and decides to stop.  So a split step gives
+ * the bits of an unsplit one.
  */
 #define _GNU_SOURCE     /* pthreads, sched_yield and CPU affinity, under -std=c99 */
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stddef.h>
-#include <stdlib.h>
 
 /* The rows of io, as dynamics.IO names them: each member's loop state, the
  * outcome of a step it failed, its slot, then its disturbance. */
@@ -90,12 +90,12 @@ typedef struct {
     long n;                     /* grid nodes per member */
     long runs;                  /* slots of the records */
     long capacity;              /* steps the records hold */
-    long threads;               /* 2: split each member's step at node `split` */
-    long split;                 /* m, with 3 <= m <= n - 3 */
+    long split;                 /* m: n for one thread, else 3 <= m <= n - 3 */
     double dx;
     double *states;             /* (2, 3, B, n): u, v, w of the two states */
-    double *half;               /* one member's u, v, w at t + dt/2 on the cells,
-                                   and its nodes' terms of E1 and H1: see lw_part */
+    double *half;               /* (3, lw_half_row(n)): one member's u, v, w at t + dt/2
+                                   on the cells, and its nodes' terms of E1 and H1: see lw_part */
+    double *share;              /* (B, SHARE): each member's sums and maxima */
     double *io;                 /* (rows of dynamics.IO, B) */
     const double *weights;      /* (n,): the trapezoid weights */
     const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
@@ -337,6 +337,18 @@ static void nan_maxima(long n, const double *u, const double *ux, const double *
     }
 }
 
+/* A member's row of `share`, what a step leaves of it for its records:
+ * the E1 and H1 sums, then max|u|, max|u_x|, max|u_t| and max|ubar + u| of
+ * nodes [0, m), then those of [m, n) when split. */
+enum { E1_SUM, H1_SUM, TOP_0, TOP_1 = TOP_0 + 4, SHARE = TOP_1 + 4 };
+
+/* A row of `half` is n doubles rounded up to 4: rows start 32 bytes apart.
+ * dynamics.StepWork sizes `share` and `half` by lw_share and lw_half_row;
+ * the loop inlines half_row, as a call through the PLT cost several %. */
+static inline long half_row(long n) { return (n + 3) & ~3L; }
+long lw_half_row(long n) { return half_row(n); }
+const long lw_share = SHARE;
+
 /* Nodes [lo, hi) of member i's step from state src into the other, the
  * step recorded at `step`: its time step is io's DT and its boundary value
  * b_t its record's.  Computes the predictor on the cells that these
@@ -345,12 +357,12 @@ static void nan_maxima(long n, const double *u, const double *ux, const double *
  * the integrals.
  *
  * half holds three rows of cells, u, v and w, and then the terms: those
- * of E1 of node j at j, of H1 at n + j, where the step no longer reads.
- * With one thread its rows are n - 1 long.  With two they are n long, and
- * a part with lo > 0 computes the cell lo - 1 itself, which the part
- * before computes too, and keeps cell c at c + 1 of its row: so each part
- * keeps its cells and its nodes' terms at [lo, hi) of rows u and v, and
- * the two parts write no value in common, nor one the other reads. */
+ * of E1 of node j at j of row u, of H1 at j of row v, where the step no
+ * longer reads.  A part with lo > 0 computes the cell lo - 1 itself,
+ * which the part before computes too, and keeps cell c at c + 1 of its
+ * row: so each part keeps its cells and its nodes' terms at [lo, hi) of
+ * rows u and v, and the two parts write no value in common, nor one the
+ * other reads. */
 static void lw_part(const lw_batch *batch, long i, long src, long step, long lo, long hi)
 {
     const long B = batch->members, n = batch->n;
@@ -361,9 +373,9 @@ static void lw_part(const lw_batch *batch, long i, long src, long step, long lo,
     const long shift = lo > 0;
     const long c0 = lo - shift, c1 = hi < n ? hi : n - 1;          /* cells [c0, c1) */
     const long j0 = lo > 1 ? lo : 1, j1 = hi < n - 1 ? hi : n - 1;  /* interior nodes [j0, j1) */
-    const long row = batch->threads == 2 ? n : n - 1;
+    const long row = half_row(n);
     double *uh = batch->half + shift, *vh = uh + row, *wh = vh + row;
-    double *e1_terms = batch->half, *h1_terms = e1_terms + n;
+    double *e1_terms = batch->half, *h1_terms = e1_terms + row;
     const double *coef = batch->coefficients + i;
     const double a = coef[0], a2 = coef[B], k = coef[2 * B];
     const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
@@ -419,7 +431,7 @@ static void part_maxima(const lw_batch *batch, long i, long src, long lo, long h
  * sum is np.cumsum's too. */
 static void add_terms(const lw_batch *batch, long lo, long hi, double *sums)
 {
-    const double *e1_terms = batch->half, *h1_terms = e1_terms + batch->n;
+    const double *e1_terms = batch->half, *h1_terms = e1_terms + half_row(batch->n);
     double e1 = sums[0], h1 = sums[1];
     for (long j = lo; j < hi; j++) {
         e1 += e1_terms[j];
@@ -428,11 +440,6 @@ static void add_terms(const lw_batch *batch, long lo, long hi, double *sums)
     sums[0] = e1;
     sums[1] = h1;
 }
-
-/* What a step leaves of one member for its records: the E1 and H1 sums,
- * then max|u|, max|u_x|, max|u_t| and max|ubar + u| of nodes [0, m), then
- * those of [m, n) when the step is split. */
-enum { E1_SUM, H1_SUM, TOP_0, TOP_1 = TOP_0 + 4, SHARE = TOP_1 + 4 };
 
 /* Writes member i's records of the step at `step` from what its parts left
  * in x, and its max|ubar + u| to io's TOP.  Each term of h1 is a sum of
@@ -465,7 +472,6 @@ static void record(const lw_batch *batch, long i, long src, long step, double *x
  * the thread that has loaded that count. */
 typedef struct {
     const lw_batch *batch;
-    double *share;          /* (B, SHARE): each member's sums and maxima */
     long src, step;         /* the state the step reads, and its record */
     int quit;               /* set before the last `go`: the helper returns */
 #ifdef __linux__
@@ -514,7 +520,7 @@ static void *helper(void *arg)
         if (pair->quit)
             return NULL;
         for (long i = 0; i < B; i++) {
-            double *x = pair->share + SHARE * i;
+            double *x = batch->share + SHARE * i;
             lw_part(batch, i, pair->src, pair->step, m, n);
             part_maxima(batch, i, pair->src, m, n, x + TOP_1);
             wait_for(&pair->partials, ++done);
@@ -550,8 +556,8 @@ static int start_helper(pthread_t *thread, lw_pair *pair)
 #endif
 }
 
-/* The steps of lw_advance; with `pair`, each member's step is split at
- * node m between this thread, which takes [0, m), and the helper. */
+/* The steps of lw_advance: this thread takes nodes [0, m) of each member's
+ * step, and with `pair` the helper takes [m, n). */
 static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
 {
     const long B = batch->members, n = batch->n, capacity = batch->capacity;
@@ -562,7 +568,6 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
     const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
     const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B, *slot = io + SLOT * B;
     const double *a = batch->coefficients;
-    double own[SHARE];
     long partials = 0;
 
     for (long i = 0; i < B; i++)
@@ -599,31 +604,26 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
             publish(&pair->go, pair->go + 1);
         }
         for (long i = 0; i < B; i++) {
-            double *x = pair ? pair->share + SHARE * i : own;
+            double *x = batch->share + SHARE * i;
             x[E1_SUM] = x[H1_SUM] = -0.0;
             lw_part(batch, i, src, step, 0, m);
             add_terms(batch, 0, m, x);
             if (pair)
                 publish(&pair->partials, ++partials);
             part_maxima(batch, i, src, 0, m, x + TOP_0);
-            if (!pair)
-                record(batch, i, src, step, x);
         }
-        if (pair) {
+        if (pair)
             wait_for(&pair->done, partials);
-            for (long i = 0; i < B; i++) {      /* the maxima of both parts: exact in any order */
-                double *x = pair->share + SHARE * i;
+        for (long i = 0; i < B; i++) {
+            double *x = batch->share + SHARE * i;
+            if (pair)   /* fold in the helper's maxima of this step: exact in any order */
                 for (long r = 0; r < 4; r++)
                     x[TOP_0 + r] = x[TOP_1 + r] > x[TOP_0 + r] ? x[TOP_1 + r] : x[TOP_0 + r];
-                record(batch, i, src, step, x);
-            }
-        }
-        for (long i = 0; i < B; i++) {
-            double *rec = batch->records + (long)slot[i] * capacity + step;
-            if (!(rec[R_MAX_U * stride] <= guard[i])) {     /* written so that NaN fails too */
+            record(batch, i, src, step, x);
+            if (!(x[TOP_0] <= guard[i])) {      /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
-                value[i] = rec[R_MAX_U * stride];
-                at[i] = rec[R_T * stride];
+                value[i] = x[TOP_0];            /* max|u|, as recorded */
+                at[i] = t[i] + dt[i];
                 failed = 1;
             }
         }
@@ -643,23 +643,19 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
 }
 
 /* Steps the batch from state src, recording the first step at `index`;
- * returns the steps it took, 0 when the first fails.  With `threads` 2, a
- * helper thread takes nodes [split, n) of each member's step, and is joined
- * before the call returns; where it cannot be started, the steps run on
- * this thread alone. */
+ * returns the steps it took, 0 when the first fails.  With `split` < n, a
+ * helper thread takes nodes [split, n) of each step, or, where it cannot
+ * be started, this thread takes them. */
 long lw_advance(const lw_batch *batch, long src, long index)
 {
     lw_pair pair = {.batch = batch};
     pthread_t thread;
-    int split = batch->threads == 2
-                && (pair.share = malloc(SHARE * batch->members * sizeof(double))) != NULL
-                && start_helper(&thread, &pair);
+    const int split = batch->split < batch->n && start_helper(&thread, &pair);
     const long taken = advance(batch, src, index, split ? &pair : NULL);
     if (split) {
         pair.quit = 1;
         publish(&pair.go, pair.go + 1);
         pthread_join(thread, NULL);
     }
-    free(pair.share);
     return taken;
 }

@@ -80,11 +80,11 @@ class _Batch(ctypes.Structure):
     """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
 
     _fields_ = [(name, ctypes.c_long) for name in (
-        "members", "n", "runs", "capacity", "threads", "split")] + [
+        "members", "n", "runs", "capacity", "split")] + [
         ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
-            "states", "half", "io", "weights", "two_decay", "coefficients", "ubar", "ubar_x",
-            "ubar_m", "ubarx_m", "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i", "records")]
+            "states", "half", "share", "io", "weights", "two_decay", "coefficients", "ubar",
+            "ubar_x", "ubar_m", "ubarx_m", "d_bar_m", "f_bar_m", "d_bar_i", "f_bar_i", "records")]
 
 
 def _compile(source: Path, target) -> None:
@@ -139,6 +139,7 @@ def _load_library():
 def _declare(lib):
     lib.lw_advance.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long, ctypes.c_long)
     lib.lw_advance.restype = ctypes.c_long
+    lib.lw_half_row.argtypes, lib.lw_half_row.restype = (ctypes.c_long,), ctypes.c_long
     double = ctypes.POINTER(ctypes.c_double)
     lib.lw_sample_b.argtypes = (double, ctypes.c_double, double)
     lib.lw_sample_b.restype = None
@@ -353,18 +354,20 @@ class StepWork:
     `states` holds the (u, v, w) of two states, and `views` their (u, v,
     w) arrays: each step writes the state it does not read, so a failed
     step leaves the one it started from.  `half` holds one member's (u, v,
-    w) at t + dt/2 on the cells, then its nodes' terms of E1 and H1; with
-    two threads its rows are n long, so that each part has its own.  `io`
-    holds lw_advance's per-member values, one row per name of IO, and
-    `values` maps each name to its row; a member's slot starts as its batch
-    row.  `taken` is the number of steps the last call of `step` took.
+    w) at t + dt/2 on the cells and its nodes' terms of E1 and H1, `share`
+    each member's sums and the maxima of each part of its step, in the
+    layouts that _lw.c gives (lw_half_row, lw_share).  `io` holds
+    lw_advance's per-member values, one row per name of IO, and `values`
+    maps each name to its row; a member's slot starts as its batch row.
+    `taken` is the number of steps the last call of `step` took.
 
-    With `threads` = 2, each call of lw_advance starts a helper thread and
-    joins it before it returns, and each member's step is split at node
-    `split` (n // 2 unless set before the first step): the calling thread
-    takes the nodes before it, the helper the rest.  Each part computes
-    the cells it reads, and the helper continues the integrals' sums from
-    the caller's, so the values are those of one thread bit for bit.
+    Each member's step is split at node `split`: n // 2 with `threads` =
+    2 unless set before the first step, else n, which is one part.  Split,
+    each call of lw_advance starts a helper thread and joins it before it
+    returns: the calling thread takes the nodes before `split`, the helper
+    the rest.  Each part computes the cells it reads, and the helper
+    continues the integrals' sums from the caller's, so the values are
+    those of one thread bit for bit.
     """
 
     def __init__(self, state: FieldState, threads: int = 1):
@@ -373,8 +376,9 @@ class StepWork:
         self.quad = Quadrature(state.xs)
         self.states = np.empty((2, 3, members, n))
         self.views = [tuple(fields) for fields in self.states]
-        self.half = np.empty((3, n if threads == 2 else n - 1))
-        self.threads, self.split = threads, n // 2
+        self.half = np.empty((3, step_library().lw_half_row(n)))
+        self.share = np.empty((members, ctypes.c_long.in_dll(step_library(), "lw_share").value))
+        self.split = n // 2 if threads == 2 else n
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
         self.values["slot"][:] = range(members)
@@ -393,15 +397,16 @@ class StepWork:
         the first call with them; `step` sets the records' fields."""
         if terms is not self.terms:
             members, n = self.states.shape[2:]
-            if self.threads == 2 and not 3 <= self.split <= n - 3:
+            if self.split != n and not 3 <= self.split <= n - 3:
                 raise ValueError(f"a step of {n} nodes cannot be split at node {self.split}")
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
             self.batch = (step_library().lw_advance, _Batch(
-                members, n, 0, 0, self.threads, self.split, self.dx, *(x.ctypes.data for x in (
-                    self.states, self.half, self.io, self.quad.weights, self.quad.two_decay)),
+                members, n, 0, 0, self.split, self.dx, *(x.ctypes.data for x in (
+                    self.states, self.half, self.share, self.io, self.quad.weights,
+                    self.quad.two_decay)),
                 *(_address(x, shape) for x, shape in arrays)))
             self.terms = terms
         return self.batch

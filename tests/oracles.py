@@ -2,16 +2,12 @@
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from pipestab.disturbance import NOISE_REL_SLACK, DisturbanceSpec
-from numpy import absolute, add, divide, multiply, square, subtract
-
-from pipestab import dynamics
-from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, StepWork,
-                               Trajectory, _Run, stationary_forcing)
+from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, Trajectory, _Run,
+                               stationary_forcing)
 from pipestab.lyapunov import Quadrature
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
@@ -194,9 +190,10 @@ def verify_stationary_ode(profile: StationaryProfile, params: PipeParams,
     return worst
 
 
-# The allocating Lax-Wendroff step that the work-set step replaced, with
-# the helpers and formulas it called, kept verbatim: the lean step must
-# give its u, v and w bit for bit.  The batch helpers are those of the
+# The allocating Lax-Wendroff step that the compiled step replaced, with
+# the helpers and formulas it called, kept verbatim: the tests' one NumPy
+# reference of a step.  The compiled step must give its u, v and w, its
+# max|u| and its failures bit for bit.  The batch helpers are those of the
 # solver that held a single member in 1-D arrays, so the per-step record
 # below runs one member the way that solver did.  Its terms are built
 # member by member and then stacked, as that solver built them: the rows
@@ -255,14 +252,9 @@ class ProfileTerms:
     ubar_L: float
     a: float
     a2: np.ndarray          # a ** 2, as lower_order_F writes it, theta and
-    k: float                # 1.5 * theta: 0-d arrays, for the per-step ufuncs
+    k: float                # 1.5 * theta (the compiled step's coefficients): 0-d arrays
     theta: np.ndarray
     theta_1_5: np.ndarray
-
-    @cached_property
-    def ends(self) -> list:
-        """Each member's (a, k, ubar_0, ubar_L) in floats, for the boundary closure."""
-        return list(zip(*map(_members, (self.a, self.k, self.ubar_0, self.ubar_L))))
 
 
 def profile_terms(profile: StationaryProfile, params: PipeParams) -> ProfileTerms:
@@ -536,203 +528,3 @@ def simulate_batch_per_step(members: list) -> list:
                 run.snapshot(_row(state, row), steps, quad)
             if not t < run.t_end - 1e-12:
                 ended[row] = None
-
-
-# The NumPy form of the work-set step that the compiled step replaced, kept
-# verbatim with the in-place formulas and buffers it used: the compiled
-# step must give its u, v, w and max|u| bit for bit.  It reads terms built
-# by profile_terms and stack_terms above.
-
-# Constant factors of the per-step path.  NumPy takes a 0-d array operand
-# faster than a Python float, and computes the same values from it.
-_HALF, _TWO, _MINUS_TWO = np.array(0.5), np.array(2.0), np.array(-2.0)
-
-
-def _work(count, *operands):
-    """`count` fresh arrays of the broadcast shape of `operands`."""
-    shape = np.broadcast_shapes(*map(np.shape, operands))
-    return tuple(np.empty(shape) for _ in range(count))
-
-
-def f_tilde_into(u_val, ux_val, ut_val, theta, *, theta_1_5=None, out=None):
-    """F~ in place.  `theta_1_5` is 1.5 * theta, computed here when not given.
-    `out` is (result, work, 2 u, work): arrays of the result's shape that
-    receive F~ and its temporaries, the third keeping 2 u; fresh ones when
-    not given."""
-    f, abs_u, two_u, t = out or _work(4, u_val, ux_val, ut_val, theta)
-    if theta_1_5 is None:
-        theta_1_5 = 1.5 * theta
-    absolute(u_val, abs_u)
-    multiply(_MINUS_TWO, ut_val, f)
-    multiply(f, ux_val, f)
-    multiply(_TWO, u_val, two_u)
-    square(ux_val, t)
-    multiply(two_u, t, t)
-    subtract(f, t, f)
-    multiply(theta_1_5, u_val, t)
-    multiply(t, abs_u, t)
-    multiply(t, ux_val, t)
-    subtract(f, t, f)
-    multiply(theta, abs_u, t)
-    multiply(t, ut_val, t)
-    subtract(f, t, f)
-    return f
-
-
-def lower_order_F_into(u, ux, ut, ubar, ubar_x, a, theta, forcing=None, shared=None, *,
-                       theta_1_5=None, out=None):
-    """F in place.  `forcing` is stationary_forcing(ubar, ubar_x, a, theta)
-    and `shared` is (ubar + u, a ** 2 - (ubar + u) ** 2), which the step
-    needs too; each is computed here when not given, as is `theta_1_5` =
-    1.5 * theta.  `out` is (result, work, work, 2 (ubar + u), work), arrays
-    of the result's shape; fresh ones when not given."""
-    if forcing is None:
-        forcing = stationary_forcing(ubar, ubar_x, a, theta)
-    if shared is None:
-        m = ubar + u
-        shared = m, a ** 2 - m ** 2
-    d_bar, f_bar = forcing
-    m, d = shared
-    f, x, *work = out or _work(5, u, ux, ut, ubar, ubar_x, theta)
-    add(ux, ubar_x, x)
-    f_tilde_into(m, x, ut, theta, theta_1_5=theta_1_5, out=(f, *work))
-    divide(d, d_bar, x)
-    multiply(x, f_bar, x)
-    subtract(f, x, f)
-    return f
-
-
-class _Fields:
-    """(u, v, w) as one (3, B, n) array, and the views of it the step reads."""
-
-    def __init__(self, uvw):
-        self.u, self.v, self.w = uvw
-        self.lo, self.hi = uvw[..., :-1], uvw[..., 1:]
-        self.vw_lo, self.vw_hi = uvw[1:, ..., :-1], uvw[1:, ..., 1:]
-        self.v_mid, self.w_mid = uvw[1:, ..., 1:-1]
-
-
-class _Half:
-    """The temporaries of one half of a step: the rows of one buffer, laid
-    out so that ops on two adjacent rows run as one call."""
-
-    ROWS = 13
-
-    def __init__(self, buf):
-        self.avg = buf[0:3]                 # (u, v, w) averaged over each cell
-        self.um, self.vm, self.wm = self.avg
-        self.m = buf[3]                     # ubar + u
-        self.md = buf[4:6]                  # (2 m, a^2 - m^2); f_tilde writes 2 m
-        self.d = buf[5]
-        self.xdv = buf[6:8]                 # (2 m dv - d dw, dv)
-        self.dvw = buf[7:9]                 # (v, w) differenced across each cell
-        self.x, self.dv = self.xdv
-        self.lof = (buf[9], buf[10], buf[11], buf[4], buf[12])   # lower_order_F's result and work
-        self.prod = buf[10:12]              # (2 m dv, d dw), once lower_order_F is done
-        self.p, self.q = self.prod
-
-
-class NumpyStepWork(StepWork):
-    """StepWork with the state views and temporaries of the NumPy step: the
-    predictor's temporaries are n - 1 wide, the corrector's are n - 2 wide
-    views of the leading elements of the same buffer; `full` is work of
-    the state's shape."""
-
-    def __init__(self, state: FieldState):
-        super().__init__(state)
-        shape = state.u.shape
-        members, n = shape
-        self.fields = [_Fields(uvw) for uvw in self.states]
-        self.half = _Fields(np.empty((3, members, n - 1)))   # (u, v, w) at t + dt/2
-        rows = _Half.ROWS * members
-        buf = np.empty(rows * (n - 1))
-        self.predictor = _Half(buf.reshape(_Half.ROWS, members, n - 1))
-        self.corrector = _Half(buf[:rows * (n - 2)].reshape(_Half.ROWS, members, n - 2))
-        # dt / (2 dx), dt / 2 (which is 0.5 dt exactly), dt / dx and dt, each
-        # a (B, 1) column
-        self.divisors = np.reshape([2.0 * self.dx, 2.0, self.dx, 1.0], (4, 1, 1))
-        self.coef = np.empty((4, members, 1))
-        self.coefs = tuple(self.coef)
-        self.full = np.empty(shape)
-
-
-def _half_step(h: _Half, fields: _Fields, ubar, ubar_x, forcing, terms: ProfileTerms,
-               c, e, base, out):
-    """One half of a Lax-Wendroff step from the cell averages of `fields`:
-
-    out_v = base_v - c (2 m dv - d dw) + e F,   out_w = base_w + c dv.
-    """
-    add(fields.lo, fields.hi, h.avg)
-    multiply(_HALF, h.avg, h.avg)
-    add(ubar, h.um, h.m)
-    square(h.m, h.d)
-    subtract(terms.a2, h.d, h.d)
-    F = lower_order_F_into(h.um, h.wm, h.vm, ubar, ubar_x, terms.a, terms.theta, forcing,
-                           (h.m, h.d), theta_1_5=terms.theta_1_5, out=h.lof)
-    subtract(fields.vw_hi, fields.vw_lo, h.dvw)
-    multiply(h.md, h.dvw, h.prod)
-    subtract(h.p, h.q, h.x)
-    multiply(c, h.xdv, h.xdv)
-    subtract(base[0], h.x, out[0])
-    multiply(e, F, h.q)
-    add(out[0], h.q, out[0])
-    add(base[1], h.dv, out[1])
-
-
-def numpy_step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed,
-               work: NumpyStepWork, records, index: int) -> FieldState:
-    """One step of `dynamics.step` in NumPy calls, in a NumpyStepWork; it
-    records the (t, max|u|, b, b_t) of each member, alone, at `index` of
-    its batch row of `records`."""
-    cfl = [dt_i * speed_i / work.dx for dt_i, speed_i in zip(dt, speed)]
-    rows = [i for i, x in enumerate(cfl) if x > 1.0 + 1e-12]
-    if rows:
-        failed = {i: f"CFL violation at t={state.t[i]:.6g}: dt*speed/dx = {cfl[i]:.4f}"
-                  for i in rows}
-        raise CFLError(failed[rows[0]], failed)
-
-    j = 1 if state.u is work.fields[1].u else 0
-    if state.u is not work.fields[j].u:
-        work.states[0] = state.u, state.v, state.w
-    src, dst = work.fields[j], work.fields[1 - j]
-
-    # predictor: provisional values at (x_{j+1/2}, t + dt/2)
-    divide(np.array(dt)[:, None], work.divisors, work.coef)
-    r, half_dt, dt_dx, dt_arr = work.coefs
-    pred, half = work.predictor, work.half
-    _half_step(pred, src, terms.ubar_m, terms.ubarx_m, terms.forcing_m, terms,
-               r, half_dt, (pred.vm, pred.wm), (half.v, half.w))
-    multiply(half_dt, half.v, half.u)
-    add(pred.um, half.u, half.u)
-
-    # corrector at interior nodes, coefficients at the half-time level
-    _half_step(work.corrector, half, terms.ubar_i, terms.ubarx_i, terms.forcing_i, terms,
-               dt_dx, dt_arr, (src.v_mid, src.w_mid), (dst.v_mid, dst.w_mid))
-
-    # both ends, member by member in Python floats
-    u, v, w = src.u, dst.v, dst.w
-    for i, ((a, k, ubar_0, ubar_L), b_t) in enumerate(zip(terms.ends, b_now[1])):
-        # left boundary: feedback w = k v plus extrapolated outgoing characteristic
-        c_out = a + (ubar_0 + u.item(i, 0))     # - d / lambda_-, frozen at the boundary speed
-        r0 = 2.0 * (v.item(i, 1) + c_out * w.item(i, 1)) - (v.item(i, 2) + c_out * w.item(i, 2))
-        v[i, 0] = v_0 = r0 / (1.0 + k * c_out)
-        w[i, 0] = k * v_0
-
-        # right boundary: Dirichlet trace drives v = b_t plus outgoing characteristic
-        c_out = a - (ubar_L + u.item(i, -1))    # d / lambda_+, frozen at the boundary speed
-        rL = 2.0 * (v.item(i, -2) - c_out * w.item(i, -2)) - (v.item(i, -3) - c_out * w.item(i, -3))
-        v[i, -1] = b_t
-        w[i, -1] = (b_t - rL) / c_out
-
-    add(src.v, dst.v, dst.u)
-    multiply(half_dt, dst.u, dst.u)
-    add(src.u, dst.u, dst.u)
-    t = [t_i + dt_i for t_i, dt_i in zip(state.t, dt)]
-    top = np.maximum.reduce(absolute(dst.u, work.full), -1).tolist()
-    # written so that NaN fails too
-    rows = [i for i, (x, bound) in enumerate(zip(top, guard)) if not x <= bound]
-    if rows:
-        failed = {i: dynamics._left_guard(top[i], guard[i], t[i]) for i in rows}
-        raise BlowUpError(failed[rows[0]], failed)
-    records[:4, :, index] = (t, top, *b_now)
-    return FieldState(t, state.xs, dst.u, dst.v, dst.w)

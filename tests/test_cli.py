@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import multiprocessing
@@ -534,6 +535,108 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         outputs.append([done.stdout] + [(folder / name).read_bytes() for name in (
             "certified.csv", "certified_report.txt", "certified_report.txt.json")])
     assert outputs[0] == outputs[1]
+
+
+# Settings that make this machine run the code another CPU would: NumPy's
+# SIMD dispatch without its AVX-512 targets (NumPy's sin, cos and exp), and
+# glibc's without AVX2 and FMA (libm's exp, sin, cos and pow, which the
+# compiled b(t) calls); each with the CPU features, as NumPy names them,
+# without which it changes nothing
+CPU_SETTINGS = {
+    "numpy-simd": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                   {"X86_V4", "AVX512_ICL", "AVX512_SPR"}),
+    "glibc-hwcaps": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX_Usable,"
+                                        "-AVX2_Usable,-FMA_Usable,-FMA4_Usable"},
+                     {"AVX2", "FMA3"}),
+}
+# Across CPUs a number may move by this much of the largest magnitude in its
+# CSV column or JSON key; pointwise, a near-zero boundary value moves by far
+# more (README, "What is bit for bit the same on another CPU")
+CROSS_CPU_RTOL = 1e-12
+
+
+def numpy_cpu_features(env: dict):
+    """The CPU features NumPy turns on in a fresh interpreter under `env`, or
+    None where NumPy refuses to start with it."""
+    code = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            "print(*(name for name, on in f.items() if on))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    return set(done.stdout.split()) if done.returncode == 0 else None
+
+
+def json_columns(value, path: str = "", out=None) -> dict:
+    """The values of a JSON document by key path, a list's items under path + "[]"."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        for key, item in value.items():
+            json_columns(item, f"{path}.{key}", out)
+    elif isinstance(value, list):
+        for item in value:
+            json_columns(item, path + "[]", out)
+    else:
+        out.setdefault(path, []).append(value)
+    return out
+
+
+def run_outputs(config: Path, folder: Path, env: dict) -> tuple:
+    """`pipestab run config` in a new `folder`, which the config's outputs are
+    relative to: its stdout, and the columns of its CSV and of its JSON report."""
+    folder.mkdir()
+    done = subprocess.run([sys.executable, "-m", "pipestab.cli", "run", str(config)], cwd=folder,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    with open(folder / f"{config.stem}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    report = json.loads((folder / f"{config.stem}_report.txt.json").read_text())
+    return (done.stdout, {name: [float(row[name]) for row in rows] for name in rows[0]},
+            json_columns(report))
+
+
+def assert_columns_agree(want: dict, got: dict):
+    """hyp_ok, and every value that is not a number, equal; each number
+    within CROSS_CPU_RTOL of the largest magnitude in its column."""
+    assert got.keys() == want.keys()
+    for name, values in want.items():
+        if name == "hyp_ok" or not all(type(x) in (int, float) for x in values + got[name]):
+            assert got[name] == values, name
+            continue
+        a, b = np.array(values, dtype=float), np.array(got[name], dtype=float)
+        finite = np.isfinite(a)
+        assert np.array_equal(np.isfinite(b), finite), name
+        assert np.array_equal(a[~finite], b[~finite], equal_nan=True), name
+        scale = np.abs(a[finite]).max(initial=0.0)
+        assert np.abs(a - b)[finite].max(initial=0.0) <= CROSS_CPU_RTOL * scale, name
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the settings name x86-64 features")
+@pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
+def test_outputs_agree_across_cpu_dispatch(tmp_path, setting):
+    # certified.cfg and a bump with a disturbance, under this CPU's code and
+    # another's: the same exit code, verdict and hypothesis flags, and every
+    # other number within CROSS_CPU_RTOL
+    variables, features = CPU_SETTINGS[setting]
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    if "GLIBC_TUNABLES" in variables and platform.libc_ver()[0] != "glibc":
+        pytest.skip("GLIBC_TUNABLES acts on glibc alone")
+    if not (numpy_cpu_features(env) or set()) & features:
+        pytest.skip(f"this CPU has none of {sorted(features)}")
+    if numpy_cpu_features(dict(env, **variables)) is None:
+        pytest.skip(f"NumPy refuses {variables}")
+    bump = write_cfg(tmp_path, "bump.cfg", **{
+        "initial.family": "bump", "initial.amplitude": 1e-3, "initial.center": 0.4,
+        "initial.width": 0.2, "disturbance.family": "decaying_burst", "disturbance.A": 1e-4,
+        "disturbance.seed": 3, "solver.nx": 200, "output.csv_path": "bump.csv",
+        "output.report_path": "bump_report.txt"})
+    for config in (Path(__file__).resolve().parent.parent / "configs" / "certified.cfg", bump):
+        want = run_outputs(config, tmp_path / f"{config.stem}-default", env)
+        got = run_outputs(config, tmp_path / f"{config.stem}-{setting}", dict(env, **variables))
+        assert got[0] == want[0]        # the verdict
+        for columns, reference in zip(got[1:], want[1:]):
+            assert_columns_agree(reference, columns)
 
 
 class TestUnreadableConfig:

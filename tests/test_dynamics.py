@@ -609,17 +609,20 @@ class TestBlockRecord:
         xs = np.linspace(0.0, 1.0, nx + 1)
         work = StepWork(FieldState([0.0] * count, xs, np.zeros(shape), np.zeros(shape),
                                    np.zeros(shape)))
-        cells = int(np.prod(shape))
-        # two states of (u, v, w), one member's (u, v, w) at the half step,
-        # the per-member values, and the three weights of the grid: the
-        # records are the run's, and no step is held apart from them
+        cells, row = int(np.prod(shape)), (nx + 1 + 3) // 4 * 4
+        # two states of (u, v, w), one member's (u, v, w) at the half step in
+        # rows of n rounded up to 4 doubles, each member's sums and maxima
+        # (E1, H1 and the four maxima of each of two parts), the per-member
+        # values, and the three weights of the grid: the records are the
+        # run's, and no step is held apart from them
         assert work.states.nbytes == 8 * 6 * cells
-        assert work.half.nbytes == 8 * 3 * nx
+        assert work.half.shape == (3, row)
+        assert work.share.shape == (count, 10)
         assert work.io.nbytes == 8 * len(IO) * count
         held = [x for x in vars(work).values() if isinstance(x, np.ndarray)]
         held += [x for x in vars(work.quad).values() if isinstance(x, np.ndarray)]
-        assert sum(x.nbytes for x in held) == 8 * (6 * cells + 3 * nx + len(IO) * count
-                                                   + 3 * (nx + 1))
+        assert sum(x.nbytes for x in held) == 8 * (6 * cells + 3 * row + 10 * count
+                                                   + len(IO) * count + 3 * (nx + 1))
 
 
 def physics_pairs(physics, xs):
@@ -631,13 +634,13 @@ def physics_pairs(physics, xs):
     return pairs
 
 
-def lean_setup(nx, physics, seed, amplitude):
+def lean_setup(nx, physics, seed, amplitude, negative=True):
     """The batch's terms, the oracle's terms and a random state of
     len(physics) members on one grid.
 
     physics is a list of (a, k, theta, u0); the fields are noise of the given
-    amplitude, except that u = -1.5 ubar at two adjacent nodes, so that
-    ubar + u is negative at nodes and at a midpoint.
+    amplitude.  With `negative`, u = -1.5 ubar at two adjacent nodes, so
+    that ubar + u is negative at nodes and at a midpoint.
     """
     xs = np.linspace(0.0, 1.0, nx + 1)
     pairs = physics_pairs(physics, xs)
@@ -645,8 +648,9 @@ def lean_setup(nx, physics, seed, amplitude):
     reference = oracles.stack_terms([oracles.profile_terms(*pair) for pair in pairs])
     rng = np.random.default_rng(seed)
     u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, *terms.ubar.shape))
-    j = nx // 3
-    u[..., j:j + 2] = -1.5 * terms.ubar[..., j:j + 2]
+    if negative:
+        j = nx // 3
+        u[..., j:j + 2] = -1.5 * terms.ubar[..., j:j + 2]
     return terms, reference, FieldState([0.25] * len(physics), xs, u, v, w), rng
 
 
@@ -683,9 +687,9 @@ def boundary(specs, state, dt):
 
 
 def stepped(work, records, j, xs):
-    """The state of the step recorded at index j = 1, 2 of a call from index
-    1, with the times recorded with it: the steps write the two states in
-    turn, from a state held in the first."""
+    """The state of the step recorded at index j, with the times recorded
+    with it, while the work set still holds it: when the first call starts
+    at index 1 from a state not in the work set, step j writes state j % 2."""
     return FieldState(records[0, :, j].tolist(), xs, *work.views[j % 2])
 
 
@@ -733,35 +737,95 @@ class TestProfileTerms:
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
-class TestLeanStep:
-    """The work-set step gives what the allocating step gave, bit for bit."""
+MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
+                           st.floats(0.05, 0.3))
 
-    @given(st.integers(16, 48), PHYSICS, st.integers(0, 2 ** 32 - 1),
-           st.floats(1e-6, 1.0), st.lists(st.floats(0.05, 0.99), min_size=3, max_size=3))
+
+def calls(amplitude):
+    """The strategies of assert_calls_match_allocating_step's inputs, with
+    noise amplitudes up to `amplitude`."""
+    return (st.lists(MEMBER_PHYSICS, min_size=1, max_size=4), st.integers(16, 64),
+            st.integers(0, 2 ** 32 - 1), st.floats(1e-6, amplitude), st.integers(1, 3),
+            st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6))
+
+
+def assert_calls_match_allocating_step(physics, nx, seed, amplitude, negative, rows, fractions):
+    """Calls of the compiled step give what oracles.step gives, step by step, bit for bit."""
+    # each member steps by its own fraction of its CFL step and is clipped
+    # to land on a snapshot time, after which it steps on; a call returns
+    # when the records are full, a member lands or its next step fails.
+    # They start with room for `rows` steps after the t = 0 row and double
+    # when full, as in simulate_batch: with rows = 1 every call fills them
+    # until a member lands.  Each step's records hold (t, max|u|, b, b_t),
+    # max|u_x|, max|u_t| and the E1 and H1 integrals of the state it made,
+    # as the allocating step and the energy functionals give them, bit for
+    # bit, and a step fails for the members the allocating step fails.
+    # With `negative`, ubar + u < 0 at two nodes and a midpoint
+    terms, reference_terms, state, work, rng = compiled_setup(
+        physics, nx, seed, amplitude, negative)
+    quad = Quadrature(state.xs)
+    a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
+    members, dx = len(physics), state.xs[1] - state.xs[0]
+    specs, guard = disturbances(rng, members), [1e3] * members
+    speed = wave_speed(terms, state)
+    work.load(specs, speed=speed, guard=guard, cfl_dx=[f * dx for f in fractions[:members]],
+              t_snap=[t + 2.5 * f * dx / s for t, f, s in zip(state.t, fractions[::-1], speed)],
+              t_end=[math.inf] * members)
+    compiled, reference = state, copied(state)
+    records = records_of(members, 1 + rows)
+
+    def reference_step(reference):
+        speed = oracles.wave_speed(reference_terms, reference)
+        dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
+            work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
+            reference.t)]
+        b_now = boundary(specs, reference, dt)
+        return *oracles.step(reference, reference_terms, b_now, dt, guard, speed), b_now
+
+    start, failing = 1, False
+    while start < 7:
+        if start == records.shape[2]:
+            records = np.concatenate([records, np.empty_like(records)], axis=2)
+        try:
+            compiled = step(compiled, terms, work, records, start)
+        except SolverError as error:
+            with pytest.raises(type(error)) as reference_error:
+                reference_step(reference)
+            assert error.failed == reference_error.value.failed
+            return
+        assert not failing      # a call that stopped for no other reason: its next step fails
+        end = start + work.taken
+        t_snap = work.values["t_snap"]
+        landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
+        failing = not (end == records.shape[2] or any(landed))
+        for index in range(start, end):
+            reference, max_u, b_now = reference_step(reference)
+            if index == end - 2 and not failing:    # the older state the work set holds
+                assert_same_state(stepped(work, records, index, state.xs), reference)
+            assert records[:4, :, index].tobytes() == np.array(
+                [reference.t, max_u, *b_now]).tobytes()
+            tops = [np.max(np.abs(x), -1) for x in (reference.w, reference.v)]
+            assert records[4:6, :, index].tobytes() == np.array(tops).tobytes()
+            energies = [energy_E1(reference, terms, k, a, quad), h1_integrand(reference, quad)]
+            assert records[6:, :, index].tobytes() == np.array(energies).tobytes()
+        assert_same_state(compiled, reference)
+        # the next wave speed, as wave_speed gives it from the new state
+        assert work.values["speed"].tolist() == wave_speed(terms, reference)
+        assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
+        t_snap[landed] = math.inf
+        start = end
+
+
+class TestLeanStep:
+    """The compiled step gives what the allocating step gave, bit for bit."""
+
+    @given(*calls(1.0))
+    @example([(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.12)], 24, 1, 0.5, 2,
+             [0.9, 0.3, 0.6, 0.9, 0.3, 0.6])
     @settings(max_examples=40, deadline=None)
-    def test_matches_allocating_oracle(self, nx, physics, seed, amplitude, fractions):
-        # two calls into records of 3 steps from index 1, which each call
-        # fills: the first copies the state in, the second starts from the
-        # newest state; each member steps by its own fraction of its CFL step
-        terms, reference_terms, state, rng = lean_setup(nx, physics, seed, amplitude)
-        members, dx = len(physics), state.xs[1] - state.xs[0]
-        work, records = StepWork(state), records_of(members, 3)
-        specs, guard, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
-        work.load(specs, speed=wave_speed(terms, state), guard=guard,
-                  cfl_dx=[f * dx for f in fractions[:members]], t_snap=never, t_end=never)
-        lean, reference = state, copied(state)
-        for _ in range(2):
-            lean = step(lean, terms, work, records, 1)
-            assert work.taken == 2
-            for j in (1, 2):
-                speed = oracles.wave_speed(reference_terms, reference)
-                dt = [min(f * dx / s, math.inf) for f, s in zip(fractions, speed)]
-                b_now = boundary(specs, reference, dt)
-                reference, max_u = oracles.step(reference, reference_terms, b_now, dt, guard, speed)
-                assert_same_state(stepped(work, records, j, state.xs), reference)
-                assert records[:4, :, j].tolist() == [reference.t, max_u, *b_now]
-            assert_same_state(lean, reference)
-            assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
+    def test_matches_allocating_oracle(self, physics, nx, seed, amplitude, rows, fractions):
+        # ubar + u < 0 at two nodes and a midpoint
+        assert_calls_match_allocating_step(physics, nx, seed, amplitude, True, rows, fractions)
 
     @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]),
            st.booleans())
@@ -837,34 +901,24 @@ class TestLeanStep:
     @given(st.integers(16, 48), st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_formulas_match_in_place_forms(self, n, scale, theta, seed):
-        # the definitional forms compute what the NumPy step's in-place forms did
+    def test_formulas_match_allocating_forms(self, n, scale, theta, seed):
+        # the definitional forms compute what the allocating step's forms do
         rng = np.random.default_rng(seed)
         u, ux, ut, ubar, ubar_x = scale * rng.uniform(-1.0, 1.0, (5, n))
-        assert f_tilde(u, ux, ut, theta).tobytes() == oracles.f_tilde_into(u, ux, ut, theta).tobytes()
+        assert f_tilde(u, ux, ut, theta).tobytes() == oracles.f_tilde(u, ux, ut, theta).tobytes()
         ubar = np.abs(ubar) * 0.4   # subsonic for a = 2
         lean = lower_order_F(u, ux, ut, ubar, ubar_x, 2.0, theta)
-        assert lean.tobytes() == oracles.lower_order_F_into(u, ux, ut, ubar, ubar_x, 2.0,
-                                                            theta).tobytes()
+        assert lean.tobytes() == oracles.lower_order_F(u, ux, ut, ubar, ubar_x, 2.0,
+                                                       theta).tobytes()
 
 
-def compiled_setup(physics, nx, seed, amplitude):
-    """The batch's terms, the oracle's terms, a random state of len(physics)
-    members and the two work sets.
-
-    physics is a list of (a, k, theta, u0 / a)."""
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    pairs = physics_pairs([(a, k, theta, fraction * a) for a, k, theta, fraction in physics], xs)
-    terms = profile_terms(pairs)
-    reference_terms = oracles.stack_terms([oracles.profile_terms(*pair) for pair in pairs])
-    rng = np.random.default_rng(seed)
-    u, v, w = amplitude * rng.uniform(-1.0, 1.0, (3, len(pairs), nx + 1))
-    state = FieldState([0.25] * len(pairs), xs, u, v, w)
-    return terms, reference_terms, state, (StepWork(state), oracles.NumpyStepWork(state)), rng
-
-
-MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
-                           st.floats(0.05, 0.3))
+def compiled_setup(physics, nx, seed, amplitude, negative=False):
+    """lean_setup of physics given as a list of (a, k, theta, u0 / a), and a
+    StepWork of its state."""
+    terms, reference_terms, state, rng = lean_setup(
+        nx, [(a, k, theta, fraction * a) for a, k, theta, fraction in physics], seed, amplitude,
+        negative)
+    return terms, reference_terms, state, StepWork(state), rng
 
 
 def serial_max(values) -> float:
@@ -902,70 +956,23 @@ def stepped_maxima(work, records, terms, row) -> tuple:
 
 
 class TestCompiledStep:
-    """The compiled loop gives what the NumPy step gave, step by step, bit for bit."""
+    """The compiled loop gives what the NumPy step oracles.step gives,
+    checks what it is given, and fails, and takes its maxima, as that step does."""
 
-    @given(st.lists(MEMBER_PHYSICS, min_size=1, max_size=4), st.integers(16, 64),
-           st.integers(0, 2 ** 32 - 1), st.floats(1e-6, 0.1), st.integers(1, 3),
-           st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6))
+    @given(*calls(0.1))
     @example([(2.0, 4.0, 0.1, 0.15)], 16, 0, 1e-3, 1, [1.0, 0.5, 1.0, 0.25, 1.0, 0.75])
+    # member 0 leaves its guard in a call's middle, and the next call fails
+    @example([(1.0, 1.0, 0.0, 0.1875), (1.0, 1.0, 0.0, 0.25)], 16, 583826, 0.0625, 2,
+             [1.0, 1.0, 1.0, 1.0, 1.0, 0.375])
     @settings(max_examples=60, deadline=None)
     def test_matches_numpy_step(self, physics, nx, seed, amplitude, rows, fractions):
-        # each member steps by its own fraction of its CFL step and is clipped
-        # to land on a snapshot time, after which it steps on; a call returns
-        # when the records are full or a member lands.  They start with room
-        # for `rows` steps after the t = 0 row and double when full, as in
-        # simulate_batch: with rows = 1 every call fills them until a member
-        # lands.  Each step's records hold max|u_x|, max|u_t| and the E1 and
-        # H1 integrals of the state it made, as the energy functionals give
-        # them, bit for bit
-        terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
-            physics, nx, seed, amplitude)
-        quad = Quadrature(state.xs)
-        a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
-        members, dx = len(physics), state.xs[1] - state.xs[0]
-        specs, guard = disturbances(rng, members), [1e3] * members
-        speed = wave_speed(terms, state)
-        work.load(specs, speed=speed, guard=guard, cfl_dx=[f * dx for f in fractions[:members]],
-                  t_snap=[t + 2.5 * f * dx / s for t, f, s in zip(state.t, fractions[::-1], speed)],
-                  t_end=[math.inf] * members)
-        compiled, reference = state, copied(state)
-        records = records_of(members, 1 + rows)
-        reference_records = np.empty_like(records)
-        start = 1
-        while start < 7:
-            if start == records.shape[2]:
-                records, reference_records = (np.concatenate([x, np.empty_like(x)], axis=2)
-                                              for x in (records, reference_records))
-            compiled = step(compiled, terms, work, records, start)
-            end = start + work.taken
-            for index in range(start, end):
-                speed = oracles.wave_speed(reference_terms, reference)
-                dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
-                    work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
-                    reference.t)]
-                reference = oracles.numpy_step(reference, reference_terms,
-                                               boundary(specs, reference, dt), dt, guard, speed,
-                                               reference_work, reference_records, index)
-                tops = [np.max(np.abs(x), -1) for x in (reference.w, reference.v)]
-                assert records[4:6, :, index].tobytes() == np.array(tops).tobytes()
-                energies = [energy_E1(reference, terms, k, a, quad), h1_integrand(reference, quad)]
-                assert records[6:, :, index].tobytes() == np.array(energies).tobytes()
-            assert_same_state(compiled, reference)
-            recorded = np.s_[:4, :, start:end]
-            assert records[recorded].tobytes() == reference_records[recorded].tobytes()
-            # the next wave speed, as wave_speed gives it from the new state
-            assert work.values["speed"].tolist() == wave_speed(terms, reference)
-            # the call went on until the records were full or a member landed
-            t_snap = work.values["t_snap"]
-            landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
-            assert end == records.shape[2] or any(landed)
-            t_snap[landed] = math.inf
-            start = end
+        # ubar + u > 0 throughout, as in a run's states
+        assert_calls_match_allocating_step(physics, nx, seed, amplitude, False, rows, fractions)
 
     def test_terms_of_another_batch_are_rejected(self):
         # the compiled loop reads the terms through raw pointers: their shapes are checked
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        _, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3)
+        _, _, state, work, _ = compiled_setup(physics, 24, 0, 1e-3)
         terms = compiled_setup(physics + physics[:1], 24, 0, 1e-3)[0]
         with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
             step(state, terms, work, records_of(2, 2), 1)
@@ -974,7 +981,7 @@ class TestCompiledStep:
         # the compiled loop writes the records through a raw pointer: a step
         # index or a slot outside them, or records of another layout, is refused
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        terms, _, state, (work, _), _ = compiled_setup(physics, 24, 0, 1e-3)
+        terms, _, state, work, _ = compiled_setup(physics, 24, 0, 1e-3)
         records = records_of(2, 4)
         for bad, index in ((records, 4), (records, -1), (records_of(1, 4), 1), (records[:7], 1),
                            (records[:, :, :3], 1), (records.astype(np.float32), 1)):
@@ -988,10 +995,9 @@ class TestCompiledStep:
     @pytest.mark.parametrize("row", [0, 2])
     def test_nan_member_fails_alone(self, field, row):
         # a NaN in v or w reaches u within the step; only its member fails,
-        # with the NumPy step's message, and the input state is kept
+        # with the allocating step's message, and the input state is kept
         physics = [(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.1), (1.5, 8.0, 0.6, 0.2)]
-        terms, reference_terms, state, (work, reference_work), rng = compiled_setup(
-            physics, 24, 7, 1e-3)
+        terms, reference_terms, state, work, rng = compiled_setup(physics, 24, 7, 1e-3)
         getattr(state, field)[row, 12] = np.nan
         state, before = copied(state), copied(state)
         dx = state.xs[1] - state.xs[0]
@@ -1003,8 +1009,8 @@ class TestCompiledStep:
             step(state, terms, work, records_of(3, 2), 1)
         dt = time_steps(work, state)
         with pytest.raises(BlowUpError) as reference:
-            oracles.numpy_step(copied(state), reference_terms, boundary(specs, state, dt), dt,
-                               guard, speed, reference_work, records_of(3, 2), 1)
+            oracles.step(copied(state), reference_terms, boundary(specs, state, dt), dt, guard,
+                         speed)
         assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
         assert "max|u| = nan" in str(compiled.value)
         assert_same_state(state, before)
@@ -1016,7 +1022,7 @@ class TestCompiledStep:
         # order: the member fails its guard at that step, and the records hold
         # the NaN that the serial maximum gives, the last one, not the first
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        terms, _, state, (work, _), rng = compiled_setup(physics, 60, 7, 1e-3)
+        terms, _, state, work, rng = compiled_setup(physics, 60, 7, 1e-3)
         load_two(work, terms, state, rng)
         state.u[1, node], state.w[1, node + 1] = quiet_nan(5), quiet_nan(9)
         records = records_of(2, 2)
@@ -1041,7 +1047,7 @@ class TestCompiledStep:
         # one of member 1 makes w +inf at x = L.  No NaN, so the lanes'
         # maxima stand, and are the serial ones
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        terms, _, state, (work, _), rng = compiled_setup(physics, 60, 7, 1e-3)
+        terms, _, state, work, rng = compiled_setup(physics, 60, 7, 1e-3)
         (a0, k0), a1 = physics[0][:2], physics[1][0]
         ubar_0, ubar_1 = terms.ubar[0, 0], terms.ubar[1, -1]
         u0, u1 = -1.0 / k0 - a0 - ubar_0, a1 - ubar_1

@@ -1,6 +1,6 @@
 """A step split between two threads gives the bits of an unsplit step.
 
-With `threads` = 2, lw_advance (_lw.c) starts a helper thread for each
+With `split` < n, lw_advance (_lw.c) starts a helper thread for each
 call, which takes nodes [split, n) of each member's step and continues
 the caller's E1 and H1 sums.  These tests force the split through
 StepWork and simulate_batch at small n, and hold every record, state and
@@ -150,9 +150,11 @@ def test_cfl_failure():
 
 
 def test_split_work_sets_hold_rows_of_n():
+    # one layout of the half-step rows, n rounded up to 4 doubles, split or
+    # not; one part is a split at n
     state, *_ = batch(N, [DRAW])
-    assert StepWork(state, 2).half.shape == (3, N)
-    assert StepWork(state).half.shape == (3, N - 1)
+    assert [(work.half.shape, work.split) for work in (StepWork(state, 2), StepWork(state))] == [
+        ((3, 40), N // 2), ((3, 40), N)]
 
 
 @pytest.mark.parametrize("split", [2, N - 2])
