@@ -17,10 +17,10 @@
  *
  * Every value is computed by the same IEEE operations, in the same order,
  * as the Python and NumPy forms kept in tests/oracles.py and in
- * `lyapunov.energy_E1` and `h1_integrand`, whose sums `lyapunov._dot`
- * adds node after node, as here; so the results are equal bit for bit.
- * The maxima alone are taken in another order, which gives the same
- * result, as `maxima` says.
+ * `lyapunov.energy_E1` and `h1_integrand`, whose sums `lyapunov._dot` adds
+ * in the order that `finish` adds here (see LANES and BLOCK); so the
+ * results are equal bit for bit.  The maxima alone are taken in another
+ * order, which gives the same result, as `finish` says.
  * That holds only when the compiler neither contracts a * b + c into a
  * fused multiply-add nor reorders arithmetic, and calls libm's pow, exp,
  * sin and cos as Python's ** and math module do, instead of folding
@@ -28,31 +28,30 @@
  * -ffp-contract=off -fno-builtin and without -ffast-math.  The callers
  * check shapes, dtypes, contiguity and indices before they pass pointers.
  *
- * The per-node kernels of a step (`predictor`, `corrector`, `finish` and
- * `maxima`) are branch-free and restrict-qualified, so that the compiler
- * vectorises them: the first three element-wise, `maxima` in independent
- * lanes.  The E1 and H1 sums are added in a serial loop after `finish`, in
- * node order; when the new state holds a NaN, the maxima are taken again
- * in node order (`nan_maxima`), so that the same NaN comes out.  A vector
- * lane adds, multiplies, divides and compares with the rounding of the
- * scalar operation, so the vector width changes no bit.  With GCC on
- * x86-64 Linux each kernel is built twice, for AVX2 and for the baseline
- * ISA, and the loader picks the clone the CPU runs (`CLONES`); the AVX2
- * target has no FMA, and contraction is off.
+ * The per-node kernels of a step (`predictor`, `corrector` and `finish`)
+ * are branch-free and restrict-qualified, so that the compiler vectorises
+ * them: the first two element-wise, `finish` in independent lanes, in
+ * which it takes u at t + dt, the E1 and H1 sums of each block of nodes
+ * and the four maxima in one pass.  When the new state holds a NaN, the
+ * maxima are taken again in node order (`nan_maxima`), so that the same
+ * NaN comes out.  A vector lane adds, multiplies, divides and compares
+ * with the rounding of the scalar operation, so the vector width changes
+ * no bit.  With GCC on x86-64 Linux each kernel is built twice, for AVX2
+ * and for the baseline ISA, and the loader picks the clone the CPU runs
+ * (`CLONES`); the AVX2 target has no FMA, and contraction is off.
  *
  * A batch whose `split` m is less than n splits each member's step at
- * node m between the calling thread, which takes nodes [0, m), and one
- * helper thread, which takes [m, n); lw_advance starts the helper and
- * joins it before it returns, so no thread outlives a call.  With m = n
- * the calling thread takes every node, in the same member loop.  Each
- * part runs the same kernels on its own nodes and computes the cells its
- * corrector reads, so the parts need no barrier between predictor and
- * corrector.  The caller sums its nodes' terms from -0.0 and hands over
- * its partial sums; the helper adds its nodes' terms to them, so each sum
- * keeps node order.  The maxima of the two parts are folded, which is
- * exact; the NaN rescan reads the whole member.  Only the caller writes
- * records, tests the guard and decides to stop.  So a split step gives
- * the bits of an unsplit one.
+ * node m, a block edge, between the calling thread, which takes nodes
+ * [0, m), and one helper thread, which takes [m, n); lw_advance starts the
+ * helper and joins it before it returns, so no thread outlives a call.
+ * With m = n the calling thread takes every node, in the same member loop.
+ * Each part runs the same kernels on its own nodes and computes the cells
+ * its corrector reads, so the parts need no barrier between predictor and
+ * corrector, and writes the sums of its own blocks.  Once the helper is
+ * done with a step, the caller adds every block sum in block order and
+ * folds the two parts' maxima, which is exact; the NaN rescan reads the
+ * whole member.  Only the caller writes records, tests the guard and
+ * decides to stop.  So a split step gives the bits of an unsplit one.
  */
 #define _GNU_SOURCE     /* pthreads, sched_yield and CPU affinity, under -std=c99 */
 #include <math.h>
@@ -90,12 +89,12 @@ typedef struct {
     long n;                     /* grid nodes per member */
     long runs;                  /* slots of the records */
     long capacity;              /* steps the records hold */
-    long split;                 /* m: n for one thread, else 3 <= m <= n - 3 */
+    long split;                 /* m: n for one thread, else a multiple of BLOCK <= n - 3 */
     double dx;
     double *states;             /* (2, 3, B, n): u, v, w of the two states */
     double *half;               /* (3, lw_half_row(n)): one member's u, v, w at t + dt/2
-                                   on the cells, and its nodes' terms of E1 and H1: see lw_part */
-    double *share;              /* (B, SHARE): each member's sums and maxima */
+                                   on the cells: see lw_part */
+    double *share;              /* (B, lw_share(n)): each member's block sums and maxima */
     double *io;                 /* (rows of dynamics.IO, B) */
     const double *weights;      /* (n,): the trapezoid weights */
     const double *two_decay;    /* (n,): 2 exp(-x/L), E1's cross-term weight */
@@ -255,65 +254,90 @@ static CLONES void corrector(long cells, const double *restrict u, const double 
     }
 }
 
-/* u at t + dt over n nodes, u + half_dt (v + vn), and each node's terms of
- * the new state's integrals: of k [(a^2 - m^2) u_x^2 + u_t^2] - 2 exp(-x/L)
- * [m u_x^2 + u_t u_x], m = ubar + u, with a squared as a * a (E1), and of
- * u^2 + u_t^2 + u_x^2 (H1), each times its trapezoid weight. */
+/* The order of the step's sums, lyapunov's LANES and BLOCK, in which
+ * lyapunov._dot adds too: node j goes into lane j % LANES of its block of
+ * BLOCK nodes, each lane adds its nodes in node order from -0.0, the lanes
+ * of a block are folded by halving (lane l += lane l + w for w = 2, 1),
+ * and the block sums are added in block order from -0.0.  A split point is
+ * a block edge, so each part's blocks are those of one thread. */
+enum { LANES = 4, BLOCK = 8 * LANES };
+
+/* Node j of `finish`, in lane l: its u at t + dt, and its terms and
+ * magnitudes added into the lanes of the sums and the maxima. */
+static inline void finish_node(long j, long l, const double *restrict u,
+                               const double *restrict v, const double *restrict vn,
+                               const double *restrict wn, const double *restrict ubar,
+                               const double *restrict two_decay,
+                               const double *restrict weights, double k, double a_a,
+                               double half_dt, double *restrict un, double sum[2][LANES],
+                               double peak[4][LANES])
+{
+    const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
+    const double m = ubar[j] + uj, w2 = wj * wj;
+    un[j] = uj;
+    sum[0][l] += (k * ((a_a - m * m) * w2 + vj * vj) - two_decay[j] * (m * w2 + vj * wj))
+                 * weights[j];
+    sum[1][l] += ((uj * uj + vj * vj) + w2) * weights[j];
+    const double x[4] = {__builtin_fabs(uj), __builtin_fabs(wj), __builtin_fabs(vj),
+                         __builtin_fabs(m)};
+    for (long r = 0; r < 4; r++)
+        peak[r][l] = x[r] > peak[r][l] ? x[r] : peak[r][l];
+}
+
+/* Folds the lanes of a block's sums by halving into out[0] (E1) and out[1]
+ * (H1), and starts the lanes of the next block at -0.0. */
+static inline void end_block(double sum[2][LANES], double *restrict out)
+{
+    for (long w = LANES / 2; w > 0; w /= 2)
+        for (long l = 0; l < w; l++) {
+            sum[0][l] += sum[0][l + w];
+            sum[1][l] += sum[1][l + w];
+        }
+    out[0] = sum[0][0];
+    out[1] = sum[1][0];
+    for (long l = 0; l < LANES; l++)
+        sum[0][l] = sum[1][l] = -0.0;
+}
+
+/* u at t + dt over n nodes, u + half_dt (v + vn), and the step's record of
+ * them.  Each block's sums go to sums[2b] and sums[2b + 1]: of the new
+ * state's integrands k [(a^2 - m^2) u_x^2 + u_t^2] - 2 exp(-x/L) [m u_x^2 +
+ * u_t u_x], m = ubar + u, with a squared as a * a (E1), and u^2 + u_t^2 +
+ * u_x^2 (H1), each times its trapezoid weight.  max|u|, max|u_x|, max|u_t|
+ * and max|ubar + u| go to top[0..3], where no value is NaN: a maximum of
+ * magnitudes that are not NaN is the same in any order, and no smaller than
+ * +0.0, so the lanes start at +0.0 and are folded at the end.  The lane loop
+ * is the one the compiler vectorises; unrolled first, it would only be
+ * vectorised in part.  The last n % LANES nodes are taken one by one, each
+ * in its lane. */
 static CLONES void finish(long n, const double *restrict u, const double *restrict v,
                           const double *restrict vn, const double *restrict wn,
                           const double *restrict ubar, const double *restrict two_decay,
                           const double *restrict weights, double k, double a_a, double half_dt,
-                          double *restrict un, double *restrict e1_terms,
-                          double *restrict h1_terms)
+                          double *restrict un, double *restrict sums, double *restrict top)
 {
-    for (long j = 0; j < n; j++) {
-        const double uj = u[j] + half_dt * (v[j] + vn[j]), vj = vn[j], wj = wn[j];
-        const double m = ubar[j] + uj, w2 = wj * wj;
-        un[j] = uj;
-        e1_terms[j] = (k * ((a_a - m * m) * w2 + vj * vj) - two_decay[j] * (m * w2 + vj * wj))
-                      * weights[j];
-        h1_terms[j] = ((uj * uj + vj * vj) + w2) * weights[j];
-    }
-}
-
-/* max|u|, max|u_x|, max|u_t| and max|ubar + u| over n >= 1 nodes, into
- * top[0..3], where no value is NaN.  A maximum of magnitudes that are not
- * NaN is the same in any order, and no smaller than +0.0, so each is taken
- * in LANES independent lanes that start at +0.0, and the lanes are folded
- * at the end; the tail of n % LANES nodes goes to lane 0.  The lane loop
- * is the one the compiler vectorises; unrolled first, it would only be
- * vectorised in part. */
-enum { LANES = 8 };
-static CLONES void maxima(long n, const double *restrict u, const double *restrict ux,
-                          const double *restrict ut, const double *restrict ubar,
-                          double *restrict top)
-{
-    double lane[4][LANES] = {{0.0}};
+    double sum[2][LANES], peak[4][LANES] = {{0.0}};
+    for (long l = 0; l < LANES; l++)
+        sum[0][l] = sum[1][l] = -0.0;
     const long body = n - n % LANES;
     for (long j = 0; j < body; j += LANES) {
 #pragma GCC unroll 1
-        for (long l = 0; l < LANES; l++) {
-            const double x0 = __builtin_fabs(u[j + l]), x1 = __builtin_fabs(ux[j + l]);
-            const double x2 = __builtin_fabs(ut[j + l]);
-            const double x3 = __builtin_fabs(ubar[j + l] + u[j + l]);
-            lane[0][l] = x0 > lane[0][l] ? x0 : lane[0][l];
-            lane[1][l] = x1 > lane[1][l] ? x1 : lane[1][l];
-            lane[2][l] = x2 > lane[2][l] ? x2 : lane[2][l];
-            lane[3][l] = x3 > lane[3][l] ? x3 : lane[3][l];
-        }
+        for (long l = 0; l < LANES; l++)
+            finish_node(j + l, l, u, v, vn, wn, ubar, two_decay, weights, k, a_a, half_dt, un,
+                        sum, peak);
+        if (j % BLOCK == BLOCK - LANES)
+            end_block(sum, sums + 2 * (j / BLOCK));
     }
-    for (long j = body; j < n; j++) {
-        const double x0 = __builtin_fabs(u[j]), x1 = __builtin_fabs(ux[j]);
-        const double x2 = __builtin_fabs(ut[j]), x3 = __builtin_fabs(ubar[j] + u[j]);
-        lane[0][0] = x0 > lane[0][0] ? x0 : lane[0][0];
-        lane[1][0] = x1 > lane[1][0] ? x1 : lane[1][0];
-        lane[2][0] = x2 > lane[2][0] ? x2 : lane[2][0];
-        lane[3][0] = x3 > lane[3][0] ? x3 : lane[3][0];
-    }
+    for (long l = 0; l < LANES; l++)
+        if (body + l < n)
+            finish_node(body + l, l, u, v, vn, wn, ubar, two_decay, weights, k, a_a, half_dt, un,
+                        sum, peak);
+    if (n % BLOCK)
+        end_block(sum, sums + 2 * (n / BLOCK));
     for (long r = 0; r < 4; r++) {
-        top[r] = lane[r][0];
+        top[r] = peak[r][0];
         for (long l = 1; l < LANES; l++)
-            top[r] = lane[r][l] > top[r] ? lane[r][l] : top[r];
+            top[r] = peak[r][l] > top[r] ? peak[r][l] : top[r];
     }
 }
 
@@ -323,7 +347,7 @@ static double nan_max(double top, double x)
     return (x > top || x != x) ? x : top;
 }
 
-/* The maxima of `maxima` where a value may be NaN: taken in node order, so
+/* The maxima of `finish` where a value may be NaN: taken in node order, so
  * that the NaN the serial reduction gives is the one that comes out. */
 static void nan_maxima(long n, const double *u, const double *ux, const double *ut,
                        const double *ubar, double *top)
@@ -338,31 +362,31 @@ static void nan_maxima(long n, const double *u, const double *ux, const double *
 }
 
 /* A member's row of `share`, what a step leaves of it for its records:
- * the E1 and H1 sums, then max|u|, max|u_x|, max|u_t| and max|ubar + u| of
- * nodes [0, m), then those of [m, n) when split. */
-enum { E1_SUM, H1_SUM, TOP_0, TOP_1 = TOP_0 + 4, SHARE = TOP_1 + 4 };
+ * max|u|, max|u_x|, max|u_t| and max|ubar + u| of nodes [0, m), the E1 and
+ * H1 sums of each block, then those maxima of [m, n) when split, so that
+ * each thread writes at its own end of the row. */
+enum { TOP_0, SUMS = TOP_0 + 4 };
 
 /* A row of `half` is n doubles rounded up to 4: rows start 32 bytes apart.
  * dynamics.StepWork sizes `share` and `half` by lw_share and lw_half_row;
- * the loop inlines half_row, as a call through the PLT cost several %. */
+ * the loop inlines them, as a call through the PLT cost several %. */
 static inline long half_row(long n) { return (n + 3) & ~3L; }
+static inline long share_row(long n) { return SUMS + 2 * ((n + BLOCK - 1) / BLOCK) + 4; }
 long lw_half_row(long n) { return half_row(n); }
-const long lw_share = SHARE;
+long lw_share(long n) { return share_row(n); }
 
 /* Nodes [lo, hi) of member i's step from state src into the other, the
  * step recorded at `step`: its time step is io's DT and its boundary value
  * b_t its record's.  Computes the predictor on the cells that these
  * nodes' corrector reads, the corrector, the boundary closures at the
- * ends of the grid in [lo, hi), and u at t + dt and the nodes' terms of
- * the integrals.
+ * ends of the grid in [lo, hi), and u at t + dt with the part's record in
+ * the member's row of `share`.
  *
- * half holds three rows of cells, u, v and w, and then the terms: those
- * of E1 of node j at j of row u, of H1 at j of row v, where the step no
- * longer reads.  A part with lo > 0 computes the cell lo - 1 itself,
- * which the part before computes too, and keeps cell c at c + 1 of its
- * row: so each part keeps its cells and its nodes' terms at [lo, hi) of
- * rows u and v, and the two parts write no value in common, nor one the
- * other reads. */
+ * half holds three rows of cells, u, v and w.  A part with lo > 0 computes
+ * the cell lo - 1 itself, which the part before computes too, and keeps
+ * cell c at c + 1 of its row: so each part keeps its cells at [lo, hi) of
+ * the rows, and the two parts write no value in common, nor one the other
+ * reads. */
 static void lw_part(const lw_batch *batch, long i, long src, long step, long lo, long hi)
 {
     const long B = batch->members, n = batch->n;
@@ -375,7 +399,7 @@ static void lw_part(const lw_batch *batch, long i, long src, long step, long lo,
     const long j0 = lo > 1 ? lo : 1, j1 = hi < n - 1 ? hi : n - 1;  /* interior nodes [j0, j1) */
     const long row = half_row(n);
     double *uh = batch->half + shift, *vh = uh + row, *wh = vh + row;
-    double *e1_terms = batch->half, *h1_terms = e1_terms + row;
+    double *x = batch->share + share_row(n) * i;
     const double *coef = batch->coefficients + i;
     const double a = coef[0], a2 = coef[B], k = coef[2 * B];
     const double theta = coef[3 * B], theta_1_5 = coef[4 * B];
@@ -413,63 +437,46 @@ static void lw_part(const lw_batch *batch, long i, long src, long step, long lo,
     }
 
     finish(hi - lo, u + lo, v + lo, vn + lo, wn + lo, ubar + lo, batch->two_decay + lo,
-           batch->weights + lo, k, a * a, half_dt, un + lo, e1_terms + lo, h1_terms + lo);
-}
-
-/* max|u|, max|u_x|, max|u_t| and max|ubar + u| over nodes [lo, hi) of member
- * i's new state, the one that the step from state src wrote, into top,
- * where no value is NaN. */
-static void part_maxima(const lw_batch *batch, long i, long src, long lo, long hi, double *top)
-{
-    const long n = batch->n, field = batch->members * n;
-    const double *un = batch->states + (1 - src) * 3 * field + i * n + lo;
-    maxima(hi - lo, un, un + 2 * field, un + field, batch->ubar + i * n + lo, top);
-}
-
-/* Adds the E1 and H1 terms of nodes [lo, hi), node after node, to sums[0]
- * and sums[1]: the sums of a step start from -0.0, so that an all -0.0
- * sum is np.cumsum's too. */
-static void add_terms(const lw_batch *batch, long lo, long hi, double *sums)
-{
-    const double *e1_terms = batch->half, *h1_terms = e1_terms + half_row(batch->n);
-    double e1 = sums[0], h1 = sums[1];
-    for (long j = lo; j < hi; j++) {
-        e1 += e1_terms[j];
-        h1 += h1_terms[j];
-    }
-    sums[0] = e1;
-    sums[1] = h1;
+           batch->weights + lo, k, a * a, half_dt, un + lo, x + SUMS + 2 * (lo / BLOCK),
+           lo > 0 ? x + share_row(n) - 4 : x + TOP_0);
 }
 
 /* Writes member i's records of the step at `step` from what its parts left
- * in x, and its max|ubar + u| to io's TOP.  Each term of h1 is a sum of
- * squares times a positive weight: never NaN, and never inf - inf in the
- * sum, unless some u, v or w is NaN.  So h1 is NaN exactly when the new
- * state holds a NaN (ubar is finite), and only then do the maxima depend
- * on the nodes' order: then they are taken again, in node order. */
-static void record(const lw_batch *batch, long i, long src, long step, double *x)
+ * in its row x of `share`, and its max|ubar + u| to io's TOP: the block sums
+ * added in block order from -0.0, and, when `split`, the parts' maxima
+ * folded, which is exact.  Each term of h1 is a sum of squares times a
+ * positive weight: never NaN, and never inf - inf in a sum, unless some u,
+ * v or w is NaN.  So h1 is NaN exactly when the new state holds a NaN (ubar
+ * is finite), and only then do the maxima depend on the nodes' order: then
+ * they are taken again, in node order. */
+static void record(const lw_batch *batch, long i, long src, long step, double *x, int split)
 {
     const long B = batch->members, n = batch->n, stride = batch->runs * batch->capacity;
-    const long field = B * n, dst = (1 - src) * 3 * field + i * n;
+    const long field = B * n, dst = (1 - src) * 3 * field + i * n, top_1 = share_row(n) - 4;
     double *rec = batch->records + (long)batch->io[SLOT * B + i] * batch->capacity + step;
-    double *top = x + TOP_0;
-    if (!(x[H1_SUM] == x[H1_SUM]))
+    double *top = x + TOP_0, e1 = -0.0, h1 = -0.0;
+    for (long j = SUMS; j < top_1; j += 2) {
+        e1 += x[j];
+        h1 += x[j + 1];
+    }
+    for (long r = 0; split && r < 4; r++)
+        top[r] = x[top_1 + r] > top[r] ? x[top_1 + r] : top[r];
+    if (!(h1 == h1))
         nan_maxima(n, batch->states + dst, batch->states + dst + 2 * field,
                    batch->states + dst + field, batch->ubar + i * n, top);
     rec[R_MAX_U * stride] = top[0];
     rec[R_MAX_UX * stride] = top[1];
     rec[R_MAX_UT * stride] = top[2];
-    rec[R_E1 * stride] = x[E1_SUM];
-    rec[R_H1 * stride] = x[H1_SUM];
+    rec[R_E1 * stride] = e1;
+    rec[R_H1 * stride] = h1;
     batch->io[TOP * B + i] = top[3];
 }
 
 /* What the two threads of split steps share.  Each counter only grows,
  * and one thread writes it: the caller counts the steps it started in
- * `go`, and the members whose nodes [0, m) it summed in `partials`; the
- * helper counts the members whose steps it finished in `done`, on a cache
- * line of its own.  A value written before a counter is stored is seen by
- * the thread that has loaded that count. */
+ * `go`, the helper those it finished in `done`, on a cache line of its
+ * own.  A value written before a counter is stored is seen by the thread
+ * that has loaded that count. */
 typedef struct {
     const lw_batch *batch;
     long src, step;         /* the state the step reads, and its record */
@@ -478,7 +485,7 @@ typedef struct {
     int placed;             /* the helper was started on the others of `cpus` */
     cpu_set_t cpus;         /* the CPUs the caller may run on */
 #endif
-    long go, partials;
+    long go;
     char line[64];
     long done;
 } lw_pair;
@@ -504,8 +511,7 @@ static void wait_for(long *counter, long count)
 }
 
 /* The helper thread: nodes [m, n) of each member of each step the caller
- * starts, their sums continued from the caller's sums of [0, m), so that
- * each sum keeps node order. */
+ * starts. */
 static void *helper(void *arg)
 {
     lw_pair *pair = arg;
@@ -515,18 +521,13 @@ static void *helper(void *arg)
     if (pair->placed)
         pthread_setaffinity_np(pthread_self(), sizeof pair->cpus, &pair->cpus);
 #endif
-    for (long started = 1, done = 0;; started++) {
+    for (long started = 1;; started++) {
         wait_for(&pair->go, started);
         if (pair->quit)
             return NULL;
-        for (long i = 0; i < B; i++) {
-            double *x = batch->share + SHARE * i;
+        for (long i = 0; i < B; i++)
             lw_part(batch, i, pair->src, pair->step, m, n);
-            part_maxima(batch, i, pair->src, m, n, x + TOP_1);
-            wait_for(&pair->partials, ++done);
-            add_terms(batch, m, n, x);
-            publish(&pair->done, done);
-        }
+        publish(&pair->done, started);
     }
 }
 
@@ -568,7 +569,6 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
     const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
     const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B, *slot = io + SLOT * B;
     const double *a = batch->coefficients;
-    long partials = 0;
 
     for (long i = 0; i < B; i++)
         status[i] = RUNNING;
@@ -603,23 +603,13 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
             pair->step = step;
             publish(&pair->go, pair->go + 1);
         }
-        for (long i = 0; i < B; i++) {
-            double *x = batch->share + SHARE * i;
-            x[E1_SUM] = x[H1_SUM] = -0.0;
+        for (long i = 0; i < B; i++)
             lw_part(batch, i, src, step, 0, m);
-            add_terms(batch, 0, m, x);
-            if (pair)
-                publish(&pair->partials, ++partials);
-            part_maxima(batch, i, src, 0, m, x + TOP_0);
-        }
         if (pair)
-            wait_for(&pair->done, partials);
+            wait_for(&pair->done, pair->go);
         for (long i = 0; i < B; i++) {
-            double *x = batch->share + SHARE * i;
-            if (pair)   /* fold in the helper's maxima of this step: exact in any order */
-                for (long r = 0; r < 4; r++)
-                    x[TOP_0 + r] = x[TOP_1 + r] > x[TOP_0 + r] ? x[TOP_1 + r] : x[TOP_0 + r];
-            record(batch, i, src, step, x);
+            double *x = batch->share + share_row(n) * i;
+            record(batch, i, src, step, x, pair != NULL);
             if (!(x[TOP_0] <= guard[i])) {      /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
                 value[i] = x[TOP_0];            /* max|u|, as recorded */

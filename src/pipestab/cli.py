@@ -63,17 +63,23 @@ def _member(cfg: ScenarioConfig) -> Member:
     return Member(params, profile, cfg.disturbance_spec(), solver, *cfg.initial_arrays(xs))
 
 
+def _check_writable(path, name: str):
+    """Fail before anything is simulated, not after, when `path` cannot be
+    written, with a message that calls it `name`; leaves no file that was
+    not there."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise OSError(f"cannot write {name}: {exc.strerror}") from None
+    if not existed:
+        os.unlink(path)
+
+
 def _check_outputs(cfg: ScenarioConfig):
-    """Fail before a scenario is simulated, not after, when one of its output
-    paths cannot be written; leaves no file that was not there."""
+    """_check_writable of each output path of a scenario."""
     for key in ("output.csv_path", "output.report_path"):
-        existed = os.path.exists(cfg[key])
-        try:
-            open(cfg[key], "a").close()
-        except OSError as exc:
-            raise OSError(f"cannot write `{key}` = {cfg[key]!r}: {exc.strerror}") from None
-        if not existed:
-            os.unlink(cfg[key])
+        _check_writable(cfg[key], f"`{key}` = {cfg[key]!r}")
 
 
 def _evaluate(cfg: ScenarioConfig, member: Member, traj):
@@ -303,10 +309,7 @@ def cmd_sweep(args) -> int:
 
     keys = sorted(grid)
     out_path = Path(args.out) if args.out else Path(args.config).with_suffix(".sweep.csv")
-    try:   # fail before the grid runs, not after
-        out_path.open("a").close()
-    except OSError as exc:
-        raise OSError(f"cannot write the sweep summary: {exc}") from None
+    _check_writable(out_path, f"the sweep summary {str(out_path)!r}")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     results = [None] * len(combos)
     cfgs = {}

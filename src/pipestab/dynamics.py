@@ -27,7 +27,7 @@ writes every step's RECORDS into the run's records, and returns only when
 the records are full, a member reaches a snapshot time or its t_end, or a
 member fails.  It performs the same IEEE operations in the same order as
 the Python and NumPy forms it replaced, so its values are theirs bit for
-bit, and sums each integral node after node, in the order of
+bit, and adds each integral in lanes of blocks of nodes, in the order of
 `lyapunov._dot`.  The library is built when this module is imported,
 with the C compiler Python was built with, and cached in the package's
 `__pycache__`.  A StepWork built once per batch holds two states, which
@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .disturbance import PARAMETERS, DisturbanceSpec, sample_b
-from .lyapunov import Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
+from .lyapunov import BLOCK, Quadrature, energy_E1, energy_classic, grad_norm, h1_integrand
 from .stationary import PipeParams, StationaryProfile, require
 
 
@@ -71,8 +71,9 @@ _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
             "-shared"]
 
 # The fewest grid nodes (solver.nx + 1) at which a batch given two threads
-# splits each member's step between them: below it, the two threads' hand-off
-# per step costs more than half a step saves (see README, "Cost of a step").
+# splits each member's step between them: below it, starting the helper's
+# part of each step and waiting for it costs more than half a step saves (see
+# README, "Cost of a step").
 SPLIT_NODES = 641
 
 
@@ -139,7 +140,8 @@ def _load_library():
 def _declare(lib):
     lib.lw_advance.argtypes = (ctypes.POINTER(_Batch), ctypes.c_long, ctypes.c_long)
     lib.lw_advance.restype = ctypes.c_long
-    lib.lw_half_row.argtypes, lib.lw_half_row.restype = (ctypes.c_long,), ctypes.c_long
+    for layout in (lib.lw_half_row, lib.lw_share):
+        layout.argtypes, layout.restype = (ctypes.c_long,), ctypes.c_long
     double = ctypes.POINTER(ctypes.c_double)
     lib.lw_sample_b.argtypes = (double, ctypes.c_double, double)
     lib.lw_sample_b.restype = None
@@ -354,20 +356,22 @@ class StepWork:
     `states` holds the (u, v, w) of two states, and `views` their (u, v,
     w) arrays: each step writes the state it does not read, so a failed
     step leaves the one it started from.  `half` holds one member's (u, v,
-    w) at t + dt/2 on the cells and its nodes' terms of E1 and H1, `share`
-    each member's sums and the maxima of each part of its step, in the
-    layouts that _lw.c gives (lw_half_row, lw_share).  `io` holds
-    lw_advance's per-member values, one row per name of IO, and `values`
-    maps each name to its row; a member's slot starts as its batch row.
-    `taken` is the number of steps the last call of `step` took.
+    w) at t + dt/2 on the cells, `share` each member's E1 and H1 sums of
+    each block of the sum order (lyapunov.BLOCK nodes) and the maxima of
+    each part of its step, in the layouts that _lw.c gives (lw_half_row,
+    lw_share).  `io` holds lw_advance's per-member values, one row per
+    name of IO, and `values` maps each name to its row; a member's slot
+    starts as its batch row.  `taken` is the number of steps the last call
+    of `step` took.
 
-    Each member's step is split at node `split`: n // 2 with `threads` =
-    2 unless set before the first step, else n, which is one part.  Split,
-    each call of lw_advance starts a helper thread and joins it before it
-    returns: the calling thread takes the nodes before `split`, the helper
-    the rest.  Each part computes the cells it reads, and the helper
-    continues the integrals' sums from the caller's, so the values are
-    those of one thread bit for bit.
+    Each member's step is split at node `split`: with `threads` = 2 the
+    block edge nearest n / 2 unless set before the first step, else n,
+    which is one part; a split is a block edge that leaves the helper 3
+    nodes or more.  Split, each call of lw_advance starts a helper thread
+    and joins it before it returns: the calling thread takes the nodes
+    before `split`, the helper the rest.  Each part computes the cells it
+    reads and sums its own blocks, and the caller adds every block's sums
+    in block order, so the values are those of one thread bit for bit.
     """
 
     def __init__(self, state: FieldState, threads: int = 1):
@@ -376,9 +380,10 @@ class StepWork:
         self.quad = Quadrature(state.xs)
         self.states = np.empty((2, 3, members, n))
         self.views = [tuple(fields) for fields in self.states]
-        self.half = np.empty((3, step_library().lw_half_row(n)))
-        self.share = np.empty((members, ctypes.c_long.in_dll(step_library(), "lw_share").value))
-        self.split = n // 2 if threads == 2 else n
+        lib = step_library()
+        self.half = np.empty((3, lib.lw_half_row(n)))
+        self.share = np.empty((members, lib.lw_share(n)))
+        self.split = BLOCK * max(1, round(n / (2 * BLOCK))) if threads == 2 else n
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
         self.values["slot"][:] = range(members)
@@ -397,7 +402,7 @@ class StepWork:
         the first call with them; `step` sets the records' fields."""
         if terms is not self.terms:
             members, n = self.states.shape[2:]
-            if self.split != n and not 3 <= self.split <= n - 3:
+            if self.split != n and not (0 < self.split <= n - 3 and self.split % BLOCK == 0):
                 raise ValueError(f"a step of {n} nodes cannot be split at node {self.split}")
             node, mid, inner = (members, n), (members, n - 1), (members, n - 2)
             arrays = [(terms.coefficients, (5, members)), (terms.ubar, node), (terms.ubar_x, node),

@@ -2,6 +2,7 @@
 
 All spatial integrals are composite trapezoid on the solver grid, the
 integrand times the grid's precomputed weights (`Quadrature`) summed in
+one fixed order, in lanes of blocks of nodes that are then added in block
 order (`_dot`), as the compiled time loop sums them; the
 moving-window energies integrate the per-step series in time, again by
 trapezoid, so the window sees full time resolution.
@@ -29,15 +30,38 @@ class Quadrature:
         self.two_decay = 2.0 * self.decay
 
 
-def _dot(x, y, out=None):
-    """The sum of x * y over the last axis, added term after term from the
-    first, as `lw_step` in _lw.c adds its integrals: a float for 1-D
-    operands, one per row otherwise.  np.dot adds in the order of the BLAS
-    kernel that NumPy picks for the CPU.  `out`, of the products' shape,
-    receives the products and their running sums; a fresh array if None.
+# The order of every spatial integral: LANES lanes in each block of BLOCK
+# nodes (see _dot).  _lw.c's time loop sums in the same order, and splits a
+# step at a block edge.
+LANES, BLOCK = 4, 32
+
+
+def _dot(x, y):
+    """The sum of x * y over the last axis: a float for a 1-D x, one per
+    row of x otherwise, added in one fixed order that depends only on the
+    axis' length, as `finish` in _lw.c adds its integrals.  Term j goes into
+    lane j % LANES of its block of BLOCK terms; each lane adds its terms in
+    order from -0.0; the LANES lanes are folded by halving, lane l plus lane
+    l + w for w = 2, 1; and the block sums are added in block order from
+    -0.0.  np.add.accumulate and np.cumsum add in order, where np.dot adds
+    in the order of the BLAS kernel that NumPy picks for the CPU.
     """
-    out = multiply(x, y, out)
-    return np.cumsum(out, axis=-1, out=out).take(-1, axis=-1)
+    *lead, n = np.shape(x)
+    terms = np.full((*lead, -(-n // BLOCK) * BLOCK), -0.0)     # a missing term adds nothing
+    multiply(x, y, terms[..., :n])
+    lanes = add.accumulate(terms.reshape(*lead, -1, BLOCK // LANES, LANES), axis=-2)[..., -1, :]
+    while lanes.shape[-1] > 1:
+        w = lanes.shape[-1] // 2
+        lanes = add(lanes[..., :w], lanes[..., w:])
+    return np.cumsum(lanes[..., 0], axis=-1).take(-1, axis=-1)
+
+
+def _ordered_dot(x, y, out):
+    """The sum of x * y over its one axis, added term after term from the
+    first, with the products and their running sums in `out`: the sums of
+    `fit_decay_rate`, which do not depend on the BLAS kernel either, in
+    the scratch of one array."""
+    return np.cumsum(multiply(x, y, out), out=out)[-1]
 
 
 def energy_E1(state, profile, k: float, a: float, quad: Quadrature) -> float:
@@ -133,11 +157,11 @@ def fit_decay_rate(series, times, window=None):
     x = subtract(times, t_mean)
     subtract(y, y_mean, y)
     products = np.empty_like(x)
-    slope = _dot(x, y, products) / _dot(x, x, products)
-    ss_tot = float(_dot(y, y, products))
+    slope = _ordered_dot(x, y, products) / _ordered_dot(x, x, products)
+    ss_tot = float(_ordered_dot(y, y, products))
     # the residuals y - slope x, in x
     multiply(slope, x, x)
     subtract(y, x, x)
-    r2 = 1.0 - float(_dot(x, x, products)) / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - float(_ordered_dot(x, x, products)) / ss_tot if ss_tot > 0 else 1.0
     return {"rate": -float(slope), "intercept": float(y_mean - slope * t_mean),
             "r_squared": r2, "n_excluded": n_excluded}

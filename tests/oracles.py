@@ -90,13 +90,22 @@ def lower_order_F_expanded(u, ux, ut, ubar, ubar_x, a, theta):
             * (2.0 * ubar * ubar_x ** 2 + 1.5 * theta * ubar ** 2 * ubar_x))
 
 
-def ordered_sum(terms) -> float:
-    """The terms added one after another from -0.0, in Python floats: the
-    order of every integral the program takes.  (Not `sum`, which
-    compensates float sums from Python 3.12 on.)"""
+def block_sum(terms) -> float:
+    """The terms added in the order of every sum the program takes, in
+    Python floats, one term at a time: term j goes into lane j % 4 of its
+    block of 32, each lane adds its terms in order from -0.0, a block's
+    lanes are folded by halving (lane l plus lane l + w, for w = 2, 1),
+    and the block sums are added in block order from -0.0.  (Not `sum`,
+    which compensates float sums from Python 3.12 on.)"""
     total = -0.0
-    for x in terms:
-        total += x
+    for start in range(0, len(terms), 32):
+        lanes = [-0.0] * 4
+        for j, x in enumerate(terms[start:start + 32]):
+            lanes[j % 4] += x
+        for w in (2, 1):
+            for lane in range(w):
+                lanes[lane] += lanes[lane + w]
+        total += lanes[0]
     return total
 
 
@@ -430,7 +439,7 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed):
 
 # The per-step record of the loop `simulate_batch` ran before its loop was
 # compiled: every step's E1, H1 integral and maxima taken from that step's
-# state alone, member by member, each integral an ordered sum in Python
+# state alone, member by member, each integral a block_sum in Python
 # floats, stepping with the allocating step above.
 
 def _per_step_record(run, u, v, w, t, max_u, b, b_t, quad):
@@ -438,8 +447,8 @@ def _per_step_record(run, u, v, w, t, max_u, b, b_t, quad):
     w2 = w ** 2
     e1 = run.k * ((run.a * run.a - m ** 2) * w2 + v ** 2) - (2.0 * quad.decay) * (m * w2 + v * w)
     h1 = (u ** 2 + v ** 2) + w ** 2
-    values = (t, ordered_sum((e1 * quad.weights).tolist()),
-              ordered_sum((h1 * quad.weights).tolist()), max_u,
+    values = (t, block_sum((e1 * quad.weights).tolist()),
+              block_sum((h1 * quad.weights).tolist()), max_u,
               float(np.max(np.abs(w))), float(np.max(np.abs(v))), b, b_t)
     for name, value in zip(("t", "E1", "h1", "max_u", "max_ux", "max_ut", "b", "b_t"), values):
         run.records.setdefault(name, []).append(value)

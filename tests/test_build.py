@@ -75,8 +75,9 @@ def test_missing_compiler_is_an_error(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert f"`{command}`" in proc.stderr
-    # no output; sweep checks that it can write its summary before the grid runs
-    assert not (tmp_path / "run.csv").exists() and (tmp_path / "sweep.csv").read_text() == ""
+    # no output: sweep checks that it can write its summary before the grid runs,
+    # and leaves no empty one behind
+    assert not (tmp_path / "run.csv").exists() and not (tmp_path / "sweep.csv").exists()
     for verb in ("constants", "stationary"):
         proc = python(root, ["-m", "pipestab.cli", verb, str(config)], path=empty)
         assert proc.returncode == 0, proc.stderr
@@ -138,8 +139,9 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# the kernels of _lw.c, each with the index of its vectorised loop among its `for` loops
-KERNELS = {"predictor": 0, "corrector": 0, "finish": 0, "maxima": 1}
+# the kernels of _lw.c, each with the index of its vectorised loop among its `for` loops:
+# `finish`'s is its lane loop, which takes u at t + dt, the sums and the maxima
+KERNELS = {"predictor": 0, "corrector": 0, "finish": 2}
 CLONES = '#define CLONES __attribute__((target_clones("avx2", "default")))\n'
 
 
@@ -211,12 +213,13 @@ def has_avx2() -> bool:
 def nan_step(members: list, threads: int = 1) -> list:
     """The bytes of one step of `members` from their initial data, with NaNs
     put in u and w of each member after its wave speed is taken, in the
-    maxima kernel's lanes for member 0 and in its tail for member 1: the
-    records, io and the state that the failed step wrote.  The NaNs are
-    np.nan alike: where two NaNs meet in one operation, the one that comes
-    out follows the operand order of the instruction, which the AVX2 and
-    baseline forms may differ in.  With `threads` = 2 the step is split at
-    node 31, after member 0's NaN and before member 1's."""
+    lanes of `finish`'s vectorised loop for member 0 and in the tail of its
+    last block, taken node by node, for member 1: the records, io and the
+    state that the failed step wrote.  The NaNs are np.nan alike: where two
+    NaNs meet in one operation, the one that comes out follows the operand
+    order of the instruction, which the AVX2 and baseline forms may differ
+    in.  With `threads` = 2 the step is split at node 32, after member 0's
+    NaN and before member 1's."""
     xs = members[0].profile.xs
     terms = dynamics.profile_terms([(m.profile, m.params) for m in members])
     state = dynamics.FieldState([0.0] * len(members), xs,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipestab import cli
+from pipestab import cli, dynamics
 from pipestab.certificate import compute_constants
 from pipestab.cli import CSV_HEADER, _member, main
 from pipestab.config import ScenarioConfig
@@ -230,6 +230,27 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "`feedback.k`" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("failure", ["no_loop", "worker"])
+    def test_failed_sweep_leaves_no_summary(self, tmp_path, capsys, monkeypatch, failure):
+        # a sweep that exits 1 before it writes its summary, because the
+        # compiled loop cannot be built or a worker died, leaves no empty
+        # summary behind; one that was there is kept as it was
+        if failure == "no_loop":
+            monkeypatch.setattr(dynamics, "_LW", OSError("cannot build the compiled time loop"))
+        else:
+            def died(cfgs):
+                raise cli.WorkerError(-9, list(range(len(cfgs))))
+
+            monkeypatch.setattr(cli, "execute_runs", died)
+        cfg = write_cfg(tmp_path)
+        out, kept = tmp_path / "sweep.csv", tmp_path / "kept.csv"
+        kept.write_text("run_id\n")
+        for path in (out, kept):
+            assert main(["sweep", str(cfg), "--set", "feedback.k=2,4", "--out", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and kept.read_text() == "run_id\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "scenario.cfg"]
 
     def test_int_beyond_the_float_range_recorded_not_fatal(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -465,7 +486,7 @@ class TestSweepProcesses:
         assert (code, out) == (1, "")
         assert err == ("error: a sweep worker process exited with code -9 without sending "
                        "its results; no result for runs 1, 2, 4, 5\n")
-        assert files["sweep.csv"] == b""       # opened before the grid runs, never written
+        assert "sweep.csv" not in files         # checked before the grid runs, never written
 
     def test_failing_share_here_stops_the_worker(self, tmp_path, monkeypatch):
         parent, run_batch = os.getpid(), cli._run_batch

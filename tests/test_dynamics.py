@@ -610,18 +610,20 @@ class TestBlockRecord:
         work = StepWork(FieldState([0.0] * count, xs, np.zeros(shape), np.zeros(shape),
                                    np.zeros(shape)))
         cells, row = int(np.prod(shape)), (nx + 1 + 3) // 4 * 4
+        share = 8 + 2 * -(-(nx + 1) // lyapunov.BLOCK)
         # two states of (u, v, w), one member's (u, v, w) at the half step in
         # rows of n rounded up to 4 doubles, each member's sums and maxima
-        # (E1, H1 and the four maxima of each of two parts), the per-member
-        # values, and the three weights of the grid: the records are the
-        # run's, and no step is held apart from them
+        # (E1 and H1 of each block of the step's sum order, and the four
+        # maxima of each of two parts), the per-member values, and the three
+        # weights of the grid: the records are the run's, and no step is held
+        # apart from them
         assert work.states.nbytes == 8 * 6 * cells
         assert work.half.shape == (3, row)
-        assert work.share.shape == (count, 10)
+        assert work.share.shape == (count, share)
         assert work.io.nbytes == 8 * len(IO) * count
         held = [x for x in vars(work).values() if isinstance(x, np.ndarray)]
         held += [x for x in vars(work.quad).values() if isinstance(x, np.ndarray)]
-        assert sum(x.nbytes for x in held) == 8 * (6 * cells + 3 * row + 10 * count
+        assert sum(x.nbytes for x in held) == 8 * (6 * cells + 3 * row + share * count
                                                    + len(IO) * count + 3 * (nx + 1))
 
 
@@ -1041,13 +1043,36 @@ class TestCompiledStep:
         nans = np.abs(u[np.isnan(u)])
         assert nans[-1].tobytes() != nans[0].tobytes()
 
+    def test_sums_start_from_negative_zero(self):
+        # k negated in the terms (PipeParams refuses k < 0) makes every E1 term
+        # of a zero state -0.0: the recorded E1 is then -0.0, one thread or
+        # two, as energy_E1's, which a sum started from +0.0 would make +0.0
+        params, profile, xs = make_setup(nx=60)
+        terms = profile_terms([(profile, params)])
+        terms.coefficients[2] = -params.k
+        zero = np.zeros((1, len(xs)))
+        state = FieldState([0.0], xs, zero, zero.copy(), zero.copy())
+        for threads in (1, 2):
+            work = StepWork(state, threads)
+            work.load([DisturbanceSpec()], speed=wave_speed(terms, state), guard=[1.0],
+                      cfl_dx=[0.45 * (xs[1] - xs[0])], t_snap=[math.inf], t_end=[math.inf])
+            records = records_of(1, 4)
+            step(state, terms, work, records, 1)
+            assert not np.array(work.views[1]).any()
+            e1 = records[RECORDS.index("E1"), 0, 1:]
+            assert not e1.any() and np.signbit(e1).all()
+        e1 = energy_E1(state, profile, -params.k, params.a, Quadrature(xs))
+        assert e1 == 0.0 and np.signbit(e1)
+
     def test_infinite_maxima_without_nan(self):
         # each member's boundary closure divides by zero: the left one of member
         # 0 makes u, v and w -inf at x = 0, and it fails its guard; the right
         # one of member 1 makes w +inf at x = L.  No NaN, so the lanes'
-        # maxima stand, and are the serial ones
+        # maxima stand, and are the serial ones.  Split between two threads at
+        # node 32, member 0's infinities are the caller's and member 1's the
+        # helper's, and the records and the state are one thread's bit for bit
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
-        terms, _, state, work, rng = compiled_setup(physics, 60, 7, 1e-3)
+        terms, _, state, _, rng = compiled_setup(physics, 60, 7, 1e-3)
         (a0, k0), a1 = physics[0][:2], physics[1][0]
         ubar_0, ubar_1 = terms.ubar[0, 0], terms.ubar[1, -1]
         u0, u1 = -1.0 / k0 - a0 - ubar_0, a1 - ubar_1
@@ -1056,20 +1081,27 @@ class TestCompiledStep:
         while a1 - (ubar_1 + u1) != 0.0:                    # c_out at x = L
             u1 = math.nextafter(u1, math.inf)
         state.u[0, 0], state.u[1, -1] = u0, u1
-        load_two(work, terms, state, rng)
-        records = records_of(2, 2)
-        with pytest.raises(BlowUpError, match=r"^max\|u\| = inf ") as failed:
-            step(state, terms, work, records, 1)
-        assert list(failed.value.failed) == [0]
-        new = np.array(work.views[1])
-        assert not np.isnan(new).any()
-        assert [np.isinf(x[0]).nonzero()[0].tolist() for x in new] == [[0]] * 3
-        assert [x.tolist() for x in np.isinf(new[:, 1]).nonzero()] == [[2], [60]]
-        assert (new[0, 0, 0], new[2, 1, 60]) == (-math.inf, math.inf)
-        for row in (0, 1):
-            got, want = stepped_maxima(work, records, terms, row)
-            assert got == want
-        assert records[RECORDS.index("max_ux"), :, 1].tolist() == [math.inf] * 2
+        drawn, written = rng.bit_generator.state, []
+        for threads in (1, 2):
+            work = StepWork(state, threads)
+            assert work.split == (61 if threads == 1 else 32)
+            rng.bit_generator.state = drawn
+            load_two(work, terms, state, rng)
+            records = records_of(2, 2)
+            with pytest.raises(BlowUpError, match=r"^max\|u\| = inf ") as failed:
+                step(state, terms, work, records, 1)
+            assert list(failed.value.failed) == [0]
+            new = np.array(work.views[1])
+            assert not np.isnan(new).any()
+            assert [np.isinf(x[0]).nonzero()[0].tolist() for x in new] == [[0]] * 3
+            assert [x.tolist() for x in np.isinf(new[:, 1]).nonzero()] == [[2], [60]]
+            assert (new[0, 0, 0], new[2, 1, 60]) == (-math.inf, math.inf)
+            for row in (0, 1):
+                got, want = stepped_maxima(work, records, terms, row)
+                assert got == want
+            assert records[RECORDS.index("max_ux"), :, 1].tolist() == [math.inf] * 2
+            written.append((records[:, :, 1].tobytes(), new.tobytes(), work.io.tobytes()))
+        assert written[1] == written[0]
 
 
 class TestSnapshotsOwnTheirArrays:

@@ -1,11 +1,14 @@
 """A step split between two threads gives the bits of an unsplit step.
 
 With `split` < n, lw_advance (_lw.c) starts a helper thread for each
-call, which takes nodes [split, n) of each member's step and continues
-the caller's E1 and H1 sums.  These tests force the split through
-StepWork and simulate_batch at small n, and hold every record, state and
-failure equal to those of one thread, bit for bit; then they check that
-no thread outlives a call, and the rule that gives a process its threads.
+call, which takes nodes [split, n) of each member's step.  The split is
+an edge of the blocks of the step's sum order (lyapunov.BLOCK nodes), so
+each part sums the blocks that one thread sums, and the caller adds all
+block sums in block order after the helper is done.  These tests force
+the split through StepWork and simulate_batch at small n, and hold every
+record, state and failure equal to those of one thread, bit for bit; then
+they check that no thread outlives a call, and the rule that gives a
+process its threads.
 """
 
 import math
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipestab import cli, dynamics
+from pipestab import cli, dynamics, lyapunov
 from pipestab.disturbance import DisturbanceSpec
 from pipestab.dynamics import (RECORDS, FieldState, SolverError, StepWork, bump_profile,
                                profile_terms, simulate_batch, step, wave_speed)
@@ -95,25 +98,30 @@ def assert_split_equal(state, terms, specs, values, capacity, split=None):
     return one
 
 
+BLOCK = lyapunov.BLOCK
+
+
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(6, 40), where=st.floats(0.0, 1.0), capacity=st.integers(2, 60),
-       draws=st.lists(member_draws, min_size=1, max_size=3))
+@given(n=st.integers(BLOCK + 3, 3 * BLOCK + 8), where=st.floats(0.0, 1.0),
+       capacity=st.integers(2, 60), draws=st.lists(member_draws, min_size=1, max_size=3))
 def test_split_steps_equal_one_thread(n, where, capacity, draws):
-    # n from the fewest nodes two parts of 3 can take, any split point, the
-    # records filling within a call, and guards that some steps leave
-    split = 3 + round(where * (n - 6))
+    # n from the fewest nodes a split can take, a block and 3, any block
+    # edge that leaves the helper 3 nodes or more, the records filling
+    # within a call, and guards that some steps leave
+    split = BLOCK * (1 + round(where * ((n - 3) // BLOCK - 1)))
     assert_split_equal(*batch(n, draws), capacity, split)
 
 
 DRAW = (2.0, 4.0, 0.1, 0.3, 1e-3, 1e-3, 3, 10.0, 4.0)
-N = 37          # split at 18
+N = 37          # split at 32, the block edge nearest N / 2
 
 
 def quiet_nan(payload: int) -> float:
     return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0])
 
 
-@pytest.mark.parametrize("nodes", [[5], [17], [18], [30], [36], [5, 30], [30, 5]],
+@pytest.mark.parametrize("nodes", [[5], [17], [18], [30], [31], [32], [34], [36], [5, 30],
+                                   [30, 5], [5, 34], [34, 5]],
                          ids=lambda nodes: "nan-at-" + "-".join(map(str, nodes)))
 def test_nan_in_either_part_and_at_the_seam(nodes):
     # NaNs of distinct payloads: the rescan in node order gives the one that
@@ -129,12 +137,13 @@ def test_nan_in_either_part_and_at_the_seam(nodes):
         (node, payload) for payload, node in enumerate(nodes, 1))[1])).view(np.uint64)
 
 
-@pytest.mark.parametrize("peak", [0.25, 0.75], ids=["part-0", "part-1"])
+@pytest.mark.parametrize("peak", [0.25, 0.94], ids=["part-0", "part-1"])
 def test_guard_failure_in_either_part(peak):
-    # a bump in one part only, above the guard after the first step of member 1
+    # a bump on nodes 8-10 or 33-35, in one part only, above the guard after
+    # the first step of member 1
     xs = np.linspace(0.0, 1.0, N)
     state, terms, specs, values = batch(N, [DRAW, DRAW])
-    phi, dphi = bump_profile(xs, 1e-2, peak, 0.1)
+    phi, dphi = bump_profile(xs, 1e-2, peak, 0.05)
     state.u[1], state.v[1], state.w[1] = phi, -2.0 * dphi, dphi
     values["guard"] = [10.0, 0.9e-2]
     *_, failure = assert_split_equal(state, terms, specs, values, 30)
@@ -151,15 +160,25 @@ def test_cfl_failure():
 
 def test_split_work_sets_hold_rows_of_n():
     # one layout of the half-step rows, n rounded up to 4 doubles, split or
-    # not; one part is a split at n
+    # not; two threads split at the block edge nearest n / 2, and one part
+    # is a split at n
     state, *_ = batch(N, [DRAW])
     assert [(work.half.shape, work.split) for work in (StepWork(state, 2), StepWork(state))] == [
-        ((3, 40), N // 2), ((3, 40), N)]
+        ((3, 40), BLOCK), ((3, 40), N)]
 
 
 @pytest.mark.parametrize("split", [2, N - 2])
 def test_part_below_three_nodes_refused(split):
     state, terms, specs, values = batch(N, [DRAW])
+    with pytest.raises(ValueError, match=f"cannot be split at node {split}"):
+        run_steps(state, terms, specs, values, 4, 2, split)
+
+
+@pytest.mark.parametrize("n,split", [(N, BLOCK // 2), (N, 0), (BLOCK + 2, BLOCK)])
+def test_split_off_a_block_edge_refused(n, split):
+    # a split inside a block, at none, or at a block edge that leaves the
+    # helper fewer than 3 nodes
+    state, terms, specs, values = batch(n, [DRAW])
     with pytest.raises(ValueError, match=f"cannot be split at node {split}"):
         run_steps(state, terms, specs, values, 4, 2, split)
 
