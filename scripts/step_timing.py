@@ -9,8 +9,10 @@ Usage (from the repository root):
 Each measurement is a fresh interpreter that builds one member with the
 `demo` physics (L = 1, a = 2, theta = 0.1, k = 4, u0 = 0.3, its decaying
 burst) and a bump of 1e-3 on nx + 1 nodes, and then calls
-`dynamics.step` `--calls` times, each call taking `--steps` steps; it
-reports the median wall time per step over the calls after the first.
+`dynamics.step` `--calls` times, each call taking `--steps` steps (a
+call that the member leaves early, having failed, ends the measurement
+with an error); it reports the median wall time per step over the calls
+after the first.
 "one thread" is StepWork(state, 1); "split" is StepWork(state, 2), which
 splits every step between the calling thread and a helper thread, whatever
 dynamics.SPLIT_NODES says.  A round measures every nx, thread count and
@@ -59,6 +61,9 @@ for _ in range(calls):
     start = time.perf_counter()
     state = dynamics.step(state, terms, work, records, 1)
     per_step.append((time.perf_counter() - start) / work.taken)
+    if work.taken != steps:         # a failed member is retired, not raised
+        sys.exit(f"the member stopped after {work.taken} of {steps} steps: "
+                 f"{dynamics.failure(work, 0)}")
 print(statistics.median(per_step[1:]) * 1e6)
 """
 
@@ -94,7 +99,7 @@ def main(argv=None) -> int:
             times[case].append(measure(*case, args.steps, args.calls))
     for src in trees:
         print(f"\n{src}: µs per step, medians of {args.rounds} rounds (range)\n")
-        print("| `solver.nx` | one thread | two threads | split / one thread |")
+        print("| `solver.nx` | one thread | two threads | one thread / split |")
         print("|-------------|------------|-------------|--------------------|")
         for nx in args.nx:
             one, two = times[src, nx, 1], times[src, nx, 2]

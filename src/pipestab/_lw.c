@@ -7,13 +7,17 @@
  * corrector, both boundary closures, the u update, the guard test on
  * max|u|, t + dt, the next wave speed max|ubar + u| + a, and writes the
  * step's records into the run's records at the step's index and the
- * member's slot: t, max|u|, b, b_t, max|u_x|, max|u_t| and the E1 and H1
- * integrals of the new state.  It returns to Python only when the records
- * are full, a member reaches its next snapshot time or its t_end, or a
- * member fails the CFL test (before the step) or its guard (after it):
- * then no member takes that step, and each failed member's status, value
- * and time are left in `io` for its message.  `lw_sample_b` is the
- * disturbance alone, which `disturbance.sample_b` calls.
+ * member's batch row: t, max|u|, b, b_t, max|u_x|, max|u_t| and the E1 and
+ * H1 integrals of the new state.  Each member's outcome is its STATUS in
+ * `io`, kept from call to call: it runs until it reaches its t_end (ENDED)
+ * or fails the CFL test before a step or its guard after one, and then it
+ * keeps its row, with the failed step's value and time for its message,
+ * and no loop of a later step reads or writes it.  A member that leaves
+ * takes no other member with it: the others take the step it failed.
+ * lw_advance returns to Python only when the records are full, a running
+ * member reaches its next snapshot time or its t_end, or no member runs.
+ * `lw_sample_b` is the disturbance alone, which `disturbance.sample_b`
+ * calls.
  *
  * Every value is computed by the same IEEE operations, in the same order,
  * as the Python and NumPy forms kept in tests/oracles.py and in
@@ -50,8 +54,9 @@
  * corrector, and writes the sums of its own blocks.  Once the helper is
  * done with a step, the caller adds every block sum in block order and
  * folds the two parts' maxima, which is exact; the NaN rescan reads the
- * whole member.  Only the caller writes records, tests the guard and
- * decides to stop.  So a split step gives the bits of an unsplit one.
+ * whole member.  Only the caller writes records and statuses, tests the
+ * guard and decides to stop; both threads skip the members that do not
+ * run.  So a split step gives the bits of an unsplit one.
  */
 #define _GNU_SOURCE     /* pthreads, sched_yield and CPU affinity, under -std=c99 */
 #include <math.h>
@@ -59,15 +64,15 @@
 #include <sched.h>
 #include <stddef.h>
 
-/* The rows of io, as dynamics.IO names them: each member's loop state, the
- * outcome of a step it failed, its slot, then its disturbance. */
-enum { T, T_SNAP, T_END, CFL_DX, GUARD, SPEED, DT, TOP, STATUS, VALUE, AT, SLOT, DISTURBANCE };
+/* The rows of io, as dynamics.IO names them: each member's loop state, its
+ * outcome with the value and time of a step it failed, then its disturbance. */
+enum { T, T_SNAP, T_END, CFL_DX, GUARD, SPEED, DT, TOP, STATUS, VALUE, AT, DISTURBANCE };
 
 /* The records of a step, as dynamics.RECORDS names them. */
 enum { R_T, R_MAX_U, R_B, R_B_T, R_MAX_UX, R_MAX_UT, R_E1, R_H1 };
 
-/* The values of STATUS. */
-enum { RUNNING, CFL_FAILED, GUARD_FAILED };
+/* The values of STATUS, as dynamics numbers them. */
+enum { RUNNING, ENDED, CFL_FAILED, GUARD_FAILED };
 
 /* The parameters of a disturbance, as DisturbanceSpec.parameters orders them;
  * FAMILY is an index into disturbance.FAMILIES. */
@@ -87,7 +92,6 @@ enum { ZERO, DECAYING_BURST, COMPACT_BURST };
 typedef struct {
     long members;               /* B */
     long n;                     /* grid nodes per member */
-    long runs;                  /* slots of the records */
     long capacity;              /* steps the records hold */
     long split;                 /* m: n for one thread, else a multiple of BLOCK <= n - 3 */
     double dx;
@@ -107,7 +111,7 @@ typedef struct {
     const double *f_bar_m;
     const double *d_bar_i;      /* (B, n - 2): stationary forcing at the interior nodes */
     const double *f_bar_i;
-    double *records;            /* (8, runs, capacity): dynamics.RECORDS by slot and step */
+    double *records;            /* (8, B, capacity): dynamics.RECORDS by member and step */
 } lw_batch;
 
 /* Quintic smoothstep s(p) on [0, 1] and its first two derivatives: 0 with
@@ -390,10 +394,9 @@ long lw_share(long n) { return share_row(n); }
 static void lw_part(const lw_batch *batch, long i, long src, long step, long lo, long hi)
 {
     const long B = batch->members, n = batch->n;
-    const long field = B * n, state = 3 * field, stride = batch->runs * batch->capacity;
+    const long field = B * n, state = 3 * field, capacity = batch->capacity;
     const double dt = batch->io[DT * B + i];
-    const double b_t = batch->records[(long)batch->io[SLOT * B + i] * batch->capacity + step
-                                      + R_B_T * stride];
+    const double b_t = batch->records[i * capacity + step + R_B_T * B * capacity];
     const long shift = lo > 0;
     const long c0 = lo - shift, c1 = hi < n ? hi : n - 1;          /* cells [c0, c1) */
     const long j0 = lo > 1 ? lo : 1, j1 = hi < n - 1 ? hi : n - 1;  /* interior nodes [j0, j1) */
@@ -451,9 +454,9 @@ static void lw_part(const lw_batch *batch, long i, long src, long step, long lo,
  * they are taken again, in node order. */
 static void record(const lw_batch *batch, long i, long src, long step, double *x, int split)
 {
-    const long B = batch->members, n = batch->n, stride = batch->runs * batch->capacity;
+    const long B = batch->members, n = batch->n, stride = B * batch->capacity;
     const long field = B * n, dst = (1 - src) * 3 * field + i * n, top_1 = share_row(n) - 4;
-    double *rec = batch->records + (long)batch->io[SLOT * B + i] * batch->capacity + step;
+    double *rec = batch->records + i * batch->capacity + step;
     double *top = x + TOP_0, e1 = -0.0, h1 = -0.0;
     for (long j = SUMS; j < top_1; j += 2) {
         e1 += x[j];
@@ -510,13 +513,14 @@ static void wait_for(long *counter, long count)
     }
 }
 
-/* The helper thread: nodes [m, n) of each member of each step the caller
- * starts. */
+/* The helper thread: nodes [m, n) of each running member of each step the
+ * caller starts. */
 static void *helper(void *arg)
 {
     lw_pair *pair = arg;
     const lw_batch *batch = pair->batch;
     const long B = batch->members, n = batch->n, m = batch->split;
+    const double *status = batch->io + STATUS * B;
 #ifdef __linux__
     if (pair->placed)
         pthread_setaffinity_np(pthread_self(), sizeof pair->cpus, &pair->cpus);
@@ -526,7 +530,8 @@ static void *helper(void *arg)
         if (pair->quit)
             return NULL;
         for (long i = 0; i < B; i++)
-            lw_part(batch, i, pair->src, pair->step, m, n);
+            if (status[i] == RUNNING)
+                lw_part(batch, i, pair->src, pair->step, m, n);
         publish(&pair->done, started);
     }
 }
@@ -557,27 +562,29 @@ static int start_helper(pthread_t *thread, lw_pair *pair)
 #endif
 }
 
-/* The steps of lw_advance: this thread takes nodes [0, m) of each member's
- * step, and with `pair` the helper takes [m, n). */
+/* The steps of lw_advance: this thread takes nodes [0, m) of each running
+ * member's step, and with `pair` the helper takes [m, n). */
 static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
 {
     const long B = batch->members, n = batch->n, capacity = batch->capacity;
-    const long stride = batch->runs * capacity, m = pair ? batch->split : n;
+    const long stride = B * capacity, m = pair ? batch->split : n;
     double *io = batch->io;
     double *t = io + T * B, *dt = io + DT * B, *speed = io + SPEED * B, *top = io + TOP * B;
     double *status = io + STATUS * B, *value = io + VALUE * B, *at = io + AT * B;
     const double *t_snap = io + T_SNAP * B, *t_end = io + T_END * B;
-    const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B, *slot = io + SLOT * B;
+    const double *cfl_dx = io + CFL_DX * B, *guard = io + GUARD * B;
     const double *a = batch->coefficients;
 
-    for (long i = 0; i < B; i++)
-        status[i] = RUNNING;
     for (long step = index; step < capacity; step++, src = 1 - src) {
-        int failed = 0, stop = 0;
+        long running = 0;
+        int stop = 0;
 
-        /* the time step, clipped to land on the next snapshot time; every
-         * member passes the CFL test before any member steps */
+        /* each member's time step, clipped to land on its next snapshot
+         * time, and its boundary data at the new time; a member that fails
+         * the CFL test leaves before the step */
         for (long i = 0; i < B; i++) {
+            if (status[i] != RUNNING)
+                continue;
             const double x = cfl_dx[i] / speed[i], y = t_snap[i] - t[i];
             dt[i] = y < x ? y : x;                  /* Python's min(x, y) */
             const double cfl = dt[i] * speed[i] / batch->dx;
@@ -585,45 +592,46 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
                 status[i] = CFL_FAILED;
                 value[i] = cfl;
                 at[i] = t[i];
-                failed = 1;
+                continue;
             }
-        }
-        if (failed)
-            return step - index;
-
-        for (long i = 0; i < B; i++) {
-            double *rec = batch->records + (long)slot[i] * capacity + step, b[3];
+            double *rec = batch->records + i * capacity + step, b[3];
             rec[R_T * stride] = t[i] + dt[i];
             disturbance(io + DISTURBANCE * B + i, B, rec[R_T * stride], b);
             rec[R_B * stride] = b[0];
             rec[R_B_T * stride] = b[1];
+            running++;
         }
+        if (!running)
+            return step - index;
+
         if (pair) {
             pair->src = src;
             pair->step = step;
             publish(&pair->go, pair->go + 1);
         }
         for (long i = 0; i < B; i++)
-            lw_part(batch, i, src, step, 0, m);
+            if (status[i] == RUNNING)
+                lw_part(batch, i, src, step, 0, m);
         if (pair)
             wait_for(&pair->done, pair->go);
+
+        /* the records, then the guard: a member outside it leaves after the step */
         for (long i = 0; i < B; i++) {
+            if (status[i] != RUNNING)
+                continue;
             double *x = batch->share + share_row(n) * i;
             record(batch, i, src, step, x, pair != NULL);
             if (!(x[TOP_0] <= guard[i])) {      /* written so that NaN fails too */
                 status[i] = GUARD_FAILED;
                 value[i] = x[TOP_0];            /* max|u|, as recorded */
                 at[i] = t[i] + dt[i];
-                failed = 1;
+                continue;
             }
-        }
-        if (failed)
-            return step - index;
-
-        for (long i = 0; i < B; i++) {
             t[i] += dt[i];
             speed[i] = top[i] + a[i];
-            if (t[i] >= t_snap[i] - 1e-12 || !(t[i] < t_end[i] - 1e-12))
+            if (!(t[i] < t_end[i] - 1e-12))
+                status[i] = ENDED;
+            if (status[i] == ENDED || t[i] >= t_snap[i] - 1e-12)
                 stop = 1;
         }
         if (stop)
@@ -632,8 +640,9 @@ static long advance(const lw_batch *batch, long src, long index, lw_pair *pair)
     return capacity - index;        /* the records are full */
 }
 
-/* Steps the batch from state src, recording the first step at `index`;
- * returns the steps it took, 0 when the first fails.  With `split` < n, a
+/* Steps the running members of the batch from state src, recording the
+ * first step at `index`; returns the steps it took, 0 when no member runs
+ * at the first.  With `split` < n, a
  * helper thread takes nodes [split, n) of each step, or, where it cannot
  * be started, this thread takes them. */
 long lw_advance(const lw_batch *batch, long src, long index)

@@ -186,10 +186,6 @@ class ScenarioConfig:
             lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     def replace(self, **overrides) -> "ScenarioConfig":
         """New config with dotted keys overridden (keys use `.` as given)."""
         return ScenarioConfig({**self.values, **overrides})

@@ -18,16 +18,18 @@ The solver runs a batch of scenarios on one grid at once.  Every state
 holds one (B, nx+1) array per field, a single run's too, and every
 per-member value (time, boundary data, guard, wave speed) is a list of B
 floats or a row of B values.  Each member keeps its own time step and
-snapshot cadence, and leaves the batch when it ends or fails.
+snapshot cadence, and its row of the batch from start to end.
 
 The time loop runs in C (`_lw.c`): one call of `step` takes step after
 step, each member's time step, disturbance, CFL test, Lax-Wendroff
 arithmetic, guard test, wave speed and the E1 and H1 integrals included,
 writes every step's RECORDS into the run's records, and returns only when
-the records are full, a member reaches a snapshot time or its t_end, or a
-member fails.  It performs the same IEEE operations in the same order as
-the Python and NumPy forms it replaced, so its values are theirs bit for
-bit, and adds each integral in lanes of blocks of nodes, in the order of
+the records are full, a running member reaches a snapshot time or its
+t_end, or no member runs.  The loop retires a member that ends or fails
+where it stands, and the others go on: its status stays in the work set
+from call to call, and no later step touches its row.  It performs the
+same IEEE operations in the same order as the Python and NumPy forms it
+replaced, so its values are theirs bit for bit, and adds each integral in lanes of blocks of nodes, in the order of
 `lyapunov._dot`.  The library is built when this module is imported,
 with the C compiler Python was built with, and cached in the package's
 `__pycache__`.  A StepWork built once per batch holds two states, which
@@ -73,15 +75,15 @@ _COMPILE = [*(sysconfig.get_config_var("CC") or "cc").split(),
 # The fewest grid nodes (solver.nx + 1) at which a batch given two threads
 # splits each member's step between them: below it, starting the helper's
 # part of each step and waiting for it costs more than half a step saves (see
-# README, "Cost of a step").
-SPLIT_NODES = 641
+# README, "Cost of a step", for the measured crossover).
+SPLIT_NODES = 1801
 
 
 class _Batch(ctypes.Structure):
     """lw_batch of _lw.c: the sizes of a batch and the addresses of its arrays."""
 
     _fields_ = [(name, ctypes.c_long) for name in (
-        "members", "n", "runs", "capacity", "split")] + [
+        "members", "n", "capacity", "split")] + [
         ("dx", ctypes.c_double)] + [
         (name, ctypes.c_void_p) for name in (
             "states", "half", "share", "io", "weights", "two_decay", "coefficients", "ubar",
@@ -162,15 +164,7 @@ def step_library():
 
 
 class SolverError(RuntimeError):
-    """A numerical failure of one or more members of a step.
-
-    `failed` maps the batch row of each failed member to its own message,
-    the message a run of that member alone gives; str(error) is the first.
-    """
-
-    def __init__(self, message: str, failed: dict | None = None):
-        super().__init__(message)
-        self.failed = failed if failed is not None else {0: message}
+    """A numerical failure of a member's step."""
 
 
 class BlowUpError(SolverError):
@@ -193,18 +187,6 @@ class FieldState:
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)   # u_t
     w: np.ndarray = field(repr=False)   # u_x
-
-
-def _row(state: FieldState, row: int) -> FieldState:
-    """The snapshot of one member, its arrays copied out of the batch or the work set."""
-    return FieldState(state.t[row], state.xs,
-                      state.u[row].copy(), state.v[row].copy(), state.w[row].copy())
-
-
-def _select(state: FieldState, rows: list) -> FieldState:
-    """The members at `rows`, copied out of the batch."""
-    return FieldState([state.t[row] for row in rows], state.xs,
-                      state.u[rows], state.v[rows], state.w[rows])
 
 
 @dataclass
@@ -294,12 +276,6 @@ class ProfileTerms:
     # compiled step; a ** 2 rounds as lower_order_F's, which may differ from a * a
     coefficients: np.ndarray
 
-    def take(self, rows: list) -> ProfileTerms:
-        """The terms of the members at `rows`, copied out of these."""
-        return ProfileTerms(self.ubar[rows], self.ubar_x[rows], self.ubar_m[rows],
-                            self.ubarx_m[rows], tuple(x[rows] for x in self.forcing_m),
-                            tuple(x[rows] for x in self.forcing_i), self.coefficients.take(rows, 1))
-
 
 def profile_terms(members: list) -> ProfileTerms:
     """The terms of a batch of (profile, params) pairs on one grid."""
@@ -341,13 +317,14 @@ def _address(x: np.ndarray, shape: tuple) -> int:
 
 # The rows of StepWork.io, in the order _lw.c reads them: each member's loop
 # state (its time, next snapshot time, t_end, CFL number times dx, guard,
-# wave speed, last time step and last max|ubar + u|), the outcome of a step
-# it failed (status, the CFL number or max|u|, the time), its slot in the
-# records, then its disturbance (DisturbanceSpec.parameters).
+# wave speed, last time step and last max|ubar + u|), its outcome (status,
+# and the CFL number or max|u| and the time of a step it failed), then its
+# disturbance (DisturbanceSpec.parameters).
 IO = ("t", "t_snap", "t_end", "cfl_dx", "guard", "speed", "dt", "top", "status", "value", "at",
-      "slot", *PARAMETERS)
-# The values of io's status row that name a failed step
-CFL_FAILED, GUARD_FAILED = 1.0, 2.0
+      *PARAMETERS)
+# The values of io's status row, as _lw.c numbers them: a member runs until
+# it reaches its t_end or fails a step
+RUNNING, ENDED, CFL_FAILED, GUARD_FAILED = 0.0, 1.0, 2.0, 3.0
 
 
 class StepWork:
@@ -360,9 +337,9 @@ class StepWork:
     each block of the sum order (lyapunov.BLOCK nodes) and the maxima of
     each part of its step, in the layouts that _lw.c gives (lw_half_row,
     lw_share).  `io` holds lw_advance's per-member values, one row per
-    name of IO, and `values` maps each name to its row; a member's slot
-    starts as its batch row.  `taken` is the number of steps the last call
-    of `step` took.
+    name of IO, and `values` maps each name to its row; every member
+    starts RUNNING.  `taken` is the number of steps the last call of
+    `step` took.
 
     Each member's step is split at node `split`: with `threads` = 2 the
     block edge nearest n / 2 unless set before the first step, else n,
@@ -386,13 +363,12 @@ class StepWork:
         self.split = BLOCK * max(1, round(n / (2 * BLOCK))) if threads == 2 else n
         self.io = np.zeros((len(IO), members))
         self.values = dict(zip(IO, self.io))
-        self.values["slot"][:] = range(members)
         self.taken = 0
         self.terms = self.batch = None
 
     def load(self, disturbances: list, **values):
         """Set each member's inputs to lw_advance: its DisturbanceSpec, and its
-        value of each name of IO given (speed, guard, cfl_dx, t_snap, t_end, slot)."""
+        value of each name of IO given (speed, guard, cfl_dx, t_snap, t_end)."""
         for name, column in values.items():
             self.values[name][:] = column
         self.io[IO.index(PARAMETERS[0]):] = np.transpose([d.parameters for d in disturbances])
@@ -409,7 +385,7 @@ class StepWork:
                       (terms.ubar_m, mid), (terms.ubarx_m, mid),
                       *((x, mid) for x in terms.forcing_m), *((x, inner) for x in terms.forcing_i)]
             self.batch = (step_library().lw_advance, _Batch(
-                members, n, 0, 0, self.split, self.dx, *(x.ctypes.data for x in (
+                members, n, 0, self.split, self.dx, *(x.ctypes.data for x in (
                     self.states, self.half, self.share, self.io, self.quad.weights,
                     self.quad.two_decay)),
                 *(_address(x, shape) for x, shape in arrays)))
@@ -423,58 +399,54 @@ def _left_guard(top: float, guard: float, t: float) -> str:
             "the run left the regime of validity")
 
 
-def _failure(work: StepWork) -> SolverError:
-    """The error of the step that lw_advance found failed: `failed` names
-    each failed member, with the message a run of it alone gives."""
-    status, value, at, guard = (work.values[name].tolist()
-                                for name in ("status", "value", "at", "guard"))
-    failed = {}
-    for row, (code, x, t, bound) in enumerate(zip(status, value, at, guard)):
-        if code == CFL_FAILED:
-            failed[row] = f"CFL violation at t={t:.6g}: dt*speed/dx = {x:.4f}"
-        elif code == GUARD_FAILED:
-            failed[row] = _left_guard(x, bound, t)
-    error = CFLError if CFL_FAILED in status else BlowUpError
-    return error(next(iter(failed.values())), failed)
+def failure(work: StepWork, row: int) -> SolverError | None:
+    """The error of the member at `row` if a step failed it, else None: the
+    error that a run of that member alone raises."""
+    code, x, t, bound = (float(work.values[name][row]) for name in ("status", "value", "at",
+                                                                     "guard"))
+    if code == CFL_FAILED:
+        return CFLError(f"CFL violation at t={t:.6g}: dt*speed/dx = {x:.4f}")
+    if code == GUARD_FAILED:
+        return BlowUpError(_left_guard(x, bound, t))
+    return None
 
 
 def step(state: FieldState, terms: ProfileTerms, work: StepWork, records: np.ndarray,
          index: int) -> FieldState:
-    """Advance the state by Lax-Wendroff steps, in one call of lw_advance.
+    """Advance the running members of the state by Lax-Wendroff steps, in
+    one call of lw_advance.
 
     `terms` is profile_terms of the batch and `work` is StepWork for the
     state's shape, whose `load` set each member's disturbance, guard on
-    max|u|, CFL number times dx, next snapshot time, t_end, wave speed
-    (wave_speed(terms, state) for a state not stepped by it) and slot.
-    Each member steps by min(cfl_dx / speed, t_snap - t), so that it lands
-    on its snapshot time; its boundary data are sample_b at the new time.
-    A state that is not one of `work`'s is first copied into it.  The
-    steps go on until `records` is full, or a member reaches its t_snap
-    (to 1e-12) or its t_end: the returned state is the newest.  The steps
-    are recorded from step `index` on, each member's in its slot of
-    `records`, a C-contiguous float64 array of shape (len(RECORDS),
-    slots, capacity) with index < capacity; `work.taken` counts them.
+    max|u|, CFL number times dx, next snapshot time, t_end and wave speed
+    (wave_speed(terms, state) for a state not stepped by it).  Each member
+    steps by min(cfl_dx / speed, t_snap - t), so that it lands on its
+    snapshot time; its boundary data are sample_b at the new time.  A
+    state that is not one of `work`'s is first copied into it.  The steps
+    go on until `records` is full, a running member reaches its t_snap (to
+    1e-12) or its t_end, or no member runs: the returned state is the
+    newest.  The steps are recorded from step `index` on, each member's in
+    its batch row of `records`, a C-contiguous float64 array of shape
+    (len(RECORDS), B, capacity) with index < capacity; `work.taken` counts
+    them.
 
-    A CFL violation fails a member before the step, a member outside its
-    guard fails after it, and then no member takes that step.  When the
-    call's first step fails, `step` raises CFLError or BlowUpError, whose
-    `failed` names every such member, and leaves its input as it was.
-    When a later step fails, `step` returns the state before it, and the
-    next call fails at its first step.
+    A member that reaches its t_end becomes ENDED; a CFL violation fails a
+    member before the step, a member outside its guard fails after it
+    (`failure` gives its error).  Either way the member stays as it was
+    from then on, its rows of the state included, and every other member
+    takes that step and goes on.
     """
-    runs, capacity = records.shape[1:]
-    if not (0 <= index < capacity and work.values["slot"].max() < runs):
-        raise ValueError(f"step {index} or a slot lies outside records of shape {records.shape}")
+    capacity = records.shape[-1]
+    if not 0 <= index < capacity:
+        raise ValueError(f"step {index} lies outside records of shape {records.shape}")
     src = 1 if state.u is work.views[1][0] else 0
     if state.u is not work.views[src][0]:
         work.states[0] = state.u, state.v, state.w
     lw_advance, batch = work.bind(terms)
-    batch.records = _address(records, (len(RECORDS), runs, capacity))
-    batch.runs, batch.capacity = runs, capacity
+    batch.records = _address(records, (len(RECORDS), len(work.io[0]), capacity))
+    batch.capacity = capacity
     work.values["t"][:] = state.t
     work.taken = lw_advance(batch, src, index)
-    if not work.taken:
-        raise _failure(work)
     return FieldState(work.values["t"].tolist(), state.xs, *work.views[(src + work.taken) % 2])
 
 
@@ -516,10 +488,22 @@ class Member(NamedTuple):
 RECORDS = ("t", "max_u", "b", "b_t", "max_ux", "max_ut", "E1", "h1")
 
 
+def _snapshot_bound(snapshot_dt: float, t_end: float) -> int:
+    """The snapshots a member takes at most: at t = 0 and at each next
+    snapshot time min(j * snapshot_dt, t_end), j = 1, 2, ..., up to the
+    first that is t_end, where it lands on its t_end and ends."""
+    j = max(1, math.ceil(t_end / snapshot_dt))
+    while j > 1 and (j - 1) * snapshot_dt >= t_end:
+        j -= 1
+    while j * snapshot_dt < t_end:
+        j += 1
+    return j + 1
+
+
 class _Run:
     """What one member of a batch keeps apart from the batch arrays."""
 
-    def __init__(self, slot: int, member: Member, xs):
+    def __init__(self, member: Member, xs):
         params, profile, config = member.params, member.profile, member.config
         if profile.xs.shape != xs.shape or not np.allclose(profile.xs, xs):
             raise ValueError("profile grid does not match the solver grid")
@@ -529,7 +513,6 @@ class _Run:
             raise ValueError("initial data does not match the solver grid")
         # a supersonic profile fails here, this member alone, and not the batch's terms
         _subsonic(profile.ubar, params.a)
-        self.slot = slot                    # index into the members and the records
         self.spec = member.disturbance
         self.k, self.a = params.k, params.a
         self.guard = config.blowup_guard if config.blowup_guard is not None else params.a
@@ -546,31 +529,38 @@ class _Run:
         self.snapshot_dt, self.t_end = config.snapshot_dt, config.t_end
         self.t_snap = 0.0                   # the next snapshot time
         self.n_snap = 0                     # snapshots taken
-        self.states, self.snap_index, self.E_classic, self.grad = [], [], [], []
+        # (snapshot, field, node): u, v and w of each snapshot, with its time and step
+        self.xs, self.snaps = xs, np.empty((_snapshot_bound(self.snapshot_dt, self.t_end), 3,
+                                            len(xs)))
+        self.times, self.snap_index = [], []
 
-    def snapshot(self, state: FieldState, index: int, quad: Quadrature):
-        self.states.append(state)
+    def snapshot(self, state: FieldState, row: int, index: int):
+        """Keep the state of the member at `row` of the batch state, taken at step `index`."""
+        snap = self.snaps[self.n_snap]
+        snap[0], snap[1], snap[2] = state.u[row], state.v[row], state.w[row]
+        self.times.append(state.t[row])
         self.snap_index.append(index)
-        self.E_classic.append(energy_classic(state, self.k, self.a, quad))
-        self.grad.append(grad_norm(state, quad))
         self.n_snap += 1
         self.t_snap = min(self.n_snap * self.snapshot_dt, self.t_end)
 
-    def trajectory(self, records, steps: int) -> Trajectory:
-        rec = dict(zip(RECORDS, records[:, self.slot, :steps + 1]))
+    def trajectory(self, records, quad: Quadrature) -> Trajectory:
+        """The member's Trajectory from its rows of the run's records, (len(RECORDS), steps + 1)."""
+        rec = dict(zip(RECORDS, records))
         times = rec.pop("t")
         series = {name: rec.pop(name) for name in ("E1", "h1", "max_u", "max_ux", "max_ut")}
-        series["E_classic"] = np.asarray(self.E_classic)
-        series["grad"] = np.asarray(self.grad)
-        return Trajectory(states=self.states, times=times, series=series, boundary=rec,
+        snaps = FieldState(self.times, self.xs, *self.snaps[:self.n_snap].transpose(1, 0, 2))
+        series["E_classic"] = energy_classic(snaps, self.k, self.a, quad)
+        series["grad"] = grad_norm(snaps, quad)
+        states = [FieldState(t, self.xs, *fields) for t, fields in zip(self.times, self.snaps)]
+        return Trajectory(states=states, times=times, series=series, boundary=rec,
                           snap_index=np.asarray(self.snap_index))
 
 
-def _capacity(active: list, speed: list) -> int:
+def _capacity(runs: list, speed: list) -> int:
     """The steps the run's records hold at first: each member's steps at its
     initial wave speed and its snapshots, 5% to spare; then they double."""
     return 2 + max(int(1.05 * run.t_end * (s / run.cfl_dx + 1.0 / run.snapshot_dt))
-                   for run, s in zip(active, speed))
+                   for run, s in zip(runs, speed))
 
 
 def simulate_batch(members: list, threads: int = 1) -> list:
@@ -579,10 +569,11 @@ def simulate_batch(members: list, threads: int = 1) -> list:
     Returns one result per member: its Trajectory, or the error that ended
     it, which is the error `simulate` raises for that member alone.  Each
     member steps with its own CFL time step, clipped to land exactly on its
-    own snapshot cadence, and leaves the batch when it reaches its t_end or
-    fails; the others carry on.  Deterministic for fixed members.  Given
-    `threads` = 2 on a grid of at least SPLIT_NODES nodes, each step is
-    split between two threads (StepWork), with the same values.
+    own snapshot cadence, until it reaches its t_end or fails; the others
+    carry on, each in its row of one work set.  Deterministic for fixed
+    members.  Given `threads` = 2 on a grid of at least SPLIT_NODES nodes,
+    each step is split between two threads (StepWork), with the same
+    values.
     """
     grids = {(m.config.nx, m.params.L) for m in members}
     if len(grids) != 1:
@@ -592,74 +583,56 @@ def simulate_batch(members: list, threads: int = 1) -> list:
     quad = Quadrature(xs)
     threads = 2 if threads >= 2 and len(xs) >= SPLIT_NODES else 1
     results = [None] * len(members)
-    active = []
+    runs, slots = [], []        # the members that start, and their index in `members`
     for slot, member in enumerate(members):
         try:
-            active.append(_Run(slot, member, xs))
+            runs.append(_Run(member, xs))
+            slots.append(slot)
         except (ValueError, BlowUpError) as exc:
             results[slot] = exc
-    if not active:
+    if not runs:
         return results
 
-    def pack(active, state, speed):
-        """The work set of the active members, at `state` and wave speeds `speed`."""
-        work = StepWork(state, threads)
-        work.load([run.spec for run in active], speed=speed,
-                  **{name: [getattr(run, name) for run in active]
-                     for name in ("guard", "cfl_dx", "t_snap", "t_end", "slot")})
-        return work
-
-    state = FieldState([0.0] * len(active), xs,
-                       *(np.stack([run.initial[f] for run in active]) for f in range(3)))
-    for row, run in enumerate(active):
-        run.snapshot(_row(state, row), 0, quad)
-    terms = profile_terms([(members[run.slot].profile, members[run.slot].params)
-                           for run in active])
+    state = FieldState([0.0] * len(runs), xs,
+                       *(np.stack([run.initial[f] for run in runs]) for f in range(3)))
+    for row, run in enumerate(runs):
+        run.snapshot(state, row, 0)
+    terms = profile_terms([(members[slot].profile, members[slot].params) for slot in slots])
     speed = wave_speed(terms, state)
-    records = np.empty((len(RECORDS), len(members), _capacity(active, speed)))
-    work = pack(active, state, speed)
-    b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
+    records = np.empty((len(RECORDS), len(runs), _capacity(runs, speed)))
+    work = StepWork(state, threads)
+    work.load([run.spec for run in runs], speed=speed,
+              **{name: [getattr(run, name) for run in runs]
+                 for name in ("guard", "cfl_dx", "t_snap", "t_end")})
+    b0 = [sample_b(run.spec, 0.0)[:2] for run in runs]
     top_u, top_ux, top_ut = (np.maximum.reduce(np.abs(x), -1) for x in (state.u, state.w, state.v))
     a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
-    records[:, [run.slot for run in active], 0] = (
+    records[:, :, 0] = (
         state.t, top_u, [b for b, _ in b0], [bt for _, bt in b0], top_ux, top_ut,
         energy_E1(state, terms, k, a, quad), h1_integrand(state, quad))
 
-    steps = 0
-    # batch row -> None for the members that reached their t_end, the error
-    # for those that failed
-    ended = {row: None for row, run in enumerate(active) if not 0.0 < run.t_end - 1e-12}
+    status = work.values["status"]
+    status[[not 0.0 < run.t_end - 1e-12 for run in runs]] = ENDED
+    steps, rows = 0, list(range(len(runs)))     # rows: the members without a result
     while True:
-        if ended:
-            for row, error in ended.items():
-                run = active[row]
-                results[run.slot] = run.trajectory(records, steps) if error is None else error
-            rows = [row for row in range(len(active)) if row not in ended]
-            active = [active[row] for row in rows]
-            if not active:
-                return results
-            # copies; the old work set goes before the survivors' is built
-            state, terms, speed = _select(state, rows), terms.take(rows), work.values["speed"][rows]
-            work = None
-            work = pack(active, state, speed)
-            ended = {}
-
+        for row in rows:
+            if status[row] == ENDED:
+                results[slots[row]] = runs[row].trajectory(records[:, row, :steps + 1], quad)
+            elif status[row] != RUNNING:
+                results[slots[row]] = failure(work, row)
+        rows = [row for row in rows if status[row] == RUNNING]
+        if not rows:
+            return results
         if steps + 1 == records.shape[2]:
             records = np.concatenate([records, np.empty_like(records)], axis=2)
-        try:
-            state = step(state, terms, work, records, steps + 1)
-        except SolverError as exc:
-            ended = {row: type(exc)(message) for row, message in exc.failed.items()}
-            continue
-
+        state = step(state, terms, work, records, steps + 1)
         steps += work.taken
         t_snap = work.values["t_snap"]
-        for row, (run, t) in enumerate(zip(active, state.t)):
-            if t >= run.t_snap - 1e-12:
-                run.snapshot(_row(state, row), steps, quad)
+        for row in rows:
+            run = runs[row]
+            if status[row] in (RUNNING, ENDED) and state.t[row] >= run.t_snap - 1e-12:
+                run.snapshot(state, row, steps)
                 t_snap[row] = run.t_snap
-            if not t < run.t_end - 1e-12:
-                ended[row] = None
 
 
 def simulate(params: PipeParams, profile: StationaryProfile,

@@ -8,7 +8,7 @@ import numpy as np
 from pipestab.disturbance import NOISE_REL_SLACK, DisturbanceSpec
 from pipestab.dynamics import (BlowUpError, CFLError, FieldState, SolverError, Trajectory, _Run,
                                stationary_forcing)
-from pipestab.lyapunov import Quadrature
+from pipestab.lyapunov import Quadrature, energy_classic, grad_norm
 from pipestab.stationary import PipeParams, StationaryProfile, stationary_ode_rhs
 
 
@@ -297,14 +297,18 @@ def stack_terms(terms: list) -> ProfileTerms:
 
 def _fail(error, bad, message):
     """Raise `error` if `bad` flags a member (a bool, or a column for a
-    batch); message(row) names the values of the member at `row`."""
+    batch); message(row) names the values of the member at `row`.  The
+    error's `failed` maps the row of each flagged member to its message;
+    str(error) is the first."""
     if isinstance(bad, np.ndarray):
         rows = np.flatnonzero(bad).tolist()
     else:
         rows = [0] if bad else []
     if rows:
         failed = {row: message(row) for row in rows}
-        raise error(failed[rows[0]], failed)
+        exc = error(failed[rows[0]])
+        exc.failed = failed
+        raise exc
 
 
 # Index expressions by state dimension, so that one `step` serves a single
@@ -361,7 +365,7 @@ def step(state: FieldState, terms: ProfileTerms, b_now, dt, guard, speed):
     The state's t, dt, b and b_t, guard, speed and the max|u| returned are
     lists, one float per member.  A CFL violation raises CFLError before
     the step, a member outside the guard BlowUpError after it; `failed`
-    names every such member.
+    names every such member (_fail).
     """
     t, dt, guard, speed = map(_column, (state.t, dt, guard, speed))
     b_now = tuple(map(_column, b_now))
@@ -454,6 +458,17 @@ def _per_step_record(run, u, v, w, t, max_u, b, b_t, quad):
         run.records.setdefault(name, []).append(value)
 
 
+def _snapshot(run, state: FieldState, row: int, index: int, quad):
+    """The snapshot of the member at `row`, taken at step `index`, with its
+    E_classic and gradient norm integrated alone."""
+    one = _row(state, row)
+    run.states.append(one)
+    run.snap_index.append(index)
+    run.E_classic.append(energy_classic(one, run.k, run.a, quad))
+    run.grad.append(grad_norm(one, quad))
+    run.t_snap = min(len(run.states) * run.snapshot_dt, run.t_end)
+
+
 def _per_step_trajectory(run) -> Trajectory:
     rec = {name: np.array(values) for name, values in run.records.items()}
     series = {name: rec[name] for name in ("E1", "h1", "max_u", "max_ux", "max_ut")}
@@ -474,14 +489,16 @@ def simulate_batch_per_step(members: list) -> list:
     active = []
     for slot, member in enumerate(members):
         try:
-            active.append(_Run(slot, member, xs))
+            active.append(_Run(member, xs))
         except (ValueError, BlowUpError) as exc:
             results[slot] = exc
+            continue
+        run = active[-1]
+        run.slot, run.t, run.records = slot, 0.0, {}
+        run.states, run.E_classic, run.grad = [], [], []
+        run.terms = profile_terms(member.profile, member.params)
     if not active:
         return results
-    for run in active:
-        run.t, run.records = 0.0, {}
-        run.terms = profile_terms(members[run.slot].profile, members[run.slot].params)
 
     def record(state, max_u, bs, bts):
         for row, (run, t, top) in enumerate(zip(active, state.t, max_u)):
@@ -497,7 +514,7 @@ def simulate_batch_per_step(members: list) -> list:
     b0 = [sample_b(run.spec, 0.0)[:2] for run in active]
     record(state, _members(_row_max(np.abs(state.u))), [b for b, _ in b0], [bt for _, bt in b0])
     for row, run in enumerate(active):
-        run.snapshot(_row(state, row), 0, quad)
+        _snapshot(run, state, row, 0, quad)
 
     steps = 0
     ended = {row: None for row, run in enumerate(active) if not run.t < run.t_end - 1e-12}
@@ -534,6 +551,6 @@ def simulate_batch_per_step(members: list) -> list:
         for row, (run, t) in enumerate(zip(active, state.t)):
             run.t = t
             if t >= run.t_snap - 1e-12:
-                run.snapshot(_row(state, row), steps, quad)
+                _snapshot(run, state, row, steps, quad)
             if not t < run.t_end - 1e-12:
                 ended[row] = None

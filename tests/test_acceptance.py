@@ -282,7 +282,7 @@ def test_criterion_11_certified_config(tmp_path):
         "output.csv_path": str(tmp_path / "certified.csv"),
         "output.report_path": str(tmp_path / "certified_report.txt")})
     assert cfg["pipe.theta"] > 0
-    cfg.to_file(tmp_path / "certified.cfg")
+    (tmp_path / "certified.cfg").write_text(cfg.to_text())
     code = main(["run", str(tmp_path / "certified.cfg")])
     report = json.loads((tmp_path / "certified_report.txt.json").read_text())
     flags = {k: v for k, v in report["hypotheses"].items() if k != "first_violation_time"}

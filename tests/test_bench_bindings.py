@@ -36,13 +36,14 @@ def load_tracer():
     return module.Tracer
 
 
-def test_traced_batch_counts_only_live_members(tmp_path):
+def test_traced_batch_counts_calls_and_rows(tmp_path):
     # Members of one batch finish at different steps (u0 sets the wave speed).
     # The traced `step` is one call of the compiled loop, which returns at
-    # every step where a member reaches a snapshot time or its t_end (the
-    # records, sized from the wave speed at t = 0, hold these runs whole); a
-    # finished member is not stepped, so each call counts the cells of the
-    # members still running.  `sample_b` is called once per member, at t = 0.
+    # every step where a running member reaches a snapshot time or its t_end
+    # (the records, sized from the wave speed at t = 0, hold these runs
+    # whole).  A finished member keeps its row of the batch, which the loop
+    # no longer steps: each call returns the state of every row, and counts
+    # their cells.  `sample_b` is called once per member, at t = 0.
     import numpy as np
 
     from pipestab import cli, dynamics
@@ -74,13 +75,12 @@ def test_traced_batch_counts_only_live_members(tmp_path):
         finally:
             tracer.uninstall()
         assert code == 0
-        # the steps at which the loop returns, and the members running at each
+        # the steps at which the loop returns, each with the rows of the batch
         returns = sorted({int(j) for traj in runs for j in traj.snap_index[1:]})
-        running = sum(len(traj.times) - 1 >= j for traj in runs for j in returns)
         assert len(returns) > 4 * (len(runs) - 1)
         spans = np.asarray(tracer.name_ix)
         for name, count in (("dynamics.step", len(returns)),
                             ("disturbance.sample_b", len(runs))):
             assert int(np.count_nonzero(spans == tracer.names.index(name))) == count, name
-        assert tracer.counters["cell_updates"] == running * (40 + 1)
+        assert tracer.counters["cell_updates"] == len(returns) * len(runs) * (40 + 1)
     assert "error" not in (tmp_path / "sweep.csv").read_text()

@@ -64,7 +64,7 @@ class TestParsing:
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "scenario.cfg"
         cfg = ScenarioConfig({"pipe.theta": 0.1})
-        cfg.to_file(p)
+        p.write_text(cfg.to_text())
         assert ScenarioConfig.from_file(p).values == cfg.values
 
 

@@ -1,5 +1,4 @@
 import math
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +11,8 @@ from pipestab.certificate import f_bound_constant
 from pipestab.disturbance import FAMILIES, DisturbanceSpec
 from pipestab.dynamics import (IO, RECORDS, BlowUpError, CFLError, FieldState, Member,
                                SolverConfig, SolverError, StepWork, bump_profile, f_tilde,
-                               lower_order_F, profile_terms, simulate, simulate_batch, step,
-                               wave_speed)
+                               failure, lower_order_F, profile_terms, simulate, simulate_batch,
+                               step, wave_speed)
 from pipestab.lyapunov import Quadrature, energy_classic, energy_E1, grad_norm, h1_integrand
 from pipestab.stationary import PipeParams, build_stationary
 
@@ -29,20 +28,30 @@ def make_setup(L=1.0, a=2.0, theta=0.5, k=4.0, u0=0.5, nx=200):
 
 
 def records_of(members: int, capacity: int) -> np.ndarray:
-    """Records of `members` slots and `capacity` steps, for `step`."""
+    """Records of `members` rows and `capacity` steps, for `step`."""
     return np.empty((len(RECORDS), members, capacity))
 
 
 def advance(state, params, profile, dt, guard=None, work=None, records=None):
     """One step of a one-member (1, nx+1) state without disturbance, to its
     snapshot time t + dt, recorded at index 1 of `records`; the guard
-    defaults to the sound speed, the work set and the records to new ones."""
+    defaults to the sound speed, the work set and the records to new ones.
+    Raises the member's error when the step fails it, which leaves the
+    input state as it was."""
     terms = profile_terms([(profile, params)])
     work = work or StepWork(state)
     work.load([DisturbanceSpec()], speed=wave_speed(terms, state), cfl_dx=[math.inf],
               t_snap=[state.t[0] + dt], t_end=[math.inf],
               guard=[params.a if guard is None else guard])
-    return step(state, terms, work, records_of(1, 2) if records is None else records, 1)
+    before = copied(state)
+    new = step(state, terms, work, records_of(1, 2) if records is None else records, 1)
+    error = failure(work, 0)
+    if error:
+        # a CFL violation fails the member before the step, the guard after it
+        assert work.taken == (0 if isinstance(error, CFLError) else 1)
+        assert_same_state(state, before)
+        raise error
+    return new
 
 
 class TestLowerOrderTerms:
@@ -413,10 +422,29 @@ class TestBatch:
         assert t_nan == 0.0
         assert "initial_v = nan" in str(nan)
 
-    def test_snapshots_are_copied_rows(self):
-        traj = simulate_batch(self.MEMBERS[:2])[0]
-        for state in traj.states:
-            assert state.u.base is None and state.u.shape == state.xs.shape
+    def test_snapshots_are_copied_rows(self, monkeypatch):
+        # a member keeps copies of its rows: no snapshot array shares memory
+        # with the work set or with another member's snapshots
+        made = []
+
+        class Watched(StepWork):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(dynamics, "StepWork", Watched)
+        first, second = simulate_batch(self.MEMBERS[:2])
+        (work,) = made
+        for traj, other in ((first, second), (second, first)):
+            theirs = [x for state in other.states for x in (state.u, state.v, state.w)]
+            for state in traj.states:
+                assert state.u.shape == state.xs.shape
+                for x in (state.u, state.v, state.w):
+                    assert not np.shares_memory(x, work.states)
+                    assert not any(np.shares_memory(x, y) for y in theirs)
+
+    def test_member_failing_mid_call_leaves_the_others(self, monkeypatch):
+        assert_member_fails_mid_call(monkeypatch, threads=1)
 
     def test_one_grid_per_batch(self):
         with pytest.raises(ValueError, match="one grid"):
@@ -481,16 +509,42 @@ def cfl_member():
     return member
 
 
-def watch_calls(monkeypatch) -> list:
-    """A list that receives, for each call of `step` from now on, its [first
-    step index, steps taken (0 when it raised), records capacity]."""
-    calls = []
+class Calls(list):
+    """[first step index, steps taken, records capacity] of each call of
+    `step`; `failed` maps the batch row of each member that a call failed to
+    [that call's place in the list, the index of the step the member failed]."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = {}
+
+    def clear(self):
+        super().clear()
+        self.failed.clear()
+
+
+def watch_calls(monkeypatch) -> Calls:
+    """The Calls of `step` from now on."""
+    calls = Calls()
     step = dynamics.step
 
     def watched(state, terms, work, records, index):
+        status = work.values["status"]
+        running = status == dynamics.RUNNING
         calls.append([index, 0, records.shape[2]])
         new = step(state, terms, work, records, index)
         calls[-1][1] = work.taken
+        for row in np.flatnonzero(running & (status != dynamics.RUNNING)).tolist():
+            if status[row] == dynamics.ENDED:
+                continue
+            # the guard fails a step whose time it names, the CFL test the
+            # step after that time, which is the call's first step if no
+            # step of the call recorded that time
+            times = records[0, row, index:index + work.taken].tolist()
+            at = work.values["at"][row]
+            failed = index + (times.index(at) + (status[row] == dynamics.CFL_FAILED)
+                              if at in times else 0)
+            calls.failed[row] = [len(calls) - 1, failed]
         return new
 
     monkeypatch.setattr(dynamics, "step", watched)
@@ -506,6 +560,26 @@ def assert_grown_when_full(calls, capacity):
         assert following[2] == (2 * room if full else room)
         if full:
             assert following[0] == room
+
+
+def assert_member_fails_mid_call(monkeypatch, threads):
+    """A member that leaves its guard mid-run, in the middle of a call,
+    leaves every other member's records, states and snapshots bit-equal to
+    the member's run alone and to the per-step oracle, one thread or split."""
+    if threads == 2:
+        monkeypatch.setattr(dynamics, "SPLIT_NODES", 65)
+    members = [TestBatch.MEMBERS[3], TestBatch.MEMBERS[0], TestBatch.MEMBERS[1]]
+    alone = [solo(member) for member in members]
+    calls = watch_calls(monkeypatch)
+    results = simulate_batch(members, threads=threads)
+    assert_same_results(results, alone)
+    assert_same_results(results, oracles.simulate_batch_per_step(members))
+    assert type(results[0]) is BlowUpError
+    call, failed = calls.failed[0]
+    index, taken, _ = calls[call]
+    # steps into the run, and into the call, which goes on after it
+    assert index < failed < index + taken - 1
+    assert all(taken for _, taken, _ in calls)
 
 
 class TestBlockRecord:
@@ -532,12 +606,16 @@ class TestBlockRecord:
             assert_grown_when_full(calls, 2 + spare)
             filled += sum(index + taken == room for index, taken, room in calls)
             if spare == 400 and members is self.BATCHES[2]:
-                # the guard fails in a call's middle: that call returns the
-                # steps before the failure, and the next fails at its first
-                failing = next(i for i, (_, taken, _) in enumerate(calls) if not taken)
-                (index, taken, _), (first, _, _) = calls[failing - 1], calls[failing]
-                assert taken > 0 and index + taken == first
-                assert first - 1 not in results[1].snap_index
+                # the guard fails in a call's middle: the other member takes
+                # that step and the call goes on to that member's next
+                # snapshot, so each call starts where the last one ended
+                assert all(taken for _, taken, _ in calls)
+                assert [index for index, _, _ in calls[1:]] == [
+                    index + taken for index, taken, _ in calls[:-1]]
+                call, failed = calls.failed[0]
+                index, taken, _ = calls[call]
+                assert index <= failed < index + taken - 1
+                assert index + taken - 1 in results[1].snap_index
             for member in members:
                 assert_same_results([solo(member)], oracles.simulate_batch_per_step([member]))
         assert (filled == 0) == (spare == 400)
@@ -562,45 +640,56 @@ class TestBlockRecord:
         assert 0 < first.snap_index[1] < last
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_repack_builds_its_work_set_alone(self, monkeypatch, extra):
-        # a re-pack frees the old work set before it builds the survivors';
-        # the records start with room for 2 + extra steps, and with extra =
-        # -1 the t = 0 row fills them before the first step
-        live, counts, sizes = weakref.WeakSet(), [], []
+    def test_one_work_set_per_batch(self, monkeypatch, extra):
+        # one work set serves every call: the members that end or fail keep
+        # their rows of it.  The records start with room for 2 + extra steps,
+        # and with extra = -1 the t = 0 row fills them before the first step
+        sizes, works = [], []
 
         class Watched(StepWork):
             def __init__(self, state, *args):
-                counts.append(len(live))
                 super().__init__(state, *args)
-                live.add(self)
                 sizes.append(len(state.u))
 
+        def watched(state, terms, work, records, index):
+            works.append(work)
+            return step(state, terms, work, records, index)
+
         members = TestBatch.MEMBERS
+        monkeypatch.setattr(dynamics, "step", watched)
         calls = watch_calls(monkeypatch)
         monkeypatch.setattr(dynamics, "StepWork", Watched)
-        monkeypatch.setattr(dynamics, "_capacity", lambda active, speed: 2 + extra)
+        monkeypatch.setattr(dynamics, "_capacity", lambda runs, speed: 2 + extra)
         assert_same_results(simulate_batch(members), oracles.simulate_batch_per_step(members))
-        assert counts == [0] * 6    # the first work set, and one per member that ends before the last
-        # the NaN member fails at t=0, and the others end one at a time
-        assert sizes == [6, 5, 4, 3, 2, 1]
+        # the NaN member fails at t=0, before the work set is built
+        assert sizes == [6]
+        assert len(works) == len(calls) > 6 and all(work is works[0] for work in works)
         assert calls[0][2] == (2 if extra == -1 else 2 + extra)
         assert_grown_when_full(calls, calls[0][2])
 
     def test_cfl_member_fails_mid_run(self, monkeypatch):
+        calls = watch_calls(monkeypatch)
         error = solo(cfl_member())
         assert isinstance(error, CFLError)
         assert 0.03 < float(str(error).split("t=")[1].split(":")[0]) < 0.1
-        # beside a member that goes on: the CFL member lands on a snapshot
-        # at every step, so each call takes one step, until one fails at it
+        # alone, the CFL member lands on a snapshot at every step, so each
+        # call takes one step, until it fails before the first of a call
+        failing = len(calls) - 1
+        assert [taken for _, taken, _ in calls] == [1] * failing + [0]
+        # beside a member that goes on: that member takes the failed step in
+        # the same call, and its next steps, so no step is computed twice
         members = [cfl_member(), TestBatch.MEMBERS[0]]
-        calls = watch_calls(monkeypatch)
+        calls.clear()
         results = simulate_batch(members)
         assert_same_results(results, oracles.simulate_batch_per_step(members))
         assert type(results[0]) is CFLError and str(results[0]) == str(error)
-        failing = next(i for i, (_, taken, _) in enumerate(calls) if not taken)
         capacity = calls[0][2]
-        assert calls[:failing + 1] == [[j + 1, 1, capacity] for j in range(failing)] + [
-            [failing + 1, 0, capacity]]
+        assert calls[:failing] == [[j + 1, 1, capacity] for j in range(failing)]
+        assert calls[failing][0] == failing + 1 and calls[failing][1] > 1
+        assert calls.failed == {0: [failing, failing + 1]}
+        assert all(taken for _, taken, _ in calls)
+        assert [index for index, _, _ in calls[1:]] == [
+            index + taken for index, taken, _ in calls[:-1]]
 
     @pytest.mark.parametrize("nx", [100, 400, 3200])
     @pytest.mark.parametrize("count", [1, 8])
@@ -662,8 +751,23 @@ def assert_same_state(lean, reference):
         assert getattr(lean, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
+def assert_same_rows(state, rows, reference):
+    """The members at `rows` of `state` are `reference` bit for bit, a 1-D
+    state for one member as the oracles give it."""
+    assert [state.t[row] for row in rows] == reference.t
+    for name in ("u", "v", "w"):
+        assert getattr(state, name)[rows].tobytes() == getattr(reference, name).tobytes(), name
+
+
 def copied(state):
     return FieldState(list(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
+
+
+def member_terms(physics, xs) -> list:
+    """The oracle's terms of each member of physics given as a list of (a,
+    k, theta, u0 / a), as compiled_setup takes it, each built alone."""
+    return [oracles.profile_terms(*pair) for pair in physics_pairs(
+        [(a, k, theta, fraction * a) for a, k, theta, fraction in physics], xs)]
 
 
 def disturbances(rng, count):
@@ -727,16 +831,6 @@ class TestProfileTerms:
                     for name in ("a", "a2", "k", "theta", "theta_1_5")]
             assert terms.coefficients[:, row].tobytes() == np.array(want).tobytes()
         assert terms.coefficients.shape == (5, len(pairs))
-        # a re-pack takes the survivors' rows, as if it built their terms
-        rows = list(range(len(pairs)))[::-2]
-
-        def arrays(terms):
-            return [terms.ubar, terms.ubar_x, terms.ubar_m, terms.ubarx_m, *terms.forcing_m,
-                    *terms.forcing_i, terms.coefficients]
-
-        taken, built = terms.take(rows), profile_terms([pairs[row] for row in rows])
-        for got, want in zip(arrays(taken), arrays(built), strict=True):
-            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 MEMBER_PHYSICS = st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
@@ -755,16 +849,18 @@ def assert_calls_match_allocating_step(physics, nx, seed, amplitude, negative, r
     """Calls of the compiled step give what oracles.step gives, step by step, bit for bit."""
     # each member steps by its own fraction of its CFL step and is clipped
     # to land on a snapshot time, after which it steps on; a call returns
-    # when the records are full, a member lands or its next step fails.
+    # when the records are full, a running member lands or no member runs.
     # They start with room for `rows` steps after the t = 0 row and double
     # when full, as in simulate_batch: with rows = 1 every call fills them
     # until a member lands.  Each step's records hold (t, max|u|, b, b_t),
     # max|u_x|, max|u_t| and the E1 and H1 integrals of the state it made,
     # as the allocating step and the energy functionals give them, bit for
-    # bit, and a step fails for the members the allocating step fails.
+    # bit.  A step fails the members the allocating step fails, with its
+    # messages; each keeps its rows of the work set from then on, and the
+    # others take that step as the allocating step takes it without them.
     # With `negative`, ubar + u < 0 at two nodes and a midpoint
-    terms, reference_terms, state, work, rng = compiled_setup(
-        physics, nx, seed, amplitude, negative)
+    terms, _, state, work, rng = compiled_setup(physics, nx, seed, amplitude, negative)
+    alone = member_terms(physics, state.xs)
     quad = Quadrature(state.xs)
     a, k = terms.coefficients[0, :, None], terms.coefficients[2, :, None]
     members, dx = len(physics), state.xs[1] - state.xs[0]
@@ -775,45 +871,85 @@ def assert_calls_match_allocating_step(physics, nx, seed, amplitude, negative, r
               t_end=[math.inf] * members)
     compiled, reference = state, copied(state)
     records = records_of(members, 1 + rows)
+    running, failed, kept = list(range(members)), {}, {}
 
-    def reference_step(reference):
-        speed = oracles.wave_speed(reference_terms, reference)
-        dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
-            work.values["cfl_dx"].tolist(), speed, work.values["t_snap"].tolist(),
-            reference.t)]
-        b_now = boundary(specs, reference, dt)
-        return *oracles.step(reference, reference_terms, b_now, dt, guard, speed), b_now
+    def reference_step():
+        """The allocating step of the running members of `reference`, in
+        place: a member it fails leaves `running` for `failed`, with its
+        error, and the others take the step again.  Returns their max|u|
+        and (b, b_t), or None when no member takes the step."""
+        while running:
+            sub = oracles._select(reference, running)
+            sub_terms = oracles.stack_terms([alone[row] for row in running])
+            speed = oracles.wave_speed(sub_terms, sub)
+            dt = [min(c / s, t_snap - t) for c, s, t_snap, t in zip(
+                work.values["cfl_dx"][running].tolist(), speed,
+                work.values["t_snap"][running].tolist(), sub.t)]
+            b_now = boundary([specs[row] for row in running], sub, dt)
+            try:
+                new, max_u = oracles.step(sub, sub_terms, b_now, dt,
+                                          [guard[row] for row in running], speed)
+            except SolverError as error:
+                for i, message in error.failed.items():
+                    failed[running[i]] = (type(error), message)
+                running[:] = [row for i, row in enumerate(running) if i not in error.failed]
+                continue
+            for name in ("u", "v", "w"):
+                getattr(reference, name)[running] = getattr(new, name)
+            for row, t in zip(running, new.t):
+                reference.t[row] = t
+            return max_u, b_now
+        return None
 
-    start, failing = 1, False
-    while start < 7:
+    def rows_of(state):
+        """The running members of `state`, as a batch."""
+        return FieldState([state.t[row] for row in running], state.xs,
+                          *(x[running] for x in (state.u, state.v, state.w)))
+
+    def assert_failures():
+        """The compiled loop failed the members the allocating step failed, alike."""
+        status = work.values["status"]
+        assert np.flatnonzero(status == dynamics.RUNNING).tolist() == running
+        errors = {row: failure(work, row) for row in range(members) if row not in running}
+        assert {row: (type(e), str(e)) for row, e in errors.items()} == failed
+
+    start = 1
+    while start < 7 and running:
         if start == records.shape[2]:
             records = np.concatenate([records, np.empty_like(records)], axis=2)
-        try:
-            compiled = step(compiled, terms, work, records, start)
-        except SolverError as error:
-            with pytest.raises(type(error)) as reference_error:
-                reference_step(reference)
-            assert error.failed == reference_error.value.failed
-            return
-        assert not failing      # a call that stopped for no other reason: its next step fails
+        compiled = step(compiled, terms, work, records, start)
         end = start + work.taken
-        t_snap = work.values["t_snap"]
-        landed = [t >= x - 1e-12 for t, x in zip(compiled.t, t_snap.tolist())]
-        failing = not (end == records.shape[2] or any(landed))
         for index in range(start, end):
-            reference, max_u, b_now = reference_step(reference)
-            if index == end - 2 and not failing:    # the older state the work set holds
-                assert_same_state(stepped(work, records, index, state.xs), reference)
-            assert records[:4, :, index].tobytes() == np.array(
-                [reference.t, max_u, *b_now]).tobytes()
-            tops = [np.max(np.abs(x), -1) for x in (reference.w, reference.v)]
-            assert records[4:6, :, index].tobytes() == np.array(tops).tobytes()
-            energies = [energy_E1(reference, terms, k, a, quad), h1_integrand(reference, quad)]
-            assert records[6:, :, index].tobytes() == np.array(energies).tobytes()
-        assert_same_state(compiled, reference)
+            stepped_rows = reference_step()
+            if stepped_rows is None:        # every member failed its guard at this step
+                break
+            max_u, b_now = stepped_rows
+            if index == end - 2:            # the older state the work set holds
+                assert_same_rows(stepped(work, records, index, state.xs), running,
+                                 rows_of(reference))
+            new = rows_of(reference)
+            assert records[:4, running, index].tobytes() == np.array(
+                [new.t, max_u, *b_now]).tobytes()
+            tops = [np.max(np.abs(x), -1) for x in (new.w, new.v)]
+            assert records[4:6, running, index].tobytes() == np.array(tops).tobytes()
+            energies = [energy_E1(new, SimpleNamespace(ubar=terms.ubar[running]), k[running],
+                                  a[running], quad), h1_integrand(new, quad)]
+            assert records[6:, running, index].tobytes() == np.array(energies).tobytes()
+        if running and not (work.values["status"] == dynamics.RUNNING).any():
+            # every running member failed the CFL test at the step after the call's last
+            assert reference_step() is None
+        assert_failures()
+        for row, held in kept.items():      # a failed member's rows stay as they were
+            assert work.states[:, :, row].tobytes() == held
+        kept.update((row, work.states[:, :, row].tobytes()) for row in failed if row not in kept)
+        assert_same_rows(compiled, running, rows_of(reference))
         # the next wave speed, as wave_speed gives it from the new state
-        assert work.values["speed"].tolist() == wave_speed(terms, reference)
-        assert work.values["speed"].tolist() == oracles.wave_speed(reference_terms, reference)
+        assert work.values["speed"][running].tolist() == wave_speed(SimpleNamespace(
+            ubar=terms.ubar[running], coefficients=terms.coefficients[:, running]),
+            rows_of(reference))
+        t_snap = work.values["t_snap"]
+        landed = [row for row in running if compiled.t[row] >= t_snap[row] - 1e-12]
+        assert end == records.shape[2] or landed or not running
         t_snap[landed] = math.inf
         start = end
 
@@ -832,20 +968,36 @@ class TestLeanStep:
     @given(PHYSICS, st.integers(0, 2 ** 32 - 1), st.sampled_from(["cfl", "guard"]),
            st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_failed_step_leaves_its_input(self, physics, seed, failure, one_row):
+    def test_failed_step_leaves_its_input(self, physics, seed, way, one_row):
         # the failing call's input is the newest state of the work set; with
         # one_row, records of one step after the t = 0 row, its step filled
         # them, and the failing step is the first of records grown to twice
-        # the room, else the next of the same records
+        # the room, else the next of the same records.  The last member
+        # fails that step, by its time step or by its guard, with the
+        # allocating step's error: the input is left as it was, the member
+        # keeps its rows of the work set from then on, and every other
+        # member takes that step and the next as the allocating step takes
+        # them without it
         terms, reference_terms, state, rng = lean_setup(24, physics, seed, 0.1)
+        alone = [oracles.profile_terms(*pair) for pair in physics_pairs(physics, state.xs)]
         work = StepWork(state)
         members, dx = len(physics), state.xs[1] - state.xs[0]
+        others = list(range(members - 1))
         records = records_of(members, 2 if one_row else 8)
         specs, big, never = disturbances(rng, members), [1e3] * members, [math.inf] * members
 
         def landing(state):
-            # each member's snapshot time half a CFL step ahead: one step reaches it
+            # each member's snapshot time half a CFL step ahead: one step
+            # reaches it; the last member's, none
             return [t + 0.5 * dx / s for t, s in zip(state.t, work.values["speed"].tolist())]
+
+        def others_step(state, dt, guards):
+            """The allocating step of the members but the last, from `state` by `dt`."""
+            sub = oracles._select(state, others)
+            sub_dt = [dt[row] for row in others]
+            return oracles.step(sub, oracles.stack_terms(alone[:-1]),
+                                boundary(specs[:-1], sub, sub_dt), sub_dt, guards[:-1],
+                                [wave_speed(terms, state)[row] for row in others])[0]
 
         work.load(specs, speed=wave_speed(terms, state), guard=big, cfl_dx=[dx] * members,
                   t_end=never)
@@ -860,26 +1012,36 @@ class TestLeanStep:
         # the last member fails: by its time step or by its guard
         fractions = [0.5] * members
         guards = [1e3] * members
-        if failure == "cfl":
+        if way == "cfl":
             fractions[-1] = 1.5
         else:
             guards[-1] = 1e-3
-        error = CFLError if failure == "cfl" else BlowUpError
-        work.load(specs, guard=guards, cfl_dx=[f * dx for f in fractions], t_snap=never)
+        error = CFLError if way == "cfl" else BlowUpError
+        work.load(specs, guard=guards, cfl_dx=[f * dx for f in fractions],
+                  t_snap=landing(held)[:-1] + [math.inf])
         dt = time_steps(work, held)
-        with pytest.raises(error) as lean:
-            step(held, terms, work, records, 2)
+        new = step(held, terms, work, records, 2)
         with pytest.raises(error) as reference:
             oracles.step(before, reference_terms, boundary(specs, before, dt), dt, guards, speed)
-        assert lean.value.failed == reference.value.failed == {
-            members - 1: str(reference.value)}
+        assert reference.value.failed == {members - 1: str(reference.value)}
+        lean = failure(work, members - 1)
+        assert type(lean) is error and str(lean) == str(reference.value)
+        assert [failure(work, row) for row in others] == [None] * len(others)
+        # a CFL violation fails before the step: with no other member, none is taken
+        assert work.taken == (0 if way == "cfl" and not others else 1)
         assert_same_state(held, before)
-        # and the work set steps on from the state it kept
-        work.load(specs, guard=big, cfl_dx=[dx] * members, t_snap=landing(held))
-        dt = time_steps(work, held)
-        assert_same_state(step(held, terms, work, records, 2),
-                          oracles.step(before, reference_terms, boundary(specs, before, dt), dt,
-                                       big, speed)[0])
+        kept = work.states[:, :, -1].tobytes()
+        if not others:
+            return
+        assert_same_rows(new, others, others_step(before, dt, guards))
+        # and the others step on, while the failed member keeps its rows
+        after = copied(new)
+        work.load(specs, guard=big, cfl_dx=[dx] * members, t_snap=landing(new))
+        dt = time_steps(work, new)
+        newer = step(new, terms, work, records, 3)
+        assert work.taken == 1
+        assert_same_rows(newer, others, others_step(after, dt, big))
+        assert work.states[:, :, -1].tobytes() == kept
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
                   elements=st.floats(-1e6, 1e6)),
@@ -981,23 +1143,25 @@ class TestCompiledStep:
 
     def test_records_out_of_reach_are_rejected(self):
         # the compiled loop writes the records through a raw pointer: a step
-        # index or a slot outside them, or records of another layout, is refused
+        # index outside them, records of another batch's members, or records
+        # of another layout, is refused
         physics = [(2.0, 4.0, 0.1, 0.15), (1.5, 8.0, 0.6, 0.2)]
         terms, _, state, work, _ = compiled_setup(physics, 24, 0, 1e-3)
         records = records_of(2, 4)
-        for bad, index in ((records, 4), (records, -1), (records_of(1, 4), 1), (records[:7], 1),
-                           (records[:, :, :3], 1), (records.astype(np.float32), 1)):
+        for bad, index in ((records, 4), (records, -1), (records_of(1, 4), 1),
+                           (records_of(3, 4), 1), (records[:7], 1), (records[:, :, :3], 1),
+                           (records.astype(np.float32), 1)):
             with pytest.raises(ValueError):
                 step(state, terms, work, bad, index)
-        work.load([DisturbanceSpec()] * 2, slot=[0, 2])
         with pytest.raises(ValueError, match="outside records of shape"):
-            step(state, terms, work, records, 1)
+            step(state, terms, work, records, 4)
 
     @pytest.mark.parametrize("field", ["u", "v", "w"])
     @pytest.mark.parametrize("row", [0, 2])
     def test_nan_member_fails_alone(self, field, row):
         # a NaN in v or w reaches u within the step; only its member fails,
-        # with the allocating step's message, and the input state is kept
+        # with the allocating step's message, the input state is kept, and
+        # the others take that step as the allocating step takes it for them
         physics = [(2.0, 4.0, 0.1, 0.15), (ODD_A, 2.5, 0.0, 0.1), (1.5, 8.0, 0.6, 0.2)]
         terms, reference_terms, state, work, rng = compiled_setup(physics, 24, 7, 1e-3)
         getattr(state, field)[row, 12] = np.nan
@@ -1007,15 +1171,25 @@ class TestCompiledStep:
         speed = wave_speed(terms, state)
         work.load(specs, speed=speed, guard=guard, cfl_dx=[0.5 * dx] * 3, t_snap=never,
                   t_end=never)
-        with pytest.raises(BlowUpError) as compiled:
-            step(state, terms, work, records_of(3, 2), 1)
         dt = time_steps(work, state)
+        new = step(state, terms, work, records_of(3, 2), 1)
+        assert work.taken == 1
         with pytest.raises(BlowUpError) as reference:
             oracles.step(copied(state), reference_terms, boundary(specs, state, dt), dt, guard,
                          speed)
-        assert compiled.value.failed == reference.value.failed == {row: str(reference.value)}
-        assert "max|u| = nan" in str(compiled.value)
+        assert reference.value.failed == {row: str(reference.value)}
+        compiled = [failure(work, member) for member in range(3)]
+        assert type(compiled[row]) is BlowUpError and str(compiled[row]) == str(reference.value)
+        assert "max|u| = nan" in str(compiled[row])
         assert_same_state(state, before)
+        others = [member for member in range(3) if member != row]
+        assert [compiled[member] for member in others] == [None, None]
+        alone = member_terms(physics, state.xs)
+        sub, sub_dt = oracles._select(before, others), [dt[m] for m in others]
+        want, _ = oracles.step(sub, oracles.stack_terms([alone[m] for m in others]),
+                               boundary([specs[m] for m in others], sub, sub_dt), sub_dt,
+                               guard[:2], [speed[m] for m in others])
+        assert_same_rows(new, others, want)
 
     # nx = 60: the maxima kernel's 8 lanes take nodes 0-55 and its tail 56-60
     @pytest.mark.parametrize("node", [20, 57], ids=["body", "tail"])
@@ -1028,11 +1202,11 @@ class TestCompiledStep:
         load_two(work, terms, state, rng)
         state.u[1, node], state.w[1, node + 1] = quiet_nan(5), quiet_nan(9)
         records = records_of(2, 2)
-        with pytest.raises(BlowUpError) as failed:
-            step(state, terms, work, records, 1)
-        assert list(failed.value.failed) == [1]
-        assert str(failed.value).startswith("max|u| = nan ")
-        assert f"at t={records[0, 1, 1]:.6g};" in str(failed.value)
+        step(state, terms, work, records, 1)
+        assert failure(work, 0) is None
+        failed = failure(work, 1)
+        assert type(failed) is BlowUpError and str(failed).startswith("max|u| = nan ")
+        assert f"at t={records[0, 1, 1]:.6g};" in str(failed)
         for row in (0, 1):
             got, want = stepped_maxima(work, records, terms, row)
             assert got == want
@@ -1088,9 +1262,9 @@ class TestCompiledStep:
             rng.bit_generator.state = drawn
             load_two(work, terms, state, rng)
             records = records_of(2, 2)
-            with pytest.raises(BlowUpError, match=r"^max\|u\| = inf ") as failed:
-                step(state, terms, work, records, 1)
-            assert list(failed.value.failed) == [0]
+            step(state, terms, work, records, 1)
+            assert type(failure(work, 0)) is BlowUpError and failure(work, 1) is None
+            assert str(failure(work, 0)).startswith("max|u| = inf ")
             new = np.array(work.views[1])
             assert not np.isnan(new).any()
             assert [np.isinf(x[0]).nonzero()[0].tolist() for x in new] == [[0]] * 3

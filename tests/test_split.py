@@ -6,9 +6,10 @@ an edge of the blocks of the step's sum order (lyapunov.BLOCK nodes), so
 each part sums the blocks that one thread sums, and the caller adds all
 block sums in block order after the helper is done.  These tests force
 the split through StepWork and simulate_batch at small n, and hold every
-record, state and failure equal to those of one thread, bit for bit; then
-they check that no thread outlives a call, and the rule that gives a
-process its threads.
+record, state and failure equal to those of one thread, bit for bit, the
+steps that the other members take after one fails included; then they
+check that no thread outlives a call, and the rule that gives a process
+its threads.
 """
 
 import math
@@ -23,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from pipestab import cli, dynamics, lyapunov
 from pipestab.disturbance import DisturbanceSpec
-from pipestab.dynamics import (RECORDS, FieldState, SolverError, StepWork, bump_profile,
+from pipestab.dynamics import (RECORDS, FieldState, StepWork, bump_profile, failure,
                                profile_terms, simulate_batch, step, wave_speed)
 from pipestab.stationary import PipeParams, build_stationary
-from test_dynamics import TestBatch, assert_same_results, cfl_member
+from test_dynamics import TestBatch, assert_member_fails_mid_call, assert_same_results, cfl_member
 
 member_draws = st.tuples(
     st.floats(1.5, 3.0),        # a
@@ -64,9 +65,10 @@ def batch(n: int, draws: list):
 
 
 def run_steps(state, terms, specs, values, capacity, threads, split=None):
-    """Calls `step` until the records are full or a step fails, moving each
-    member's snapshot time on as it reaches it; returns every byte the
-    calls wrote, the steps of each call and the failure."""
+    """Calls `step` until the records are full or no member runs, moving
+    each member's snapshot time on as it reaches it; returns every byte the
+    calls wrote, the steps of each call and each member's failure, its
+    error's type and message, or None."""
     state = FieldState(list(state.t), state.xs, state.u.copy(), state.v.copy(), state.w.copy())
     work = StepWork(state, threads)
     work.states.fill(0.0)           # a state no step writes compares equal too
@@ -75,19 +77,19 @@ def run_steps(state, terms, specs, values, capacity, threads, split=None):
     work.load(specs, **values)
     interval = np.array(values["t_snap"])
     records = np.zeros((len(RECORDS), len(specs), capacity))
-    index, taken, failure = 1, [], None
+    index, taken = 1, []
     while index < capacity:
-        try:
-            state = step(state, terms, work, records, index)
-        except SolverError as exc:
-            failure = (type(exc), exc.failed)
+        state = step(state, terms, work, records, index)
+        if not work.taken:
             break
         taken.append(work.taken)
         index += work.taken
         t_snap = work.values["t_snap"]
         t_snap[np.asarray(state.t) >= t_snap - 1e-12] += interval[
             np.asarray(state.t) >= t_snap - 1e-12]
-    return records.tobytes(), work.io.tobytes(), work.states.tobytes(), taken, failure
+    errors = [failure(work, row) for row in range(len(specs))]
+    failures = [error and (type(error), str(error)) for error in errors]
+    return records.tobytes(), work.io.tobytes(), work.states.tobytes(), taken, failures
 
 
 def assert_split_equal(state, terms, specs, values, capacity, split=None):
@@ -130,8 +132,8 @@ def test_nan_in_either_part_and_at_the_seam(nodes):
     state, terms, specs, values = batch(N, [DRAW, DRAW])
     for payload, node in enumerate(nodes, 1):
         state.u[1, node] = state.w[1, node] = quiet_nan(payload)
-    records, *_, failure = assert_split_equal(state, terms, specs, values, 4)
-    assert failure[0] is dynamics.BlowUpError and list(failure[1]) == [1]
+    records, *_, failures = assert_split_equal(state, terms, specs, values, 4)
+    assert failures[0] is None and failures[1][0] is dynamics.BlowUpError
     max_u = np.frombuffer(records).reshape(len(RECORDS), 2, 4)[RECORDS.index("max_u"), 1, 1]
     assert np.array(max_u).view(np.uint64) == np.array(quiet_nan(max(
         (node, payload) for payload, node in enumerate(nodes, 1))[1])).view(np.uint64)
@@ -146,16 +148,24 @@ def test_guard_failure_in_either_part(peak):
     phi, dphi = bump_profile(xs, 1e-2, peak, 0.05)
     state.u[1], state.v[1], state.w[1] = phi, -2.0 * dphi, dphi
     values["guard"] = [10.0, 0.9e-2]
-    *_, failure = assert_split_equal(state, terms, specs, values, 30)
-    assert failure[0] is dynamics.BlowUpError and list(failure[1]) == [1]
+    *_, taken, failures = assert_split_equal(state, terms, specs, values, 30)
+    assert failures[0] is None and failures[1][0] is dynamics.BlowUpError
+    assert sum(taken) == 29             # member 0 fills the records
 
 
 def test_cfl_failure():
-    # a CFL number of 2: the call fails before its first step, and its helper returns
+    # a CFL number of 2: member 1 fails before the first step, and member 0
+    # takes that step and fills the records; alone, member 1 takes no step,
+    # and the call's helper returns
     state, terms, specs, values = batch(N, [DRAW, DRAW])
     values["cfl_dx"] = [values["cfl_dx"][0], 2.0 / 0.45 * values["cfl_dx"][0]]
-    *_, taken, failure = assert_split_equal(state, terms, specs, values, 30)
-    assert taken == [] and failure[0] is dynamics.CFLError and list(failure[1]) == [1]
+    *_, taken, failures = assert_split_equal(state, terms, specs, values, 30)
+    assert failures[0] is None and failures[1][0] is dynamics.CFLError
+    assert sum(taken) == 29
+    state, terms, specs, values = batch(N, [DRAW])
+    values["cfl_dx"] = [2.0 / 0.45 * values["cfl_dx"][0]]
+    *_, taken, failures = assert_split_equal(state, terms, specs, values, 30)
+    assert taken == [] and failures[0][0] is dynamics.CFLError
 
 
 def test_split_work_sets_hold_rows_of_n():
@@ -184,8 +194,8 @@ def test_split_off_a_block_edge_refused(n, split):
 
 
 def test_batches_split_as_one_thread(monkeypatch):
-    # members that fail at t = 0, by their guard and by CFL mid-run, re-packs
-    # and records that grow: the same results with the split
+    # members that fail at t = 0, by their guard and by CFL mid-run, members
+    # that end, and records that grow: the same results with the split
     members = [*TestBatch.MEMBERS, cfl_member()]
     one = simulate_batch(members)
     monkeypatch.setattr(dynamics, "SPLIT_NODES", 65)
@@ -239,6 +249,10 @@ def test_concurrent_split_calls(monkeypatch):
             assert_same_results(result, want)
 
 
+def test_member_failing_mid_call_leaves_the_others_split(monkeypatch):
+    assert_member_fails_mid_call(monkeypatch, threads=2)
+
+
 TASKS = "/proc/self/task"
 linux_only = pytest.mark.skipif(not os.path.isdir(TASKS), reason="needs Linux's /proc/self/task")
 
@@ -246,10 +260,12 @@ linux_only = pytest.mark.skipif(not os.path.isdir(TASKS), reason="needs Linux's 
 @linux_only
 def test_no_thread_outlives_a_split_run(monkeypatch):
     # a thread that counts this process's threads while a split run steps sees
-    # the helper; after the run the count is what it was
+    # the helper; after the run the count is what it was.  The run is one
+    # call of about 150,000 steps, 0.2 s or more, so that the counter gets a
+    # CPU while the caller and the helper spin on two
     monkeypatch.setattr(dynamics, "SPLIT_NODES", 65)
     member = TestBatch.MEMBERS[0]._replace(config=dynamics.SolverConfig(
-        nx=64, t_end=10.0, snapshot_dt=10.0))
+        nx=64, t_end=500.0, snapshot_dt=500.0))
     before = settled_threads()
     seen, done = [], threading.Event()
 
